@@ -28,7 +28,7 @@ EXIT_NUMERIC = 4
 
 CONFIG_KEYS = {
     "recording", "out_dir", "mode", "models_dir", "gp_model", "hla",
-    "seed", "resolution", "ref", "jobs",
+    "resolution", "ref",
 }
 
 
@@ -100,23 +100,58 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _score_ensemble(models_dir, enc):
-    members = []
-    for path in sorted(glob.glob(os.path.join(models_dir, "*.model.json"))):
-        params, cfg = neuralnet.load_params(path)
-        probs = neuralnet.score_recording(params, enc, cfg)
-        members.append(hypnodensity.Hypnodensity(
-            probs=probs, resolution_s=cfg.segment_s,
-            recording_id=enc.recording_id))
-    if not members:
+# ------------------------------------------------------------------ stages
+# Each stage is one function that its subcommand and ``run-all`` both call.
+
+def _load_models(models_dir):
+    models = [neuralnet.load_params(path) for path in
+              sorted(glob.glob(os.path.join(models_dir, "*.model.json")))]
+    if not models:
         raise HypnopipeError(f"no models found in {models_dir}")
-    return members
+    return models
+
+
+def _score_ensemble(models, enc, resolution=None):
+    """Member hypnodensities at ``resolution`` (default: the first member's)
+    and their ensemble."""
+    members = [hypnodensity.Hypnodensity(
+        probs=neuralnet.score_recording(params, enc, cfg),
+        resolution_s=cfg.segment_s, recording_id=enc.recording_id)
+        for params, cfg in models]
+    target = int(members[0].resolution_s if resolution is None else resolution)
+    members = [hypnodensity.aggregate_resolution(m, target)
+               if target != m.resolution_s else m for m in members]
+    return members, hypnodensity.ensemble_hypnodensity(members)
+
+
+def _feature_vector(hd, hla=None):
+    """The 481 features, from the hypnogram at 30 s epochs where the
+    resolution divides 30 and at the resolution otherwise."""
+    epoch_s = 30 if 30 % hd.resolution_s == 0 else hd.resolution_s
+    return features.assemble(hd, hypnodensity.to_hypnogram(hd, epoch_s=epoch_s),
+                             hla=hla)
+
+
+def _load_gp(model_dir):
+    model = diagnosis.GPModel.load(os.path.join(model_dir, "gp.gp.json"))
+    with open(os.path.join(model_dir, "selection.json")) as f:
+        cols = np.array(json.load(f)["selected"], dtype=int)
+    return model, cols
+
+
+def _diagnose(model, cols, vectors, hla=None):
+    """GP score of each feature vector, combined, then HLA-gated if known."""
+    report = diagnosis.ensemble_diagnose(
+        [diagnosis.gp_predict(model, np.asarray(v.values)[cols][None, :])[0]
+         for v in vectors])
+    if hla is not None:
+        report = diagnosis.apply_hla(report, bool(hla))
+    return report
 
 
 def cmd_score(args) -> int:
     enc = EncodedRecording.load(args.input)
-    members = _score_ensemble(args.models, enc)
-    ens = hypnodensity.ensemble_hypnodensity(members)
+    _, ens = _score_ensemble(_load_models(args.models), enc)
     with open(args.out, "w") as f:
         f.write(ens.to_csv())
     log("score", f"{enc.recording_id}: {ens.n_models} models, "
@@ -130,10 +165,7 @@ def _read_hypnodensity_csv(path):
 
 
 def cmd_features(args) -> int:
-    hd = _read_hypnodensity_csv(args.input)
-    epoch_s = 30 if 30 % hd.resolution_s == 0 else hd.resolution_s
-    hyp = hypnodensity.to_hypnogram(hd, epoch_s=epoch_s)
-    vec = features.assemble(hd, hyp, hla=args.hla)
+    vec = _feature_vector(_read_hypnodensity_csv(args.input), args.hla)
     with open(args.out, "w") as f:
         if args.out.endswith(".json"):
             f.write(vec.to_json())
@@ -148,24 +180,17 @@ def cmd_diagnose(args) -> int:
         X, y = _load_matrix(args.matrix)
         sel = diagnosis.rfe(X, y, seed=args.seed)
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
-        model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0),
-                                 seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0))
         model.save(args.out)
         with open(os.path.join(args.out, "selection.json"), "w") as f:
             json.dump({"selected": cols.tolist(),
                        "frequency": sel.frequency.tolist()}, f)
         log("diagnose", f"GP fit on {len(cols)} selected features")
         return 0
-    model = diagnosis.GPModel.load(os.path.join(args.model, "gp.gp.json"))
-    with open(os.path.join(args.model, "selection.json")) as f:
-        cols = np.array(json.load(f)["selected"], dtype=int)
+    model, cols = _load_gp(args.model)
     vec = features.FeatureVector.from_json(open(args.input).read())
-    score, var = gp_score_vector(model, cols, vec.values)
-    report = diagnosis.ensemble_diagnose([score])
-    hla = vec.hla_positive if args.hla is None else args.hla
-    if hla is not None:
-        report = diagnosis.apply_hla(report, bool(hla))
+    report = _diagnose(model, cols, [vec],
+                       vec.hla_positive if args.hla is None else args.hla)
     out = report.to_json()
     if args.out:
         with open(args.out, "w") as f:
@@ -174,10 +199,6 @@ def cmd_diagnose(args) -> int:
         print(out)
     log("diagnose", f"score={report.score:.4f} label={report.label}")
     return 0
-
-
-def gp_score_vector(model, cols, values):
-    return diagnosis.gp_predict(model, np.asarray(values)[cols][None, :])
 
 
 def _load_matrix(path):
@@ -227,58 +248,40 @@ def cmd_plot(args) -> int:
 
 
 def cmd_run_all(args) -> int:
+    """Every stage in memory; the four output files are written only once
+    all stages have succeeded, and the models and GP are read first."""
     cfg = load_config(args.config, {
         "recording": args.recording, "out_dir": args.out_dir,
     })
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    models = _load_models(cfg["models_dir"])
+    gp, cols = _load_gp(cfg["gp_model"])
+    ref = _load_ref(cfg.get("ref"))
     psg = signal_io.load_recording(cfg["recording"])
     rid = psg.recording_id
 
-    montage, report = preprocess.preprocess_recording(psg, _load_ref(cfg.get("ref")))
+    montage, report = preprocess.preprocess_recording(psg, ref)
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, cfg.get("mode", "cc"))
     log("encode", f"{rid}: {enc.mode} encoding done")
 
-    members = _score_ensemble(cfg["models_dir"], enc)
-    target_res = int(cfg.get("resolution", members[0].resolution_s))
-    members = [hypnodensity.aggregate_resolution(m, target_res)
-               if target_res != m.resolution_s else m for m in members]
-    ens = hypnodensity.ensemble_hypnodensity(members)
-    hd_path = os.path.join(out_dir, f"{rid}.hypnodensity.csv")
-    with open(hd_path, "w") as f:
-        f.write(ens.to_csv())
-    svg_path = os.path.join(out_dir, f"{rid}.hypnodensity.svg")
-    with open(svg_path, "w") as f:
-        f.write(hypnodensity_svg(ens.mean))
+    members, ens = _score_ensemble(models, enc, cfg.get("resolution"))
     log("score", f"{rid}: hypnodensity over {len(ens.mean.probs)} segments")
-
-    epoch_s = 30 if 30 % ens.mean.resolution_s == 0 else ens.mean.resolution_s
-    hyp = hypnodensity.to_hypnogram(ens.mean, epoch_s=epoch_s)
     hla = cfg.get("hla")
-    vec = features.assemble(ens.mean, hyp, hla=hla)
-    feat_path = os.path.join(out_dir, f"{rid}.features.csv")
-    with open(feat_path, "w") as f:
-        f.write(vec.to_csv())
-    log("features", f"{rid}: feature vector written")
-
-    gp_dir = cfg["gp_model"]
-    model = diagnosis.GPModel.load(os.path.join(gp_dir, "gp.gp.json"))
-    with open(os.path.join(gp_dir, "selection.json")) as f:
-        cols = np.array(json.load(f)["selected"], dtype=int)
-    scores = []
-    for member in members:
-        m_hyp = hypnodensity.to_hypnogram(member, epoch_s=epoch_s)
-        m_vec = features.assemble(member, m_hyp)
-        s, _ = gp_score_vector(model, cols, m_vec.values)
-        scores.append(s)
-    rep = diagnosis.ensemble_diagnose(scores)
-    if hla is not None:
-        rep = diagnosis.apply_hla(rep, bool(hla))
-    diag_path = os.path.join(out_dir, f"{rid}.diagnosis.json")
-    with open(diag_path, "w") as f:
-        f.write(rep.to_json())
+    vec = _feature_vector(ens.mean, hla)
+    log("features", f"{rid}: feature vector done")
+    rep = _diagnose(gp, cols, [_feature_vector(m) for m in members], hla)
     log("diagnose", f"{rid}: score={rep.score:.4f} label={rep.label}")
+
+    outputs = {"hypnodensity.csv": ens.to_csv(),
+               "hypnodensity.svg": hypnodensity_svg(ens.mean),
+               "features.csv": vec.to_csv(),
+               "diagnosis.json": rep.to_json()}
+    os.makedirs(out_dir, exist_ok=True)
+    for suffix, text in outputs.items():
+        with open(os.path.join(out_dir, f"{rid}.{suffix}"), "w") as f:
+            f.write(text)
+    log("run-all", f"{rid}: wrote {len(outputs)} files to {out_dir}")
     return 0
 
 
@@ -344,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", required=True, help="pipeline config JSON")
     sp.add_argument("--recording")
     sp.add_argument("--out-dir")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_run_all)
 
     return p

@@ -23,6 +23,7 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
+from .store import read_bundle, write_bundle
 
 RFE_CUTOFF = 0.40
 RFE_TARGET_COUNT = 38
@@ -126,44 +127,28 @@ class GPModel:
     log_marginal: float = 0.0
 
     def save(self, directory: str, name: str = "gp") -> str:
-        os.makedirs(directory, exist_ok=True)
         mats = {"X": self.X, "y": self.y, "f_hat": self.f_hat,
                 "grad_ll": self.grad_ll, "W_sqrt": self.W_sqrt, "L": self.L,
                 "std_mean": self.standardizer.mean,
                 "std_std": self.standardizer.std,
                 "std_keep": self.standardizer.keep.astype(float)}
-        manifest = {
+        return write_bundle(os.path.join(directory, f"{name}.gp.json"), mats, {
             "length_scale": self.length_scale, "signal_std": self.signal_std,
             "noise": self.noise, "mean_const": self.mean_const,
-            "log_marginal": self.log_marginal, "tensors": {},
-        }
-        for key, arr in mats.items():
-            blob = f"{name}.{key}.f32le"
-            np.asarray(arr, dtype="<f4").tofile(os.path.join(directory, blob))
-            manifest["tensors"][key] = {"shape": list(np.shape(arr)), "blob": blob}
-        path = os.path.join(directory, f"{name}.gp.json")
-        with open(path, "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-        return path
+            "log_marginal": self.log_marginal})
 
     @classmethod
     def load(cls, path: str) -> "GPModel":
-        with open(path) as f:
-            manifest = json.load(f)
-        base = os.path.dirname(path)
-        mats = {}
-        for key, info in manifest["tensors"].items():
-            arr = np.fromfile(os.path.join(base, info["blob"]), dtype="<f4")
-            mats[key] = arr.astype(np.float64).reshape(info["shape"])
+        mats, meta = read_bundle(path)
         std = Standardizer(mean=mats["std_mean"], std=mats["std_std"],
                            keep=mats["std_keep"] > 0.5)
         return cls(X=mats["X"], y=mats["y"],
-                   length_scale=manifest["length_scale"],
-                   signal_std=manifest["signal_std"], noise=manifest["noise"],
-                   mean_const=manifest["mean_const"],
+                   length_scale=meta["length_scale"],
+                   signal_std=meta["signal_std"], noise=meta["noise"],
+                   mean_const=meta["mean_const"],
                    standardizer=std, f_hat=mats["f_hat"],
                    grad_ll=mats["grad_ll"], W_sqrt=mats["W_sqrt"], L=mats["L"],
-                   log_marginal=manifest["log_marginal"])
+                   log_marginal=meta["log_marginal"])
 
 
 def _kernel(Xa, Xb, ell, sf):
@@ -230,7 +215,7 @@ def _median_heuristic(X):
     return med if med > 0 else 1.0
 
 
-def gp_fit(X: np.ndarray, y: np.ndarray, seed: int = 0) -> GPModel:
+def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     """Fit the binary GP by Laplace approximation with a log-grid search
     over (length scale, signal std, jitter) maximizing the approximate
     marginal likelihood.  Labels must be in {-1, +1}."""

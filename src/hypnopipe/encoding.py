@@ -12,7 +12,6 @@ segment's mean power.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -21,6 +20,7 @@ from scipy import signal as sps
 
 from .errors import EmptySignal, MissingChannel, NonpositiveP95, ShapeMismatch
 from .signal_io import PolySignalSet
+from .store import read_bundle, write_bundle
 
 OCTAVE_CUTOFFS_HZ = (49.0, 25.0, 12.5, 6.25, 3.125)
 P95_WINDOW_S = 90 * 60      # 90 minute windows
@@ -59,36 +59,19 @@ class EncodedRecording:
     grid_hop_s: float = GRID_HOP_S
 
     def save(self, directory: str) -> str:
-        os.makedirs(directory, exist_ok=True)
-        manifest = {
-            "recording_id": self.recording_id,
-            "mode": self.mode,
-            "duration_s": self.duration_s,
-            "fs": self.fs,
-            "grid_hop_s": self.grid_hop_s,
-            "tensors": {},
-        }
-        for name, arr in self.tensors.items():
-            blob = f"{self.recording_id}.{self.mode}.{name}.f32le"
-            np.asarray(arr, dtype="<f4").tofile(os.path.join(directory, blob))
-            manifest["tensors"][name] = {"shape": list(arr.shape), "blob": blob}
-        path = os.path.join(directory, f"{self.recording_id}.{self.mode}.enc.json")
-        with open(path, "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-        return path
+        return write_bundle(
+            os.path.join(directory, f"{self.recording_id}.{self.mode}.enc.json"),
+            self.tensors,
+            {"recording_id": self.recording_id, "mode": self.mode,
+             "duration_s": self.duration_s, "fs": self.fs,
+             "grid_hop_s": self.grid_hop_s})
 
     @classmethod
     def load(cls, path: str) -> "EncodedRecording":
-        with open(path) as f:
-            manifest = json.load(f)
-        base = os.path.dirname(path)
-        enc = cls(recording_id=manifest["recording_id"], mode=manifest["mode"],
-                  duration_s=manifest["duration_s"], fs=manifest["fs"],
-                  grid_hop_s=manifest["grid_hop_s"])
-        for name, info in manifest["tensors"].items():
-            arr = np.fromfile(os.path.join(base, info["blob"]), dtype="<f4")
-            enc.tensors[name] = arr.astype(np.float64).reshape(info["shape"])
-        return enc
+        tensors, meta = read_bundle(path)
+        return cls(recording_id=meta["recording_id"], mode=meta["mode"],
+                   duration_s=meta["duration_s"], tensors=tensors, fs=meta["fs"],
+                   grid_hop_s=meta["grid_hop_s"])
 
 
 def robust_p95(x: np.ndarray, fs: float) -> float:

@@ -11,6 +11,12 @@ class MissingChannel(HypnopipeError):
         super().__init__(f"required channel missing: {role}")
 
 
+class MissingBlob(HypnopipeError):
+    def __init__(self, key, blob):
+        self.key = key
+        super().__init__(f"{key}: blob {blob} missing")
+
+
 class CorruptHeader(HypnopipeError):
     pass
 
@@ -88,8 +94,4 @@ class CholeskyFailure(HypnopipeError):
 
 
 class DimensionMismatch(HypnopipeError):
-    pass
-
-
-class NoSleep(HypnopipeError):
     pass

@@ -152,20 +152,6 @@ def _time_to_fraction(series: np.ndarray, frac: float) -> float:
     return i + within
 
 
-def dissociation_onset_mass(hd: Hypnodensity) -> float:
-    """Minutes to accumulate 5% of the W/N2/REM pairwise-product mass,
-    weighted by that total mass."""
-    w = hd.probs[:, 0]
-    n2 = hd.probs[:, 2]
-    rem = hd.probs[:, 4]
-    pi = w * n2 + w * rem + n2 * rem
-    total = pi.sum()
-    if total <= 0:
-        return 0.0
-    t_min = _time_to_fraction(pi, 0.05) * hd.resolution_s / 60.0
-    return t_min * float(total)
-
-
 @dataclass
 class SoremReport:
     count: int

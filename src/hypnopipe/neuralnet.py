@@ -23,6 +23,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DatasetTooSmall, NaNGradient, ShapeMismatch
 from .encoding import EncodedRecording
+from .store import read_bundle, write_bundle
 
 # Training constants
 WEIGHT_DECAY = 0.00001
@@ -636,26 +637,10 @@ def score_recording(params, enc: EncodedRecording, config: NetworkConfig):
 # ---------------------------------------------------------------- archive
 
 def save_params(params, config: NetworkConfig, directory: str, name: str) -> str:
-    os.makedirs(directory, exist_ok=True)
-    manifest = {"config": json.loads(config.to_json()), "tensors": {}}
-    for pname in sorted(params):
-        blob = f"{name}.{pname.replace('/', '_')}.f32le"
-        np.asarray(params[pname], dtype="<f4").tofile(os.path.join(directory, blob))
-        manifest["tensors"][pname] = {"shape": list(params[pname].shape),
-                                      "blob": blob}
-    path = os.path.join(directory, f"{name}.model.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
-    return path
+    return write_bundle(os.path.join(directory, f"{name}.model.json"), params,
+                        {"config": json.loads(config.to_json())})
 
 
 def load_params(path: str):
-    with open(path) as f:
-        manifest = json.load(f)
-    base = os.path.dirname(path)
-    config = NetworkConfig.from_json(json.dumps(manifest["config"]))
-    params = {}
-    for pname, info in manifest["tensors"].items():
-        arr = np.fromfile(os.path.join(base, info["blob"]), dtype="<f4")
-        params[pname] = arr.astype(np.float64).reshape(info["shape"])
-    return params, config
+    params, meta = read_bundle(path)
+    return params, NetworkConfig.from_json(json.dumps(meta["config"]))

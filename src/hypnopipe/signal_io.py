@@ -1,16 +1,15 @@
 """Recording and hypnogram file formats, plus synthetic recordings for tests.
 
-A recording on disk is ``<id>.psgmeta.json`` (channel roles, sample rates,
-sample counts) next to one little-endian float32 blob per channel named
-``<id>.<ROLE>.f32le``.  Hypnograms are plain text, one stage token per line,
-preceded by an ``epoch_s=<int>`` header line.
+A recording on disk is a ``store`` bundle: ``<id>.psgmeta.json`` (recording
+id, duration, per-role sample rates) next to one little-endian float32 blob
+per channel named ``<id>.<ROLE>.f32le``.  Hypnograms are plain text, one stage
+token per line, preceded by an ``epoch_s=<int>`` header line.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +18,10 @@ from .errors import (
     EmptyFile,
     InvalidSpec,
     LengthMismatch,
+    MissingBlob,
     MissingChannel,
 )
+from .store import read_bundle, write_bundle
 
 ROLES = (
     "EEG_C_LEFT",
@@ -92,53 +93,28 @@ class HypnogramLabels:
 
 
 def save_recording(psg: PolySignalSet, directory: str) -> str:
-    """Write meta JSON + per-channel f32le blobs; returns the meta path."""
+    """Write the recording as a bundle (see ``store``); returns the meta path."""
     psg.validate()
-    os.makedirs(directory, exist_ok=True)
-    meta = {
-        "recording_id": psg.recording_id,
-        "duration_s": psg.duration_s,
-        "channels": {},
-    }
-    for role, ch in psg.channels.items():
-        blob = f"{psg.recording_id}.{role}.f32le"
-        data = np.asarray(ch.samples, dtype="<f4")
-        data.tofile(os.path.join(directory, blob))
-        meta["channels"][role] = {
-            "fs": ch.fs,
-            "n_samples": int(len(ch.samples)),
-            "blob": blob,
-        }
-    meta_path = os.path.join(directory, f"{psg.recording_id}.psgmeta.json")
-    with open(meta_path, "w") as f:
-        json.dump(meta, f, indent=1, sort_keys=True)
-    return meta_path
+    return write_bundle(
+        os.path.join(directory, f"{psg.recording_id}.psgmeta.json"),
+        {role: ch.samples for role, ch in psg.channels.items()},
+        {"recording_id": psg.recording_id, "duration_s": psg.duration_s,
+         "channels": {role: {"fs": ch.fs} for role, ch in psg.channels.items()}})
 
 
 def load_recording(path: str) -> PolySignalSet:
     """Load a recording from its ``.psgmeta.json`` path."""
     try:
-        with open(path) as f:
-            meta = json.load(f)
-        rec_id = meta["recording_id"]
-        duration_s = float(meta["duration_s"])
-        declared = meta["channels"]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise CorruptHeader(str(e)) from e
-
-    base = os.path.dirname(path)
-    channels = {}
-    for role, info in declared.items():
-        blob_path = os.path.join(base, info["blob"])
-        if not os.path.exists(blob_path):
-            raise MissingChannel(role)
-        data = np.fromfile(blob_path, dtype="<f4")
-        if len(data) != int(info["n_samples"]):
-            raise LengthMismatch(
-                f"{role}: blob has {len(data)} samples, header says {info['n_samples']}"
-            )
-        channels[role] = Channel(samples=data.astype(np.float64), fs=float(info["fs"]))
-    psg = PolySignalSet(channels=channels, duration_s=duration_s, recording_id=rec_id)
+        arrays, meta = read_bundle(path)
+    except MissingBlob as e:
+        raise MissingChannel(e.key) from e
+    try:
+        channels = {role: Channel(samples=arrays[role], fs=float(info["fs"]))
+                    for role, info in meta["channels"].items()}
+        psg = PolySignalSet(channels=channels, duration_s=float(meta["duration_s"]),
+                            recording_id=meta["recording_id"])
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CorruptHeader(f"{path}: {e!r}") from e
     psg.validate()
     return psg
 

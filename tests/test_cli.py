@@ -231,6 +231,22 @@ def test_run_all_bundle_and_reproducibility(workspace, tmp_path):
     assert report["hla_used"] is True
 
 
+def test_run_all_bad_gp_path_fails_before_preprocessing_and_writes_nothing(
+        workspace, tmp_path, monkeypatch):
+    cfg = json.loads(open(workspace["config"]).read())
+    cfg["gp_model"] = str(tmp_path / "no_such_gp")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+
+    def never(*a, **k):
+        raise AssertionError("preprocessing ran before the GP was loaded")
+
+    monkeypatch.setattr(cli.preprocess, "preprocess_recording", never)
+    out = tmp_path / "o"
+    assert cli.main(["run-all", "--config", str(bad), "--out-dir", str(out)]) == 2
+    assert not out.exists() or os.listdir(out) == []
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_exit_code_io_error(tmp_path):
@@ -246,9 +262,10 @@ def test_exit_code_validation_missing_channels(tmp_path):
     assert cli.main(["preprocess", meta, str(tmp_path / "m")]) == 3
 
 
-def test_exit_code_validation_unknown_config_key(workspace, tmp_path):
+@pytest.mark.parametrize("key", ["tpyo", "jobs", "seed"])
+def test_exit_code_validation_unknown_config_key(workspace, tmp_path, key):
     cfg = json.loads(open(workspace["config"]).read())
-    cfg["tpyo"] = 1
+    cfg[key] = 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
     assert cli.main(["run-all", "--config", str(bad),

@@ -225,21 +225,6 @@ def test_descriptors_impulse_series():
         assert 17 * 0.5 <= t_min <= 18 * 0.5
 
 
-def test_dissociation_onset_mass_constant_density():
-    hd = Hypnodensity(probs=np.full((100, 5), 0.2), resolution_s=30)
-    pi_total = 3 * 0.04 * 100
-    expect = 0.05 * (100 * 30 / 60.0) * pi_total
-    assert abs(features.dissociation_onset_mass(hd) - expect) < 1e-9
-
-
-def test_dissociation_onset_mass_in_first_segment():
-    p = np.zeros((50, 5))
-    p[:, 1] = 1.0          # N1 only: pi = 0 everywhere except the first row
-    p[0] = [0.5, 0.0, 0.5, 0.0, 0.0]
-    hd = Hypnodensity(probs=p, resolution_s=30)
-    assert features.dissociation_onset_mass(hd) <= 0.5 * 0.25 + 1e-9
-
-
 def test_sorem_fixture_count_one():
     stages = ["W"] * 10 + ["N1"] * 5 + ["REM"] * 10
     rep = features.sorem_analysis(HypnogramLabels(stages, epoch_s=30))

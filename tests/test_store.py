@@ -1,0 +1,122 @@
+import json
+import os
+import re
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from hypnopipe import cli, diagnosis, features, neuralnet, signal_io, store
+from hypnopipe.encoding import EncodedRecording
+from hypnopipe.errors import CorruptHeader, LengthMismatch, MissingBlob, MissingChannel
+
+from conftest import make_montage
+
+
+@pytest.fixture(scope="module")
+def bundles(tmp_path_factory):
+    """One valid bundle of each kind, plus what the CLI needs to reach it."""
+    root = tmp_path_factory.mktemp("bundles")
+    rng = np.random.default_rng(0)
+    signal_io.save_recording(make_montage(duration_s=60.0), str(root / "raw"))
+    n = 240                                      # 60 s of 0.25 s CC rows
+    EncodedRecording(
+        recording_id="r", mode="cc", duration_s=60.0,
+        tensors={"EEG": rng.random((n, 201)), "EOG_L": rng.random((n, 401)),
+                 "EOG_R": rng.random((n, 401)), "EOG_X": rng.random((n, 401)),
+                 "EMG": rng.random((n, 41))}).save(str(root / "enc"))
+    cfg = neuralnet.NetworkConfig(
+        mode="FF", complexity="low", segment_s=30, encoding="cc",
+        modality_shapes=neuralnet.modality_shapes_for("cc", 30),
+        conv_features={m: [3, 4] for m in neuralnet.MODALITIES},
+        hidden=6, seed=1)
+    neuralnet.save_params(neuralnet.init_params(cfg), cfg, str(root / "models"),
+                          "model00")
+    y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
+    diagnosis.gp_fit(rng.standard_normal((40, 3)) + y[:, None], y).save(str(root / "gp"))
+    (root / "gp" / "selection.json").write_text(json.dumps({"selected": [0, 1, 2]}))
+    vec = features.FeatureVector(names=["a", "b", "c"], values=np.zeros(3))
+    (root / "vec.json").write_text(vec.to_json())
+    return root
+
+
+# kind -> (manifest, loader, CLI command that reads it first); paths relative
+# to a copy of the bundles directory
+KINDS = {
+    "recording": ("raw/m0.psgmeta.json", signal_io.load_recording,
+                  ["preprocess", "raw/m0.psgmeta.json", "out"]),
+    "encoding": ("enc/r.cc.enc.json", EncodedRecording.load,
+                 ["score", "enc/r.cc.enc.json", "--models", "models", "--out", "hd.csv"]),
+    "model": ("models/model00.model.json", neuralnet.load_params,
+              ["score", "enc/r.cc.enc.json", "--models", "models", "--out", "hd.csv"]),
+    "gp": ("gp/gp.gp.json", diagnosis.GPModel.load,
+           ["diagnose", "--model", "gp", "--input", "vec.json"]),
+}
+
+
+def _first_blob(manifest: Path) -> tuple[str, Path]:
+    key, info = sorted(json.loads(manifest.read_text())["arrays"].items())[0]
+    return key, manifest.parent / info["blob"]
+
+
+def _edit_blob(manifest: Path, edit) -> None:
+    blob = _first_blob(manifest)[1]
+    blob.write_bytes(edit(blob.read_bytes()))
+
+
+def _edit_manifest(manifest: Path, edit) -> None:
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))
+
+
+DEFECTS = {
+    "truncated": lambda m: _edit_blob(m, lambda data: data[:-1]),
+    "oversized": lambda m: _edit_blob(m, lambda data: data + b"\0" * 4),
+    "missing": lambda m: os.remove(_first_blob(m)[1]),
+    "no_format": lambda m: _edit_manifest(m, lambda meta: meta.pop("format")),
+    "unknown_format": lambda m: _edit_manifest(m, lambda meta: meta.update(format=2)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_malformed_bundle_raises_typed_error_and_exits_3(
+        bundles, tmp_path, kind, defect, monkeypatch, capsys):
+    work = tmp_path / "b"
+    shutil.copytree(bundles, work)
+    rel, load, argv = KINDS[kind]
+    manifest = work / rel
+    key = _first_blob(manifest)[0]
+    DEFECTS[defect](manifest)
+    if defect == "missing":
+        expected = MissingChannel if kind == "recording" else MissingBlob
+        match = re.escape(key)
+    else:
+        expected = LengthMismatch if defect in ("truncated", "oversized") else CorruptHeader
+        match = None
+    with pytest.raises(expected, match=match):
+        load(str(manifest))
+    monkeypatch.chdir(work)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "level=error" in err and "Traceback" not in err
+
+
+def test_bundle_round_trip_leaves_only_manifest_and_blobs(tmp_path):
+    arrays = {"a/b": np.arange(6.0).reshape(2, 3), "s": np.float64(2.5)}
+    path = store.write_bundle(str(tmp_path / "x.kind.json"), arrays, {"note": "n"})
+    back, meta = store.read_bundle(path)
+    assert meta == {"note": "n"}
+    assert {k: v.tolist() for k, v in back.items()} == {k: np.asarray(v).tolist()
+                                                        for k, v in arrays.items()}
+    assert sorted(os.listdir(tmp_path)) == ["x.a_b.f32le", "x.kind.json", "x.s.f32le"]
+
+
+def test_only_store_reads_or_writes_blobs():
+    src = Path(store.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "store.py"
+                 and any(tok in p.read_text()
+                         for tok in ("tofile", "fromfile", '"<f4"', "'<f4'"))]
+    assert offenders == []
