@@ -262,8 +262,17 @@ def test_exit_code_validation_missing_channels(tmp_path):
     assert cli.main(["preprocess", meta, str(tmp_path / "m")]) == 3
 
 
-@pytest.mark.parametrize("key", ["tpyo", "jobs", "seed"])
-def test_exit_code_validation_unknown_config_key(workspace, tmp_path, key):
+def test_exit_code_validation_unknown_config_key(workspace, tmp_path):
+    cfg = json.loads(open(workspace["config"]).read())
+    cfg["tpyo"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert cli.main(["run-all", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("key", ["jobs", "seed"])
+def test_exit_code_validation_retired_config_key(workspace, tmp_path, key):
     cfg = json.loads(open(workspace["config"]).read())
     cfg[key] = 1
     bad = tmp_path / "bad.json"
