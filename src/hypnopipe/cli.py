@@ -2,7 +2,7 @@
 
 Subcommands: preprocess, encode, train, score, features, diagnose, evaluate,
 plot, run-all.  Results go to files or stdout; structured logs go to stderr
-as ``level=.. stage=.. msg=..`` lines.  Exit codes: 0 success, 2 I/O error,
+as logfmt ``level=.. stage=.. msg=..`` lines.  Exit codes: 0 success, 2 I/O error,
 3 validation error, 4 numeric failure.
 """
 
@@ -18,32 +18,45 @@ import sys
 import numpy as np
 
 from . import diagnosis, features, hypnodensity, neuralnet, preprocess, signal_io
-from .encoding import EncodedRecording, encode_recording
-from .errors import CholeskyFailure, HypnopipeError, NaNGradient
+from .encoding import MODES, EncodedRecording, encode_recording
+from .errors import CholeskyFailure, HypnopipeError, InvalidSpec, NaNGradient
 from .plot import hypnodensity_svg
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-CONFIG_KEYS = {
-    "recording", "out_dir", "mode", "models_dir", "gp_model", "hla",
-    "resolution", "ref",
-}
+REQUIRED_KEYS = {"recording", "out_dir", "models_dir", "gp_model"}
+CONFIG_KEYS = REQUIRED_KEYS | {"mode", "hla", "resolution", "ref"}
 
 
 def log(stage: str, msg: str, level: str = "info") -> None:
-    print(f"level={level} stage={stage} msg={msg}", file=sys.stderr)
+    """One logfmt line on stderr; the message is quoted as a JSON string."""
+    print(f"level={level} stage={stage} msg={json.dumps(msg, ensure_ascii=False)}",
+          file=sys.stderr)
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
+    """The run-all config with ``overrides`` applied; ``InvalidSpec`` for a file
+    that is not a JSON object, an unknown or missing key, or an unknown mode."""
     with open(path) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)
+        except json.JSONDecodeError as e:
+            raise InvalidSpec(f"{path}: {e}") from e
+    if not isinstance(cfg, dict):
+        raise InvalidSpec(f"{path}: config must be a JSON object")
     unknown = set(cfg) - CONFIG_KEYS
     if unknown:
-        raise HypnopipeError(f"unknown config keys: {sorted(unknown)}")
+        raise InvalidSpec(f"unknown config keys: {sorted(unknown)}")
     if overrides:
         cfg.update({k: v for k, v in overrides.items() if v is not None})
+    missing = REQUIRED_KEYS - set(cfg)
+    if missing:
+        raise InvalidSpec(f"missing config keys: {sorted(missing)}")
+    cfg.setdefault("mode", "cc")
+    if cfg["mode"] not in MODES:
+        raise InvalidSpec(f"mode must be one of {MODES}, got {cfg['mode']!r}")
     return cfg
 
 
@@ -72,25 +85,21 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _labels_for_windows(hyp, segment_s, n_windows):
-    reps = max(1, hyp.epoch_s // segment_s)
-    labels = []
-    for s in hyp.stages:
-        idx = hypnodensity.STAGE_INDEX.get(s, 0)
-        labels.extend([idx] * reps)
-    return labels[:n_windows]
-
-
 def cmd_train(args) -> int:
-    config = neuralnet.NetworkConfig.from_json(open(args.config).read())
+    with open(args.config) as f:
+        config = neuralnet.NetworkConfig.from_json(f.read())
     dataset = []
     for enc_path in sorted(glob.glob(os.path.join(args.data, "*.enc.json"))):
         enc = EncodedRecording.load(enc_path)
         hyp_path = enc_path.replace(f".{enc.mode}.enc.json", ".hyp.txt")
         hyp = signal_io.load_hypnogram(hyp_path)
-        windows = neuralnet.windows_from_encoded(enc, config)
-        labels = _labels_for_windows(hyp, config.segment_s, len(windows))
-        dataset.append((windows[:len(labels)], labels))
+        batch = neuralnet.windows_from_encoded(enc, config.segment_s)
+        stages = [hypnodensity.STAGE_INDEX.get(s, -1) for s in hyp.stages]
+        labels = np.repeat(np.array(stages, dtype=int),
+                           max(1, hyp.epoch_s // config.segment_s))[:len(batch["EEG"])]
+        scored = labels >= 0                  # UNSCORED windows are not learned
+        dataset.append(({m: x[:len(labels)][scored] for m, x in batch.items()},
+                        labels[scored]))
     configs = neuralnet.make_ensemble(config, n=args.n_models, seed=config.seed)
     for i, cfg in enumerate(configs):
         params, history = neuralnet.train(dataset, cfg)
@@ -113,9 +122,11 @@ def _load_models(models_dir):
 
 def _score_ensemble(models, enc, resolution=None):
     """Member hypnodensities at ``resolution`` (default: the first member's)
-    and their ensemble."""
+    and their ensemble.  The recording is windowed once per segment length."""
+    batches = {s: neuralnet.windows_from_encoded(enc, s)
+               for s in {cfg.segment_s for _, cfg in models}}
     members = [hypnodensity.Hypnodensity(
-        probs=neuralnet.score_recording(params, enc, cfg),
+        probs=neuralnet.forward(params, batches[cfg.segment_s], cfg)[0],
         resolution_s=cfg.segment_s, recording_id=enc.recording_id)
         for params, cfg in models]
     target = int(members[0].resolution_s if resolution is None else resolution)
@@ -262,7 +273,7 @@ def cmd_run_all(args) -> int:
 
     montage, report = preprocess.preprocess_recording(psg, ref)
     log("preprocess", f"{rid}: channel selection {report}")
-    enc = encode_recording(montage, cfg.get("mode", "cc"))
+    enc = encode_recording(montage, cfg["mode"])
     log("encode", f"{rid}: {enc.mode} encoding done")
 
     members, ens = _score_ensemble(models, enc, cfg.get("resolution"))

@@ -7,7 +7,8 @@ robust 95th percentile and log-modulus transformed.
 CC encoding: per hop-aligned segment, the correlation of the segment against
 a centered, twice-as-long extension of the same channel (or of the opposite
 EOG channel for the cross modality).  Lag 0 of an unscaled auto-CC equals the
-segment's mean power.
+segment's mean power.  Scaled segments on a shared 0.25 s grid are stored as
+their means over 5 s windows; longer windows are means of consecutive rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sps
 
-from .errors import EmptySignal, MissingChannel, NonpositiveP95, ShapeMismatch
+from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
+                     NonpositiveP95, ShapeMismatch)
 from .signal_io import PolySignalSet
 from .store import read_bundle, write_bundle
 
@@ -27,7 +29,10 @@ P95_WINDOW_S = 90 * 60      # 90 minute windows
 P95_HOP_S = 45 * 60         # 50% overlap
 P95_MODE_BINS = 64
 
+MODES = ("octave", "cc")
 GRID_HOP_S = 0.25           # common alignment grid for all CC modalities
+CC_WINDOW_S = 5             # a stored CC row is the mean over one 5 s window
+ROWS_PER_WINDOW = round(CC_WINDOW_S / GRID_HOP_S)
 
 
 @dataclass(frozen=True)
@@ -56,22 +61,28 @@ class EncodedRecording:
     duration_s: float
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
     fs: float = 100.0
-    grid_hop_s: float = GRID_HOP_S
 
     def save(self, directory: str) -> str:
+        meta = {"recording_id": self.recording_id, "mode": self.mode,
+                "duration_s": self.duration_s, "fs": self.fs}
+        if self.mode == "cc":
+            meta["row_s"] = CC_WINDOW_S
         return write_bundle(
             os.path.join(directory, f"{self.recording_id}.{self.mode}.enc.json"),
-            self.tensors,
-            {"recording_id": self.recording_id, "mode": self.mode,
-             "duration_s": self.duration_s, "fs": self.fs,
-             "grid_hop_s": self.grid_hop_s})
+            self.tensors, meta)
 
     @classmethod
     def load(cls, path: str) -> "EncodedRecording":
+        """Raises ``CorruptHeader`` for a CC encoding whose rows are not 5 s
+        window means (0.25 s grid rows, as written by older versions)."""
         tensors, meta = read_bundle(path)
-        return cls(recording_id=meta["recording_id"], mode=meta["mode"],
-                   duration_s=meta["duration_s"], tensors=tensors, fs=meta["fs"],
-                   grid_hop_s=meta["grid_hop_s"])
+        keys = ("recording_id", "mode", "duration_s", "fs")
+        if any(k not in meta for k in keys) or meta["mode"] not in MODES:
+            raise CorruptHeader(f"{path}: not an octave or CC encoding manifest")
+        if meta["mode"] == "cc" and meta.get("row_s") != CC_WINDOW_S:
+            raise CorruptHeader(f"{path}: CC rows are not {CC_WINDOW_S} s window "
+                                f"means; encode the recording again")
+        return cls(tensors=tensors, **{k: meta[k] for k in keys})
 
 
 def robust_p95(x: np.ndarray, fs: float) -> float:
@@ -200,19 +211,17 @@ def cc_scale(gamma: np.ndarray) -> np.ndarray:
     return out if np.asarray(gamma).ndim > 1 else out[0]
 
 
-def _grid_count(duration_s: float) -> int:
-    # the 4 s EOG segment is the longest; it defines the shared grid
-    return int(np.floor((duration_s - CC_PARAMS["EOG"].segment_s) / GRID_HOP_S)) + 1
-
-
 def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     """Encode a preprocessed 5-channel montage recording.
 
     mode="octave": one (5, T) tensor per montage channel (25 channels total).
-    mode="cc": scaled CC matrices for EEG, EOG_L, EOG_R, EOG_X and EMG, all
-    aligned to a shared 0.25 s hop grid (the nearest-in-time EMG row is
-    repeated to fill each grid slot).
+    mode="cc": for EEG, EOG_L, EOG_R, EOG_X and EMG, one row per whole 5 s
+    window, the mean of its 20 scaled CC segments on the 0.25 s grid of the
+    4 s EOG segments (each slot takes the EMG segment of nearest center).
+    Modalities are encoded one at a time, so one raw CC matrix is in memory.
     """
+    if mode not in MODES:
+        raise InvalidSpec(f"unknown encoding mode {mode!r}")
     enc = EncodedRecording(recording_id=montage.recording_id, mode=mode,
                            duration_s=montage.duration_s)
     fs = 100.0
@@ -222,36 +231,28 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
                 raise MissingChannel(role)
             enc.tensors[role] = octave_encode(montage.channels[role].samples, fs)
         return enc
-    if mode != "cc":
-        raise ValueError(f"unknown encoding mode {mode!r}")
 
     for role in ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN"):
         if role not in montage.channels:
             raise MissingChannel(role)
-    eeg = montage.channels["EEG_C"].samples
-    eog_l = montage.channels["EOG_L"].samples
-    eog_r = montage.channels["EOG_R"].samples
-    emg = montage.channels["EMG_CHIN"].samples
+    eeg, eog_l, eog_r, chin = (montage.channels[role].samples
+                               for role in ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN"))
 
-    n_grid = _grid_count(montage.duration_s)
+    # the 4 s EOG segment is the longest; it defines the shared grid
+    eog = CC_PARAMS["EOG"]
+    n_grid = int(np.floor((montage.duration_s - eog.segment_s) / GRID_HOP_S)) + 1
+    n_rows = max(n_grid, 0) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
+    emg = CC_PARAMS["EMG"]
+    grid_centers = np.arange(n_rows) * GRID_HOP_S + eog.segment_s / 2
+    emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
 
-    raw = {
-        "EEG": cc_segment(eeg, fs, CC_PARAMS["EEG"]),
-        "EOG_L": cc_segment(eog_l, fs, CC_PARAMS["EOG"]),
-        "EOG_R": cc_segment(eog_r, fs, CC_PARAMS["EOG"]),
-        "EOG_X": cc_segment(eog_l, fs, CC_PARAMS["EOG"], opposite=eog_r),
-        "EMG": cc_segment(emg, fs, CC_PARAMS["EMG"]),
-    }
-    for name, gamma in raw.items():
-        scaled = cc_scale(gamma)
-        if name == "EMG":
-            # map each 0.25 s grid slot to the EMG segment whose center is closest
-            emg_params = CC_PARAMS["EMG"]
-            grid_centers = np.arange(n_grid) * GRID_HOP_S + CC_PARAMS["EOG"].segment_s / 2
-            emg_centers_offset = emg_params.segment_s / 2
-            idx = np.round((grid_centers - emg_centers_offset) / emg_params.hop_s)
-            idx = np.clip(idx.astype(int), 0, scaled.shape[0] - 1)
-            enc.tensors[name] = scaled[idx]
-        else:
-            enc.tensors[name] = scaled[:n_grid]
+    sources = {"EEG": (eeg, "EEG", None), "EOG_L": (eog_l, "EOG", None),
+               "EOG_R": (eog_r, "EOG", None), "EOG_X": (eog_l, "EOG", eog_r),
+               "EMG": (chin, "EMG", None)}
+    for name, (x, kind, opposite) in sources.items():
+        scaled = cc_scale(cc_segment(x, fs, CC_PARAMS[kind], opposite))
+        rows = (scaled[np.clip(emg_slot, 0, scaled.shape[0] - 1)] if name == "EMG"
+                else scaled[:n_rows])
+        enc.tensors[name] = rows.reshape(-1, ROWS_PER_WINDOW,
+                                         scaled.shape[1]).mean(axis=1)
     return enc

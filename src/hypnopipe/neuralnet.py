@@ -3,8 +3,9 @@
 Topology: one small 1-D conv sub-network per modality (EEG, EOG, EMG), whose
 pooled features are concatenated and fed to either a fully connected layer
 (FF mode) or an LSTM cell carrying state across consecutive windows (LSTM
-mode), ending in a 5-way softmax.  Gradients are computed analytically by
-hand and verified against central finite differences.
+mode), ending in a 5-way softmax.  A recording's windows are one batch
+``{modality: (N, channels, length)}`` from ``windows_from_encoded``.
+Gradients are analytic and checked against central finite differences.
 
 Training constants: cross-entropy (as printed, with the (1-y)log(1-p) term)
 plus L2 at lambda=1e-5, SGD with momentum 0.9, learning rate 0.005 decaying
@@ -16,13 +17,14 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DatasetTooSmall, NaNGradient, ShapeMismatch
-from .encoding import EncodedRecording
+from .errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
+from .encoding import CC_WINDOW_S, MODES, EncodedRecording
+from .signal_io import VALID_EPOCH_S
 from .store import read_bundle, write_bundle
 
 # Training constants
@@ -49,7 +51,7 @@ LOG_EPS = 1e-12
 class NetworkConfig:
     mode: str = "LSTM"                    # "FF" or "LSTM"
     complexity: str = "low"               # "low" or "high"
-    segment_s: int = 5                    # 5 or 15
+    segment_s: int = 5                    # one of signal_io.VALID_EPOCH_S
     encoding: str = "cc"                  # "cc" (2 conv layers) or "octave" (3)
     modality_shapes: dict = field(default_factory=lambda: {
         "EEG": (1, 201), "EOG": (3, 401), "EMG": (1, 41)})
@@ -60,12 +62,14 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("FF", "LSTM"):
-            raise ValueError("mode must be FF or LSTM")
-        if 30 % self.segment_s != 0:
-            raise ValueError("segment_s must divide 30")
+        for name, allowed in (("mode", ("FF", "LSTM")), ("complexity", ("low", "high")),
+                              ("segment_s", VALID_EPOCH_S), ("encoding", MODES),
+                              ("loss_kind", ("binary", "categorical"))):
+            value = getattr(self, name)
+            if value not in allowed or type(value) is not type(allowed[0]):
+                raise InvalidSpec(f"{name} must be one of {allowed}, got {value!r}")
         if self.hidden < 1:
-            raise ValueError("hidden size must be > 0")
+            raise InvalidSpec("hidden size must be > 0")
         if not self.conv_features:
             depth = 3 if self.encoding == "octave" else 2
             base = 8 if self.complexity == "high" else 4
@@ -73,7 +77,7 @@ class NetworkConfig:
                 m: [base * (2 ** i) for i in range(depth)] for m in MODALITIES})
         for counts in self.conv_features.values():
             if any(c < 1 for c in counts):
-                raise ValueError("conv feature counts must be > 0")
+                raise InvalidSpec("conv feature counts must be > 0")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -87,9 +91,17 @@ class NetworkConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
-        d = json.loads(text)
-        d["modality_shapes"] = {m: tuple(v) for m, v in d["modality_shapes"].items()}
-        return cls(**d)
+        """Raises ``InvalidSpec`` unless ``text`` is an object with exactly the
+        keys ``to_json`` writes, each holding a valid value."""
+        try:
+            d = json.loads(text)
+            keys = {f.name for f in fields(cls)}
+            if set(d) != keys:
+                raise InvalidSpec(f"network config needs exactly the keys {sorted(keys)}")
+            d["modality_shapes"] = {m: tuple(v) for m, v in d["modality_shapes"].items()}
+            return cls(**d)
+        except (ValueError, TypeError, AttributeError) as e:
+            raise InvalidSpec(f"malformed network config: {e}") from e
 
 
 NORM_PREFIX = "norm/"
@@ -454,7 +466,7 @@ def make_ensemble(template: NetworkConfig, n: int = ENSEMBLE_SIZE,
                   seed: int = 0) -> list[NetworkConfig]:
     """n configs with every hidden size scaled independently by U(0.5, 1.5)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidSpec("n must be >= 1")
     rng = np.random.default_rng(seed)
     lo, hi = ENSEMBLE_SCALE
     out = []
@@ -469,22 +481,6 @@ def make_ensemble(template: NetworkConfig, n: int = ENSEMBLE_SIZE,
 
 # ---------------------------------------------------------------- training
 
-def _blocks(recording_windows, recording_labels, segment_s):
-    """Split one recording into 5-minute blocks of (windows, labels)."""
-    per_block = max(1, BLOCK_S // segment_s)
-    blocks = []
-    n = len(recording_labels)
-    for s in range(0, n, per_block):
-        idx = list(range(s, min(s + per_block, n)))
-        blocks.append(([recording_windows[i] for i in idx],
-                       [recording_labels[i] for i in idx]))
-    return blocks
-
-
-def _stack(windows):
-    return {m: np.stack([w[m] for w in windows]) for m in MODALITIES}
-
-
 def _one_hot(labels):
     y = np.zeros((len(labels), 5))
     y[np.arange(len(labels)), labels] = 1.0
@@ -494,8 +490,7 @@ def _one_hot(labels):
 def fit_standardization(params, dataset, config):
     """Per-channel mean/std over the training windows, stored in params."""
     for m in MODALITIES:
-        xs = np.concatenate([np.stack([w[m] for w in rec_w])
-                             for rec_w, _ in dataset], axis=0)
+        xs = np.concatenate([batch[m] for batch, _ in dataset], axis=0)
         mu = xs.mean(axis=(0, 2), keepdims=False)[:, None]
         sd = xs.std(axis=(0, 2), keepdims=False)[:, None]
         sd[sd < 1e-8] = 1.0
@@ -505,17 +500,13 @@ def fit_standardization(params, dataset, config):
 
 
 def _accuracy(params, blocks, config):
-    correct = 0
-    total = 0
-    for windows, labels in blocks:
-        probs, _ = forward(params, _stack(windows), config, train_mode=False)
-        correct += int((probs.argmax(axis=1) == np.asarray(labels)).sum())
-        total += len(labels)
-    return correct / total if total else 0.0
+    hits = [forward(params, b, config)[0].argmax(axis=1) == ls for b, ls in blocks]
+    return float(np.concatenate(hits).mean())
 
 
 def train(dataset, config: NetworkConfig, max_batches: int = 4000):
-    """Train on a list of recordings, each (list of windows, list of labels).
+    """Train on a list of recordings, each (batch, labels): a batch as
+    ``forward`` takes it and one stage index per window.
 
     Recordings are cut into 5-minute blocks and shuffled across recordings;
     10% of blocks are held out for validation, evaluated every 50 batches,
@@ -525,9 +516,10 @@ def train(dataset, config: NetworkConfig, max_batches: int = 4000):
     if len(dataset) < 2:
         raise DatasetTooSmall("need at least 2 recordings")
     rng = np.random.default_rng(config.seed)
-    blocks = []
-    for rec_windows, rec_labels in dataset:
-        blocks.extend(_blocks(rec_windows, rec_labels, config.segment_s))
+    per_block = max(1, BLOCK_S // config.segment_s)     # 5-minute blocks
+    blocks = [({m: batch[m][s:s + per_block] for m in MODALITIES},
+               np.asarray(labels[s:s + per_block]))
+              for batch, labels in dataset for s in range(0, len(labels), per_block)]
     order = rng.permutation(len(blocks))
     blocks = [blocks[i] for i in order]
     n_val = max(1, int(round(VALIDATION_FRACTION * len(blocks))))
@@ -541,31 +533,29 @@ def train(dataset, config: NetworkConfig, max_batches: int = 4000):
 
     # batch plan: FF draws shuffled windows, LSTM consumes whole blocks
     if config.mode == "FF":
-        all_windows = [w for ws, _ in train_blocks for w in ws]
-        all_labels = [l for _, ls in train_blocks for l in ls]
+        all_x = {m: np.concatenate([b[m] for b, _ in train_blocks])
+                 for m in MODALITIES}
+        all_labels = np.concatenate([ls for _, ls in train_blocks])
 
         def batches():
             while True:
                 idx = rng.permutation(len(all_labels))
                 for s in range(0, len(idx), BATCH_SIZE):
                     sel = idx[s:s + BATCH_SIZE]
-                    yield ([all_windows[i] for i in sel],
-                           [all_labels[i] for i in sel], None)
+                    yield {m: x[sel] for m, x in all_x.items()}, all_labels[sel]
     else:
         def batches():
             while True:
                 for bi in rng.permutation(len(train_blocks)):
-                    ws, ls = train_blocks[bi]
-                    yield ws, ls, None
+                    yield train_blocks[bi]
 
     history = []
     best_acc = -1.0
     best_params = copy.deepcopy(params)
     bad = 0
-    for n_batch, (ws, ls, _) in enumerate(batches(), start=1):
+    for n_batch, (batch, ls) in enumerate(batches(), start=1):
         if n_batch > max_batches:
             break
-        batch = _stack(ws)
         _, grads, _ = loss_and_grads(params, batch, _one_hot(ls), config,
                                      lam=WEIGHT_DECAY, train_mode=True, rng=rng)
         params, state = sgd_momentum_step(params, grads, state)
@@ -585,37 +575,41 @@ def train(dataset, config: NetworkConfig, max_batches: int = 4000):
 
 # ---------------------------------------------------------------- inference
 
-def windows_from_encoded(enc: EncodedRecording, config: NetworkConfig):
-    """Cut an encoded recording into non-overlapping model input windows."""
-    seg = config.segment_s
-    out = []
+def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
+    """The recording's whole non-overlapping ``segment_s`` windows as one
+    C-contiguous batch ``{modality: (N, channels, length)}``.
+
+    A CC window is the mean of its ``segment_s / 5`` consecutive 5 s rows;
+    an octave window is the slice of each channel, channels concatenated.
+    """
+    t = enc.tensors
     if enc.mode == "cc":
-        rows_per = int(round(seg / enc.grid_hop_s))
-        n_grid = enc.tensors["EEG"].shape[0]
-        n_win = n_grid // rows_per
-        for j in range(n_win):
-            sl = slice(j * rows_per, (j + 1) * rows_per)
-            out.append({
-                "EEG": enc.tensors["EEG"][sl].mean(axis=0)[None, :],
-                "EOG": np.stack([enc.tensors[k][sl].mean(axis=0)
-                                 for k in ("EOG_L", "EOG_R", "EOG_X")]),
-                "EMG": enc.tensors["EMG"][sl].mean(axis=0)[None, :],
-            })
-    elif enc.mode == "octave":
-        samples_per = int(round(seg * enc.fs))
-        n_win = enc.tensors["EEG_C"].shape[1] // samples_per
-        for j in range(n_win):
-            sl = slice(j * samples_per, (j + 1) * samples_per)
-            out.append({
-                "EEG": np.concatenate([enc.tensors["EEG_C"][:, sl],
-                                       enc.tensors["EEG_O"][:, sl]]),
-                "EOG": np.concatenate([enc.tensors["EOG_L"][:, sl],
-                                       enc.tensors["EOG_R"][:, sl]]),
-                "EMG": enc.tensors["EMG_CHIN"][:, sl],
-            })
+        k = segment_s // CC_WINDOW_S
+        n = t["EEG"].shape[0] // k
+
+        def means(name):
+            rows = t[name][:n * k]
+            return rows.reshape(n, k, rows.shape[1]).mean(axis=1)
+
+        batch = {"EEG": means("EEG")[:, None, :],
+                 "EOG": np.stack([means(x) for x in ("EOG_L", "EOG_R", "EOG_X")],
+                                 axis=1),
+                 "EMG": means("EMG")[:, None, :]}
     else:
-        raise ValueError(f"unknown encoding mode {enc.mode!r}")
-    return out
+        width = int(round(segment_s * enc.fs))
+        n = t["EEG_C"].shape[1] // width
+
+        def cut(*names):
+            parts = [t[k][:, :n * width].reshape(len(t[k]), n, width).transpose(1, 0, 2)
+                     for k in names]
+            out = np.empty((n, sum(p.shape[1] for p in parts), width))
+            return np.concatenate(parts, axis=1, out=out)
+
+        batch = {"EEG": cut("EEG_C", "EEG_O"), "EOG": cut("EOG_L", "EOG_R"),
+                 "EMG": cut("EMG_CHIN")}
+    if n == 0:
+        raise ShapeMismatch("recording shorter than one window")
+    return batch
 
 
 def modality_shapes_for(encoding: str, segment_s: int) -> dict:
@@ -623,15 +617,6 @@ def modality_shapes_for(encoding: str, segment_s: int) -> dict:
         return {"EEG": (1, 201), "EOG": (3, 401), "EMG": (1, 41)}
     length = int(100 * segment_s)
     return {"EEG": (10, length), "EOG": (10, length), "EMG": (5, length)}
-
-
-def score_recording(params, enc: EncodedRecording, config: NetworkConfig):
-    """Per-window stage probabilities, (n_windows, 5)."""
-    windows = windows_from_encoded(enc, config)
-    if not windows:
-        raise ShapeMismatch("recording shorter than one window")
-    probs, _ = forward(params, _stack(windows), config, train_mode=False)
-    return probs
 
 
 # ---------------------------------------------------------------- archive
@@ -643,4 +628,4 @@ def save_params(params, config: NetworkConfig, directory: str, name: str) -> str
 
 def load_params(path: str):
     params, meta = read_bundle(path)
-    return params, NetworkConfig.from_json(json.dumps(meta["config"]))
+    return params, NetworkConfig.from_json(json.dumps(meta.get("config")))

@@ -27,7 +27,7 @@ from hypnopipe.signal_io import STAGES, HypnogramLabels
 from conftest import make_montage, random_hypnodensity
 from test_cli import RAW_SPEC
 from test_features import brute_force_vector
-from test_neuralnet import learner_config, separable_dataset, toy_config
+from test_neuralnet import learner_config, pooled, separable_dataset, toy_config
 
 
 @contextlib.contextmanager
@@ -119,9 +119,8 @@ def test_criterion_toy_training(rng):
         cfg = learner_config()
         dataset = separable_dataset(rng)
         params, history = nn.train(dataset, cfg, max_batches=2000)
-        windows = [w for ws, _ in dataset for w in ws]
-        labels = np.array([l for _, ls in dataset for l in ls])
-        probs, _ = nn.forward(params, nn._stack(windows), cfg)
+        batch, labels = pooled(dataset)
+        probs, _ = nn.forward(params, batch, cfg)
         assert (probs.argmax(axis=1) == labels).mean() >= 0.95
         assert len(history) * nn.VALIDATE_EVERY < 2000  # early stop fired
         p1, h1 = nn.train(dataset, cfg, max_batches=400)

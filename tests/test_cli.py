@@ -1,13 +1,17 @@
 import json
 import os
+import re
+import shutil
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from hypnopipe import cli, diagnosis, features, neuralnet, signal_io
+from hypnopipe.encoding import EncodedRecording
 from hypnopipe.errors import CholeskyFailure
 from hypnopipe.hypnodensity import Hypnodensity
+from hypnopipe.signal_io import HypnogramLabels
 
 from conftest import random_hypnodensity
 
@@ -79,17 +83,72 @@ def test_missing_subcommand_usage_error():
     assert e.value.code == 2
 
 
+_LOGFMT_VALUE = r'("(?:[^"\\]|\\.)*"|[^\s="]+)'
+_LOGFMT_LINE = re.compile(rf"level={_LOGFMT_VALUE} stage={_LOGFMT_VALUE} "
+                          rf"msg={_LOGFMT_VALUE}")
+
+
+def parse_log_line(line):
+    """``{level, stage, msg}`` of one logfmt line; quoted values unescaped."""
+    m = _LOGFMT_LINE.fullmatch(line)
+    assert m, f"not a logfmt line: {line!r}"
+    return {key: json.loads(v) if v.startswith('"') else v
+            for key, v in zip(("level", "stage", "msg"), m.groups())}
+
+
 def test_logs_go_to_stderr(workspace, tmp_path, capsys):
     out = tmp_path / "mont"
     assert cli.main(["preprocess", workspace["meta"], str(out)]) == 0
+    assert cli.main(["run-all", "--config", workspace["config"],
+                     "--out-dir", str(tmp_path / "o")]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
-    for line in captured.err.strip().splitlines():
-        assert line.startswith("level=")
-        assert " stage=" in line and " msg=" in line
+    entries = [parse_log_line(line) for line in captured.err.strip().splitlines()]
+    assert {e["level"] for e in entries} == {"info"}
+    assert [e["stage"] for e in entries] == [
+        "preprocess", "preprocess", "encode", "score", "features", "diagnose",
+        "run-all"]
+    assert entries[1]["msg"].startswith("rec1: channel selection {")
+
+
+def test_log_quotes_values_with_space_equals_or_quote(capsys):
+    msg = "a \"b\"=c {'d': 1}\\"
+    cli.log("x", msg, level="warn")
+    line, = capsys.readouterr().err.splitlines()
+    assert parse_log_line(line) == {"level": "warn", "stage": "x", "msg": msg}
 
 
 # ----------------------------------------------------------------- commands
+
+def test_train_drops_unscored_windows(tmp_path, monkeypatch):
+    """A 60 s CC encoding is 12 windows of 5 s; its two 30 s epochs are
+    N2 and UNSCORED, so only the first 6 windows are trained on."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    for rid in ("a", "b"):
+        EncodedRecording(recording_id=rid, mode="cc", duration_s=60.0, tensors={
+            k: rng.random((12, n)) for k, n in (("EEG", 201), ("EOG_L", 401),
+                                                ("EOG_R", 401), ("EOG_X", 401),
+                                                ("EMG", 41))}).save(str(data))
+        signal_io.save_hypnogram(HypnogramLabels(["N2", "UNSCORED"], epoch_s=30),
+                                 str(data / f"{rid}.hyp.txt"))
+    config = tmp_path / "net.json"
+    config.write_text(neuralnet.NetworkConfig(mode="FF", segment_s=5).to_json())
+    seen = []
+
+    def fake_train(dataset, cfg):
+        seen.extend(dataset)
+        return neuralnet.init_params(cfg), []
+
+    monkeypatch.setattr(cli.neuralnet, "train", fake_train)
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "m"), "--n-models", "1"]) == 0
+    assert len(seen) == 2
+    for batch, labels in seen:
+        assert list(labels) == [2] * 6
+        assert {m: x.shape[0] for m, x in batch.items()} == {
+            "EEG": 6, "EOG": 6, "EMG": 6}
+
 
 def test_preprocess_then_encode(workspace, tmp_path):
     mont = tmp_path / "mont"
@@ -101,7 +160,7 @@ def test_preprocess_then_encode(workspace, tmp_path):
                      str(enc_dir), "--mode", "cc"]) == 0
     from hypnopipe.encoding import EncodedRecording
     enc = EncodedRecording.load(str(enc_dir / "rec1.cc.enc.json"))
-    assert enc.tensors["EEG"].shape == (2385, 201)
+    assert enc.tensors["EEG"].shape == (119, 201)
 
 
 def test_score_writes_ensemble_csv(workspace, tmp_path):
@@ -269,6 +328,63 @@ def test_exit_code_validation_unknown_config_key(workspace, tmp_path):
     bad.write_text(json.dumps(cfg))
     assert cli.main(["run-all", "--config", str(bad),
                      "--out-dir", str(tmp_path / "o")]) == 3
+
+
+def _without(key):
+    return lambda cfg: json.dumps({k: v for k, v in cfg.items() if k != key})
+
+
+# defect -> the config file's text, made from the valid config
+CONFIG_DEFECTS = {
+    "missing_recording": _without("recording"),
+    "missing_models_dir": _without("models_dir"),
+    "missing_gp_model": _without("gp_model"),
+    "unknown_mode": lambda cfg: json.dumps({**cfg, "mode": "foo"}),
+    "not_an_object": lambda cfg: json.dumps(sorted(cfg)),
+    "not_json": lambda cfg: json.dumps(cfg)[:-1],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CONFIG_DEFECTS))
+def test_exit_code_validation_bad_config(workspace, tmp_path, monkeypatch,
+                                         capsys, defect):
+    cfg = json.loads(open(workspace["config"]).read())
+    bad = tmp_path / "bad.json"
+    bad.write_text(CONFIG_DEFECTS[defect](cfg))
+
+    def never(*a, **k):
+        raise AssertionError("preprocessing ran before the config was checked")
+
+    monkeypatch.setattr(cli.preprocess, "preprocess_recording", never)
+    assert cli.main(["run-all", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+MODEL_DEFECTS = {
+    "segment_s_7": lambda c: c.update(segment_s=7),
+    "unknown_key": lambda c: c.update(extra=1),
+    "missing_key": lambda c: c.pop("hidden"),
+    "unknown_encoding": lambda c: c.update(encoding="wavelet"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_exit_code_validation_bad_model_config(workspace, tmp_path, capsys, defect):
+    models = tmp_path / "models"
+    shutil.copytree(workspace["models"], models)
+    manifest = models / "model00.model.json"
+    meta = json.loads(manifest.read_text())
+    MODEL_DEFECTS[defect](meta["config"])
+    manifest.write_text(json.dumps(meta))
+    cfg = json.loads(open(workspace["config"]).read())
+    cfg["models_dir"] = str(models)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    assert cli.main(["run-all", "--config", str(bad),
+                     "--out-dir", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "level=error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["jobs", "seed"])

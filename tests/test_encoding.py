@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypnopipe import encoding
-from hypnopipe.errors import NonpositiveP95, ShapeMismatch
+from hypnopipe.errors import InvalidSpec, NonpositiveP95, ShapeMismatch
+from hypnopipe.neuralnet import windows_from_encoded
 from conftest import make_montage
 
 
@@ -189,7 +190,8 @@ def test_cc_scale_preserves_argmax():
 def test_cc_grid_row_count_10min():
     montage = make_montage(600.0)
     enc = encoding.encode_recording(montage, "cc")
-    assert all(t.shape[0] == 2385 for t in enc.tensors.values())
+    # 2385 grid slots of 0.25 s hold 119 whole 5 s windows
+    assert all(t.shape[0] == 119 for t in enc.tensors.values())
     assert enc.tensors["EEG"].shape[1] == 201
     assert enc.tensors["EOG_L"].shape[1] == 401
     assert enc.tensors["EMG"].shape[1] == 41
@@ -221,3 +223,83 @@ def test_encoded_round_trip(tmp_path):
     for name, t in enc.tensors.items():
         assert np.array_equal(back.tensors[name],
                               t.astype(np.float32).astype(np.float64))
+
+
+def test_unknown_encoding_mode_is_invalid_spec():
+    with pytest.raises(InvalidSpec):
+        encoding.encode_recording(make_montage(60.0), "wavelet")
+
+
+# ------------------------------------------------------------- windowing
+
+@pytest.fixture(scope="module")
+def montage_600s():
+    return make_montage(600.0)
+
+
+def grid_then_average(montage, segment_s):
+    """Oracle: every scaled CC segment on the 0.25 s grid (EMG by nearest
+    center), then the mean of each window's rows, one window at a time."""
+    fs, params = 100.0, encoding.CC_PARAMS
+    ch = {role: c.samples for role, c in montage.channels.items()}
+    n_grid = int(np.floor((montage.duration_s - 4.0) / 0.25)) + 1
+
+    def scaled(role, kind, opposite=None):
+        return encoding.cc_scale(encoding.cc_segment(ch[role], fs, params[kind],
+                                                     opposite))
+
+    grid = {"EEG": scaled("EEG_C", "EEG")[:n_grid],
+            "EOG_L": scaled("EOG_L", "EOG")[:n_grid],
+            "EOG_R": scaled("EOG_R", "EOG")[:n_grid],
+            "EOG_X": scaled("EOG_L", "EOG", ch["EOG_R"])[:n_grid]}
+    emg = scaled("EMG_CHIN", "EMG")
+    centers = np.arange(n_grid) * 0.25 + 4.0 / 2
+    slot = np.round((centers - 0.4 / 2) / 0.15).astype(int)
+    grid["EMG"] = emg[np.clip(slot, 0, len(emg) - 1)]
+    rows = round(segment_s / 0.25)
+    windows = []
+    for j in range(n_grid // rows):
+        sl = slice(j * rows, (j + 1) * rows)
+        windows.append({
+            "EEG": grid["EEG"][sl].mean(axis=0)[None, :],
+            "EOG": np.stack([grid[k][sl].mean(axis=0)
+                             for k in ("EOG_L", "EOG_R", "EOG_X")]),
+            "EMG": grid["EMG"][sl].mean(axis=0)[None, :]})
+    return {m: np.stack([w[m] for w in windows]) for m in ("EEG", "EOG", "EMG")}
+
+
+@pytest.mark.parametrize("segment_s,tol", [(5, 0.0), (15, 1e-12), (30, 1e-12)])
+def test_cc_windows_match_grid_then_average(montage_600s, segment_s, tol):
+    enc = encoding.encode_recording(montage_600s, "cc")
+    got = windows_from_encoded(enc, segment_s)
+    want = grid_then_average(montage_600s, segment_s)
+    for m in want:
+        assert got[m].shape == want[m].shape
+        assert got[m].flags.c_contiguous
+        if tol == 0.0:
+            assert np.array_equal(got[m], want[m])
+        else:
+            assert np.max(np.abs(got[m] - want[m])) <= tol
+
+
+@pytest.mark.parametrize("segment_s", [5, 30])
+def test_octave_windows_are_slices(montage_600s, segment_s):
+    enc = encoding.encode_recording(montage_600s, "octave")
+    got = windows_from_encoded(enc, segment_s)
+    t, width = enc.tensors, segment_s * 100
+    n = 60000 // width
+    for j in (0, n // 2, n - 1):
+        sl = slice(j * width, (j + 1) * width)
+        want = {"EEG": np.concatenate([t["EEG_C"][:, sl], t["EEG_O"][:, sl]]),
+                "EOG": np.concatenate([t["EOG_L"][:, sl], t["EOG_R"][:, sl]]),
+                "EMG": t["EMG_CHIN"][:, sl]}
+        for m in want:
+            assert np.array_equal(got[m][j], want[m])
+    assert all(x.shape[0] == n and x.flags.c_contiguous for x in got.values())
+
+
+def test_windows_need_one_whole_window():
+    enc = encoding.encode_recording(make_montage(8.0), "cc")
+    assert all(t.shape[0] == 0 for t in enc.tensors.values())
+    with pytest.raises(ShapeMismatch):
+        windows_from_encoded(enc, 5)

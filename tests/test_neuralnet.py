@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hypnopipe import neuralnet as nn
-from hypnopipe.errors import DatasetTooSmall, NaNGradient, ShapeMismatch
+from hypnopipe.errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
 
 TOY_SHAPES = {"EEG": (1, 20), "EOG": (3, 20), "EMG": (1, 10)}
 
@@ -235,19 +237,27 @@ def test_ensemble_reproducible():
 # ---------------------------------------------------------------- training
 
 def separable_dataset(rng, n_rec=2, n_windows=240):
-    """Two stages distinguished by the sign of the EEG channel mean."""
+    """Two stages distinguished by the sign of the EEG channel mean; one
+    (batch, labels) per recording."""
     dataset = []
     for _ in range(n_rec):
-        windows, labels = [], []
+        windows, labels = {m: [] for m in TOY_SHAPES}, []
         for i in range(n_windows):
             label = int(rng.integers(0, 2)) * 2   # stages W or N2
             shift = 1.0 if label == 0 else -1.0
-            w = {m: 0.1 * rng.standard_normal(TOY_SHAPES[m]) for m in TOY_SHAPES}
-            w["EEG"] = w["EEG"] + shift
-            windows.append(w)
+            for m in TOY_SHAPES:
+                windows[m].append(0.1 * rng.standard_normal(TOY_SHAPES[m]))
+            windows["EEG"][-1] = windows["EEG"][-1] + shift
             labels.append(label)
-        dataset.append((windows, labels))
+        dataset.append(({m: np.stack(ws) for m, ws in windows.items()},
+                        np.array(labels)))
     return dataset
+
+
+def pooled(dataset):
+    """Every recording's windows as one batch, and their labels."""
+    return ({m: np.concatenate([b[m] for b, _ in dataset]) for m in TOY_SHAPES},
+            np.concatenate([ls for _, ls in dataset]))
 
 
 def learner_config(seed=7):
@@ -259,10 +269,9 @@ def test_training_learns_separable_data_and_stops_early(rng):
     cfg = learner_config()
     dataset = separable_dataset(rng)
     params, history = nn.train(dataset, cfg, max_batches=2000)
-    all_windows = [w for ws, _ in dataset for w in ws]
-    all_labels = [l for _, ls in dataset for l in ls]
-    probs, _ = nn.forward(params, nn._stack(all_windows), cfg)
-    acc = (probs.argmax(axis=1) == np.array(all_labels)).mean()
+    batch, labels = pooled(dataset)
+    probs, _ = nn.forward(params, batch, cfg)
+    acc = (probs.argmax(axis=1) == labels).mean()
     assert acc >= 0.95
     # validation stalled before the batch budget ran out
     assert len(history) * nn.VALIDATE_EVERY < 2000
@@ -301,3 +310,25 @@ def test_params_round_trip(tmp_path, rng):
 def test_config_json_round_trip():
     cfg = toy_config("LSTM", complexity="high")
     assert nn.NetworkConfig.from_json(cfg.to_json()) == cfg
+
+
+MALFORMED_CONFIGS = {
+    "segment_s_7": lambda d: d.update(segment_s=7),
+    "segment_s_6": lambda d: d.update(segment_s=6),
+    "segment_s_float": lambda d: d.update(segment_s=5.0),
+    "mode": lambda d: d.update(mode="GRU"),
+    "encoding": lambda d: d.update(encoding="wavelet"),
+    "loss_kind": lambda d: d.update(loss_kind="hinge"),
+    "hidden": lambda d: d.update(hidden=0),
+    "unknown_key": lambda d: d.update(extra=1),
+    "missing_key": lambda d: d.pop("segment_s"),
+    "shapes_not_a_map": lambda d: d.update(modality_shapes=3),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_CONFIGS))
+def test_config_from_json_rejects_malformed(defect):
+    d = json.loads(toy_config().to_json())
+    MALFORMED_CONFIGS[defect](d)
+    with pytest.raises(InvalidSpec):
+        nn.NetworkConfig.from_json(json.dumps(d))

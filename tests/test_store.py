@@ -20,7 +20,7 @@ def bundles(tmp_path_factory):
     root = tmp_path_factory.mktemp("bundles")
     rng = np.random.default_rng(0)
     signal_io.save_recording(make_montage(duration_s=60.0), str(root / "raw"))
-    n = 240                                      # 60 s of 0.25 s CC rows
+    n = 12                                       # 60 s of 5 s CC window rows
     EncodedRecording(
         recording_id="r", mode="cc", duration_s=60.0,
         tensors={"EEG": rng.random((n, 201)), "EOG_L": rng.random((n, 401)),
@@ -102,6 +102,31 @@ def test_malformed_bundle_raises_typed_error_and_exits_3(
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert "level=error" in err and "Traceback" not in err
+
+
+ENCODING_DEFECTS = {
+    # a CC encoding written before rows became 5 s window means
+    "cc_grid_rows": lambda meta: (meta.pop("row_s"), meta.update(grid_hop_s=0.25)),
+    "cc_other_row_s": lambda meta: meta.update(row_s=15),
+    "unknown_mode": lambda meta: meta.update(mode="wavelet"),
+    "no_recording_id": lambda meta: meta.pop("recording_id"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(ENCODING_DEFECTS))
+def test_encoding_manifest_defect_raises_corrupt_header_and_exits_3(
+        bundles, tmp_path, defect, monkeypatch, capsys):
+    work = tmp_path / "b"
+    shutil.copytree(bundles, work)
+    rel, load, argv = KINDS["encoding"]
+    _edit_manifest(work / rel, ENCODING_DEFECTS[defect])
+    with pytest.raises(CorruptHeader):
+        load(str(work / rel))
+    monkeypatch.chdir(work)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "level=error" in err and "Traceback" not in err
+    assert not (work / "hd.csv").exists()
 
 
 def test_bundle_round_trip_leaves_only_manifest_and_blobs(tmp_path):
