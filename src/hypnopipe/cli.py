@@ -19,7 +19,8 @@ import numpy as np
 
 from . import diagnosis, features, hypnodensity, neuralnet, preprocess, signal_io
 from .encoding import MODES, EncodedRecording, encode_recording
-from .errors import CholeskyFailure, HypnopipeError, InvalidSpec, NaNGradient
+from .errors import (CholeskyFailure, CorruptHeader, EmptyFile, HypnopipeError,
+                     InvalidSpec, InvalidValues, NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
 
 EXIT_IO = 2
@@ -93,10 +94,12 @@ def cmd_train(args) -> int:
         enc = EncodedRecording.load(enc_path)
         hyp_path = enc_path.replace(f".{enc.mode}.enc.json", ".hyp.txt")
         hyp = signal_io.load_hypnogram(hyp_path)
+        if hyp.epoch_s % config.segment_s:
+            raise InvalidSpec(f"{hyp_path}: epoch_s {hyp.epoch_s} is not a multiple "
+                              f"of the model's segment_s {config.segment_s}")
         batch = neuralnet.windows_from_encoded(enc, config.segment_s)
-        stages = [hypnodensity.STAGE_INDEX.get(s, -1) for s in hyp.stages]
-        labels = np.repeat(np.array(stages, dtype=int),
-                           max(1, hyp.epoch_s // config.segment_s))[:len(batch["EEG"])]
+        labels = np.repeat(hypnodensity.stage_codes(hyp.stages),
+                           hyp.epoch_s // config.segment_s)[:len(batch["EEG"])]
         scored = labels >= 0                  # UNSCORED windows are not learned
         dataset.append(({m: x[:len(labels)][scored] for m, x in batch.items()},
                         labels[scored]))
@@ -171,8 +174,11 @@ def cmd_score(args) -> int:
 
 
 def _read_hypnodensity_csv(path):
+    """A parsed and validated hypnodensity CSV; every defect is a typed error."""
     with open(path) as f:
-        return hypnodensity.Hypnodensity.from_csv(f.read())
+        hd = hypnodensity.Hypnodensity.from_csv(f.read())
+    hd.validate()
+    return hd
 
 
 def cmd_features(args) -> int:
@@ -188,7 +194,8 @@ def cmd_features(args) -> int:
 
 def cmd_diagnose(args) -> int:
     if args.fit:
-        X, y = _load_matrix(args.matrix)
+        data = _read_numeric_csv(args.matrix)
+        X, y = data[:, :-1], data[:, -1]
         sel = diagnosis.rfe(X, y, seed=args.seed)
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
         model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0))
@@ -212,29 +219,32 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def _load_matrix(path):
+def _read_numeric_csv(path):
+    """A CSV of finite numbers, after an optional header row, as a
+    (rows, columns >= 2) array; every defect is a typed error."""
     with open(path) as f:
         rows = list(csv.reader(f))
-    body = rows[1:] if not _is_float(rows[0][0]) else rows
-    data = np.array([[float(v) for v in r] for r in body])
-    return data[:, :-1], data[:, -1]
-
-
-def _is_float(tok):
     try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
+        float(rows[0][0])
+    except (IndexError, ValueError):      # not a number: a header row
+        rows = rows[1:]
+    if not rows:
+        raise EmptyFile(f"{path}: no data rows")
+    if len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
+        raise ShapeMismatch(f"{path}: rows need the same number (>= 2) of columns")
+    try:
+        data = np.array([[float(v) for v in r] for r in rows])
+    except ValueError as e:
+        raise CorruptHeader(f"{path}: {e}") from e
+    if not np.all(np.isfinite(data)):
+        raise InvalidValues(f"{path}: non-finite value")
+    return data
 
 
 def cmd_evaluate(args) -> int:
-    with open(args.scores) as f:
-        rows = list(csv.reader(f))
-    body = rows[1:] if not _is_float(rows[0][0]) else rows
-    scores = [float(r[0]) for r in body]
-    truth = [bool(int(float(r[1]))) for r in body]
-    res = diagnosis.evaluate(scores, truth, threshold=args.threshold)
+    data = _read_numeric_csv(args.scores)
+    res = diagnosis.evaluate(data[:, 0], data[:, 1].astype(int) != 0,
+                             threshold=args.threshold)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["fpr", "tpr"])
@@ -248,10 +258,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        hd = _read_hypnodensity_csv(args.input)
-    except (ValueError, IndexError) as e:
-        raise HypnopipeError(f"malformed hypnodensity CSV: {e}") from e
+    hd = _read_hypnodensity_csv(args.input)
     with open(args.out, "w") as f:
         f.write(hypnodensity_svg(hd))
     log("plot", f"wrote {args.out}")

@@ -197,7 +197,6 @@ def _laplace_mode(K, y, mean):
     sw = np.sqrt(W)
     B = np.eye(n) + sw[:, None] * K * sw[None, :]
     Lc = cholesky(B, lower=True)
-    a = None
     lml = (_probit_ll(y, f)
            - 0.5 * float((f - mean) @ np.linalg.solve(K, f - mean))
            - float(np.log(np.diag(Lc)).sum()))

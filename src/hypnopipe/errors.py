@@ -65,6 +65,11 @@ class ShapeMismatch(HypnopipeError):
     pass
 
 
+class InvalidValues(HypnopipeError):
+    """Numbers that parse but are unusable: non-finite, out of range, or
+    probability rows that do not sum to 1."""
+
+
 class DatasetTooSmall(HypnopipeError):
     pass
 

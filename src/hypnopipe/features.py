@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvalidValues, ShapeMismatch
 from .hypnodensity import Hypnodensity
 from .signal_io import STAGES, UNSCORED, HypnogramLabels
 
@@ -55,7 +55,6 @@ FRAG_NREM_S = 90             # sustained N2/N3 run
 FRAG_BREAK_S = 60            # breaking N1/W run
 LONG_BOUT_MIN = 3.0          # W/N1 long bout
 SHORT_WAKE_MIN = 15.0        # W/N1 bouts below this accumulate
-SOREM_INDICATOR_MIN = 15.0   # REM latency for nightly SOREMP presence
 
 
 @dataclass
@@ -160,8 +159,8 @@ class SoremReport:
     sleep_latency_min: float
 
 
-def _runs(labels: list[str]) -> list[tuple[str, int, int]]:
-    """Maximal runs as (label, start_index, length)."""
+def _runs(labels) -> list[tuple]:
+    """Maximal runs of equal labels as (label, start_index, length)."""
     runs = []
     start = 0
     for i in range(1, len(labels) + 1):
@@ -214,15 +213,13 @@ def sorem_analysis(hyp: HypnogramLabels) -> SoremReport:
 
 
 def fragmentation_features(hyp: HypnogramLabels) -> np.ndarray:
-    """(frag_count, long_bout_count, short_wake_cum_min, rem_after_wake_min,
-    soremp_presence)."""
+    """(frag_count, long_bout_count, short_wake_cum_min)."""
     epoch_min = hyp.epoch_s / 60.0
     merged = [_merged(s) for s in hyp.stages]
     runs = _runs(merged)
     frag = 0
     long_bouts = 0
     short_wake = 0.0
-    rem_after_wake = 0.0
     for j, (label, start, length) in enumerate(runs):
         minutes = length * epoch_min
         if label == "NREM" and minutes >= FRAG_NREM_S / 60.0:
@@ -234,13 +231,7 @@ def fragmentation_features(hyp: HypnogramLabels) -> np.ndarray:
                 long_bouts += 1
             if minutes < SHORT_WAKE_MIN:
                 short_wake += minutes
-        if label == "REM" and j > 0 and runs[j - 1][0] == "WN1" \
-                and runs[j - 1][2] * epoch_min >= SOREMP_WAKE_MIN:
-            rem_after_wake += minutes
-    rep = sorem_analysis(hyp)
-    presence = 1.0 if rep.rem_latency_min <= SOREM_INDICATOR_MIN else 0.0
-    return np.array([frag, long_bouts, short_wake, rem_after_wake, presence],
-                    dtype=float)
+    return np.array([frag, long_bouts, short_wake], dtype=float)
 
 
 def hypnodensity_peaks(hd: Hypnodensity) -> list[tuple[str, float]]:
@@ -255,19 +246,13 @@ def hypnodensity_peaks(hd: Hypnodensity) -> list[tuple[str, float]]:
         hd.probs[:, 3],                    # N3
         hd.probs[:, 4],                    # REM
     ])
-    dominant = np.argmax(merged_probs, axis=1)
     unit = hd.resolution_s / 30.0
-    peaks: list[tuple[str, float]] = []
-    start = 0
-    for i in range(1, len(dominant) + 1):
-        if i == len(dominant) or dominant[i] != dominant[start]:
-            t = MERGED_TYPES[dominant[start]]
-            mass = float(merged_probs[start:i, dominant[start]].sum()) * unit
-            peaks.append((t, mass))
-            start = i
-    peaks = [(t, m) for t, m in peaks if m >= PEAK_MASS_FLOOR]
     fused: list[tuple[str, float]] = []
-    for t, m in peaks:
+    for k, start, length in _runs(np.argmax(merged_probs, axis=1).tolist()):
+        m = float(merged_probs[start:start + length, k].sum()) * unit
+        if m < PEAK_MASS_FLOOR:
+            continue
+        t = MERGED_TYPES[k]
         if fused and fused[-1][0] == t:
             fused[-1] = (t, fused[-1][1] + m)
         else:
@@ -297,13 +282,12 @@ def assemble(hd: Hypnodensity, hyp: HypnogramLabels,
     for combo in STAGE_COMBOS:
         values.extend(combo_descriptors(proto_series(hd, combo), hd.resolution_s))
     rep = sorem_analysis(hyp)
-    frag = fragmentation_features(hyp)
     values.extend([rep.rem_latency_min, rep.sleep_latency_min,
-                   float(rep.count), rep.total_duration_min,
-                   frag[0], frag[1], frag[2]])
+                   float(rep.count), rep.total_duration_min])
+    values.extend(fragmentation_features(hyp))
     values.extend(transition_features(hd))
     vec = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vec)):
-        raise ValueError("non-finite feature value")
+        raise InvalidValues("non-finite feature value")
     return FeatureVector(names=feature_names(), values=vec,
                          recording_id=hd.recording_id, hla_positive=hla)

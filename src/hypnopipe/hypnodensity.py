@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CorruptHeader,
     IncompatibleResolution,
+    InvalidValues,
     ShapeMismatch,
     ZeroTotalWeight,
 )
-from .signal_io import STAGES, UNSCORED, HypnogramLabels
+from .signal_io import STAGES, HypnogramLabels
 
 STAGE_INDEX = {s: i for i, s in enumerate(STAGES)}
 
@@ -33,10 +35,11 @@ class Hypnodensity:
         p = self.probs
         if p.ndim != 2 or p.shape[1] != 5:
             raise ShapeMismatch(f"expected (T,5), got {p.shape}")
-        if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
-            raise ValueError("probabilities outside [0,1]")
-        if np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-6):
-            raise ValueError("rows must sum to 1")
+        # written so that NaN fails each comparison
+        if not np.all((p >= -1e-9) & (p <= 1 + 1e-9)):
+            raise InvalidValues("probabilities must be finite and in [0, 1]")
+        if not np.all(np.abs(p.sum(axis=1) - 1.0) <= 1e-6):
+            raise InvalidValues("rows must sum to 1")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -48,15 +51,26 @@ class Hypnodensity:
 
     @classmethod
     def from_csv(cls, text: str, recording_id: str = "") -> "Hypnodensity":
+        """Parse ``to_csv`` output (columns after REM are ignored): a bad header,
+        an unparseable cell or a ``t_start_s`` that does not increase in equal
+        steps is ``CorruptHeader``, a row of the wrong length ``ShapeMismatch``.
+        The probabilities are checked by ``validate``, not here."""
         rows = list(csv.reader(io.StringIO(text)))
+        if not rows or rows[0][:6] != ["t_start_s"] + list(STAGES):
+            raise CorruptHeader("bad hypnodensity CSV header")
         header, body = rows[0], rows[1:]
-        if header[:6] != ["t_start_s"] + list(STAGES):
-            raise ValueError("bad hypnodensity CSV header")
-        probs = np.array([[float(v) for v in r[1:6]] for r in body])
-        if len(body) > 1:
-            res = int(round(float(body[1][0]) - float(body[0][0])))
-        else:
-            res = 30
+        if any(len(r) != len(header) for r in body):
+            raise ShapeMismatch(f"hypnodensity CSV rows must have {len(header)} cells")
+        try:
+            t = [float(r[0]) for r in body]
+            probs = np.array([[float(v) for v in r[1:6]] for r in body])
+        except ValueError as e:
+            raise CorruptHeader(f"hypnodensity CSV: {e}") from e
+        steps = np.diff(t)
+        res = int(round(steps[0])) if len(steps) else 30
+        if res < 1 or np.any(steps != res):
+            raise CorruptHeader("hypnodensity CSV: t_start_s must increase in equal "
+                                "whole-second steps")
         return cls(probs=probs, resolution_s=res, recording_id=recording_id)
 
 
@@ -77,73 +91,84 @@ class EnsembleHypnodensity:
         return buf.getvalue()
 
 
-def _argmax_stage(sums: np.ndarray) -> str:
-    # np.argmax returns the first maximum: earliest stage wins ties
-    return STAGES[int(np.argmax(sums))]
+def stage_codes(stages) -> np.ndarray:
+    """Stage labels as indices into STAGES; UNSCORED (any other label) is -1."""
+    return np.array([STAGE_INDEX.get(s, -1) for s in stages], dtype=int)
+
+
+def _stage_labels(codes: np.ndarray) -> list[str]:
+    return [STAGES[c] for c in codes.tolist()]
+
+
+def _blocks(hd: Hypnodensity, block_s: int) -> np.ndarray:
+    """The rows of whole ``block_s`` blocks as (n_blocks, rows per block, 5)."""
+    if block_s % hd.resolution_s != 0:
+        raise IncompatibleResolution(f"{block_s} not a multiple of {hd.resolution_s}")
+    block = block_s // hd.resolution_s
+    n_blocks = len(hd.probs) // block
+    if n_blocks == 0:
+        raise IncompatibleResolution(f"hypnodensity shorter than one {block_s} s block")
+    return hd.probs[:n_blocks * block].reshape(n_blocks, block, 5)
 
 
 def to_hypnogram(hd: Hypnodensity, epoch_s: int = 30) -> HypnogramLabels:
-    """Argmax of summed segment probabilities per epoch."""
-    if epoch_s % hd.resolution_s != 0:
-        raise IncompatibleResolution(f"{epoch_s} not a multiple of {hd.resolution_s}")
-    block = epoch_s // hd.resolution_s
-    n_epochs = len(hd.probs) // block
-    if n_epochs == 0:
-        raise IncompatibleResolution("hypnodensity shorter than one epoch")
-    stages = []
-    for e in range(n_epochs):
-        sums = hd.probs[e * block:(e + 1) * block].sum(axis=0)
-        stages.append(_argmax_stage(sums))
-    return HypnogramLabels(stages=stages, epoch_s=epoch_s)
+    """Argmax of summed segment probabilities per epoch (np.argmax returns the
+    first maximum: the earliest stage wins ties)."""
+    sums = _blocks(hd, epoch_s).sum(axis=1)
+    return HypnogramLabels(stages=_stage_labels(np.argmax(sums, axis=1)),
+                           epoch_s=epoch_s)
 
 
 def aggregate_resolution(hd: Hypnodensity, target_s: int) -> Hypnodensity:
     """Block-mean rows down to a coarser resolution, then renormalize."""
-    if target_s % hd.resolution_s != 0:
-        raise IncompatibleResolution(f"{target_s} not a multiple of {hd.resolution_s}")
-    block = target_s // hd.resolution_s
-    n_out = len(hd.probs) // block
-    if n_out == 0:
-        raise IncompatibleResolution("hypnodensity shorter than one target block")
-    trimmed = hd.probs[:n_out * block]
-    means = trimmed.reshape(n_out, block, 5).mean(axis=1)
+    means = _blocks(hd, target_s).mean(axis=1)
     means = means / means.sum(axis=1, keepdims=True)
     return Hypnodensity(probs=means, resolution_s=target_s,
                         recording_id=hd.recording_id)
 
 
-def _scored_mask(a: list[str], b: list[str]) -> np.ndarray:
-    return np.array([x != UNSCORED and y != UNSCORED for x, y in zip(a, b)])
+def _agreement(a: list[str], b: list[str]) -> np.ndarray:
+    """5x5 counts of the epochs both sequences score (a rows, b columns)."""
+    if len(a) != len(b) or len(a) < 1:
+        raise ShapeMismatch("label sequences must be equal length >= 1")
+    ca, cb = stage_codes(a), stage_codes(b)
+    scored = (ca >= 0) & (cb >= 0)
+    counts = np.bincount(ca[scored] * 5 + cb[scored], minlength=25)
+    return counts.reshape(5, 5).astype(float)
+
+
+def _kappa(counts: np.ndarray) -> float:
+    """Cohen's kappa of an agreement count matrix."""
+    n = counts.sum()
+    if n == 0:
+        raise ShapeMismatch("no jointly scored epochs")
+    p_o = np.trace(counts) / n
+    p_e = sum((r / n) * (c / n) for r, c in zip(counts.sum(axis=1), counts.sum(axis=0)))
+    if p_e >= 1.0 - 1e-12:
+        return 1.0 if p_o >= 1.0 - 1e-12 else 0.0
+    return float(1.0 - (1.0 - p_o) / (1.0 - p_e))
 
 
 def cohen_kappa(a: list[str], b: list[str]) -> float:
     """Chance-corrected agreement; UNSCORED epochs are excluded."""
-    if len(a) != len(b) or len(a) < 1:
-        raise ShapeMismatch("label sequences must be equal length >= 1")
-    mask = _scored_mask(a, b)
-    aa = [x for x, m in zip(a, mask) if m]
-    bb = [x for x, m in zip(b, mask) if m]
-    n = len(aa)
-    if n == 0:
-        raise ShapeMismatch("no jointly scored epochs")
-    p_o = sum(x == y for x, y in zip(aa, bb)) / n
-    p_e = sum((aa.count(s) / n) * (bb.count(s) / n) for s in STAGES)
-    if p_e >= 1.0 - 1e-12:
-        return 1.0 if p_o >= 1.0 - 1e-12 else 0.0
-    return 1.0 - (1.0 - p_o) / (1.0 - p_e)
+    return _kappa(_agreement(a, b))
+
+
+def _votes(stacks: list[list[str]], weights=None) -> np.ndarray:
+    """(T, 5) per-epoch sum of scorer weights (default 1) by stage; an
+    UNSCORED epoch adds nothing.  Scorers are added one at a time, in order,
+    so a weighted sum rounds exactly as a per-epoch loop over scorers."""
+    if weights is None:
+        weights = np.ones(len(stacks))
+    votes = np.zeros((len(stacks[0]), 5))
+    for stages, w in zip(stacks, weights):
+        votes += w * (stage_codes(stages)[:, None] == np.arange(5))
+    return votes
 
 
 def _majority_vote(stacks: list[list[str]]) -> list[str]:
     """Unweighted per-epoch majority over scorers; stage-order tie-break."""
-    n_epochs = len(stacks[0])
-    out = []
-    for e in range(n_epochs):
-        counts = np.zeros(5)
-        for sc in stacks:
-            if sc[e] != UNSCORED:
-                counts[STAGE_INDEX[sc[e]]] += 1
-        out.append(_argmax_stage(counts))
-    return out
+    return _stage_labels(np.argmax(_votes(stacks), axis=1))
 
 
 def consensus_hypnogram(scorers: list[HypnogramLabels]) -> tuple[HypnogramLabels, list[float]]:
@@ -168,15 +193,8 @@ def consensus_hypnogram(scorers: list[HypnogramLabels]) -> tuple[HypnogramLabels
         kappas.append(max(cohen_kappa(stacks[i], ref), 0.0))
     if sum(kappas) == 0.0:
         return HypnogramLabels(_majority_vote(stacks), epoch_s), kappas
-    out = []
-    total = sum(kappas)
-    for e in range(n):
-        weights = np.zeros(5)
-        for sc, k in zip(stacks, kappas):
-            if sc[e] != UNSCORED:
-                weights[STAGE_INDEX[sc[e]]] += k
-        out.append(_argmax_stage(weights / total))
-    return HypnogramLabels(out, epoch_s), kappas
+    weighted = _votes(stacks, kappas) / sum(kappas)
+    return HypnogramLabels(_stage_labels(np.argmax(weighted, axis=1)), epoch_s), kappas
 
 
 def epoch_weight(vote_fractions: np.ndarray) -> float:
@@ -187,16 +205,9 @@ def epoch_weight(vote_fractions: np.ndarray) -> float:
 
 def scorer_vote_fractions(scorers: list[HypnogramLabels]) -> np.ndarray:
     """(T, 5) matrix of per-epoch scorer vote fractions (UNSCORED excluded)."""
-    n = len(scorers[0].stages)
-    out = np.zeros((n, 5))
-    for e in range(n):
-        votes = np.zeros(5)
-        for sc in scorers:
-            if sc.stages[e] != UNSCORED:
-                votes[STAGE_INDEX[sc.stages[e]]] += 1
-        total = votes.sum()
-        out[e] = votes / total if total > 0 else votes
-    return out
+    votes = _votes([sc.stages for sc in scorers])
+    total = votes.sum(axis=1, keepdims=True)
+    return np.divide(votes, total, out=np.zeros_like(votes), where=total > 0)
 
 
 def weighted_accuracy(model: HypnogramLabels, scorers: list[HypnogramLabels]) -> float:
@@ -204,35 +215,22 @@ def weighted_accuracy(model: HypnogramLabels, scorers: list[HypnogramLabels]) ->
     fractions = scorer_vote_fractions(scorers)
     if len(model.stages) != len(fractions):
         raise ShapeMismatch("model and scorers must align")
-    total_w = 0.0
-    agree_w = 0.0
-    for e, row in enumerate(fractions):
-        w = epoch_weight(row)
-        consensus = _argmax_stage(row)
-        total_w += w
-        if model.stages[e] == consensus:
-            agree_w += w
+    weights = np.array([epoch_weight(row) for row in fractions])
+    total_w = weights.sum()
     if total_w == 0.0:
         raise ZeroTotalWeight("all epochs are perfectly split")
-    return agree_w / total_w
+    agree = stage_codes(model.stages) == np.argmax(fractions, axis=1)
+    return float(weights[agree].sum() / total_w)
 
 
 def confusion(model: HypnogramLabels, reference: HypnogramLabels) -> dict:
     """5x5 confusion fractions (model rows, reference columns), accuracy, kappa."""
-    if len(model.stages) != len(reference.stages):
-        raise ShapeMismatch("sequences must align")
-    mask = _scored_mask(model.stages, reference.stages)
-    m = np.zeros((5, 5))
-    for x, y, keep in zip(model.stages, reference.stages, mask):
-        if keep:
-            m[STAGE_INDEX[x], STAGE_INDEX[y]] += 1
-    total = m.sum()
-    acc = float(np.trace(m) / total) if total else 0.0
-    return {
-        "matrix": m / total if total else m,
-        "accuracy": acc,
-        "kappa": cohen_kappa(model.stages, reference.stages),
-    }
+    counts = _agreement(model.stages, reference.stages)
+    kappa = _kappa(counts)
+    total = counts.sum()
+    return {"matrix": counts / total,
+            "accuracy": float(np.trace(counts) / total),
+            "kappa": kappa}
 
 
 def ensemble_hypnodensity(models: list[Hypnodensity],

@@ -400,7 +400,6 @@ class TrainState:
     eta0: float = LEARNING_RATE_0
     tau: float = LR_TAU
     alpha: float = MOMENTUM
-    lam: float = WEIGHT_DECAY
 
     @classmethod
     def fresh(cls, params) -> "TrainState":

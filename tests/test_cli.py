@@ -9,7 +9,8 @@ import pytest
 
 from hypnopipe import cli, diagnosis, features, neuralnet, signal_io
 from hypnopipe.encoding import EncodedRecording
-from hypnopipe.errors import CholeskyFailure
+from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile, InvalidValues,
+                              ShapeMismatch)
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
@@ -148,6 +149,29 @@ def test_train_drops_unscored_windows(tmp_path, monkeypatch):
         assert list(labels) == [2] * 6
         assert {m: x.shape[0] for m, x in batch.items()} == {
             "EEG": 6, "EOG": 6, "EMG": 6}
+
+
+@pytest.mark.parametrize("epoch_s,segment_s", [(5, 15), (15, 10)])
+def test_train_rejects_epoch_not_a_multiple_of_segment(tmp_path, capsys,
+                                                       epoch_s, segment_s):
+    """Repeating each label epoch_s // segment_s times only aligns labels
+    with windows when segment_s divides epoch_s."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    EncodedRecording(recording_id="a", mode="cc", duration_s=60.0, tensors={
+        k: rng.random((12, n)) for k, n in (("EEG", 201), ("EOG_L", 401),
+                                            ("EOG_R", 401), ("EOG_X", 401),
+                                            ("EMG", 41))}).save(str(data))
+    signal_io.save_hypnogram(HypnogramLabels(["N2"] * (60 // epoch_s), epoch_s=epoch_s),
+                             str(data / "a.hyp.txt"))
+    config = tmp_path / "net.json"
+    config.write_text(neuralnet.NetworkConfig(mode="FF", segment_s=segment_s).to_json())
+    out = tmp_path / "m"
+    assert cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out), "--n-models", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"epoch_s {epoch_s} " in err and f"segment_s {segment_s}" in err
+    assert not out.exists() or not os.listdir(out)
 
 
 def test_preprocess_then_encode(workspace, tmp_path):
@@ -405,6 +429,65 @@ def test_exit_code_numeric_failure(tmp_path, monkeypatch):
                             CholeskyFailure("kernel not PD")))
     assert cli.main(["evaluate", str(src),
                      "--out", str(tmp_path / "roc.csv")]) == 4
+
+
+HD_HEADER = "t_start_s,W,N1,N2,N3,REM\n"
+HD_DEFECTS = {
+    "empty_file": ("", CorruptHeader),
+    "bad_header": ("t_start_s,W,N1\n0,0.5,0.5\n", CorruptHeader),
+    "bad_cell": (HD_HEADER + "0,0.2,0.2,0.2,0.2,0.2\n30,0.2,x,0.2,0.2,0.2\n",
+                 CorruptHeader),
+    "time_not_increasing": (HD_HEADER + "0,1,0,0,0,0\n0,1,0,0,0,0\n", CorruptHeader),
+    "time_uneven": (HD_HEADER + "0,1,0,0,0,0\n30,1,0,0,0,0\n45,1,0,0,0,0\n",
+                    CorruptHeader),
+    "short_row": (HD_HEADER + "0,1,0,0,0,0\n30,1,0,0,0\n", ShapeMismatch),
+    "no_rows": (HD_HEADER, ShapeMismatch),
+    "out_of_range": (HD_HEADER + "0,1.5,-0.5,0,0,0\n", InvalidValues),
+    "row_sum_not_one": (HD_HEADER + "0,0.5,0,0,0,0\n", InvalidValues),
+    "nan": (HD_HEADER + "0,nan,0,1,0,0\n", InvalidValues),
+    "inf": (HD_HEADER + "0,inf,0,0,0,0\n", InvalidValues),
+}
+
+
+@pytest.mark.parametrize("command", ["features", "plot"])
+@pytest.mark.parametrize("defect", sorted(HD_DEFECTS))
+def test_malformed_hypnodensity_csv_is_a_typed_error(tmp_path, capsys, command, defect):
+    text, expected = HD_DEFECTS[defect]
+    src, out = tmp_path / "hd.csv", tmp_path / "out"
+    src.write_text(text)
+    with pytest.raises(expected):
+        cli._read_hypnodensity_csv(str(src))
+    argv = ([command, str(src), "--out", str(out)] if command == "features"
+            else [command, str(src), str(out)])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"level=error stage={command}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+NUMERIC_DEFECTS = {
+    "empty_file": ("", EmptyFile),
+    "header_only": ("score,label\n", EmptyFile),
+    "non_numeric_cell": ("score,label\n0.9,1\nhigh,0\n", CorruptHeader),
+    "non_finite_cell": ("0.9,1\nnan,0\n", InvalidValues),
+    "short_row": ("0.9,1\n-0.9\n", ShapeMismatch),
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+@pytest.mark.parametrize("defect", sorted(NUMERIC_DEFECTS))
+def test_malformed_numeric_csv_is_a_typed_error(tmp_path, capsys, command, defect):
+    text, expected = NUMERIC_DEFECTS[defect]
+    src, out = tmp_path / "in.csv", tmp_path / "out"
+    src.write_text(text)
+    with pytest.raises(expected):
+        cli._read_numeric_csv(str(src))
+    argv = (["evaluate", str(src), "--out", str(out)] if command == "evaluate"
+            else ["diagnose", "--fit", "--matrix", str(src), "--out", str(out)])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"level=error stage={command}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_exit_code_malformed_hypnodensity(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypnopipe import features
+from hypnopipe.errors import InvalidValues
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import STAGES, HypnogramLabels
 from conftest import random_hypnodensity
@@ -261,12 +262,6 @@ def test_fragmentation_continuous_night():
     assert np.all(out == 0.0)
 
 
-def test_sorem_indicator_at_ten_minutes():
-    stages = ["W"] * 10 + ["N2"] * 20 + ["REM"] * 10
-    out = features.fragmentation_features(HypnogramLabels(stages, epoch_s=30))
-    assert out[4] == 1.0
-
-
 def test_sequencing_invariant_to_resolution_refinement():
     stages = ["W"] * 6 + ["N1"] * 6 + ["N2"] * 12 + ["REM"] * 8
     coarse = HypnogramLabels(stages, epoch_s=30)
@@ -352,10 +347,14 @@ def test_feature_vector_serialization_round_trips(rng):
     assert csv_lines[0].split(",") == vec.names
 
 
-def test_assemble_rejects_nonfinite(rng):
+def test_assemble_rejects_nonfinite(rng, monkeypatch):
     hd = random_hypnodensity(rng, 10)
     hd.probs = hd.probs.copy()
     hyp = HypnogramLabels(["W"] * 10, epoch_s=30)
     hd.probs[0, 0] = np.nan
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidValues):
+        features.assemble(hd, hyp)
+    hd = random_hypnodensity(rng, 10)
+    monkeypatch.setattr(features, "transition_features", lambda hd: np.full(9, np.inf))
+    with pytest.raises(InvalidValues, match="non-finite feature"):
         features.assemble(hd, hyp)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -305,3 +307,11 @@ def test_ensemble_csv_has_variance_columns(rng):
     text = hyp.ensemble_hypnodensity(models).to_csv()
     header = text.splitlines()[0]
     assert header == "t_start_s,W,N1,N2,N3,REM,varW,varN1,varN2,varN3,varREM"
+
+
+def test_only_hypnodensity_knows_the_stage_encoding():
+    """Other modules turn labels into numbers through ``stage_codes``."""
+    src = Path(hyp.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name != "hypnodensity.py" and "STAGE_INDEX" in p.read_text()]
+    assert offenders == []
