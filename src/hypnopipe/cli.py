@@ -147,14 +147,27 @@ def _feature_vector(hd, hla=None):
 
 
 def _load_gp(model_dir):
+    """The GP and its feature columns; ``CorruptHeader`` unless ``selection.json``
+    is JSON with a list of non-negative integers under ``"selected"``."""
     model = diagnosis.GPModel.load(os.path.join(model_dir, "gp.gp.json"))
-    with open(os.path.join(model_dir, "selection.json")) as f:
-        cols = np.array(json.load(f)["selected"], dtype=int)
-    return model, cols
+    path = os.path.join(model_dir, "selection.json")
+    with open(path) as f:
+        try:
+            sel = json.load(f)
+        except ValueError as e:
+            raise CorruptHeader(f"{path}: {e}") from e
+    cols = sel.get("selected") if isinstance(sel, dict) else None
+    if not isinstance(cols, list) or not all(type(c) is int and c >= 0 for c in cols):
+        raise CorruptHeader(f'{path}: "selected" must be a list of non-negative integers')
+    return model, np.array(cols, dtype=int)
 
 
 def _diagnose(model, cols, vectors, hla=None):
     """GP score of each feature vector, combined, then HLA-gated if known."""
+    width = min(len(v.values) for v in vectors)
+    if cols.size and cols.max() >= width:
+        raise CorruptHeader(f"selected column {cols.max()} is out of range "
+                            f"for {width} features")
     report = diagnosis.ensemble_diagnose(
         [diagnosis.gp_predict(model, np.asarray(v.values)[cols][None, :])[0]
          for v in vectors])
@@ -206,7 +219,8 @@ def cmd_diagnose(args) -> int:
         log("diagnose", f"GP fit on {len(cols)} selected features")
         return 0
     model, cols = _load_gp(args.model)
-    vec = features.FeatureVector.from_json(open(args.input).read())
+    with open(args.input) as f:
+        vec = features.FeatureVector.from_json(f.read())
     report = _diagnose(model, cols, [vec],
                        vec.hla_positive if args.hla is None else args.hla)
     out = report.to_json()

@@ -3,8 +3,13 @@
 The classifier is a binary GP with a squared-exponential kernel and constant
 mean, fit by Laplace approximation with a probit likelihood; predictive
 scores are mapped to [-1, 1].  Recursive feature elimination ranks features
-by the absolute weights of an L2-regularized linear classifier refit after
-each removal, with per-fold selection frequencies thresholded at 0.40.
+by the absolute weights of an L2-regularized (ridge) linear classifier, with
+per-fold selection frequencies thresholded at 0.40.  Each fold inverts the
+ridge matrix once; removing a column is a rank-one downdate of that inverse
+and of the weights, exactly the refit on the remaining columns.  The column
+removed is the highest-indexed one whose |weight| is within
+``RFE_TIE_RTOL * max|weight|`` of the smallest, so exact ties (duplicate
+columns) and rounding-level ones are broken the same way by any solver.
 """
 
 from __future__ import annotations
@@ -14,7 +19,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.blas import dsymv, dsyr
+from scipy.linalg.lapack import dpotri
 from scipy.special import ndtr, ndtri
 
 from .errors import (
@@ -35,6 +42,7 @@ SIGNAL_STD_GRID = (0.5, 1.0, 2.0)
 NOISE_GRID = (1e-4, 1e-2, 1e-1)
 MAX_LAPLACE_ITERS = 100
 RIDGE_LAMBDA = 1e-2
+RFE_TIE_RTOL = 1e-7
 
 
 @dataclass
@@ -64,10 +72,30 @@ class SelectionResult:
     cutoff: float = RFE_CUTOFF
 
 
-def _ridge_weights(X: np.ndarray, y: np.ndarray, lam: float = RIDGE_LAMBDA):
-    d = X.shape[1]
-    A = X.T @ X + lam * np.eye(d)
-    return np.linalg.solve(A, X.T @ y)
+def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
+    """Mask of the ``target`` columns of Z left after eliminating the
+    smallest-|weight| column of the ridge fit one at a time.
+
+    With P = (Z'Z + lam I)^-1 and w = P Z'y, dropping column j leaves
+    w - P[:, j] w[j] / P[j, j] and P - P[:, j] P[j, :] / P[j, j] on the
+    remaining columns: O(d^2) per removal instead of a fresh solve.  P is
+    symmetric and only its lower triangle is kept up to date.
+    """
+    d = Z.shape[1]
+    alive = np.ones(d, dtype=bool)
+    if d <= target:
+        return alive
+    P, _ = dpotri(cholesky(Z.T @ Z + RIDGE_LAMBDA * np.eye(d), lower=True), lower=1)
+    w = dsymv(1.0, P, Z.T @ y, lower=1)
+    for _ in range(d - target):
+        live = np.flatnonzero(alive)
+        mag = np.abs(w[live])
+        j = live[np.flatnonzero(mag <= mag.min() + RFE_TIE_RTOL * mag.max())[-1]]
+        col = np.concatenate((P[j, :j], P[j:, j]))
+        w -= col * (w[j] / col[j])
+        P = dsyr(-1.0 / col[j], col, lower=1, a=P, overwrite_a=True)
+        alive[j] = False
+    return alive
 
 
 def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
@@ -75,9 +103,9 @@ def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
         cutoff: float = RFE_CUTOFF) -> SelectionResult:
     """Recursive feature elimination under cross-validation.
 
-    Per fold, the lowest |weight| feature of a refit ridge classifier is
-    removed until ``target_count`` remain; a feature's frequency is the
-    fraction of folds that kept it.
+    Per fold, the lowest |weight| feature of the ridge classifier on the
+    remaining features is removed until ``target_count`` remain; a feature's
+    frequency is the fraction of folds that kept it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -97,13 +125,8 @@ def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
         if len(np.unique(y[mask])) < 2:
             continue
         std = Standardizer.fit(X[mask])
-        Z = std.apply(X[mask])
         active = np.flatnonzero(std.keep)
-        while len(active) > target:
-            w = _ridge_weights(Z, y[mask])
-            drop = int(np.argmin(np.abs(w)))
-            active = np.delete(active, drop)
-            Z = np.delete(Z, drop, axis=1)
+        active = active[_rfe_survivors(std.apply(X[mask]), y[mask], target)]
         counts[active] += 1
     freq = counts / folds
     selected = np.flatnonzero(freq >= cutoff)
@@ -197,10 +220,9 @@ def _laplace_mode(K, y, mean):
     sw = np.sqrt(W)
     B = np.eye(n) + sw[:, None] * K * sw[None, :]
     Lc = cholesky(B, lower=True)
-    lml = (_probit_ll(y, f)
-           - 0.5 * float((f - mean) @ np.linalg.solve(K, f - mean))
-           - float(np.log(np.diag(Lc)).sum()))
-    return f, grad, sw, Lc, lml
+    # f = mean + K a, so obj's a'(f - mean) is (f - mean)' K^-1 (f - mean)
+    # (RW alg. 3.1 line 10)
+    return f, grad, sw, Lc, obj - float(np.log(np.diag(Lc)).sum())
 
 
 def _median_heuristic(X):

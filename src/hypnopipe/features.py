@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidValues, ShapeMismatch
+from .errors import CorruptHeader, InvalidValues, ShapeMismatch
 from .hypnodensity import Hypnodensity
 from .signal_io import STAGES, UNSCORED, HypnogramLabels
 
@@ -83,12 +83,26 @@ class FeatureVector:
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureVector":
-        d = json.loads(text)
-        names = list(d["features"].keys())
-        return cls(names=names,
-                   values=np.array([d["features"][n] for n in names]),
-                   recording_id=d.get("recording_id", ""),
-                   hla_positive=d.get("hla_positive"))
+        """The vector ``to_json`` writes; ``CorruptHeader`` for text that is not
+        a JSON object with a ``"features"`` object of numbers and an optional
+        boolean ``"hla_positive"``, ``InvalidValues`` for a non-finite value."""
+        try:
+            d = json.loads(text)
+        except ValueError as e:
+            raise CorruptHeader(f"feature vector: {e}") from e
+        feats = d.get("features") if isinstance(d, dict) else None
+        if not isinstance(feats, dict) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in feats.values()):
+            raise CorruptHeader('feature vector: "features" must map names to numbers')
+        hla = d.get("hla_positive")
+        if hla is not None and not isinstance(hla, bool):
+            raise CorruptHeader('feature vector: "hla_positive" must be true, false or null')
+        values = np.array(list(feats.values()), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise InvalidValues("feature vector: non-finite value")
+        return cls(names=list(feats), values=values,
+                   recording_id=d.get("recording_id", ""), hla_positive=hla)
 
 
 def feature_names() -> list[str]:

@@ -2,6 +2,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -488,6 +490,81 @@ def test_malformed_numeric_csv_is_a_typed_error(tmp_path, capsys, command, defec
     err = capsys.readouterr().err
     assert f"level=error stage={command}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def zero_vector_json(**extra):
+    vec = features.FeatureVector(names=features.feature_names(), values=np.zeros(481))
+    return json.dumps({**json.loads(vec.to_json()), **extra})
+
+
+SELECTION_DEFECTS = {
+    "not_json": "{selected: [0, 5, 10]",
+    "not_an_object": "[0, 5, 10]",
+    "no_selected_key": '{"frequency": [0.1, 0.9]}',
+    "selected_not_a_list": '{"selected": 5}',
+    "float_index": '{"selected": [0, 5.5, 10]}',
+    "string_index": '{"selected": [0, "5", 10]}',
+    "bool_index": '{"selected": [0, true, 10]}',
+    "negative_index": '{"selected": [0, -1, 10]}',
+    "index_out_of_range": '{"selected": [0, 5, 481]}',
+}
+VECTOR_DEFECTS = {
+    "not_json": ("features: 1", CorruptHeader),
+    "not_an_object": ("[1, 2, 3]", CorruptHeader),
+    "no_features_key": ('{"recording_id": "r"}', CorruptHeader),
+    "features_not_an_object": ('{"features": [1.0, 2.0]}', CorruptHeader),
+    "non_numeric_value": ('{"features": {"a": 1.0, "b": "x"}}', CorruptHeader),
+    "hla_not_boolean": (zero_vector_json(hla_positive="no"), CorruptHeader),
+    "nan_value": ('{"features": {"a": NaN}}', InvalidValues),
+    "too_few_features": ('{"features": {"a": 1.0, "b": 2.0}}', None),
+}
+
+
+def run_diagnose(workspace, tmp_path, vector, selection=None):
+    gp_dir, vec, out = tmp_path / "gp", tmp_path / "vec.json", tmp_path / "report.json"
+    shutil.copytree(workspace["gp"], gp_dir)
+    if selection is not None:
+        (gp_dir / "selection.json").write_text(selection)
+    vec.write_text(vector)
+    code = cli.main(["diagnose", "--model", str(gp_dir), "--input", str(vec),
+                     "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("defect", sorted(SELECTION_DEFECTS))
+def test_malformed_selection_is_a_typed_error(workspace, tmp_path, capsys, defect):
+    code, out = run_diagnose(workspace, tmp_path, zero_vector_json(),
+                             SELECTION_DEFECTS[defect])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "level=error stage=diagnose" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", sorted(VECTOR_DEFECTS))
+def test_malformed_feature_vector_is_a_typed_error(workspace, tmp_path, capsys, defect):
+    text, expected = VECTOR_DEFECTS[defect]
+    if expected is not None:
+        with pytest.raises(expected):
+            features.FeatureVector.from_json(text)
+    code, out = run_diagnose(workspace, tmp_path, text)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "level=error stage=diagnose" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_diagnose_closes_its_input(workspace, tmp_path):
+    vec = tmp_path / "vec.json"
+    vec.write_text(zero_vector_json())
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::ResourceWarning", "-m", "hypnopipe.cli",
+         "diagnose", "--model", workspace["gp"], "--input", str(vec)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_exit_code_malformed_hypnodensity(tmp_path):

@@ -43,6 +43,33 @@ def test_rfe_duplicate_columns_one_survives(rng):
     assert sel.frequency[0] + sel.frequency[1] > 0
 
 
+FACTORISATIONS = ("inv", "solve", "cholesky", "lstsq", "pinv", "qr", "svd", "eig", "eigh")
+
+
+def test_rfe_factorises_once_per_fold_with_both_classes(rng, monkeypatch):
+    """Each fold factorises its d x d ridge matrix once; removals downdate it."""
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in FACTORISATIONS:
+        monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+    for name, fn in list(vars(dg).items()):
+        if callable(fn) and getattr(fn, "__module__", "").startswith("scipy.linalg"):
+            monkeypatch.setattr(dg, name, counting(fn))
+    n, d, folds = 60, 30, 5
+    held = np.array_split(np.random.default_rng(0).permutation(n), folds)
+    y = np.zeros(n)
+    y[held[2]] = 1.0          # the fold that holds these out trains on one class
+    X = rng.standard_normal((n, d))
+    dg.rfe(X, y, folds=folds, seed=0, target_count=5)
+    assert calls == [(d, d)] * (folds - 1)
+
+
 def test_rfe_preconditions(rng):
     X, y = blobs(rng, n_per=5)
     with pytest.raises(TooFewSamples):
