@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob
+import io
 import json
 import os
 import sys
@@ -22,6 +23,7 @@ from .encoding import MODES, EncodedRecording, encode_recording
 from .errors import (CholeskyFailure, CorruptHeader, EmptyFile, HypnopipeError,
                      InvalidSpec, InvalidValues, NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
+from .store import read_text
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -40,11 +42,10 @@ def log(stage: str, msg: str, level: str = "info") -> None:
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """The run-all config with ``overrides`` applied; ``InvalidSpec`` for a file
     that is not a JSON object, an unknown or missing key, or an unknown mode."""
-    with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InvalidSpec(f"{path}: {e}") from e
+    try:
+        cfg = json.loads(read_text(path))
+    except json.JSONDecodeError as e:
+        raise InvalidSpec(f"{path}: {e}") from e
     if not isinstance(cfg, dict):
         raise InvalidSpec(f"{path}: config must be a JSON object")
     unknown = set(cfg) - CONFIG_KEYS
@@ -64,8 +65,7 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
 def _load_ref(path):
     if path is None:
         return None
-    with open(path) as f:
-        return preprocess.ReferenceDistribution.from_json(f.read())
+    return preprocess.ReferenceDistribution.from_json(read_text(path))
 
 
 def cmd_preprocess(args) -> int:
@@ -87,8 +87,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.config) as f:
-        config = neuralnet.NetworkConfig.from_json(f.read())
+    config = neuralnet.NetworkConfig.from_json(read_text(args.config))
     dataset = []
     for enc_path in sorted(glob.glob(os.path.join(args.data, "*.enc.json"))):
         enc = EncodedRecording.load(enc_path)
@@ -151,11 +150,10 @@ def _load_gp(model_dir):
     is JSON with a list of non-negative integers under ``"selected"``."""
     model = diagnosis.GPModel.load(os.path.join(model_dir, "gp.gp.json"))
     path = os.path.join(model_dir, "selection.json")
-    with open(path) as f:
-        try:
-            sel = json.load(f)
-        except ValueError as e:
-            raise CorruptHeader(f"{path}: {e}") from e
+    try:
+        sel = json.loads(read_text(path))
+    except ValueError as e:
+        raise CorruptHeader(f"{path}: {e}") from e
     cols = sel.get("selected") if isinstance(sel, dict) else None
     if not isinstance(cols, list) or not all(type(c) is int and c >= 0 for c in cols):
         raise CorruptHeader(f'{path}: "selected" must be a list of non-negative integers')
@@ -188,8 +186,7 @@ def cmd_score(args) -> int:
 
 def _read_hypnodensity_csv(path):
     """A parsed and validated hypnodensity CSV; every defect is a typed error."""
-    with open(path) as f:
-        hd = hypnodensity.Hypnodensity.from_csv(f.read())
+    hd = hypnodensity.Hypnodensity.from_csv(read_text(path))
     hd.validate()
     return hd
 
@@ -219,8 +216,7 @@ def cmd_diagnose(args) -> int:
         log("diagnose", f"GP fit on {len(cols)} selected features")
         return 0
     model, cols = _load_gp(args.model)
-    with open(args.input) as f:
-        vec = features.FeatureVector.from_json(f.read())
+    vec = features.FeatureVector.from_json(read_text(args.input))
     report = _diagnose(model, cols, [vec],
                        vec.hla_positive if args.hla is None else args.hla)
     out = report.to_json()
@@ -236,8 +232,7 @@ def cmd_diagnose(args) -> int:
 def _read_numeric_csv(path):
     """A CSV of finite numbers, after an optional header row, as a
     (rows, columns >= 2) array; every defect is a typed error."""
-    with open(path) as f:
-        rows = list(csv.reader(f))
+    rows = list(csv.reader(io.StringIO(read_text(path))))
     try:
         float(rows[0][0])
     except (IndexError, ValueError):      # not a number: a header row

@@ -147,13 +147,6 @@ def trainable_names(params: dict[str, np.ndarray]) -> list[str]:
     return sorted(n for n in params if not n.startswith(NORM_PREFIX))
 
 
-def zero_params(config: NetworkConfig) -> dict[str, np.ndarray]:
-    p = init_params(config)
-    for n in trainable_names(p):
-        p[n] = np.zeros_like(p[n])
-    return p
-
-
 # ---------------------------------------------------------------- layers
 
 def _conv1d(x, w, b):
@@ -421,44 +414,6 @@ def sgd_momentum_step(params, grads, state: TrainState):
         params[n] = params[n] + eta * state.velocity[n]
     state.t += 1
     return params, state
-
-
-def grad_check(params, batch, one_hot, config: NetworkConfig,
-               n_samples: int = 64, h: float = 1e-4, seed: int = 0) -> float:
-    """Max relative error of analytic vs central finite-difference gradients."""
-    _, grads, _ = loss_and_grads(params, batch, one_hot, config,
-                                 lam=WEIGHT_DECAY, train_mode=False)
-    rng = np.random.default_rng(seed)
-    names = trainable_names(params)
-    sizes = np.array([params[n].size for n in names])
-    cum = np.cumsum(sizes)
-    total = int(cum[-1])
-    picks = rng.choice(total, size=min(n_samples, total), replace=False)
-    worst = 0.0
-    for flat in picks:
-        k = int(np.searchsorted(cum, flat, side="right"))
-        offset = int(flat - (cum[k - 1] if k > 0 else 0))
-        name = names[k]
-        idx = np.unravel_index(offset, params[name].shape)
-        orig = params[name][idx]
-        params[name][idx] = orig + h
-        lp = _loss_only(params, batch, one_hot, config)
-        params[name][idx] = orig - h
-        lm = _loss_only(params, batch, one_hot, config)
-        params[name][idx] = orig
-        fd = (lp - lm) / (2 * h)
-        an = grads[name][idx]
-        denom = max(abs(fd) + abs(an), 1e-8)
-        err = abs(fd - an) / denom
-        if abs(fd) < 1e-10 and abs(an) < 1e-10:
-            err = 0.0
-        worst = max(worst, err)
-    return worst
-
-
-def _loss_only(params, batch, one_hot, config):
-    probs, _ = forward(params, batch, config, train_mode=False)
-    return loss(probs, one_hot, params, WEIGHT_DECAY, config.loss_kind)
 
 
 def make_ensemble(template: NetworkConfig, n: int = ENSEMBLE_SIZE,

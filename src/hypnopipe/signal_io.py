@@ -17,11 +17,12 @@ from .errors import (
     CorruptHeader,
     EmptyFile,
     InvalidSpec,
+    InvalidValues,
     LengthMismatch,
     MissingBlob,
     MissingChannel,
 )
-from .store import read_bundle, write_bundle
+from .store import read_bundle, read_text, write_bundle
 
 ROLES = (
     "EEG_C_LEFT",
@@ -72,6 +73,10 @@ class PolySignalSet:
                 raise LengthMismatch(
                     f"{role}: {len(ch.samples)} samples, expected {expect}±1"
                 )
+            finite = np.isfinite(ch.samples)
+            if not finite.all():
+                raise InvalidValues(f"{role}: non-finite sample at index "
+                                    f"{int(np.argmin(finite))}")
         if for_pipeline:
             if not any(r in self.channels for r in CENTRAL_EEG):
                 raise MissingChannel("EEG_C_LEFT|EEG_C_RIGHT")
@@ -160,8 +165,7 @@ def save_hypnogram(hyp: HypnogramLabels, path: str) -> None:
 
 
 def load_hypnogram(path: str) -> HypnogramLabels:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+    lines = [ln.strip() for ln in read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise EmptyFile(path)
     epoch_s = 30

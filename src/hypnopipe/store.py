@@ -42,6 +42,15 @@ def write_bundle(manifest_path: str, arrays: dict, meta: dict) -> str:
     return manifest_path
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; ``CorruptHeader`` if it does not decode."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise CorruptHeader(f"{path}: not UTF-8 text: {e}") from e
+
+
 def read_bundle(manifest_path: str) -> tuple[dict, dict]:
     """``(arrays, meta)`` of a bundle; arrays come back as float64.
 
@@ -49,11 +58,10 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
     ``format``, ``MissingBlob`` for an absent blob and ``LengthMismatch`` for
     a blob whose size does not match its declared shape.
     """
-    with open(manifest_path) as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as e:
-            raise CorruptHeader(f"{manifest_path}: {e}") from e
+    try:
+        meta = json.loads(read_text(manifest_path))
+    except json.JSONDecodeError as e:
+        raise CorruptHeader(f"{manifest_path}: {e}") from e
     if not isinstance(meta, dict) or meta.get("format") != FORMAT:
         raise CorruptHeader(f"{manifest_path}: not a format {FORMAT} bundle manifest")
     try:

@@ -24,7 +24,7 @@ from hypnopipe import (
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import STAGES, HypnogramLabels
 
-from conftest import make_montage, random_hypnodensity
+from conftest import cc_lag0_index, grad_check, make_montage, random_hypnodensity
 from test_cli import RAW_SPEC
 from test_features import brute_force_vector
 from test_neuralnet import learner_config, pooled, separable_dataset, toy_config
@@ -99,7 +99,7 @@ def test_criterion_dsp_suite():
         # CC lag 0 equals mean power, exact for a unit sine
         params = encoding.CC_PARAMS["EEG"]
         g = encoding.cc_segment(tone(5, 100.0, 20), 100.0, params)
-        i0 = encoding.cc_lag0_index(params, 100.0)
+        i0 = cc_lag0_index(params, 100.0)
         assert abs(g[20, i0] - 0.5) / 0.5 < 1e-6
 
 
@@ -110,7 +110,7 @@ def test_criterion_gradient_check(rng):
         y = np.eye(5)[[0, 2, 4]]
         for mode in ("FF", "LSTM"):
             cfg = toy_config(mode)
-            err = nn.grad_check(nn.init_params(cfg), batch, y, cfg)
+            err = grad_check(nn.init_params(cfg), batch, y, cfg)
             assert err < 1e-3
 
 

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ def test_run_all_bundle_and_reproducibility(workspace, tmp_path):
 
 def test_run_all_bad_gp_path_fails_before_preprocessing_and_writes_nothing(
         workspace, tmp_path, monkeypatch):
-    cfg = json.loads(open(workspace["config"]).read())
+    cfg = json.loads(Path(workspace["config"]).read_text())
     cfg["gp_model"] = str(tmp_path / "no_such_gp")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -348,7 +349,7 @@ def test_exit_code_validation_missing_channels(tmp_path):
 
 
 def test_exit_code_validation_unknown_config_key(workspace, tmp_path):
-    cfg = json.loads(open(workspace["config"]).read())
+    cfg = json.loads(Path(workspace["config"]).read_text())
     cfg["tpyo"] = 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -374,7 +375,7 @@ CONFIG_DEFECTS = {
 @pytest.mark.parametrize("defect", sorted(CONFIG_DEFECTS))
 def test_exit_code_validation_bad_config(workspace, tmp_path, monkeypatch,
                                          capsys, defect):
-    cfg = json.loads(open(workspace["config"]).read())
+    cfg = json.loads(Path(workspace["config"]).read_text())
     bad = tmp_path / "bad.json"
     bad.write_text(CONFIG_DEFECTS[defect](cfg))
 
@@ -403,7 +404,7 @@ def test_exit_code_validation_bad_model_config(workspace, tmp_path, capsys, defe
     meta = json.loads(manifest.read_text())
     MODEL_DEFECTS[defect](meta["config"])
     manifest.write_text(json.dumps(meta))
-    cfg = json.loads(open(workspace["config"]).read())
+    cfg = json.loads(Path(workspace["config"]).read_text())
     cfg["models_dir"] = str(models)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -415,7 +416,7 @@ def test_exit_code_validation_bad_model_config(workspace, tmp_path, capsys, defe
 
 @pytest.mark.parametrize("key", ["jobs", "seed"])
 def test_exit_code_validation_retired_config_key(workspace, tmp_path, key):
-    cfg = json.loads(open(workspace["config"]).read())
+    cfg = json.loads(Path(workspace["config"]).read_text())
     cfg[key] = 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -571,3 +572,115 @@ def test_exit_code_malformed_hypnodensity(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("t_start_s,W,N1\n0,definitely,not\n")
     assert cli.main(["plot", str(src), str(tmp_path / "x.svg")]) == 3
+
+
+# ----------------------------------------------------- non-finite samples
+
+def nan_recording(tmp_path):
+    """The workspace recording with 10 NaN samples in EMG_CHIN from 1234."""
+    psg = signal_io.synth_recording(RAW_SPEC, seed=3, duration_s=600.0,
+                                    recording_id="rec1")
+    meta = signal_io.save_recording(psg, str(tmp_path / "raw"))
+    blob = tmp_path / "raw" / "rec1.EMG_CHIN.f32le"
+    samples = np.fromfile(blob, dtype="<f4")
+    samples[1234:1244] = np.nan
+    samples.tofile(blob)
+    return meta
+
+
+@pytest.mark.parametrize("command", ["preprocess", "run-all"])
+def test_non_finite_samples_fail_before_any_stage(workspace, tmp_path, capsys,
+                                                  monkeypatch, command):
+    meta, out = nan_recording(tmp_path), tmp_path / "o"
+
+    def never(*a, **k):
+        raise AssertionError("a stage ran on non-finite samples")
+
+    monkeypatch.setattr(cli.preprocess, "preprocess_recording", never)
+    argv = ([command, meta, str(out)] if command == "preprocess" else
+            [command, "--config", workspace["config"], "--recording", meta,
+             "--out-dir", str(out)])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "EMG_CHIN" in err and "1234" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# -------------------------------------------------------- non-UTF-8 inputs
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"      # a UTF-16 byte-order mark, then "{}"
+
+
+def _copy_gp(ws, tmp_path, name):
+    gp = tmp_path / "gp"
+    shutil.copytree(ws["gp"], gp)
+    (gp / name).write_bytes(NOT_UTF8)
+    return str(gp)
+
+
+def _copy_models(ws, tmp_path):
+    models = tmp_path / "models"
+    shutil.copytree(ws["models"], models)
+    (models / "model00.model.json").write_bytes(NOT_UTF8)
+    return str(models)
+
+
+def _config_with(ws, tmp_path, **changes):
+    cfg = {**json.loads(Path(ws["config"]).read_text()), **changes}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# subcommand and input -> argv for (workspace, tmp_path, the non-UTF-8 file)
+NON_UTF8_INPUTS = {
+    "preprocess-recording": lambda ws, t, bad: ["preprocess", bad, str(t / "o")],
+    "preprocess-ref": lambda ws, t, bad: ["preprocess", ws["meta"], str(t / "o"),
+                                          "--ref", bad],
+    "encode-montage": lambda ws, t, bad: ["encode", bad, str(t / "o")],
+    "train-config": lambda ws, t, bad: ["train", "--config", bad, "--data", str(t),
+                                        "--out", str(t / "o")],
+    "score-encoding": lambda ws, t, bad: ["score", bad, "--models", ws["models"],
+                                          "--out", str(t / "o")],
+    "features-csv": lambda ws, t, bad: ["features", bad, "--out", str(t / "o")],
+    "plot-csv": lambda ws, t, bad: ["plot", bad, str(t / "o")],
+    "evaluate-csv": lambda ws, t, bad: ["evaluate", bad, "--out", str(t / "o")],
+    "diagnose-fit-matrix": lambda ws, t, bad: ["diagnose", "--fit", "--matrix", bad,
+                                               "--out", str(t / "o")],
+    "diagnose-input": lambda ws, t, bad: ["diagnose", "--model", ws["gp"],
+                                          "--input", bad, "--out", str(t / "o")],
+    "diagnose-selection": lambda ws, t, bad: [
+        "diagnose", "--model", _copy_gp(ws, t, "selection.json"), "--input", bad,
+        "--out", str(t / "o")],
+    "diagnose-gp-manifest": lambda ws, t, bad: [
+        "diagnose", "--model", _copy_gp(ws, t, "gp.gp.json"), "--input", bad,
+        "--out", str(t / "o")],
+    "run-all-config": lambda ws, t, bad: ["run-all", "--config", bad,
+                                          "--out-dir", str(t / "o")],
+    "run-all-ref": lambda ws, t, bad: ["run-all", "--config",
+                                       _config_with(ws, t, ref=bad),
+                                       "--out-dir", str(t / "o")],
+    "run-all-models": lambda ws, t, bad: ["run-all", "--config",
+                                          _config_with(ws, t, models_dir=_copy_models(
+                                              ws, t)), "--out-dir", str(t / "o")],
+    "run-all-recording": lambda ws, t, bad: ["run-all", "--config", ws["config"],
+                                             "--recording", bad,
+                                             "--out-dir", str(t / "o")],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))
+def test_non_utf8_input_is_a_typed_error(workspace, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    assert cli.main(NON_UTF8_INPUTS[case](workspace, tmp_path, str(bad))) == 3
+    err = capsys.readouterr().err
+    assert "level=error" in err and "UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_utf8_hypnogram_is_a_typed_error(tmp_path):
+    bad = tmp_path / "h.hyp.txt"
+    bad.write_bytes(b"epoch_s=30\n\xff\xfeW\n")
+    with pytest.raises(CorruptHeader, match="UTF-8"):
+        signal_io.load_hypnogram(str(bad))

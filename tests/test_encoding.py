@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypnopipe import encoding
 from hypnopipe.errors import InvalidSpec, NonpositiveP95, ShapeMismatch
 from hypnopipe.neuralnet import windows_from_encoded
-from conftest import make_montage
+from conftest import cc_lag0_index, make_montage
 
 
 def tone(freq, fs, duration_s, amp=1.0):
@@ -120,7 +120,7 @@ def test_cc_lag0_is_power_of_unit_sine():
     params = encoding.CC_PARAMS["EEG"]
     x = tone(5, fs, 20)
     g = encoding.cc_segment(x, fs, params)
-    i0 = encoding.cc_lag0_index(params, fs)
+    i0 = cc_lag0_index(params, fs)
     row = 20  # interior, extension fully inside the recording
     start = round(row * params.hop_s * fs)
     seg = x[start:start + round(params.segment_s * fs)]
@@ -134,14 +134,14 @@ def test_cc_lag0_dominates_interior_segments():
     x = rng.standard_normal(2000)
     params = encoding.CC_PARAMS["EEG"]
     g = encoding.cc_segment(x, 100.0, params)
-    i0 = encoding.cc_lag0_index(params, 100.0)
+    i0 = cc_lag0_index(params, 100.0)
     for row in range(8, len(g) - 8):
         assert g[row, i0] >= np.max(np.abs(g[row])) - 1e-12
 
 
 def test_cc_white_noise_decorrelates_fast():
     params = encoding.CC_PARAMS["EEG"]
-    i0 = encoding.cc_lag0_index(params, 100.0)
+    i0 = cc_lag0_index(params, 100.0)
     ratios = []
     for seed in range(20):
         x = np.random.default_rng(seed).standard_normal(3000)
@@ -159,7 +159,7 @@ def test_cc_cross_of_mirrored_eog():
     right = -left
     g_auto = encoding.cc_segment(left, 100.0, params)
     g_cross = encoding.cc_segment(left, 100.0, params, opposite=right)
-    i0 = encoding.cc_lag0_index(params, 100.0)
+    i0 = cc_lag0_index(params, 100.0)
     assert np.allclose(g_cross[:, i0], -g_auto[:, i0])
 
 

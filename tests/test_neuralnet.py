@@ -6,6 +6,8 @@ import pytest
 from hypnopipe import neuralnet as nn
 from hypnopipe.errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
 
+from conftest import grad_check, zero_params
+
 TOY_SHAPES = {"EEG": (1, 20), "EOG": (3, 20), "EMG": (1, 10)}
 
 
@@ -54,7 +56,7 @@ def test_init_distribution_variance():
 
 def test_zero_params_give_uniform_output(rng):
     cfg = toy_config()
-    params = nn.zero_params(cfg)
+    params = zero_params(cfg)
     probs, _ = nn.forward(params, toy_batch(rng), cfg)
     assert np.allclose(probs, 0.2, atol=1e-12)
 
@@ -187,27 +189,27 @@ def test_momentum_converges_on_quadratic_bowl():
 def test_grad_check_ff(rng):
     cfg = toy_config("FF")
     params = nn.init_params(cfg)
-    err = nn.grad_check(params, toy_batch(rng, 3), one_hot([0, 2, 4]), cfg)
+    err = grad_check(params, toy_batch(rng, 3), one_hot([0, 2, 4]), cfg)
     assert err < 1e-3
 
 
 def test_grad_check_lstm(rng):
     cfg = toy_config("LSTM")
     params = nn.init_params(cfg)
-    err = nn.grad_check(params, toy_batch(rng, 3), one_hot([1, 3, 0]), cfg)
+    err = grad_check(params, toy_batch(rng, 3), one_hot([1, 3, 0]), cfg)
     assert err < 1e-3
 
 
 def test_grad_check_categorical_loss(rng):
     cfg = toy_config("FF", loss_kind="categorical")
     params = nn.init_params(cfg)
-    err = nn.grad_check(params, toy_batch(rng, 3), one_hot([0, 1, 2]), cfg)
+    err = grad_check(params, toy_batch(rng, 3), one_hot([0, 1, 2]), cfg)
     assert err < 1e-3
 
 
 def test_zero_input_zero_bias_first_layer_gradient():
     cfg = toy_config("FF")
-    params = nn.zero_params(cfg)
+    params = zero_params(cfg)
     batch = {m: np.zeros((2,) + TOY_SHAPES[m]) for m in TOY_SHAPES}
     _, grads, _ = nn.loss_and_grads(params, batch, one_hot([0, 1]), cfg, lam=0.0)
     for m in nn.MODALITIES:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hypnopipe import signal_io
-from hypnopipe.errors import EmptyFile, InvalidSpec, LengthMismatch, MissingChannel
+from hypnopipe.errors import (EmptyFile, InvalidSpec, InvalidValues, LengthMismatch,
+                              MissingChannel)
 
 FIVE_CH = {
     "EEG_C_LEFT": {"fs": 256, "sinusoids": [(10, 30)]},
@@ -119,3 +120,11 @@ def test_meta_json_is_plain_and_complete(tmp_path):
         meta = json.load(f)
     assert set(meta["channels"]) == set(FIVE_CH)
     assert meta["duration_s"] == 60
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rejects_non_finite_samples(bad):
+    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=10)
+    psg.channels["EOG_R"].samples[[17, 900]] = bad
+    with pytest.raises(InvalidValues, match=r"EOG_R.*\b17\b"):
+        psg.validate()
