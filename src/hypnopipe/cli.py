@@ -203,6 +203,11 @@ def cmd_features(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    needed = ("matrix", "out") if args.fit else ("model", "input")
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise InvalidSpec(f"diagnose {'--fit' if args.fit else 'without --fit'} "
+                          f"needs {' and '.join(missing)}")
     if args.fit:
         data = _read_numeric_csv(args.matrix)
         X, y = data[:, :-1], data[:, -1]

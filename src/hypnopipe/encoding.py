@@ -277,17 +277,19 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     eeg, eog_l, eog_r, chin = (montage.channels[role].samples
                                for role in ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN"))
 
-    # the 4 s EOG segment is the longest; it defines the shared grid
-    eog = CC_PARAMS["EOG"]
-    n_grid = int(np.floor((montage.duration_s - eog.segment_s) / GRID_HOP_S)) + 1
-    n_rows = max(n_grid, 0) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
-    emg = CC_PARAMS["EMG"]
-    grid_centers = np.arange(n_rows) * GRID_HOP_S + eog.segment_s / 2
-    emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
-
     sources = {"EEG": (eeg, "EEG", None), "EOG_L": (eog_l, "EOG", None),
                "EOG_R": (eog_r, "EOG", None), "EOG_X": (eog_l, "EOG", eog_r),
                "EMG": (chin, "EMG", None)}
+    # the grid steps by the EEG and EOG hop; a row needs a whole segment of
+    # every EEG and EOG channel as held, which may be a sample short of
+    # duration_s (the 4 s EOG segment is the longest)
+    n_grid = min(len(segment_starts(len(x), fs, CC_PARAMS[kind]))
+                 for x, kind, _ in sources.values() if kind != "EMG")
+    n_rows = n_grid // ROWS_PER_WINDOW * ROWS_PER_WINDOW
+    eog, emg = CC_PARAMS["EOG"], CC_PARAMS["EMG"]
+    grid_centers = np.arange(n_rows) * GRID_HOP_S + eog.segment_s / 2
+    emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
+
     chunk = CC_CHUNK_WINDOWS * ROWS_PER_WINDOW
     for name, (x, kind, opposite) in sources.items():
         starts, n_lags, rows = _cc_rows(x, fs, CC_PARAMS[kind], opposite)

@@ -5,7 +5,13 @@ pooled features are concatenated and fed to either a fully connected layer
 (FF mode) or an LSTM cell carrying state across consecutive windows (LSTM
 mode), ending in a 5-way softmax.  A recording's windows are one batch
 ``{modality: (N, channels, length)}`` from ``windows_from_encoded``.
-Gradients are analytic and checked against central finite differences.
+
+``forward`` is the one implementation of every layer.  The conv stacks run
+over CHUNK windows at a time, so scoring a whole night holds one chunk's
+activations plus the concatenated features (about 40 floats per window).
+The backward cache is kept only when ``loss_and_grads`` asks for it, and
+dropout runs if and only if a random generator is passed.  Gradients are
+analytic and checked against central finite differences.
 
 Training constants: cross-entropy (as printed, with the (1-y)log(1-p) term)
 plus L2 at lambda=1e-5, SGD with momentum 0.9, learning rate 0.005 decaying
@@ -44,6 +50,7 @@ ENSEMBLE_SCALE = (0.5, 1.5)
 
 MODALITIES = ("EEG", "EOG", "EMG")
 KERNEL = 3
+CHUNK = 128                # windows per conv-stack pass; bounds what scoring holds
 LOG_EPS = 1e-12
 
 
@@ -167,11 +174,6 @@ def _conv1d_back(x, w, dy):
     return dx, dw, db
 
 
-def _meanpool2(x):
-    l_out = x.shape[2] // 2
-    return x[:, :, :2 * l_out].reshape(x.shape[0], x.shape[1], l_out, 2).mean(axis=3)
-
-
 def _meanpool2_back(x_shape, dy):
     dx = np.zeros(x_shape)
     l_out = dy.shape[2]
@@ -190,109 +192,98 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _subnet_forward(params, x, modality, config):
-    """Conv stack for one modality; returns pooled features and a cache."""
-    c, L = config.modality_shapes[modality]
-    if x.ndim != 3 or x.shape[1:] != (c, L):
-        raise ShapeMismatch(f"{modality}: expected (B,{c},{L}), got {x.shape}")
+def _conv_stack(params, x, modality, config, keep_cache):
+    """One modality's conv stack on a chunk of windows: pooled features
+    (B, F), and each layer's (input, pre-activation) if ``keep_cache``."""
     mu = params[f"{NORM_PREFIX}{modality}/mean"]
     sd = params[f"{NORM_PREFIX}{modality}/std"]
     h = (x - mu[None]) / sd[None]
-    cache = {"inputs": [], "pre": [], "pooled_from": []}
+    layers = []
     n_layers = len(config.conv_features[modality])
     for i in range(n_layers):
-        w = params[f"conv{i}/{modality}/w"]
-        b = params[f"conv{i}/{modality}/b"]
-        cache["inputs"].append(h)
-        pre = _conv1d(h, w, b)
-        cache["pre"].append(pre)
+        pre = _conv1d(h, params[f"conv{i}/{modality}/w"], params[f"conv{i}/{modality}/b"])
+        if keep_cache:
+            layers.append((h, pre))
         h = np.maximum(pre, 0.0)
         if i < n_layers - 1:
-            cache["pooled_from"].append(h.shape)
-            h = _meanpool2(h)
-        else:
-            cache["pooled_from"].append(None)
-            cache["gap_len"] = h.shape[2]
-            h = h.mean(axis=2)
-    return h, cache
+            l_out = h.shape[2] // 2
+            h = (h[:, :, 0:2 * l_out:2] + h[:, :, 1:2 * l_out:2]) / 2
+    return h.mean(axis=2), layers
 
 
-def _subnet_backward(params, cache, dfeat, modality, config, grads):
-    n_layers = len(config.conv_features[modality])
-    gap_len = cache["gap_len"]
+def _conv_stack_back(params, layers, dfeat, modality, grads):
+    gap_len = layers[-1][1].shape[2]
     dh = np.repeat(dfeat[:, :, None], gap_len, axis=2) / gap_len
-    for i in reversed(range(n_layers)):
-        if cache["pooled_from"][i] is not None:
-            dh = _meanpool2_back(cache["pooled_from"][i], dh)
-        dpre = dh * (cache["pre"][i] > 0)
-        dx, dw, db = _conv1d_back(cache["inputs"][i],
-                                  params[f"conv{i}/{modality}/w"], dpre)
+    for i in reversed(range(len(layers))):
+        x, pre = layers[i]
+        if i < len(layers) - 1:
+            dh = _meanpool2_back(pre.shape, dh)
+        dx, dw, db = _conv1d_back(x, params[f"conv{i}/{modality}/w"], dh * (pre > 0))
         grads[f"conv{i}/{modality}/w"] += dw
         grads[f"conv{i}/{modality}/b"] += db
         dh = dx
     # input standardization is an affine map with frozen stats; no grads kept
 
 
-def forward(params, batch, config: NetworkConfig, train_mode: bool = False,
-            rng: np.random.Generator | None = None, state0=None):
+def forward(params, batch, config: NetworkConfig,
+            rng: np.random.Generator | None = None, keep_cache: bool = False):
     """Probabilities for a batch of windows.
 
     ``batch`` maps modality name to an array (B, channels, length).  FF mode
-    treats the B windows independently; LSTM mode consumes them as a temporal
-    sequence, optionally continuing from ``state0`` = (h, c).  Returns
-    (probs (B,5), cache).
+    treats the B windows independently; LSTM mode consumes them as one
+    temporal sequence from a zero state.  The conv stacks run CHUNK windows
+    at a time; the head runs over their concatenated features (B, F).
+    Dropout masks the LSTM outputs if and only if ``rng`` is given.
+    Returns (probs (B, 5), cache): the cache that ``loss_and_grads`` reads
+    if ``keep_cache``, else None, so scoring holds no per-layer activations.
     """
-    feats = []
-    caches = {}
-    for m in MODALITIES:
-        f, c = _subnet_forward(params, np.asarray(batch[m], dtype=float), m, config)
-        feats.append(f)
-        caches[m] = c
-    z = np.concatenate(feats, axis=1)          # (B, F)
-    cache = {"subnets": caches, "z": z, "feat_splits":
-             np.cumsum([f.shape[1] for f in feats])[:-1]}
-    B = z.shape[0]
+    xs = {m: np.asarray(batch[m], dtype=float) for m in MODALITIES}
+    for m, x in xs.items():
+        c, L = config.modality_shapes[m]
+        if x.shape[1:] != (c, L) or len(x) != len(xs["EEG"]):
+            raise ShapeMismatch(f"{m}: expected (B,{c},{L}) with the EEG's B, "
+                                f"got {x.shape}")
+    B = len(xs["EEG"])
+    z = np.empty((B, sum(config.conv_features[m][-1] for m in MODALITIES)))
+    stacks = []
+    for s in range(0, B, CHUNK):
+        parts = [_conv_stack(params, xs[m][s:s + CHUNK], m, config, keep_cache)
+                 for m in MODALITIES]
+        np.concatenate([f for f, _ in parts], axis=1, out=z[s:s + CHUNK])
+        stacks.append([layers for _, layers in parts])
+    cache = {"stacks": stacks, "z": z}
     H = config.hidden
     if config.mode == "FF":
         pre = z @ params["fc1/w"].T + params["fc1/b"]
         h = np.maximum(pre, 0.0)
         cache["fc1_pre"] = pre
-        cache["h"] = h
     else:
         wx, wh, b = params["lstm/wx"], params["lstm/wh"], params["lstm/b"]
-        h_prev = np.zeros(H) if state0 is None else state0[0]
-        c_prev = np.zeros(H) if state0 is None else state0[1]
-        hs = np.zeros((B, H))
-        cs = np.zeros((B, H))
-        gates_c = np.zeros((B, 4 * H))
-        h_prevs = np.zeros((B, H))
-        c_prevs = np.zeros((B, H))
+        h_t, c_t = np.zeros(H), np.zeros(H)
+        hs = np.empty((B, H))
+        if keep_cache:
+            cs = cache["cs"] = np.empty((B, H))
+            gates = cache["gates"] = np.empty((B, 4 * H))
         for t in range(B):
-            g = wx @ z[t] + wh @ h_prev + b
+            g = wx @ z[t] + wh @ h_t + b
             i_g = _sigmoid(g[:H])
             f_g = _sigmoid(g[H:2 * H])
             g_g = np.tanh(g[2 * H:3 * H])
             o_g = _sigmoid(g[3 * H:])
-            c_t = f_g * c_prev + i_g * g_g
+            c_t = f_g * c_t + i_g * g_g
             h_t = o_g * np.tanh(c_t)
-            gates_c[t] = np.concatenate([i_g, f_g, g_g, o_g])
-            h_prevs[t], c_prevs[t] = h_prev, c_prev
-            hs[t], cs[t] = h_t, c_t
-            h_prev, c_prev = h_t, c_t
-        cache.update(hs=hs, cs=cs, gates=gates_c, h_prevs=h_prevs, c_prevs=c_prevs)
-        cache["state"] = (h_prev.copy(), c_prev.copy())
-        h = hs
-        if train_mode:
-            if rng is None:
-                rng = np.random.default_rng(config.seed)
+            hs[t] = h_t
+            if keep_cache:
+                cs[t] = c_t
+                gates[t] = np.concatenate([i_g, f_g, g_g, o_g])
+        cache["hs"] = h = hs
+        if rng is not None:
             mask = (rng.random(h.shape) < config.dropout_keep) / config.dropout_keep
             cache["dropout_mask"] = mask
             h = h * mask
-        cache["h"] = h
-    logits = h @ params["out/w"].T + params["out/b"]
-    probs = _softmax(logits)
-    cache["probs"] = probs
-    return probs, cache
+    cache["h"] = h
+    probs = _softmax(h @ params["out/w"].T + params["out/b"])
+    return probs, (cache if keep_cache else None)
 
 
 def loss(pred_probs, one_hot, params=None, lam: float = WEIGHT_DECAY,
@@ -325,17 +316,15 @@ def _dlogits(probs, one_hot, kind):
 
 
 def loss_and_grads(params, batch, one_hot, config: NetworkConfig,
-                   lam: float = WEIGHT_DECAY, train_mode: bool = False,
-                   rng=None, state0=None):
-    """Loss value, analytic gradients, and (for LSTM) the final state."""
-    probs, cache = forward(params, batch, config, train_mode=train_mode,
-                           rng=rng, state0=state0)
+                   lam: float = WEIGHT_DECAY, rng=None):
+    """Loss value and analytic gradients, from the one ``forward`` that keeps
+    its cache; dropout as in ``forward`` (if and only if ``rng`` is given)."""
+    probs, cache = forward(params, batch, config, rng=rng, keep_cache=True)
     value = loss(probs, one_hot, params, lam, config.loss_kind)
     grads = {n: np.zeros_like(params[n]) for n in trainable_names(params)}
     dlog = _dlogits(probs, np.asarray(one_hot, dtype=float), config.loss_kind)
 
-    h = cache["h"]
-    grads["out/w"] += dlog.T @ h
+    grads["out/w"] += dlog.T @ cache["h"]
     grads["out/b"] += dlog.sum(axis=0)
     dh = dlog @ params["out/w"]
     z = cache["z"]
@@ -349,22 +338,19 @@ def loss_and_grads(params, batch, one_hot, config: NetworkConfig,
         if "dropout_mask" in cache:
             dh = dh * cache["dropout_mask"]
         wx, wh = params["lstm/wx"], params["lstm/wh"]
-        B = z.shape[0]
+        hs, cs, gates = cache["hs"], cache["cs"], cache["gates"]
+        zero = np.zeros(H)
         dz = np.zeros_like(z)
         dh_next = np.zeros(H)
         dc_next = np.zeros(H)
-        for t in reversed(range(B)):
+        for t in reversed(range(z.shape[0])):
             dht = dh[t] + dh_next
-            i_g = cache["gates"][t, :H]
-            f_g = cache["gates"][t, H:2 * H]
-            g_g = cache["gates"][t, 2 * H:3 * H]
-            o_g = cache["gates"][t, 3 * H:]
-            c_t = cache["cs"][t]
-            tc = np.tanh(c_t)
+            i_g, f_g, g_g, o_g = gates[t].reshape(4, H)
+            tc = np.tanh(cs[t])
             do = dht * tc
             dc = dht * o_g * (1 - tc ** 2) + dc_next
             di = dc * g_g
-            df = dc * cache["c_prevs"][t]
+            df = dc * (cs[t - 1] if t else zero)     # the state starts at zero
             dg = dc * i_g
             dgi = di * i_g * (1 - i_g)
             dgf = df * f_g * (1 - f_g)
@@ -372,18 +358,20 @@ def loss_and_grads(params, batch, one_hot, config: NetworkConfig,
             dgo = do * o_g * (1 - o_g)
             dgates = np.concatenate([dgi, dgf, dgg, dgo])
             grads["lstm/wx"] += np.outer(dgates, z[t])
-            grads["lstm/wh"] += np.outer(dgates, cache["h_prevs"][t])
+            grads["lstm/wh"] += np.outer(dgates, hs[t - 1] if t else zero)
             grads["lstm/b"] += dgates
             dz[t] = wx.T @ dgates
             dh_next = wh.T @ dgates
             dc_next = dc * f_g
-    splits = np.split(dz, cache["feat_splits"], axis=1)
-    for m, dfeat in zip(MODALITIES, splits):
-        _subnet_backward(params, cache["subnets"][m], dfeat, m, config, grads)
+    splits = np.cumsum([config.conv_features[m][-1] for m in MODALITIES])[:-1]
+    for k, chunk in enumerate(cache["stacks"]):
+        dfeats = np.split(dz[k * CHUNK:(k + 1) * CHUNK], splits, axis=1)
+        for m, layers, dfeat in zip(MODALITIES, chunk, dfeats):
+            _conv_stack_back(params, layers, dfeat, m, grads)
     if lam > 0:
         for n in grads:
             grads[n] += 2.0 * lam * params[n]
-    return value, grads, cache.get("state")
+    return value, grads
 
 
 @dataclass
@@ -510,8 +498,8 @@ def train(dataset, config: NetworkConfig, max_batches: int = 4000):
     for n_batch, (batch, ls) in enumerate(batches(), start=1):
         if n_batch > max_batches:
             break
-        _, grads, _ = loss_and_grads(params, batch, _one_hot(ls), config,
-                                     lam=WEIGHT_DECAY, train_mode=True, rng=rng)
+        _, grads = loss_and_grads(params, batch, _one_hot(ls), config,
+                                  lam=WEIGHT_DECAY, rng=rng)
         params, state = sgd_momentum_step(params, grads, state)
         if n_batch % VALIDATE_EVERY == 0:
             acc = _accuracy(params, val_blocks, config)

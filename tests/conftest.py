@@ -28,6 +28,17 @@ def make_montage(duration_s=600.0, seed=0, fs=100.0):
                          recording_id=f"m{seed}")
 
 
+def eog_one_sample_short(duration_s):
+    """``make_montage(duration_s)`` whose EOG channels lack their last
+    sample, as ``PolySignalSet.validate`` allows."""
+    montage = make_montage(duration_s)
+    for role in ("EOG_L", "EOG_R"):
+        ch = montage.channels[role]
+        ch.samples = ch.samples[:-1]
+    montage.validate()
+    return montage
+
+
 def random_hypnodensity(rng, n_rows, resolution_s=30, recording_id="r"):
     p = rng.random((n_rows, 5)) + 1e-3
     p = p / p.sum(axis=1, keepdims=True)
@@ -53,11 +64,10 @@ def zero_params(config: nn.NetworkConfig) -> dict[str, np.ndarray]:
 def grad_check(params, batch, one_hot, config: nn.NetworkConfig,
                n_samples: int = 64, h: float = 1e-4, seed: int = 0) -> float:
     """Max relative error of analytic vs central finite-difference gradients."""
-    _, grads, _ = nn.loss_and_grads(params, batch, one_hot, config,
-                                    lam=nn.WEIGHT_DECAY, train_mode=False)
+    _, grads = nn.loss_and_grads(params, batch, one_hot, config, lam=nn.WEIGHT_DECAY)
 
     def loss_only():
-        probs, _ = nn.forward(params, batch, config, train_mode=False)
+        probs, _ = nn.forward(params, batch, config)
         return nn.loss(probs, one_hot, params, nn.WEIGHT_DECAY, config.loss_kind)
 
     rng = np.random.default_rng(seed)

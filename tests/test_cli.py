@@ -17,7 +17,7 @@ from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile, Invalid
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
-from conftest import random_hypnodensity
+from conftest import eog_one_sample_short, random_hypnodensity
 
 RAW_SPEC = {
     "EEG_C_LEFT": {"fs": 128.0, "sinusoids": [(10.0, 30.0)], "noise_sigma": 5.0},
@@ -190,6 +190,14 @@ def test_preprocess_then_encode(workspace, tmp_path):
     assert enc.tensors["EEG"].shape == (119, 201)
 
 
+def test_encode_sizes_the_cc_grid_from_the_samples_held(tmp_path):
+    meta = signal_io.save_recording(eog_one_sample_short(8.75), str(tmp_path / "m"))
+    assert cli.main(["encode", meta, str(tmp_path / "e"), "--mode", "cc"]) == 0
+    enc = EncodedRecording.load(str(tmp_path / "e" / "m0.cc.enc.json"))
+    # the last 4 s EOG segment is a sample short, so no whole window is left
+    assert all(t.shape[0] == 0 for t in enc.tensors.values())
+
+
 def test_score_writes_ensemble_csv(workspace, tmp_path):
     mont, enc_dir = tmp_path / "m", tmp_path / "e"
     cli.main(["preprocess", workspace["meta"], str(mont)])
@@ -237,6 +245,19 @@ def test_diagnose_fit_then_predict(tmp_path, rng, capsys):
     report = json.loads(capsys.readouterr().out)
     assert -1.0 <= report["score"] <= 1.0
     assert isinstance(report["label"], bool)
+
+
+@pytest.mark.parametrize("given,missing", [
+    (["--fit", "--out", "gp"], "--matrix"),
+    (["--fit", "--matrix", "m.csv"], "--out"),
+    (["--input", "v.json"], "--model"),
+    (["--model", "gp"], "--input"),
+])
+def test_diagnose_without_a_needed_option_is_a_typed_error(tmp_path, monkeypatch, capsys,
+                                                           given, missing):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["diagnose"] + given) == 3
+    assert missing in capsys.readouterr().err
 
 
 def test_evaluate_command(tmp_path, capsys):

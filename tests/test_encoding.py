@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypnopipe import encoding
 from hypnopipe.errors import InvalidSpec, NonpositiveP95, ShapeMismatch
 from hypnopipe.neuralnet import windows_from_encoded
-from conftest import cc_lag0_index, make_montage
+from conftest import cc_lag0_index, eog_one_sample_short, make_montage
 
 
 def tone(freq, fs, duration_s, amp=1.0):
@@ -195,6 +195,16 @@ def test_cc_grid_row_count_10min():
     assert enc.tensors["EEG"].shape[1] == 201
     assert enc.tensors["EOG_L"].shape[1] == 401
     assert enc.tensors["EMG"].shape[1] == 41
+
+
+def test_cc_grid_is_sized_from_the_samples_held():
+    # 13.75 s holds two windows of 4 s EOG segments, but one sample less
+    # leaves the 40th segment short: one window
+    full = encoding.encode_recording(make_montage(13.75), "cc")
+    short = encoding.encode_recording(eog_one_sample_short(13.75), "cc")
+    for name, t in full.tensors.items():
+        assert t.shape[0] == 2
+        assert np.array_equal(short.tensors[name], t[:1]), name
 
 
 def test_octave_tensor_shapes_10min():

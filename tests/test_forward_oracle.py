@@ -1,0 +1,249 @@
+"""``neuralnet.forward`` (conv stacks in chunks of CHUNK windows, no cache
+unless asked) against the whole-batch forward it replaced, kept here
+verbatim as the reference together with the layer helpers it called.
+
+The arithmetic of every window is unchanged, so probabilities must be
+bitwise equal for FF and LSTM heads on CC and octave window shapes, at batch
+sizes around the chunk boundaries.  Scoring must also hold no cache: its
+``tracemalloc`` peak may not grow with the number of windows.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from hypnopipe import neuralnet as nn
+from hypnopipe.errors import ShapeMismatch
+from hypnopipe.neuralnet import KERNEL, MODALITIES, NORM_PREFIX
+
+from conftest import grad_check
+
+
+# ------------------------------------------ the whole-batch forward, verbatim
+
+def _conv1d(x, w, b):
+    # x (B,c,L), w (f,c,k) -> (B,f,L-k+1)
+    xs = sliding_window_view(x, KERNEL, axis=2)       # (B,c,L_out,k)
+    return np.einsum("bclk,fck->bfl", xs, w, optimize=True) + b[None, :, None]
+
+
+def _meanpool2(x):
+    l_out = x.shape[2] // 2
+    return x[:, :, :2 * l_out].reshape(x.shape[0], x.shape[1], l_out, 2).mean(axis=3)
+
+
+def _sigmoid(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def _softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _subnet_forward(params, x, modality, config):
+    """Conv stack for one modality; returns pooled features and a cache."""
+    c, L = config.modality_shapes[modality]
+    if x.ndim != 3 or x.shape[1:] != (c, L):
+        raise ShapeMismatch(f"{modality}: expected (B,{c},{L}), got {x.shape}")
+    mu = params[f"{NORM_PREFIX}{modality}/mean"]
+    sd = params[f"{NORM_PREFIX}{modality}/std"]
+    h = (x - mu[None]) / sd[None]
+    cache = {"inputs": [], "pre": [], "pooled_from": []}
+    n_layers = len(config.conv_features[modality])
+    for i in range(n_layers):
+        w = params[f"conv{i}/{modality}/w"]
+        b = params[f"conv{i}/{modality}/b"]
+        cache["inputs"].append(h)
+        pre = _conv1d(h, w, b)
+        cache["pre"].append(pre)
+        h = np.maximum(pre, 0.0)
+        if i < n_layers - 1:
+            cache["pooled_from"].append(h.shape)
+            h = _meanpool2(h)
+        else:
+            cache["pooled_from"].append(None)
+            cache["gap_len"] = h.shape[2]
+            h = h.mean(axis=2)
+    return h, cache
+
+
+def forward_whole(params, batch, config: nn.NetworkConfig, train_mode: bool = False,
+                  rng: np.random.Generator | None = None, state0=None):
+    """Probabilities for a batch of windows.
+
+    ``batch`` maps modality name to an array (B, channels, length).  FF mode
+    treats the B windows independently; LSTM mode consumes them as a temporal
+    sequence, optionally continuing from ``state0`` = (h, c).  Returns
+    (probs (B,5), cache).
+    """
+    feats = []
+    caches = {}
+    for m in MODALITIES:
+        f, c = _subnet_forward(params, np.asarray(batch[m], dtype=float), m, config)
+        feats.append(f)
+        caches[m] = c
+    z = np.concatenate(feats, axis=1)          # (B, F)
+    cache = {"subnets": caches, "z": z, "feat_splits":
+             np.cumsum([f.shape[1] for f in feats])[:-1]}
+    B = z.shape[0]
+    H = config.hidden
+    if config.mode == "FF":
+        pre = z @ params["fc1/w"].T + params["fc1/b"]
+        h = np.maximum(pre, 0.0)
+        cache["fc1_pre"] = pre
+        cache["h"] = h
+    else:
+        wx, wh, b = params["lstm/wx"], params["lstm/wh"], params["lstm/b"]
+        h_prev = np.zeros(H) if state0 is None else state0[0]
+        c_prev = np.zeros(H) if state0 is None else state0[1]
+        hs = np.zeros((B, H))
+        cs = np.zeros((B, H))
+        gates_c = np.zeros((B, 4 * H))
+        h_prevs = np.zeros((B, H))
+        c_prevs = np.zeros((B, H))
+        for t in range(B):
+            g = wx @ z[t] + wh @ h_prev + b
+            i_g = _sigmoid(g[:H])
+            f_g = _sigmoid(g[H:2 * H])
+            g_g = np.tanh(g[2 * H:3 * H])
+            o_g = _sigmoid(g[3 * H:])
+            c_t = f_g * c_prev + i_g * g_g
+            h_t = o_g * np.tanh(c_t)
+            gates_c[t] = np.concatenate([i_g, f_g, g_g, o_g])
+            h_prevs[t], c_prevs[t] = h_prev, c_prev
+            hs[t], cs[t] = h_t, c_t
+            h_prev, c_prev = h_t, c_t
+        cache.update(hs=hs, cs=cs, gates=gates_c, h_prevs=h_prevs, c_prevs=c_prevs)
+        cache["state"] = (h_prev.copy(), c_prev.copy())
+        h = hs
+        if train_mode:
+            if rng is None:
+                rng = np.random.default_rng(config.seed)
+            mask = (rng.random(h.shape) < config.dropout_keep) / config.dropout_keep
+            cache["dropout_mask"] = mask
+            h = h * mask
+        cache["h"] = h
+    logits = h @ params["out/w"].T + params["out/b"]
+    probs = _softmax(logits)
+    cache["probs"] = probs
+    return probs, cache
+
+
+# --------------------------------------------------------------- fixtures
+
+def fan_in_scaled(params, seed):
+    """Weights rescaled to variance 1/fan-in, biases N(0, 0.01)."""
+    rng = np.random.default_rng(seed)
+    for name in nn.trainable_names(params):
+        w = params[name]
+        params[name] = (w / np.sqrt(nn.INIT_VARIANCE * w[0].size) if w.ndim > 1
+                        else 0.1 * rng.standard_normal(w.shape))
+    return params
+
+
+def member(encoding, mode, seed=3):
+    """A network whose outputs are far from uniform: weights at fan-in
+    scale, random input standardization."""
+    cfg = nn.NetworkConfig(mode=mode, encoding=encoding, segment_s=5, seed=seed,
+                           modality_shapes=nn.modality_shapes_for(encoding, 5))
+    params = fan_in_scaled(nn.init_params(cfg), seed)
+    rng = np.random.default_rng(seed)
+    for m in MODALITIES:
+        c, _ = cfg.modality_shapes[m]
+        params[f"{NORM_PREFIX}{m}/mean"] = rng.standard_normal((c, 1))
+        params[f"{NORM_PREFIX}{m}/std"] = rng.uniform(0.5, 2.0, (c, 1))
+    return params, cfg
+
+
+def windows(cfg, n, seed=0):
+    rng = np.random.default_rng(seed)
+    return {m: rng.standard_normal((n,) + tuple(cfg.modality_shapes[m]))
+            for m in MODALITIES}
+
+
+SIZES = [1, nn.CHUNK - 1, nn.CHUNK, nn.CHUNK + 1, 2 * nn.CHUNK + 3]
+NETS = [(e, m) for e in ("cc", "octave") for m in ("FF", "LSTM")]
+
+
+# ------------------------------------------------------------------ tests
+
+@pytest.mark.parametrize("encoding,mode", NETS)
+@pytest.mark.parametrize("n", SIZES)
+def test_forward_is_bitwise_the_whole_batch_forward(encoding, mode, n):
+    params, cfg = member(encoding, mode)
+    batch = windows(cfg, n)
+    want, _ = forward_whole(params, batch, cfg)
+    got, cache = nn.forward(params, batch, cfg)
+    assert cache is None
+    assert got.shape == (n, 5)
+    assert np.array_equal(got, want)
+    assert np.ptp(want) > 0.05            # far from uniform: a real check
+
+
+@pytest.mark.parametrize("mode", ["FF", "LSTM"])
+def test_kept_cache_gives_the_same_probabilities_and_dropout(mode):
+    params, cfg = member("cc", mode)
+    batch = windows(cfg, nn.CHUNK + 1)
+    want, old = forward_whole(params, batch, cfg, train_mode=True,
+                              rng=np.random.default_rng(5))
+    got, cache = nn.forward(params, batch, cfg, rng=np.random.default_rng(5),
+                            keep_cache=True)
+    assert np.array_equal(got, want)
+    assert np.array_equal(cache["z"], old["z"])
+    if mode == "LSTM":
+        assert np.array_equal(cache["dropout_mask"], old["dropout_mask"])
+
+
+def toy_member(mode, seed):
+    shapes = {"EEG": (1, 20), "EOG": (3, 20), "EMG": (1, 10)}
+    cfg = nn.NetworkConfig(mode=mode, segment_s=5, encoding="cc", modality_shapes=shapes,
+                           conv_features={m: [3, 4] for m in MODALITIES},
+                           hidden=6, seed=1)
+    rng = np.random.default_rng(seed)
+    n = nn.CHUNK + 5
+    batch = {m: rng.standard_normal((n,) + shapes[m]) for m in MODALITIES}
+    return cfg, batch, np.eye(5)[rng.integers(0, 5, n)]
+
+
+@pytest.mark.parametrize("mode", ["FF", "LSTM"])
+def test_gradients_stay_exact_across_chunks(mode):
+    cfg, batch, y = toy_member(mode, seed=2)
+    # at fan-in scale no gradient is so small that rounding swamps it; a step
+    # of 1e-6 rarely crosses a ReLU kink in 133 windows
+    params = fan_in_scaled(nn.init_params(cfg), seed=2)
+    assert grad_check(params, batch, y, cfg, h=1e-6) < 1e-3
+
+
+@pytest.mark.parametrize("mode", ["FF", "LSTM"])
+def test_chunked_gradients_equal_one_chunk_gradients(mode, monkeypatch):
+    cfg, batch, y = toy_member(mode, seed=3)
+    params = nn.init_params(cfg)
+    value, grads = nn.loss_and_grads(params, batch, y, cfg)
+    monkeypatch.setattr(nn, "CHUNK", len(y))
+    value1, grads1 = nn.loss_and_grads(params, batch, y, cfg)
+    assert value == value1
+    for name, g in grads1.items():
+        # only the order of the per-window sums in dw and db differs
+        assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-18), name
+
+
+def _peak_bytes(params, cfg, batch):
+    tracemalloc.start()
+    try:
+        nn.forward(params, batch, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scoring_memory_does_not_grow_with_the_night():
+    params, cfg = member("cc", "FF")
+    one = windows(cfg, nn.CHUNK)
+    four = windows(cfg, 4 * nn.CHUNK)
+    base = _peak_bytes(params, cfg, one)
+    # what does grow: about 40 features, the hidden units and 5 outputs per window
+    assert _peak_bytes(params, cfg, four) < base + 1_000_000

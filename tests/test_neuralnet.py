@@ -85,12 +85,11 @@ def test_lstm_carries_state_across_windows(rng):
     cfg = toy_config("LSTM")
     params = nn.init_params(cfg)
     batch = toy_batch(rng, 4)
-    probs, cache = nn.forward(params, batch, cfg)
+    probs, _ = nn.forward(params, batch, cfg)
     # the same window scored later in a sequence gives a different output
     repeat = {m: np.concatenate([batch[m], batch[m][:1]]) for m in batch}
     probs2, _ = nn.forward(params, repeat, cfg)
     assert not np.allclose(probs2[4], probs[0])
-    assert cache["state"][0].shape == (cfg.hidden,)
 
 
 def test_forward_rejects_bad_shape(rng):
@@ -100,14 +99,20 @@ def test_forward_rejects_bad_shape(rng):
     bad["EEG"] = bad["EEG"][:, :, :-1]
     with pytest.raises(ShapeMismatch):
         nn.forward(params, bad, cfg)
+    # every modality holds the same windows: chunking by the EEG's count
+    # would silently drop the others' extra windows
+    uneven = toy_batch(rng, nn.CHUNK + 2)
+    uneven["EEG"] = uneven["EEG"][:nn.CHUNK]
+    with pytest.raises(ShapeMismatch):
+        nn.forward(params, uneven, cfg)
 
 
 def test_inference_deterministic(rng):
     cfg = toy_config("LSTM")
     params = nn.init_params(cfg)
     batch = toy_batch(rng)
-    a, _ = nn.forward(params, batch, cfg, train_mode=False)
-    b, _ = nn.forward(params, batch, cfg, train_mode=False)
+    a, _ = nn.forward(params, batch, cfg)
+    b, _ = nn.forward(params, batch, cfg)
     assert np.array_equal(a, b)
 
 
@@ -211,7 +216,7 @@ def test_zero_input_zero_bias_first_layer_gradient():
     cfg = toy_config("FF")
     params = zero_params(cfg)
     batch = {m: np.zeros((2,) + TOY_SHAPES[m]) for m in TOY_SHAPES}
-    _, grads, _ = nn.loss_and_grads(params, batch, one_hot([0, 1]), cfg, lam=0.0)
+    _, grads = nn.loss_and_grads(params, batch, one_hot([0, 1]), cfg, lam=0.0)
     for m in nn.MODALITIES:
         assert np.all(grads[f"conv0/{m}/w"] == 0.0)
 
