@@ -41,7 +41,7 @@ def log(stage: str, msg: str, level: str = "info") -> None:
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """The run-all config with ``overrides`` applied; ``InvalidSpec`` for a file
-    that is not a JSON object, an unknown or missing key, or an unknown mode."""
+    that is not a JSON object, an unknown or missing key, or a bad value."""
     try:
         cfg = json.loads(read_text(path))
     except json.JSONDecodeError as e:
@@ -59,6 +59,9 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     cfg.setdefault("mode", "cc")
     if cfg["mode"] not in MODES:
         raise InvalidSpec(f"mode must be one of {MODES}, got {cfg['mode']!r}")
+    for key, allowed in (("hla", (0, 1)), ("resolution", signal_io.VALID_EPOCH_S)):
+        if key in cfg and (cfg[key] not in allowed or type(cfg[key]) is not int):
+            raise InvalidSpec(f"{key} must be one of {allowed}, got {cfg[key]!r}")
     return cfg
 
 
@@ -203,15 +206,17 @@ def cmd_features(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    needed = ("matrix", "out") if args.fit else ("model", "input")
-    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
-    if missing:
+    needed, ignored = ((("matrix", "out"), ("model", "input", "hla")) if args.fit
+                       else (("model", "input"), ("matrix", "seed")))
+    wrong = ([f"needs --{name}" for name in needed if getattr(args, name) is None]
+             + [f"takes no --{name}" for name in ignored if getattr(args, name) is not None])
+    if wrong:
         raise InvalidSpec(f"diagnose {'--fit' if args.fit else 'without --fit'} "
-                          f"needs {' and '.join(missing)}")
+                          f"{' and '.join(wrong)}")
     if args.fit:
         data = _read_numeric_csv(args.matrix)
         X, y = data[:, :-1], data[:, -1]
-        sel = diagnosis.rfe(X, y, seed=args.seed)
+        sel = diagnosis.rfe(X, y, seed=args.seed or 0)
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
         model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0))
         model.save(args.out)
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="feature vector JSON (predict)")
     sp.add_argument("--out")
     sp.add_argument("--hla", type=int, choices=(0, 1), default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, help="RFE fold seed (fit; default 0)")
     sp.set_defaults(func=cmd_diagnose)
 
     sp = sub.add_parser("evaluate", help="ROC statistics for scores vs truth")

@@ -1,4 +1,4 @@
-"""Octave and cross-correlation (CC) encodings of preprocessed 100 Hz channels.
+"""Octave and cross-correlation (CC) encodings of a montage at TARGET_FS.
 
 Octave encoding: cascade of 5th-order zero-phase low-pass filters at 49, 25,
 12.5, 6.25 and 3.125 Hz (never a high-pass), each derived channel scaled to a
@@ -29,7 +29,8 @@ from numpy.lib.stride_tricks import as_strided
 from scipy import signal as sps
 
 from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
-                     NonpositiveP95, ShapeMismatch)
+                     NonpositiveP95, ShapeMismatch, UnsupportedRate)
+from .preprocess import TARGET_FS
 from .signal_io import PolySignalSet
 from .store import read_bundle, write_bundle
 
@@ -70,7 +71,7 @@ class EncodedRecording:
     mode: str                      # "octave" or "cc"
     duration_s: float
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    fs: float = 100.0
+    fs: float = TARGET_FS
 
     def save(self, directory: str) -> str:
         meta = {"recording_id": self.recording_id, "mode": self.mode,
@@ -140,7 +141,7 @@ def _lowpass(x: np.ndarray, cutoff_hz: float, fs: float) -> np.ndarray:
     return sps.sosfiltfilt(sos, x)
 
 
-def octave_cascade(channel: np.ndarray, fs: float = 100.0) -> np.ndarray:
+def octave_cascade(channel: np.ndarray, fs: float) -> np.ndarray:
     """Unscaled cascade: row i is the signal after low-passing at the first
     i+1 cutoffs in OCTAVE_CUTOFFS_HZ.  No high-pass is ever applied."""
     x = np.asarray(channel, dtype=float)
@@ -152,7 +153,7 @@ def octave_cascade(channel: np.ndarray, fs: float = 100.0) -> np.ndarray:
     return out
 
 
-def octave_encode(channel: np.ndarray, fs: float = 100.0) -> np.ndarray:
+def octave_encode(channel: np.ndarray, fs: float) -> np.ndarray:
     """Five nested low-passed copies of the channel, each p95/log-modulus scaled.
 
     Returns an array of shape (5, len(channel)); row i is the cascade output
@@ -252,6 +253,9 @@ def cc_scale(gamma: np.ndarray) -> np.ndarray:
 def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     """Encode a preprocessed 5-channel montage recording.
 
+    The channels the mode reads must be at TARGET_FS (``UnsupportedRate``);
+    they are cut to the shortest one's count before any encoder runs.
+
     mode="octave": one (5, T) tensor per montage channel (25 channels total).
     mode="cc": for EEG, EOG_L, EOG_R, EOG_X and EMG, one row per whole 5 s
     window, the mean of its 20 scaled CC segments on the 0.25 s grid of the
@@ -261,40 +265,36 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     """
     if mode not in MODES:
         raise InvalidSpec(f"unknown encoding mode {mode!r}")
+    x = {}
+    for role in (("EEG_C", "EEG_O", "EOG_L", "EOG_R", "EMG_CHIN") if mode == "octave"
+                 else ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN")):
+        ch = montage.channels.get(role)
+        if ch is None:
+            raise MissingChannel(role)
+        if ch.fs != TARGET_FS:
+            raise UnsupportedRate(f"{role}: {ch.fs} Hz, encoding needs {TARGET_FS} Hz")
+        x[role] = ch.samples
+    n = min(map(len, x.values()))
+    x = {role: v[:n] for role, v in x.items()}
     enc = EncodedRecording(recording_id=montage.recording_id, mode=mode,
                            duration_s=montage.duration_s)
-    fs = 100.0
     if mode == "octave":
-        for role in ("EEG_C", "EEG_O", "EOG_L", "EOG_R", "EMG_CHIN"):
-            if role not in montage.channels:
-                raise MissingChannel(role)
-            enc.tensors[role] = octave_encode(montage.channels[role].samples, fs)
+        enc.tensors = {role: octave_encode(v, TARGET_FS) for role, v in x.items()}
         return enc
 
-    for role in ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN"):
-        if role not in montage.channels:
-            raise MissingChannel(role)
-    eeg, eog_l, eog_r, chin = (montage.channels[role].samples
-                               for role in ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN"))
-
-    sources = {"EEG": (eeg, "EEG", None), "EOG_L": (eog_l, "EOG", None),
-               "EOG_R": (eog_r, "EOG", None), "EOG_X": (eog_l, "EOG", eog_r),
-               "EMG": (chin, "EMG", None)}
-    # the grid steps by the EEG and EOG hop; a row needs a whole segment of
-    # every EEG and EOG channel as held, which may be a sample short of
-    # duration_s (the 4 s EOG segment is the longest)
-    n_grid = min(len(segment_starts(len(x), fs, CC_PARAMS[kind]))
-                 for x, kind, _ in sources.values() if kind != "EMG")
-    n_rows = n_grid // ROWS_PER_WINDOW * ROWS_PER_WINDOW
+    sources = {"EEG": (x["EEG_C"], "EEG", None), "EOG_L": (x["EOG_L"], "EOG", None),
+               "EOG_R": (x["EOG_R"], "EOG", None), "EOG_X": (x["EOG_L"], "EOG", x["EOG_R"]),
+               "EMG": (x["EMG_CHIN"], "EMG", None)}
+    # the grid steps by the EEG and EOG hop; the 4 s EOG segment is the longest
     eog, emg = CC_PARAMS["EOG"], CC_PARAMS["EMG"]
+    n_rows = len(segment_starts(n, TARGET_FS, eog)) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
     grid_centers = np.arange(n_rows) * GRID_HOP_S + eog.segment_s / 2
     emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
 
     chunk = CC_CHUNK_WINDOWS * ROWS_PER_WINDOW
-    for name, (x, kind, opposite) in sources.items():
-        starts, n_lags, rows = _cc_rows(x, fs, CC_PARAMS[kind], opposite)
-        grid = (starts[np.clip(emg_slot, 0, len(starts) - 1)] if name == "EMG"
-                else starts[:n_rows])
+    for name, (v, kind, opposite) in sources.items():
+        starts, n_lags, rows = _cc_rows(v, TARGET_FS, CC_PARAMS[kind], opposite)
+        grid = starts[emg_slot] if name == "EMG" else starts[:n_rows]
         out = enc.tensors[name] = np.empty((n_rows // ROWS_PER_WINDOW, n_lags))
         for r in range(0, n_rows, chunk):
             scaled = cc_scale(rows(grid[r:r + chunk]))

@@ -30,6 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
 from .encoding import CC_WINDOW_S, MODES, EncodedRecording
+from .preprocess import TARGET_FS
 from .signal_io import VALID_EPOCH_S
 from .store import read_bundle, write_bundle
 
@@ -60,8 +61,7 @@ class NetworkConfig:
     complexity: str = "low"               # "low" or "high"
     segment_s: int = 5                    # one of signal_io.VALID_EPOCH_S
     encoding: str = "cc"                  # "cc" (2 conv layers) or "octave" (3)
-    modality_shapes: dict = field(default_factory=lambda: {
-        "EEG": (1, 201), "EOG": (3, 401), "EMG": (1, 41)})
+    modality_shapes: dict = field(default_factory=lambda: modality_shapes_for("cc", 5))
     conv_features: dict = field(default_factory=dict)   # modality -> per-layer counts
     hidden: int = 16
     dropout_keep: float = DROPOUT_KEEP
@@ -378,9 +378,6 @@ def loss_and_grads(params, batch, one_hot, config: NetworkConfig,
 class TrainState:
     velocity: dict
     t: int = 0
-    eta0: float = LEARNING_RATE_0
-    tau: float = LR_TAU
-    alpha: float = MOMENTUM
 
     @classmethod
     def fresh(cls, params) -> "TrainState":
@@ -388,17 +385,17 @@ class TrainState:
                              for n in trainable_names(params)})
 
     def learning_rate(self) -> float:
-        return self.eta0 * float(np.exp(-self.t / self.tau))
+        return LEARNING_RATE_0 * float(np.exp(-self.t / LR_TAU))
 
 
 def sgd_momentum_step(params, grads, state: TrainState):
-    """w <- w + eta*v with v <- alpha*v - grad; eta = eta0*exp(-t/tau)."""
+    """w <- w + eta*v with v <- MOMENTUM*v - grad; eta = learning_rate()."""
     eta = state.learning_rate()
     for n in state.velocity:
         g = grads[n]
         if not np.all(np.isfinite(g)):
             raise NaNGradient(f"non-finite gradient in {n} at step {state.t}")
-        state.velocity[n] = state.alpha * state.velocity[n] - g
+        state.velocity[n] = MOMENTUM * state.velocity[n] - g
         params[n] = params[n] + eta * state.velocity[n]
     state.t += 1
     return params, state
@@ -429,7 +426,7 @@ def _one_hot(labels):
     return y
 
 
-def fit_standardization(params, dataset, config):
+def fit_standardization(params, dataset):
     """Per-channel mean/std over the training windows, stored in params."""
     for m in MODALITIES:
         xs = np.concatenate([batch[m] for batch, _ in dataset], axis=0)
@@ -470,7 +467,7 @@ def train(dataset, config: NetworkConfig, max_batches: int = 4000):
         raise DatasetTooSmall("no training blocks left after validation split")
 
     params = init_params(config)
-    fit_standardization(params, dataset, config)
+    fit_standardization(params, dataset)
     state = TrainState.fresh(params)
 
     # batch plan: FF draws shuffled windows, LSTM consumes whole blocks
@@ -557,7 +554,7 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
 def modality_shapes_for(encoding: str, segment_s: int) -> dict:
     if encoding == "cc":
         return {"EEG": (1, 201), "EOG": (3, 401), "EMG": (1, 41)}
-    length = int(100 * segment_s)
+    length = int(TARGET_FS * segment_s)
     return {"EEG": (10, length), "EOG": (10, length), "EMG": (5, length)}
 
 

@@ -199,28 +199,26 @@ def preprocess_recording(psg: PolySignalSet,
 
     Returns the 5-channel montage recording (roles EEG_C, EEG_O, EOG_L,
     EOG_R, EMG_CHIN; EEG_O omitted if no occipital candidate exists) plus a
-    selection report.
+    selection report.  Without ``ref`` a site keeps its first candidate, and
+    only the channels kept are band-limited and resampled.
     """
     psg.validate(for_pipeline=True)
-    processed: dict[str, np.ndarray] = {}
-    for role, ch in psg.channels.items():
-        y = bandlimit(ch.samples, ch.fs)
-        processed[role] = resample(y, ch.fs, TARGET_FS)
+
+    def processed(role):
+        ch = psg.channels[role]
+        return resample(bandlimit(ch.samples, ch.fs), ch.fs, TARGET_FS)
 
     report: dict[str, str] = {}
     out: dict[str, Channel] = {}
     for site, group in (("EEG_C", CENTRAL_EEG), ("EEG_O", OCCIPITAL_EEG)):
-        cands = [(r, processed[r]) for r in group if r in processed]
-        if not cands:
-            continue
-        if ref is not None and len(cands) > 1:
-            chosen = select_eeg_channel(cands, ref, fs=TARGET_FS)
-        else:
-            chosen = cands[0][0]
-        report[site] = chosen
-        out[site] = Channel(samples=processed[chosen], fs=TARGET_FS)
+        cands = [r for r in group if r in psg.channels]
+        done = {r: processed(r) for r in (cands if ref is not None else cands[:1])}
+        if done:
+            report[site] = (select_eeg_channel(list(done.items()), ref, fs=TARGET_FS)
+                            if len(done) > 1 else cands[0])
+            out[site] = Channel(samples=done[report[site]], fs=TARGET_FS)
     for role in ("EOG_L", "EOG_R", "EMG_CHIN"):
-        out[role] = Channel(samples=processed[role], fs=TARGET_FS)
+        out[role] = Channel(samples=processed(role), fs=TARGET_FS)
     montage = PolySignalSet(channels=out, duration_s=psg.duration_s,
                             recording_id=psg.recording_id)
     return montage, report

@@ -28,11 +28,11 @@ def make_montage(duration_s=600.0, seed=0, fs=100.0):
                          recording_id=f"m{seed}")
 
 
-def eog_one_sample_short(duration_s):
-    """``make_montage(duration_s)`` whose EOG channels lack their last
-    sample, as ``PolySignalSet.validate`` allows."""
+def eog_one_sample_short(duration_s, roles=("EOG_L", "EOG_R")):
+    """``make_montage(duration_s)`` whose EOG channels (or ``roles``) lack
+    their last sample, as ``PolySignalSet.validate`` allows."""
     montage = make_montage(duration_s)
-    for role in ("EOG_L", "EOG_R"):
+    for role in roles:
         ch = montage.channels[role]
         ch.samples = ch.samples[:-1]
     montage.validate()

@@ -17,7 +17,7 @@ from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile, Invalid
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
-from conftest import eog_one_sample_short, random_hypnodensity
+from conftest import eog_one_sample_short, make_montage, random_hypnodensity
 
 RAW_SPEC = {
     "EEG_C_LEFT": {"fs": 128.0, "sinusoids": [(10.0, 30.0)], "noise_sigma": 5.0},
@@ -198,6 +198,25 @@ def test_encode_sizes_the_cc_grid_from_the_samples_held(tmp_path):
     assert all(t.shape[0] == 0 for t in enc.tensors.values())
 
 
+def test_encode_cuts_the_channels_to_one_count(tmp_path):
+    # EOG_R lacks its last sample; EOG_X correlates the common 5999 samples
+    meta = signal_io.save_recording(eog_one_sample_short(60.0, ("EOG_R",)),
+                                    str(tmp_path / "m"))
+    assert cli.main(["encode", meta, str(tmp_path / "e"), "--mode", "cc"]) == 0
+    enc = EncodedRecording.load(str(tmp_path / "e" / "m0.cc.enc.json"))
+    assert all(t.shape[0] == 11 for t in enc.tensors.values())
+
+
+@pytest.mark.parametrize("mode", ["cc", "octave"])
+def test_encode_refuses_a_montage_not_at_the_target_rate(tmp_path, capsys, mode):
+    meta = signal_io.save_recording(make_montage(60.0, fs=128.0), str(tmp_path / "m"))
+    out = tmp_path / "e"
+    assert cli.main(["encode", meta, str(out), "--mode", mode]) == 3
+    err = capsys.readouterr().err
+    assert "128.0 Hz" in err and "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_score_writes_ensemble_csv(workspace, tmp_path):
     mont, enc_dir = tmp_path / "m", tmp_path / "e"
     cli.main(["preprocess", workspace["meta"], str(mont)])
@@ -258,6 +277,25 @@ def test_diagnose_without_a_needed_option_is_a_typed_error(tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     assert cli.main(["diagnose"] + given) == 3
     assert missing in capsys.readouterr().err
+
+
+FIT = ["--fit", "--matrix", "m.csv", "--out", "gp"]
+PREDICT = ["--model", "gp", "--input", "v.json", "--out", "d.json"]
+
+
+@pytest.mark.parametrize("given,ignored", [
+    (FIT + ["--model", "gp"], "--model"),
+    (FIT + ["--input", "v.json"], "--input"),
+    (FIT + ["--hla", "1"], "--hla"),
+    (PREDICT + ["--matrix", "m.csv"], "--matrix"),
+    (PREDICT + ["--seed", "0"], "--seed"),
+])
+def test_diagnose_with_an_option_its_mode_ignores_is_a_typed_error(
+        tmp_path, monkeypatch, capsys, given, ignored):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["diagnose"] + given) == 3
+    assert f"takes no {ignored}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_evaluate_command(tmp_path, capsys):
@@ -390,6 +428,14 @@ CONFIG_DEFECTS = {
     "unknown_mode": lambda cfg: json.dumps({**cfg, "mode": "foo"}),
     "not_an_object": lambda cfg: json.dumps(sorted(cfg)),
     "not_json": lambda cfg: json.dumps(cfg)[:-1],
+    "hla_string": lambda cfg: json.dumps({**cfg, "hla": "0"}),
+    "hla_two": lambda cfg: json.dumps({**cfg, "hla": 2}),
+    "hla_true": lambda cfg: json.dumps({**cfg, "hla": True}),
+    "hla_null": lambda cfg: json.dumps({**cfg, "hla": None}),
+    "resolution_zero": lambda cfg: json.dumps({**cfg, "resolution": 0}),
+    "resolution_negative": lambda cfg: json.dumps({**cfg, "resolution": -30}),
+    "resolution_float": lambda cfg: json.dumps({**cfg, "resolution": 30.0}),
+    "resolution_7": lambda cfg: json.dumps({**cfg, "resolution": 7}),
 }
 
 
@@ -407,6 +453,16 @@ def test_exit_code_validation_bad_config(workspace, tmp_path, monkeypatch,
     assert cli.main(["run-all", "--config", str(bad),
                      "--out-dir", str(tmp_path / "o")]) == 3
     assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_load_config_keeps_valid_hla_and_resolution(workspace, tmp_path):
+    cfg = json.loads(Path(workspace["config"]).read_text())
+    path = tmp_path / "c.json"
+    for hla, resolution in ((0, 5), (1, 30)):
+        path.write_text(json.dumps({**cfg, "hla": hla, "resolution": resolution}))
+        got = cli.load_config(str(path))
+        assert (got["hla"], got["resolution"]) == (hla, resolution)
 
 
 MODEL_DEFECTS = {

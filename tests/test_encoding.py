@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypnopipe import encoding
-from hypnopipe.errors import InvalidSpec, NonpositiveP95, ShapeMismatch
+from hypnopipe.errors import (InvalidSpec, MissingChannel, NonpositiveP95, ShapeMismatch,
+                              UnsupportedRate)
 from hypnopipe.neuralnet import windows_from_encoded
+from hypnopipe.signal_io import Channel
 from conftest import cc_lag0_index, eog_one_sample_short, make_montage
 
 
@@ -205,6 +207,37 @@ def test_cc_grid_is_sized_from_the_samples_held():
     for name, t in full.tensors.items():
         assert t.shape[0] == 2
         assert np.array_equal(short.tensors[name], t[:1]), name
+
+
+@pytest.mark.parametrize("mode", encoding.MODES)
+def test_a_channel_a_sample_short_cuts_every_channel(mode):
+    # EOG_R lacks its last sample: every channel is cut to 5999 samples,
+    # which hold 11 whole 5 s windows in both modes
+    enc = encoding.encode_recording(eog_one_sample_short(60.0, ("EOG_R",)), mode)
+    if mode == "octave":
+        assert all(t.shape == (5, 5999) for t in enc.tensors.values())
+    assert all(len(x) == 11 for x in windows_from_encoded(enc, 5).values())
+
+
+@pytest.mark.parametrize("mode", encoding.MODES)
+def test_encode_takes_only_target_rate_channels(mode):
+    with pytest.raises(UnsupportedRate, match="128.0 Hz"):
+        encoding.encode_recording(make_montage(60.0, fs=128.0), mode)
+    montage = make_montage(60.0)
+    montage.channels["EMG_CHIN"].fs = 200.0
+    with pytest.raises(UnsupportedRate, match="EMG_CHIN"):
+        encoding.encode_recording(montage, mode)
+
+
+def test_cc_encoding_reads_no_occipital_channel():
+    montage = make_montage(60.0)
+    want = encoding.encode_recording(montage, "cc").tensors
+    montage.channels["EEG_O"] = Channel(samples=np.zeros(10), fs=128.0)
+    got = encoding.encode_recording(montage, "cc").tensors
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    del montage.channels["EEG_O"]
+    with pytest.raises(MissingChannel):
+        encoding.encode_recording(montage, "octave")
 
 
 def test_octave_tensor_shapes_10min():

@@ -174,3 +174,27 @@ def test_preprocess_recording_builds_montage():
     assert set(montage.channels) == {"EEG_C", "EEG_O", "EOG_L", "EOG_R", "EMG_CHIN"}
     assert all(c.fs == 100.0 for c in montage.channels.values())
     assert report["EEG_C"] in ("EEG_C_LEFT", "EEG_C_RIGHT")
+
+
+@pytest.mark.parametrize("with_ref,n_calls", [(False, 5), (True, 7)])
+def test_only_channels_selection_can_use_are_band_limited(monkeypatch, with_ref, n_calls):
+    spec = {role: {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5}
+            for role in signal_io.ROLES}
+    psg = signal_io.synth_recording(spec, seed=0, duration_s=60)
+    bandlimit, calls = preprocess.bandlimit, []
+
+    def counted(x, fs):
+        calls.append(fs)
+        return bandlimit(x, fs)
+
+    monkeypatch.setattr(preprocess, "bandlimit", counted)
+    montage, report = preprocess.preprocess_recording(
+        psg, _ref_from_clean() if with_ref else None)
+    assert len(calls) == n_calls
+    if not with_ref:
+        assert report == {"EEG_C": "EEG_C_LEFT", "EEG_O": "EEG_O_LEFT"}
+    sources = {**report, "EOG_L": "EOG_L", "EOG_R": "EOG_R", "EMG_CHIN": "EMG_CHIN"}
+    for site, role in sources.items():
+        ch = psg.channels[role]
+        want = preprocess.resample(bandlimit(ch.samples, ch.fs), ch.fs)
+        assert np.array_equal(montage.channels[site].samples, want)
