@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import diagnosis, features, hypnodensity, neuralnet, preprocess, signal_io
-from .encoding import MODES, EncodedRecording, encode_recording
+from .encoding import MODES, MONTAGE, EncodedRecording, encode_recording
 from .errors import (CholeskyFailure, CorruptHeader, EmptyFile, HypnopipeError,
                      InvalidSpec, InvalidValues, NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
@@ -73,7 +73,10 @@ def _load_ref(path):
 
 def cmd_preprocess(args) -> int:
     psg = signal_io.load_recording(args.input)
-    montage, report = preprocess.preprocess_recording(psg, _load_ref(args.ref))
+    # the mode is not known here: the CC roles, and EEG_O if it can be made
+    roles = MONTAGE["octave" if any(r in psg.channels for r in signal_io.OCCIPITAL_EEG)
+                    else "cc"]
+    montage, report = preprocess.preprocess_recording(psg, _load_ref(args.ref), roles)
     signal_io.save_recording(montage, args.out)
     with open(os.path.join(args.out, f"{psg.recording_id}.selection.json"), "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
@@ -297,7 +300,7 @@ def cmd_run_all(args) -> int:
     psg = signal_io.load_recording(cfg["recording"])
     rid = psg.recording_id
 
-    montage, report = preprocess.preprocess_recording(psg, ref)
+    montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[cfg["mode"]])
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, cfg["mode"])
     log("encode", f"{rid}: {enc.mode} encoding done")

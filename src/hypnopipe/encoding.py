@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import signal as sps
 
 from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
                      NonpositiveP95, ShapeMismatch, UnsupportedRate)
-from .preprocess import TARGET_FS
+from .preprocess import TARGET_FS, butter_zero_phase
 from .signal_io import PolySignalSet
 from .store import read_bundle, write_bundle
 
@@ -40,6 +39,11 @@ P95_HOP_S = 45 * 60         # 50% overlap
 P95_MODE_BINS = 64
 
 MODES = ("octave", "cc")
+# The montage roles each mode reads, by the modality whose sub-network they
+# feed: octave stacks both EEG sites, CC correlates the central one only.
+INPUTS = {mode: {"EEG": eeg, "EOG": ("EOG_L", "EOG_R"), "EMG": ("EMG_CHIN",)}
+          for mode, eeg in (("octave", ("EEG_C", "EEG_O")), ("cc", ("EEG_C",)))}
+MONTAGE = {mode: sum(inputs.values(), ()) for mode, inputs in INPUTS.items()}
 GRID_HOP_S = 0.25           # common alignment grid for all CC modalities
 CC_WINDOW_S = 5             # a stored CC row is the mean over one 5 s window
 ROWS_PER_WINDOW = round(CC_WINDOW_S / GRID_HOP_S)
@@ -71,11 +75,10 @@ class EncodedRecording:
     mode: str                      # "octave" or "cc"
     duration_s: float
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    fs: float = TARGET_FS
 
     def save(self, directory: str) -> str:
         meta = {"recording_id": self.recording_id, "mode": self.mode,
-                "duration_s": self.duration_s, "fs": self.fs}
+                "duration_s": self.duration_s, "fs": TARGET_FS}
         if self.mode == "cc":
             meta["row_s"] = CC_WINDOW_S
         return write_bundle(
@@ -84,19 +87,22 @@ class EncodedRecording:
 
     @classmethod
     def load(cls, path: str) -> "EncodedRecording":
-        """Raises ``CorruptHeader`` for a CC encoding whose rows are not 5 s
-        window means (0.25 s grid rows, as written by older versions)."""
+        """Raises ``CorruptHeader`` for a manifest whose ``fs`` is not TARGET_FS,
+        or a CC encoding whose rows are not 5 s window means (0.25 s grid
+        rows, as written by older versions)."""
         tensors, meta = read_bundle(path)
-        keys = ("recording_id", "mode", "duration_s", "fs")
+        keys = ("recording_id", "mode", "duration_s")
         if any(k not in meta for k in keys) or meta["mode"] not in MODES:
             raise CorruptHeader(f"{path}: not an octave or CC encoding manifest")
+        if meta.get("fs") != TARGET_FS:
+            raise CorruptHeader(f"{path}: fs is {meta.get('fs')!r}, not {TARGET_FS}")
         if meta["mode"] == "cc" and meta.get("row_s") != CC_WINDOW_S:
             raise CorruptHeader(f"{path}: CC rows are not {CC_WINDOW_S} s window "
                                 f"means; encode the recording again")
         return cls(tensors=tensors, **{k: meta[k] for k in keys})
 
 
-def robust_p95(x: np.ndarray, fs: float) -> float:
+def robust_p95(x: np.ndarray) -> float:
     """Mode of per-window 95th percentiles of |x| (90 min windows, 50% overlap).
 
     Recordings shorter than one window fall back to the global percentile.
@@ -107,10 +113,10 @@ def robust_p95(x: np.ndarray, fs: float) -> float:
     x = np.asarray(x, dtype=float)
     if len(x) == 0:
         raise EmptySignal("empty signal")
-    win = int(P95_WINDOW_S * fs)
+    win = int(P95_WINDOW_S * TARGET_FS)
     if len(x) < win:
         return float(np.percentile(np.abs(x), 95))
-    hop = int(P95_HOP_S * fs)
+    hop = int(P95_HOP_S * TARGET_FS)
     vals = []
     start = 0
     while start + win <= len(x):
@@ -136,52 +142,47 @@ def log_modulus_scale(x: np.ndarray, p95: float) -> np.ndarray:
     return np.sign(x) * np.log(np.abs(x) / p95 + 1.0)
 
 
-def _lowpass(x: np.ndarray, cutoff_hz: float, fs: float) -> np.ndarray:
-    sos = sps.butter(5, cutoff_hz, btype="lowpass", fs=fs, output="sos")
-    return sps.sosfiltfilt(sos, x)
-
-
-def octave_cascade(channel: np.ndarray, fs: float) -> np.ndarray:
+def octave_cascade(channel: np.ndarray) -> np.ndarray:
     """Unscaled cascade: row i is the signal after low-passing at the first
     i+1 cutoffs in OCTAVE_CUTOFFS_HZ.  No high-pass is ever applied."""
     x = np.asarray(channel, dtype=float)
     out = np.zeros((len(OCTAVE_CUTOFFS_HZ), len(x)))
     current = x
     for i, cutoff in enumerate(OCTAVE_CUTOFFS_HZ):
-        current = _lowpass(current, cutoff, fs)
+        current = butter_zero_phase(current, cutoff, "lowpass", TARGET_FS)
         out[i] = current
     return out
 
 
-def octave_encode(channel: np.ndarray, fs: float) -> np.ndarray:
+def octave_encode(channel: np.ndarray) -> np.ndarray:
     """Five nested low-passed copies of the channel, each p95/log-modulus scaled.
 
     Returns an array of shape (5, len(channel)); row i is the cascade output
     at cutoff OCTAVE_CUTOFFS_HZ[i].
     """
-    cascade = octave_cascade(channel, fs)
+    cascade = octave_cascade(channel)
     out = np.zeros_like(cascade)
     for i, band in enumerate(cascade):
         if np.allclose(band, 0.0):
             out[i] = 0.0
         else:
-            p95 = robust_p95(band, fs)
+            p95 = robust_p95(band)
             if p95 <= 0:
                 p95 = float(np.max(np.abs(band))) or 1.0
             out[i] = log_modulus_scale(band, p95)
     return out
 
 
-def segment_starts(n_samples: int, fs: float, params: CCParams) -> np.ndarray:
-    seg = int(round(params.segment_s * fs))
-    hop = params.hop_s * fs
+def segment_starts(n_samples: int, params: CCParams) -> np.ndarray:
+    seg = int(round(params.segment_s * TARGET_FS))
+    hop = params.hop_s * TARGET_FS
     n = int(np.floor((n_samples - seg) / hop)) + 1
     if n < 1:
         raise EmptySignal("signal shorter than one segment")
     return np.round(np.arange(n) * hop).astype(int)
 
 
-def _cc_rows(signal, fs: float, params: CCParams, opposite=None):
+def _cc_rows(signal, params: CCParams, opposite=None):
     """``(starts, n_lags, rows)``: every segment's first sample, the number of
     lags, and a function that returns the raw CC rows of the segments
     starting at a non-decreasing array of those starts.
@@ -198,12 +199,12 @@ def _cc_rows(signal, fs: float, params: CCParams, opposite=None):
     ext_src = x if opposite is None else np.asarray(opposite, dtype=float)
     if opposite is not None and len(ext_src) != len(x):
         raise ShapeMismatch("opposite channel length differs")
-    seg_len = int(round(params.segment_s * fs))
-    ext_len = int(round(params.extension_s * fs))
+    seg_len = int(round(params.segment_s * TARGET_FS))
+    ext_len = int(round(params.extension_s * TARGET_FS))
     n_lags = ext_len - seg_len + 1
     wing = (ext_len - seg_len) // 2
-    starts = segment_starts(len(x), fs, params)
-    block = math.gcd(seg_len, int(round(params.hop_s * fs)))
+    starts = segment_starts(len(x), params)
+    block = math.gcd(seg_len, int(round(params.hop_s * TARGET_FS)))
     span = seg_len // block                   # blocks per segment
     if span & (span - 1) or np.any(starts % block):
         raise InvalidSpec(f"a CC segment of {seg_len} samples is not 2^k blocks "
@@ -227,7 +228,7 @@ def _cc_rows(signal, fs: float, params: CCParams, opposite=None):
     return starts, n_lags, rows
 
 
-def cc_segment(signal: np.ndarray, fs: float, params: CCParams,
+def cc_segment(signal: np.ndarray, params: CCParams,
                opposite: np.ndarray | None = None) -> np.ndarray:
     """Raw per-segment correlation against a centered extension window.
 
@@ -237,7 +238,7 @@ def cc_segment(signal: np.ndarray, fs: float, params: CCParams,
     recording edges are zero-padded.  ``InvalidSpec`` unless the segment is
     2^k blocks of ``gcd(segment, hop)`` samples (true of ``CC_PARAMS``).
     """
-    starts, _, rows = _cc_rows(signal, fs, params, opposite)
+    starts, _, rows = _cc_rows(signal, params, opposite)
     return rows(starts)
 
 
@@ -266,8 +267,7 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     if mode not in MODES:
         raise InvalidSpec(f"unknown encoding mode {mode!r}")
     x = {}
-    for role in (("EEG_C", "EEG_O", "EOG_L", "EOG_R", "EMG_CHIN") if mode == "octave"
-                 else ("EEG_C", "EOG_L", "EOG_R", "EMG_CHIN")):
+    for role in MONTAGE[mode]:
         ch = montage.channels.get(role)
         if ch is None:
             raise MissingChannel(role)
@@ -279,7 +279,7 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     enc = EncodedRecording(recording_id=montage.recording_id, mode=mode,
                            duration_s=montage.duration_s)
     if mode == "octave":
-        enc.tensors = {role: octave_encode(v, TARGET_FS) for role, v in x.items()}
+        enc.tensors = {role: octave_encode(v) for role, v in x.items()}
         return enc
 
     sources = {"EEG": (x["EEG_C"], "EEG", None), "EOG_L": (x["EOG_L"], "EOG", None),
@@ -287,13 +287,13 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
                "EMG": (x["EMG_CHIN"], "EMG", None)}
     # the grid steps by the EEG and EOG hop; the 4 s EOG segment is the longest
     eog, emg = CC_PARAMS["EOG"], CC_PARAMS["EMG"]
-    n_rows = len(segment_starts(n, TARGET_FS, eog)) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
+    n_rows = len(segment_starts(n, eog)) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
     grid_centers = np.arange(n_rows) * GRID_HOP_S + eog.segment_s / 2
     emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
 
     chunk = CC_CHUNK_WINDOWS * ROWS_PER_WINDOW
     for name, (v, kind, opposite) in sources.items():
-        starts, n_lags, rows = _cc_rows(v, TARGET_FS, CC_PARAMS[kind], opposite)
+        starts, n_lags, rows = _cc_rows(v, CC_PARAMS[kind], opposite)
         grid = starts[emg_slot] if name == "EMG" else starts[:n_rows]
         out = enc.tensors[name] = np.empty((n_rows // ROWS_PER_WINDOW, n_lags))
         for r in range(0, n_rows, chunk):

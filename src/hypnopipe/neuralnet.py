@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
-from .encoding import CC_WINDOW_S, MODES, EncodedRecording
+from .encoding import CC_WINDOW_S, INPUTS, MODES, OCTAVE_CUTOFFS_HZ, EncodedRecording
 from .preprocess import TARGET_FS
 from .signal_io import VALID_EPOCH_S
 from .store import read_bundle, write_bundle
@@ -535,7 +535,7 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
                                  axis=1),
                  "EMG": means("EMG")[:, None, :]}
     else:
-        width = int(round(segment_s * enc.fs))
+        width = int(round(segment_s * TARGET_FS))
         n = t["EEG_C"].shape[1] // width
 
         def cut(*names):
@@ -544,8 +544,7 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
             out = np.empty((n, sum(p.shape[1] for p in parts), width))
             return np.concatenate(parts, axis=1, out=out)
 
-        batch = {"EEG": cut("EEG_C", "EEG_O"), "EOG": cut("EOG_L", "EOG_R"),
-                 "EMG": cut("EMG_CHIN")}
+        batch = {m: cut(*roles) for m, roles in INPUTS["octave"].items()}
     if n == 0:
         raise ShapeMismatch("recording shorter than one window")
     return batch
@@ -554,8 +553,8 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
 def modality_shapes_for(encoding: str, segment_s: int) -> dict:
     if encoding == "cc":
         return {"EEG": (1, 201), "EOG": (3, 401), "EMG": (1, 41)}
-    length = int(TARGET_FS * segment_s)
-    return {"EEG": (10, length), "EOG": (10, length), "EMG": (5, length)}
+    bands, length = len(OCTAVE_CUTOFFS_HZ), int(TARGET_FS * segment_s)
+    return {m: (bands * len(roles), length) for m, roles in INPUTS["octave"].items()}
 
 
 # ---------------------------------------------------------------- archive

@@ -1,10 +1,11 @@
 """Band-limiting, resampling to 100 Hz, and Hjorth-based channel quality selection.
 
-All recordings are passed through a 5th-order Butterworth high-pass at 0.2 Hz
-and low-pass at 49 Hz, both applied forward-backward (zero phase), then
-down-sampled to 100 Hz.  EEG channel pairs are ranked by the Mahalanobis
-distance of their averaged log-Hjorth parameters to a reference distribution
-fit on known-good recordings; the lowest-distance candidate wins.
+Every channel a montage role needs is passed through a 5th-order Butterworth
+high-pass at 0.2 Hz and low-pass at 49 Hz, both applied forward-backward
+(zero phase), then down-sampled to TARGET_FS; nothing downstream takes a
+rate.  EEG channel pairs are ranked by the Mahalanobis distance of their
+averaged log-Hjorth parameters to a reference distribution fit on known-good
+recordings processed the same way; the lowest-distance candidate wins.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from scipy import signal as sps
 
 from .errors import (
     AllDegenerate,
+    CorruptHeader,
     DegenerateSegment,
+    MissingChannel,
     SignalTooShort,
     SingularCovariance,
     UnsupportedRate,
 )
-from .signal_io import CENTRAL_EEG, OCCIPITAL_EEG, Channel, PolySignalSet
+from .signal_io import CENTRAL_EEG, SITES, Channel, PolySignalSet
 
 FILTER_ORDER = 5
 HIGHPASS_HZ = 0.2
@@ -55,9 +58,23 @@ class ReferenceDistribution:
 
     @classmethod
     def from_json(cls, text: str) -> "ReferenceDistribution":
-        d = json.loads(text)
-        return cls(mean=np.array(d["mean"], dtype=float),
-                   covariance=np.array(d["covariance"], dtype=float).reshape(3, 3))
+        """``CorruptHeader`` unless ``text`` is a JSON object holding exactly a
+        finite 3-value ``mean`` and a 9-value symmetric positive definite
+        ``covariance``."""
+        try:
+            d = json.loads(text)
+            if not isinstance(d, dict) or set(d) != {"mean", "covariance"}:
+                raise ValueError('need an object with exactly "mean" and "covariance"')
+            mean, cov = (np.array(d[k], dtype=float) for k in ("mean", "covariance"))
+            if (mean.shape, cov.shape) != ((3,), (9,)):
+                raise ValueError("need 3 mean values and 9 covariance values")
+            cov = cov.reshape(3, 3)
+            if not (np.isfinite([*mean, *cov.flat]).all() and np.allclose(cov, cov.T)):
+                raise ValueError("need finite values and a symmetric covariance")
+            np.linalg.cholesky(cov)       # LinAlgError, a ValueError, unless definite
+        except (TypeError, ValueError) as e:
+            raise CorruptHeader(f"reference distribution: {e}") from e
+        return cls(mean=mean, covariance=cov)
 
     def mahalanobis(self, v: np.ndarray) -> float:
         L = np.linalg.cholesky(self.covariance)
@@ -65,29 +82,36 @@ class ReferenceDistribution:
         return float(np.sqrt(z @ z))
 
 
+def butter_zero_phase(x: np.ndarray, cutoff_hz: float, btype: str,
+                      fs: float) -> np.ndarray:
+    """A FILTER_ORDER Butterworth run forward and backward.  ``SignalTooShort``
+    below 6 * FILTER_ORDER samples, which also covers the edge padding."""
+    if len(x) < 6 * FILTER_ORDER:
+        raise SignalTooShort(f"{len(x)} samples < {6 * FILTER_ORDER}")
+    sos = sps.butter(FILTER_ORDER, cutoff_hz, btype=btype, fs=fs, output="sos")
+    return sps.sosfiltfilt(sos, x)
+
+
 def bandlimit(x: np.ndarray, fs: float) -> np.ndarray:
     """Zero-phase 5th-order high-pass at 0.2 Hz then low-pass at 49 Hz."""
     x = np.asarray(x, dtype=float)
     if fs < 2 * LOWPASS_HZ + 2:
         raise UnsupportedRate(f"fs={fs} too low for a 49 Hz low-pass")
-    if len(x) < 6 * FILTER_ORDER:
-        raise SignalTooShort(f"{len(x)} samples < {6 * FILTER_ORDER}")
-    hp = sps.butter(FILTER_ORDER, HIGHPASS_HZ, btype="highpass", fs=fs, output="sos")
-    lp = sps.butter(FILTER_ORDER, LOWPASS_HZ, btype="lowpass", fs=fs, output="sos")
-    return sps.sosfiltfilt(lp, sps.sosfiltfilt(hp, x))
+    return butter_zero_phase(butter_zero_phase(x, HIGHPASS_HZ, "highpass", fs),
+                             LOWPASS_HZ, "lowpass", fs)
 
 
-def resample(x: np.ndarray, fs_in: float, fs_out: float = TARGET_FS) -> np.ndarray:
-    """Polyphase down-sampling with a Kaiser anti-alias prefilter."""
+def resample(x: np.ndarray, fs_in: float) -> np.ndarray:
+    """Polyphase down-sampling to TARGET_FS with a Kaiser anti-alias prefilter."""
     x = np.asarray(x, dtype=float)
-    if fs_out > fs_in:
-        raise UnsupportedRate(f"upsampling {fs_in} -> {fs_out} not supported")
-    if fs_in == fs_out:
+    if TARGET_FS > fs_in:
+        raise UnsupportedRate(f"upsampling {fs_in} -> {TARGET_FS} not supported")
+    if fs_in == TARGET_FS:
         return x.copy()
-    frac = Fraction(fs_out / fs_in).limit_denominator(10000)
+    frac = Fraction(TARGET_FS / fs_in).limit_denominator(10000)
     y = sps.resample_poly(x, frac.numerator, frac.denominator,
                           window=("kaiser", 5.0))
-    n_target = round(len(x) * fs_out / fs_in)
+    n_target = round(len(x) * TARGET_FS / fs_in)
     if len(y) > n_target:
         y = y[:n_target]
     elif len(y) < n_target:
@@ -113,14 +137,20 @@ def hjorth(segment: np.ndarray) -> HjorthTriple:
     return HjorthTriple(activity=var_x, mobility=mobility, complexity=complexity)
 
 
-def _avg_log_hjorth(x: np.ndarray, fs: float) -> np.ndarray | None:
-    """Average elementwise log of Hjorth triples over full 5-minute segments.
+def to_target_rate(ch: Channel) -> np.ndarray:
+    """The channel band-limited and resampled to TARGET_FS."""
+    return resample(bandlimit(ch.samples, ch.fs), ch.fs)
+
+
+def _avg_log_hjorth(x: np.ndarray) -> np.ndarray | None:
+    """Average elementwise log of Hjorth triples over full 5-minute segments
+    of a TARGET_FS signal.
 
     Returns None if every segment is constant.  Partial tail segments are
     dropped.  Signals shorter than one segment use a single whole-signal
     segment so short fixtures remain usable.
     """
-    seg_len = int(SELECTION_SEGMENT_S * fs)
+    seg_len = int(SELECTION_SEGMENT_S * TARGET_FS)
     if len(x) < seg_len:
         segments = [x]
     else:
@@ -142,14 +172,13 @@ def _avg_log_hjorth(x: np.ndarray, fs: float) -> np.ndarray | None:
 
 
 def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
-                       ref: ReferenceDistribution,
-                       fs: float = TARGET_FS) -> str:
-    """Return the candidate role with lowest Mahalanobis distance to ref."""
+                       ref: ReferenceDistribution) -> str:
+    """Return the TARGET_FS candidate with lowest Mahalanobis distance to ref."""
     if not candidates:
         raise AllDegenerate("no candidates")
     best_role, best_dist = None, np.inf
     for role, x in candidates:
-        v = _avg_log_hjorth(np.asarray(x, dtype=float), fs)
+        v = _avg_log_hjorth(np.asarray(x, dtype=float))
         if v is None:
             continue
         d = ref.mahalanobis(v)
@@ -162,19 +191,15 @@ def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
 
 def fit_reference(training: list[PolySignalSet],
                   roles: tuple[str, ...] = CENTRAL_EEG) -> ReferenceDistribution:
-    """Mean/covariance of per-recording averaged log-Hjorth vectors."""
+    """Mean/covariance of per-recording averaged log-Hjorth vectors, each
+    channel first brought to TARGET_FS as ``preprocess_recording`` does."""
     if len(training) < 4:
         raise SingularCovariance("need at least 4 recordings")
     vectors = []
     for psg in training:
-        per_channel = []
-        for role in roles:
-            if role not in psg.channels:
-                continue
-            ch = psg.channels[role]
-            v = _avg_log_hjorth(np.asarray(ch.samples, dtype=float), ch.fs)
-            if v is not None:
-                per_channel.append(v)
+        per_channel = [_avg_log_hjorth(to_target_rate(psg.channels[r]))
+                       for r in roles if r in psg.channels]
+        per_channel = [v for v in per_channel if v is not None]
         if per_channel:
             vectors.append(np.mean(per_channel, axis=0))
     if len(vectors) < 4:
@@ -192,33 +217,29 @@ def fit_reference(training: list[PolySignalSet],
     return ReferenceDistribution(mean=mean, covariance=cov)
 
 
-def preprocess_recording(psg: PolySignalSet,
-                         ref: ReferenceDistribution | None = None
-                         ) -> tuple[PolySignalSet, dict]:
-    """Band-limit, resample to 100 Hz, and pick one channel per EEG site.
-
-    Returns the 5-channel montage recording (roles EEG_C, EEG_O, EOG_L,
-    EOG_R, EMG_CHIN; EEG_O omitted if no occipital candidate exists) plus a
-    selection report.  Without ``ref`` a site keeps its first candidate, and
-    only the channels kept are band-limited and resampled.
+def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
+                         roles: tuple[str, ...]) -> tuple[PolySignalSet, dict]:
+    """The montage of ``roles`` at TARGET_FS and the selection report
+    ``{site: raw role}``.  A site (``SITES``) takes its candidate nearest
+    ``ref`` when there is a ``ref`` and it has two or more, else its first;
+    any other role is the raw channel of that name.  Only the channels taken
+    or compared are processed.  ``MissingChannel`` for a role with no channel
+    to make it from, before any is processed.
     """
-    psg.validate(for_pipeline=True)
-
-    def processed(role):
-        ch = psg.channels[role]
-        return resample(bandlimit(ch.samples, ch.fs), ch.fs, TARGET_FS)
-
+    psg.validate()
+    have = {role: [r for r in SITES.get(role, (role,)) if r in psg.channels]
+            for role in roles}
+    for role in roles:
+        if not have[role]:
+            raise MissingChannel("|".join(SITES.get(role, (role,))))
     report: dict[str, str] = {}
     out: dict[str, Channel] = {}
-    for site, group in (("EEG_C", CENTRAL_EEG), ("EEG_O", OCCIPITAL_EEG)):
-        cands = [r for r in group if r in psg.channels]
-        done = {r: processed(r) for r in (cands if ref is not None else cands[:1])}
-        if done:
-            report[site] = (select_eeg_channel(list(done.items()), ref, fs=TARGET_FS)
-                            if len(done) > 1 else cands[0])
-            out[site] = Channel(samples=done[report[site]], fs=TARGET_FS)
-    for role in ("EOG_L", "EOG_R", "EMG_CHIN"):
-        out[role] = Channel(samples=processed(role), fs=TARGET_FS)
-    montage = PolySignalSet(channels=out, duration_s=psg.duration_s,
-                            recording_id=psg.recording_id)
-    return montage, report
+    for role, cands in have.items():
+        done = {r: to_target_rate(psg.channels[r])
+                for r in (cands if ref is not None else cands[:1])}
+        pick = select_eeg_channel(list(done.items()), ref) if len(done) > 1 else cands[0]
+        if role in SITES:
+            report[role] = pick
+        out[role] = Channel(samples=done[pick], fs=TARGET_FS)
+    return PolySignalSet(channels=out, duration_s=psg.duration_s,
+                         recording_id=psg.recording_id), report

@@ -37,11 +37,8 @@ ROLES = (
 CENTRAL_EEG = ("EEG_C_LEFT", "EEG_C_RIGHT")
 OCCIPITAL_EEG = ("EEG_O_LEFT", "EEG_O_RIGHT")
 
-# Site roles used after channel selection collapses left/right candidates.
-MONTAGE_ROLES = ("EEG_C", "EEG_O")
-
-# Channels that must be present to run the full pipeline.
-REQUIRED_FOR_PIPELINE = ("EOG_L", "EOG_R", "EMG_CHIN")
+# Montage sites, each made from one of its left/right candidates by selection.
+SITES = {"EEG_C": CENTRAL_EEG, "EEG_O": OCCIPITAL_EEG}
 
 STAGES = ("W", "N1", "N2", "N3", "REM")
 UNSCORED = "UNSCORED"
@@ -62,9 +59,9 @@ class PolySignalSet:
     duration_s: float
     recording_id: str
 
-    def validate(self, for_pipeline: bool = False) -> None:
+    def validate(self) -> None:
         for role, ch in self.channels.items():
-            if role not in ROLES and role not in MONTAGE_ROLES:
+            if role not in ROLES and role not in SITES:
                 raise CorruptHeader(f"unknown channel role {role!r}")
             if ch.fs <= 0:
                 raise CorruptHeader(f"{role}: fs must be > 0, got {ch.fs}")
@@ -77,12 +74,6 @@ class PolySignalSet:
             if not finite.all():
                 raise InvalidValues(f"{role}: non-finite sample at index "
                                     f"{int(np.argmin(finite))}")
-        if for_pipeline:
-            if not any(r in self.channels for r in CENTRAL_EEG):
-                raise MissingChannel("EEG_C_LEFT|EEG_C_RIGHT")
-            for role in REQUIRED_FOR_PIPELINE:
-                if role not in self.channels:
-                    raise MissingChannel(role)
 
 
 @dataclass

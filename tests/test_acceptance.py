@@ -93,12 +93,12 @@ def test_criterion_dsp_suite():
         assert np.argmax(xc) == len(x) - 4001
         # octave energy nesting: each stage removes energy
         rng = np.random.default_rng(0)
-        casc = encoding.octave_cascade(rng.standard_normal(60000), 100.0)
+        casc = encoding.octave_cascade(rng.standard_normal(60000))
         energies = (casc ** 2).sum(axis=1)
         assert np.all(np.diff(energies) < 0)
         # CC lag 0 equals mean power, exact for a unit sine
         params = encoding.CC_PARAMS["EEG"]
-        g = encoding.cc_segment(tone(5, 100.0, 20), 100.0, params)
+        g = encoding.cc_segment(tone(5, 100.0, 20), params)
         i0 = cc_lag0_index(params, 100.0)
         assert abs(g[20, i0] - 0.5) / 0.5 < 1e-6
 

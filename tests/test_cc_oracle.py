@@ -36,7 +36,7 @@ def cc_segment_loop(signal: np.ndarray, fs: float, params: CCParams,
     seg_len = int(round(params.segment_s * fs))
     ext_len = int(round(params.extension_s * fs))
     wing = (ext_len - seg_len) // 2
-    starts = segment_starts(len(x), fs, params)
+    starts = segment_starts(len(x), params)
     padded = np.pad(ext_src, (wing, wing + seg_len))  # generous right pad
     out = np.empty((len(starts), ext_len - seg_len + 1))
     for i, s in enumerate(starts):
@@ -112,7 +112,7 @@ def test_cc_segment_matches_loop(kind, cross, n):
     x, y = channels(n, n)
     opposite = y if cross else None
     want = cc_segment_loop(x, FS, CC_PARAMS[kind], opposite)
-    got = encoding.cc_segment(x, FS, CC_PARAMS[kind], opposite)
+    got = encoding.cc_segment(x, CC_PARAMS[kind], opposite)
     assert rel_dev(got, want) <= REL_BOUND
 
 
@@ -125,7 +125,7 @@ def test_cc_segment_other_power_of_two_spans_match_loop(params):
     x, y = channels(7, 4001)
     for opposite in (None, y):
         want = cc_segment_loop(x, FS, params, opposite)
-        assert rel_dev(encoding.cc_segment(x, FS, params, opposite), want) <= REL_BOUND
+        assert rel_dev(encoding.cc_segment(x, params, opposite), want) <= REL_BOUND
 
 
 @pytest.mark.parametrize("kind", sorted(CC_PARAMS))
@@ -134,7 +134,7 @@ def test_cc_segment_shortest_signals_match_loop(kind):
     for n in (seg_len - 1, seg_len, seg_len + 1, seg_len + 30):
         x, _ = channels(n, n)
         want = outcome(cc_segment_loop, x, FS, CC_PARAMS[kind])
-        got = outcome(encoding.cc_segment, x, FS, CC_PARAMS[kind])
+        got = outcome(encoding.cc_segment, x, CC_PARAMS[kind])
         if isinstance(want, tuple):
             assert got == want == (EmptySignal, "signal shorter than one segment")
         else:
@@ -143,9 +143,10 @@ def test_cc_segment_shortest_signals_match_loop(kind):
 
 def test_cc_segment_length_mismatched_opposite():
     x, y = channels(1, 3000)
-    for fn in (cc_segment_loop, encoding.cc_segment):
-        with pytest.raises(ShapeMismatch):
-            fn(x, FS, CC_PARAMS["EOG"], y[:-1])
+    with pytest.raises(ShapeMismatch):
+        cc_segment_loop(x, FS, CC_PARAMS["EOG"], y[:-1])
+    with pytest.raises(ShapeMismatch):
+        encoding.cc_segment(x, CC_PARAMS["EOG"], y[:-1])
 
 
 @pytest.mark.parametrize("params", [
@@ -154,7 +155,7 @@ def test_cc_segment_length_mismatched_opposite():
 ])
 def test_cc_segment_rejects_segments_that_are_not_2k_hop_blocks(params):
     with pytest.raises(InvalidSpec):
-        encoding.cc_segment(np.ones(500), FS, params)
+        encoding.cc_segment(np.ones(500), params)
 
 
 # ---------------------------------------------------------- encode_recording

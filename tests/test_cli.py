@@ -207,6 +207,21 @@ def test_encode_cuts_the_channels_to_one_count(tmp_path):
     assert all(t.shape[0] == 11 for t in enc.tensors.values())
 
 
+def test_octave_encode_of_a_montage_too_short_to_filter_is_a_typed_error(tmp_path,
+                                                                         capsys):
+    # 31 samples at 256 Hz pass band-limiting and leave a 12-sample montage
+    spec = {role: {**s, "fs": 256.0} for role, s in RAW_SPEC.items()}
+    raw = signal_io.save_recording(signal_io.synth_recording(
+        spec, seed=0, duration_s=0.12, recording_id="short"), str(tmp_path / "raw"))
+    assert cli.main(["preprocess", raw, str(tmp_path / "m")]) == 0
+    out = tmp_path / "e"
+    assert cli.main(["encode", str(tmp_path / "m" / "short.psgmeta.json"), str(out),
+                     "--mode", "octave"]) == 3
+    err = capsys.readouterr().err
+    assert "12 samples" in err and "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
+
+
 @pytest.mark.parametrize("mode", ["cc", "octave"])
 def test_encode_refuses_a_montage_not_at_the_target_rate(tmp_path, capsys, mode):
     meta = signal_io.save_recording(make_montage(60.0, fs=128.0), str(tmp_path / "m"))
@@ -744,6 +759,56 @@ NON_UTF8_INPUTS = {
                                              "--recording", bad,
                                              "--out-dir", str(t / "o")],
 }
+
+
+# --------------------------------------------------- reference distributions
+
+REF = {"mean": [5.0, -0.5, 0.7], "covariance": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+
+REF_DEFECTS = {
+    "not_json": "{mean",
+    "not_an_object": "[]",
+    "no_covariance": json.dumps({"mean": [0, 0, 0]}),
+    "unknown_key": json.dumps({**REF, "scale": 2}),
+    "two_means": json.dumps({"mean": [0, 0], "covariance": [1, 0, 0, 1]}),
+    "text_value": json.dumps({**REF, "mean": ["a", 0, 0]}),
+    "nan_mean": json.dumps({**REF, "mean": [float("nan"), 0, 0]}),
+    "asymmetric": json.dumps({**REF, "covariance": [1, 0.5, 0, 0, 1, 0, 0, 0, 1]}),
+    "indefinite": json.dumps({**REF, "covariance": [1, 0, 0, 0, -1, 0, 0, 0, 1]}),
+}
+
+
+@pytest.mark.parametrize("command", ["preprocess", "run-all"])
+@pytest.mark.parametrize("defect", sorted(REF_DEFECTS))
+def test_malformed_reference_is_a_typed_error(workspace, tmp_path, capsys, command,
+                                              defect):
+    ref, out = tmp_path / "ref.json", tmp_path / "o"
+    ref.write_text(REF_DEFECTS[defect])
+    argv = (["preprocess", workspace["meta"], str(out), "--ref", str(ref)]
+            if command == "preprocess" else
+            ["run-all", "--config", _config_with(workspace, tmp_path, ref=str(ref)),
+             "--out-dir", str(out)])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "reference distribution" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cc_run_all_neither_needs_nor_processes_occipital_channels(workspace, tmp_path,
+                                                                  capsys):
+    spec = {**RAW_SPEC, "EEG_O_LEFT": {"fs": 128.0}, "EEG_O_RIGHT": {"fs": 128.0}}
+    meta = signal_io.save_recording(signal_io.synth_recording(
+        spec, seed=3, duration_s=600.0, recording_id="flat"), str(tmp_path / "raw"))
+    ref, out = tmp_path / "ref.json", tmp_path / "o"
+    ref.write_text(json.dumps(REF))
+    assert cli.main(["run-all", "--config", _config_with(workspace, tmp_path, ref=str(ref)),
+                     "--recording", meta, "--out-dir", str(out)]) == 0
+    assert len(os.listdir(out)) == 4
+    selection = [e["msg"] for e in map(parse_log_line, capsys.readouterr().err.splitlines())
+                 if "channel selection" in e["msg"]]
+    assert len(selection) == 1
+    assert selection[0].startswith("flat: channel selection {'EEG_C': 'EEG_C_")
+    assert "EEG_O" not in selection[0]
 
 
 @pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))

@@ -25,7 +25,7 @@ def interior(x):
 
 def test_p95_constant_envelope_equals_single_window():
     x = tone(10, 100, 4 * 3600)
-    got = encoding.robust_p95(x, 100)
+    got = encoding.robust_p95(x)
     expect = np.percentile(np.abs(x[:100 * 90 * 60]), 95)
     assert abs(got - expect) / expect < 0.01
 
@@ -35,14 +35,14 @@ def test_p95_mode_ignores_burst_windows():
     clean = tone(10, fs, 4 * 3600, amp=1.0)
     burst = clean.copy()
     burst[:fs * 30 * 60] *= 100.0
-    clean_val = encoding.robust_p95(clean, fs)
-    got = encoding.robust_p95(burst, fs)
+    clean_val = encoding.robust_p95(clean)
+    got = encoding.robust_p95(burst)
     assert abs(got - clean_val) / clean_val < 0.05
 
 
 def test_p95_short_recording_falls_back_to_global():
     x = tone(10, 100, 45 * 60)
-    assert encoding.robust_p95(x, 100) == np.percentile(np.abs(x), 95)
+    assert encoding.robust_p95(x) == np.percentile(np.abs(x), 95)
 
 
 # --------------------------------------------------------- log-modulus
@@ -80,14 +80,14 @@ def test_octave_cutoff_constants():
 def test_octave_energy_nesting():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(60000)
-    casc = encoding.octave_cascade(x, 100.0)
+    casc = encoding.octave_cascade(x)
     energies = (casc ** 2).sum(axis=1)
     assert np.all(np.diff(energies) <= 1e-9)
 
 
 def test_octave_40hz_band_placement():
     x = tone(40, 100, 600)
-    casc = encoding.octave_cascade(x, 100.0)
+    casc = encoding.octave_cascade(x)
     a49 = np.max(np.abs(interior(casc[0])))
     a25 = np.max(np.abs(interior(casc[1])))
     assert 20 * np.log10(a49 / 1.0) > -3
@@ -96,7 +96,7 @@ def test_octave_40hz_band_placement():
 
 def test_octave_subtraction_recovers_high_band():
     x = tone(40, 100, 600)
-    casc = encoding.octave_cascade(x, 100.0)
+    casc = encoding.octave_cascade(x)
     diff = casc[0] - casc[1]
     a49 = np.max(np.abs(interior(casc[0])))
     assert np.max(np.abs(interior(diff))) >= 0.9 * a49
@@ -104,13 +104,13 @@ def test_octave_subtraction_recovers_high_band():
 
 def test_octave_2hz_survives_every_band():
     x = tone(2, 100, 600)
-    casc = encoding.octave_cascade(x, 100.0)
+    casc = encoding.octave_cascade(x)
     for band in casc:
         assert 20 * np.log10(np.max(np.abs(interior(band)))) > -3
 
 
 def test_octave_zero_in_zero_out():
-    out = encoding.octave_encode(np.zeros(6000), 100.0)
+    out = encoding.octave_encode(np.zeros(6000))
     assert out.shape == (5, 6000)
     assert np.all(out == 0.0)
 
@@ -121,7 +121,7 @@ def test_cc_lag0_is_power_of_unit_sine():
     fs = 100.0
     params = encoding.CC_PARAMS["EEG"]
     x = tone(5, fs, 20)
-    g = encoding.cc_segment(x, fs, params)
+    g = encoding.cc_segment(x, params)
     i0 = cc_lag0_index(params, fs)
     row = 20  # interior, extension fully inside the recording
     start = round(row * params.hop_s * fs)
@@ -135,7 +135,7 @@ def test_cc_lag0_dominates_interior_segments():
     rng = np.random.default_rng(3)
     x = rng.standard_normal(2000)
     params = encoding.CC_PARAMS["EEG"]
-    g = encoding.cc_segment(x, 100.0, params)
+    g = encoding.cc_segment(x, params)
     i0 = cc_lag0_index(params, 100.0)
     for row in range(8, len(g) - 8):
         assert g[row, i0] >= np.max(np.abs(g[row])) - 1e-12
@@ -147,7 +147,7 @@ def test_cc_white_noise_decorrelates_fast():
     ratios = []
     for seed in range(20):
         x = np.random.default_rng(seed).standard_normal(3000)
-        g = encoding.cc_segment(x, 100.0, params)
+        g = encoding.cc_segment(x, params)
         row = g[10]
         far = np.abs(np.concatenate([row[:i0 - 5], row[i0 + 6:]]))
         ratios.append(far / row[i0])
@@ -159,8 +159,8 @@ def test_cc_cross_of_mirrored_eog():
     params = encoding.CC_PARAMS["EOG"]
     left = tone(0.5, 100, 30)
     right = -left
-    g_auto = encoding.cc_segment(left, 100.0, params)
-    g_cross = encoding.cc_segment(left, 100.0, params, opposite=right)
+    g_auto = encoding.cc_segment(left, params)
+    g_cross = encoding.cc_segment(left, params, opposite=right)
     i0 = cc_lag0_index(params, 100.0)
     assert np.allclose(g_cross[:, i0], -g_auto[:, i0])
 
@@ -168,7 +168,7 @@ def test_cc_cross_of_mirrored_eog():
 def test_cc_cross_length_mismatch():
     params = encoding.CC_PARAMS["EOG"]
     with pytest.raises(ShapeMismatch):
-        encoding.cc_segment(np.zeros(1000), 100.0, params,
+        encoding.cc_segment(np.zeros(1000), params,
                             opposite=np.zeros(999))
 
 
@@ -288,7 +288,7 @@ def grid_then_average(montage, segment_s):
     n_grid = int(np.floor((montage.duration_s - 4.0) / 0.25)) + 1
 
     def scaled(role, kind, opposite=None):
-        return encoding.cc_scale(encoding.cc_segment(ch[role], fs, params[kind],
+        return encoding.cc_scale(encoding.cc_segment(ch[role], params[kind],
                                                      opposite))
 
     grid = {"EEG": scaled("EEG_C", "EEG")[:n_grid],

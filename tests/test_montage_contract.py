@@ -1,11 +1,12 @@
 """The montage contract: one rate (``preprocess.TARGET_FS``) and one sample
-count, both settled in ``encode_recording`` and nowhere else."""
+count, both settled in ``encode_recording`` and nowhere else; past
+resampling no function takes a rate."""
 
 import ast
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypnopipe import encoding, neuralnet, signal_io
@@ -25,18 +26,24 @@ def cc_windows_held(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(fs=st.sampled_from(RAW_RATES), duration_s=st.integers(30_000, 400_000),
+@given(fs=st.sampled_from(RAW_RATES), duration_s=st.integers(1_000, 400_000),
        trims=st.lists(st.integers(0, 1), min_size=7, max_size=7),
        segment_s=st.sampled_from((5, 10)))
+# 31 raw samples pass band-limiting and leave 12 at 100 Hz, too few to filter
+@example(fs=256.0, duration_s=1_200, trims=[0] * 7, segment_s=5)
 def test_windows_are_what_the_shortest_channel_holds(fs, duration_s, trims, segment_s):
-    # 3 to 40 s to 0.1 ms, so one raw sample less can cost a 100 Hz sample
+    # 0.1 to 40 s to 0.1 ms, so one raw sample less can cost a 100 Hz sample
     duration_s /= 10_000
     spec = {role: {"fs": fs, "sinusoids": [(7.0, 20.0)], "noise_sigma": 5.0}
             for role in signal_io.ROLES}
     psg = signal_io.synth_recording(spec, seed=1, duration_s=duration_s)
     for trim, ch in zip(trims, psg.channels.values()):
         ch.samples = ch.samples[:len(ch.samples) - trim]
-    montage, _ = preprocess_recording(psg)
+    try:
+        montage, _ = preprocess_recording(psg, None, encoding.MONTAGE["octave"])
+    except HypnopipeError:               # typed, and only when nothing fits
+        assert duration_s < segment_s
+        return
     lengths = {role: len(ch.samples) for role, ch in montage.channels.items()}
     per_window = segment_s // encoding.CC_WINDOW_S
     expected = {"octave": min(lengths.values()) // round(segment_s * TARGET_FS),
@@ -58,6 +65,21 @@ def test_encoding_and_neuralnet_name_no_rate_of_their_own():
                  for node in ast.walk(ast.parse((src / name).read_text()))
                  if isinstance(node, ast.Constant) and type(node.value) in (int, float)
                  and node.value == 100]
+    assert offenders == []
+
+
+def test_encoding_and_neuralnet_take_no_rate():
+    """Every channel past resampling is at ``preprocess.TARGET_FS``."""
+    src = Path(encoding.__file__).parent
+    offenders = []
+    for name in ("encoding.py", "neuralnet.py"):
+        for node in ast.walk(ast.parse((src / name).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                offenders += [(name, node.lineno) for arg in
+                              a.posonlyargs + a.args + a.kwonlyargs if arg.arg == "fs"]
+            elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "fs":
+                offenders.append((name, node.lineno))
     assert offenders == []
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hypnopipe import preprocess, signal_io
+from hypnopipe.encoding import MONTAGE
 from hypnopipe.errors import (
     AllDegenerate,
     DegenerateSegment,
+    MissingChannel,
     SingularCovariance,
     UnsupportedRate,
 )
@@ -65,23 +67,23 @@ def test_bandlimit_rejects_low_rate():
 
 
 def test_resample_preserves_tone_amplitude():
-    y = preprocess.resample(tone(10, 200, 60), 200, 100)
+    y = preprocess.resample(tone(10, 200, 60), 200)
     assert abs(projected_amplitude(interior(y), 10, 100) - 1.0) < 0.02
 
 
 def test_resample_identity_at_target_rate():
     x = tone(10, 100, 10)
-    assert np.array_equal(preprocess.resample(x, 100, 100), x)
+    assert np.array_equal(preprocess.resample(x, 100), x)
 
 
 def test_resample_length_arithmetic():
-    y = preprocess.resample(tone(5, 256, 60), 256, 100)
+    y = preprocess.resample(tone(5, 256, 60), 256)
     assert len(y) == 6000
 
 
 def test_resample_refuses_upsampling():
     with pytest.raises(UnsupportedRate):
-        preprocess.resample(np.zeros(100), 50, 100)
+        preprocess.resample(np.zeros(100), 50)
 
 
 def test_hjorth_of_sine():
@@ -115,6 +117,21 @@ def _ref_from_clean(n=8):
             channels={"EEG_C_LEFT": signal_io.Channel(_clean(seed), 100.0)},
             duration_s=600, recording_id=f"r{seed}"))
     return preprocess.fit_reference(recs)
+
+
+def test_reference_is_fitted_at_the_target_rate():
+    # the processed copies are band-limited a second time, which moves the
+    # log-Hjorth mean by ~1e-3; fitted on the raw rate it moves by 0.4-1.1
+    raw = [signal_io.PolySignalSet(
+        channels={role: signal_io.Channel(_clean([seed, k], fs=256.0), 256.0)
+                  for k, role in enumerate(signal_io.CENTRAL_EEG)},
+        duration_s=600, recording_id=f"r{seed}") for seed in range(6)]
+    processed = [signal_io.PolySignalSet(
+        channels={role: signal_io.Channel(preprocess.to_target_rate(ch), 100.0)
+                  for role, ch in psg.channels.items()},
+        duration_s=600, recording_id=psg.recording_id) for psg in raw]
+    a, b = preprocess.fit_reference(raw), preprocess.fit_reference(processed)
+    assert np.max(np.abs(a.mean - b.mean)) < 0.01
 
 
 def test_fit_reference_needs_four_recordings():
@@ -160,6 +177,21 @@ def test_selection_at_mean_has_zero_distance():
     assert ref.mahalanobis(ref.mean) == 0.0
 
 
+@pytest.mark.parametrize("mode,dropped,missing", [
+    ("cc", ("EMG_CHIN",), "EMG_CHIN"),
+    ("cc", ("EEG_C_LEFT", "EEG_C_RIGHT"), "EEG_C_LEFT|EEG_C_RIGHT"),
+    ("octave", ("EEG_O_LEFT", "EEG_O_RIGHT"), "EEG_O_LEFT|EEG_O_RIGHT"),
+])
+def test_a_role_with_no_channel_is_missing(monkeypatch, mode, dropped, missing):
+    psg = signal_io.synth_recording({role: {"fs": 100} for role in signal_io.ROLES}, 0, 10)
+    for role in dropped:
+        del psg.channels[role]
+    monkeypatch.setattr(preprocess, "bandlimit", None)    # nothing is processed
+    with pytest.raises(MissingChannel) as e:
+        preprocess.preprocess_recording(psg, None, MONTAGE[mode])
+    assert e.value.role == missing
+
+
 def test_preprocess_recording_builds_montage():
     spec = {
         "EEG_C_LEFT": {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5},
@@ -170,17 +202,24 @@ def test_preprocess_recording_builds_montage():
         "EMG_CHIN": {"fs": 128, "noise_sigma": 8},
     }
     psg = signal_io.synth_recording(spec, seed=0, duration_s=60)
-    montage, report = preprocess.preprocess_recording(psg)
+    montage, report = preprocess.preprocess_recording(psg, None, MONTAGE["octave"])
     assert set(montage.channels) == {"EEG_C", "EEG_O", "EOG_L", "EOG_R", "EMG_CHIN"}
     assert all(c.fs == 100.0 for c in montage.channels.values())
     assert report["EEG_C"] in ("EEG_C_LEFT", "EEG_C_RIGHT")
 
 
-@pytest.mark.parametrize("with_ref,n_calls", [(False, 5), (True, 7)])
-def test_only_channels_selection_can_use_are_band_limited(monkeypatch, with_ref, n_calls):
+@pytest.mark.parametrize("with_ref,n_calls,mode", [
+    pytest.param(False, 5, "octave", id="False-5"),
+    pytest.param(True, 7, "octave", id="True-7"),
+    pytest.param(False, 4, "cc", id="cc-False-4"),
+    pytest.param(True, 5, "cc", id="cc-True-5"),
+])
+def test_only_channels_selection_can_use_are_band_limited(monkeypatch, with_ref, n_calls,
+                                                          mode):
     spec = {role: {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5}
             for role in signal_io.ROLES}
     psg = signal_io.synth_recording(spec, seed=0, duration_s=60)
+    ref = _ref_from_clean() if with_ref else None
     bandlimit, calls = preprocess.bandlimit, []
 
     def counted(x, fs):
@@ -188,11 +227,12 @@ def test_only_channels_selection_can_use_are_band_limited(monkeypatch, with_ref,
         return bandlimit(x, fs)
 
     monkeypatch.setattr(preprocess, "bandlimit", counted)
-    montage, report = preprocess.preprocess_recording(
-        psg, _ref_from_clean() if with_ref else None)
+    montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
     assert len(calls) == n_calls
+    assert tuple(montage.channels) == MONTAGE[mode]
     if not with_ref:
-        assert report == {"EEG_C": "EEG_C_LEFT", "EEG_O": "EEG_O_LEFT"}
+        assert report == {site: group[0] for site, group in signal_io.SITES.items()
+                          if site in MONTAGE[mode]}
     sources = {**report, "EOG_L": "EOG_L", "EOG_R": "EOG_R", "EMG_CHIN": "EMG_CHIN"}
     for site, role in sources.items():
         ch = psg.channels[role]

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from hypnopipe import signal_io
+from hypnopipe.encoding import MONTAGE
 from hypnopipe.errors import (EmptyFile, InvalidSpec, InvalidValues, LengthMismatch,
                               MissingChannel)
+from hypnopipe.preprocess import preprocess_recording
 
 FIVE_CH = {
     "EEG_C_LEFT": {"fs": 256, "sinusoids": [(10, 30)]},
@@ -89,10 +91,10 @@ def test_pipeline_validation_requires_central_eeg_and_eog_emg():
     psg = signal_io.synth_recording(
         {"EEG_C_LEFT": {"fs": 100}, "EOG_L": {"fs": 100},
          "EOG_R": {"fs": 100}, "EMG_CHIN": {"fs": 100}}, 0, 10)
-    psg.validate(for_pipeline=True)
+    preprocess_recording(psg, None, MONTAGE["cc"])
     del psg.channels["EOG_R"]
     with pytest.raises(MissingChannel, match="EOG_R"):
-        psg.validate(for_pipeline=True)
+        preprocess_recording(psg, None, MONTAGE["cc"])
 
 
 def test_hypnogram_round_trip_and_unknown_tokens(tmp_path):

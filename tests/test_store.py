@@ -110,6 +110,10 @@ ENCODING_DEFECTS = {
     "cc_other_row_s": lambda meta: meta.update(row_s=15),
     "unknown_mode": lambda meta: meta.update(mode="wavelet"),
     "no_recording_id": lambda meta: meta.pop("recording_id"),
+    # every encoding is at preprocess.TARGET_FS; another rate is not read as it
+    "fs_128": lambda meta: meta.update(fs=128.0),
+    "fs_text": lambda meta: meta.update(fs="100"),
+    "no_fs": lambda meta: meta.pop("fs"),
 }
 
 
