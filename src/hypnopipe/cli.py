@@ -20,8 +20,9 @@ import numpy as np
 
 from . import diagnosis, features, hypnodensity, neuralnet, preprocess, signal_io
 from .encoding import MODES, MONTAGE, EncodedRecording, encode_recording
-from .errors import (CholeskyFailure, CorruptHeader, EmptyFile, HypnopipeError,
-                     InvalidSpec, InvalidValues, NaNGradient, ShapeMismatch)
+from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
+                     HypnopipeError, InvalidSpec, InvalidValues, NaNGradient,
+                     ShapeMismatch)
 from .plot import hypnodensity_svg
 from .store import read_text
 
@@ -73,10 +74,17 @@ def _load_ref(path):
 
 def cmd_preprocess(args) -> int:
     psg = signal_io.load_recording(args.input)
+    ref = _load_ref(args.ref)
     # the mode is not known here: the CC roles, and EEG_O if it can be made
-    roles = MONTAGE["octave" if any(r in psg.channels for r in signal_io.OCCIPITAL_EEG)
-                    else "cc"]
-    montage, report = preprocess.preprocess_recording(psg, _load_ref(args.ref), roles)
+    montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE["cc"])
+    if any(r in psg.channels for r in signal_io.OCCIPITAL_EEG):
+        try:
+            occipital, picked = preprocess.preprocess_recording(psg, ref, ("EEG_O",))
+        except AllDegenerate as e:
+            log("preprocess", f"{psg.recording_id}: left out {e}", level="warning")
+        else:
+            montage.channels.update(occipital.channels)
+            report.update(picked)
     signal_io.save_recording(montage, args.out)
     with open(os.path.join(args.out, f"{psg.recording_id}.selection.json"), "w") as f:
         json.dump(report, f, indent=1, sort_keys=True)
@@ -198,6 +206,8 @@ def _read_hypnodensity_csv(path):
 
 
 def cmd_features(args) -> int:
+    if args.hla is not None and not args.out.endswith(".json"):
+        raise InvalidSpec("features --hla needs a .json --out: a CSV vector has no HLA")
     vec = _feature_vector(_read_hypnodensity_csv(args.input), args.hla)
     with open(args.out, "w") as f:
         if args.out.endswith(".json"):

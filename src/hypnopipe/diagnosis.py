@@ -26,6 +26,7 @@ from scipy.special import ndtr, ndtri
 
 from .errors import (
     CholeskyFailure,
+    CorruptHeader,
     DimensionMismatch,
     SingleClass,
     TooFewSamples,
@@ -134,44 +135,59 @@ def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
                            target_count=target, cutoff=cutoff)
 
 
+# what a saved GP holds: arrays by their sizes (n points, d features, k kept)
+_GP_ARRAYS = {"grad_ll": ("n",), "W_sqrt": ("n",), "L": ("n", "n"), "X": ("n", "k"),
+              "std_mean": ("d",), "std_std": ("d",), "std_keep": ("d",)}
+_GP_SCALARS = ("length_scale", "signal_std", "noise", "mean_const", "log_marginal")
+
+
 @dataclass
 class GPModel:
     X: np.ndarray              # standardized training inputs
-    y: np.ndarray              # labels in {-1, +1}
     length_scale: float
     signal_std: float
     noise: float               # jitter variance on the kernel diagonal
     mean_const: float          # constant latent mean
     standardizer: Standardizer
-    f_hat: np.ndarray = field(default=None, repr=False)   # latent mode
     grad_ll: np.ndarray = field(default=None, repr=False)  # d log p(y|f) at mode
     W_sqrt: np.ndarray = field(default=None, repr=False)
     L: np.ndarray = field(default=None, repr=False)        # chol(I + W^1/2 K W^1/2)
     log_marginal: float = 0.0
 
     def save(self, directory: str, name: str = "gp") -> str:
-        mats = {"X": self.X, "y": self.y, "f_hat": self.f_hat,
-                "grad_ll": self.grad_ll, "W_sqrt": self.W_sqrt, "L": self.L,
-                "std_mean": self.standardizer.mean,
+        mats = {"X": self.X, "grad_ll": self.grad_ll, "W_sqrt": self.W_sqrt,
+                "L": self.L, "std_mean": self.standardizer.mean,
                 "std_std": self.standardizer.std,
                 "std_keep": self.standardizer.keep.astype(float)}
-        return write_bundle(os.path.join(directory, f"{name}.gp.json"), mats, {
-            "length_scale": self.length_scale, "signal_std": self.signal_std,
-            "noise": self.noise, "mean_const": self.mean_const,
-            "log_marginal": self.log_marginal})
+        return write_bundle(os.path.join(directory, f"{name}.gp.json"), mats,
+                            {k: getattr(self, k) for k in _GP_SCALARS})
 
     @classmethod
     def load(cls, path: str) -> "GPModel":
+        """The GP ``save`` wrote.  ``CorruptHeader`` naming the array or value
+        unless every array ``gp_predict`` reads is there with consistent
+        sizes (n training points, d features, X keeping the columns std_keep
+        marks) and every scalar is a finite number; other arrays (the ``y``
+        and ``f_hat`` of older bundles) are ignored."""
         mats, meta = read_bundle(path)
-        std = Standardizer(mean=mats["std_mean"], std=mats["std_std"],
-                           keep=mats["std_keep"] > 0.5)
-        return cls(X=mats["X"], y=mats["y"],
-                   length_scale=meta["length_scale"],
-                   signal_std=meta["signal_std"], noise=meta["noise"],
-                   mean_const=meta["mean_const"],
-                   standardizer=std, f_hat=mats["f_hat"],
+        sizes: dict[str, int] = {}
+        for key, dims in _GP_ARRAYS.items():
+            got = mats[key].shape if key in mats else "missing"
+            if len(got) != len(dims) or any(sizes.setdefault(s, g) != g
+                                            for s, g in zip(dims, got)):
+                raise CorruptHeader(f"{path}: array {key!r} is {got}, needs sizes "
+                                    f"{dims} consistent with {sizes}")
+        keep = mats["std_keep"] > 0.5
+        if keep.sum() != sizes["k"]:
+            raise CorruptHeader(f"{path}: array 'X' has {sizes['k']} columns, "
+                                f"std_keep keeps {keep.sum()}")
+        for key in _GP_SCALARS:
+            if type(meta.get(key)) not in (int, float) or not np.isfinite(meta[key]):
+                raise CorruptHeader(f"{path}: {key} must be a finite number")
+        return cls(X=mats["X"], standardizer=Standardizer(
+                       mean=mats["std_mean"], std=mats["std_std"], keep=keep),
                    grad_ll=mats["grad_ll"], W_sqrt=mats["W_sqrt"], L=mats["L"],
-                   log_marginal=meta["log_marginal"])
+                   **{key: meta[key] for key in _GP_SCALARS})
 
 
 def _kernel(Xa, Xb, ell, sf):
@@ -260,16 +276,16 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
                 ell = mult * base_ell
                 K = _kernel(Z, Z, ell, sf) + noise * np.eye(len(Z))
                 try:
-                    f, grad, sw, Lc, lml = _laplace_mode(K, y, mean_const)
+                    _, grad, sw, Lc, lml = _laplace_mode(K, y, mean_const)
                 except CholeskyFailure:
                     continue
                 if best is None or lml > best[0] + 1e-12:
-                    best = (lml, ell, sf, noise, f, grad, sw, Lc)
+                    best = (lml, ell, sf, noise, grad, sw, Lc)
     if best is None:
         raise CholeskyFailure("no hyperparameter setting produced a PD kernel")
-    lml, ell, sf, noise, f, grad, sw, Lc = best
-    return GPModel(X=Z, y=y, length_scale=ell, signal_std=sf, noise=noise,
-                   mean_const=mean_const, standardizer=std, f_hat=f,
+    lml, ell, sf, noise, grad, sw, Lc = best
+    return GPModel(X=Z, length_scale=ell, signal_std=sf, noise=noise,
+                   mean_const=mean_const, standardizer=std,
                    grad_ll=grad, W_sqrt=sw, L=Lc, log_marginal=lml)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptHeader, InvalidValues, ShapeMismatch
-from .hypnodensity import Hypnodensity
-from .signal_io import STAGES, UNSCORED, HypnogramLabels
+from .hypnodensity import Hypnodensity, stage_codes
+from .signal_io import STAGES, HypnogramLabels
 
 # 31 nonempty stage subsets: sizes ascending, lexicographic in stage order
 STAGE_COMBOS: tuple[tuple[str, ...], ...] = tuple(
@@ -173,79 +173,55 @@ class SoremReport:
     sleep_latency_min: float
 
 
-def _runs(labels) -> list[tuple]:
-    """Maximal runs of equal labels as (label, start_index, length)."""
-    runs = []
-    start = 0
-    for i in range(1, len(labels) + 1):
-        if i == len(labels) or labels[i] != labels[start]:
-            runs.append((labels[start], start, i - start))
-            start = i
-    return runs
+def _runs(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of equal values as (value, start, length) arrays."""
+    change = np.ones(len(values), dtype=bool)
+    change[1:] = values[1:] != values[:-1]
+    starts = np.flatnonzero(change)
+    return values[starts], starts, np.diff(np.append(starts, len(values)))
 
 
-def _merged(stage: str) -> str:
-    if stage in ("W", "N1"):
-        return "WN1"
-    if stage in ("N2", "N3"):
-        return "NREM"
-    return stage  # REM or UNSCORED
+# Sequencing types by stage code (W, N1, N2, N3, REM); UNSCORED (-1) is last
+_WN1, _NREM, _REM = 0, 1, 2
+_MERGE = np.array([_WN1, _WN1, _NREM, _NREM, _REM, 3])
 
 
 def sorem_analysis(hyp: HypnogramLabels) -> SoremReport:
     """Sleep/REM latencies and sleep-onset REM period statistics."""
     epoch_min = hyp.epoch_s / 60.0
-    n = len(hyp.stages)
-    duration_min = n * epoch_min
-    sleep_idx = next((i for i, s in enumerate(hyp.stages)
-                      if s not in ("W", UNSCORED)), None)
-    if sleep_idx is None:
+    codes = stage_codes(hyp.stages)
+    duration_min = len(codes) * epoch_min
+    asleep = np.flatnonzero(codes > 0)         # neither W nor UNSCORED
+    if not asleep.size:
         return SoremReport(count=0, total_duration_min=0.0,
                            rem_latency_min=duration_min,
                            sleep_latency_min=duration_min)
-    sleep_latency = sleep_idx * epoch_min
-    rem_idx = next((i for i, s in enumerate(hyp.stages) if s == "REM"), None)
-    rem_latency = ((rem_idx - sleep_idx) * epoch_min
-                   if rem_idx is not None else duration_min)
-
+    sleep_idx = int(asleep[0])
+    rem = np.flatnonzero(codes == STAGES.index("REM"))
+    rem_latency = ((int(rem[0]) - sleep_idx) * epoch_min
+                   if rem.size else duration_min)
     # REM runs immediately preceded by >= 2.5 min of contiguous W/N1
-    merged = [_merged(s) for s in hyp.stages]
-    runs = _runs(merged)
-    count = 0
-    total = 0.0
-    for j, (label, start, length) in enumerate(runs):
-        if label != "REM":
-            continue
-        if j > 0 and runs[j - 1][0] == "WN1":
-            prev_min = runs[j - 1][2] * epoch_min
-            if prev_min >= SOREMP_WAKE_MIN:
-                count += 1
-                total += length * epoch_min
-    return SoremReport(count=count, total_duration_min=total,
+    kind, _, length = _runs(_MERGE[codes])
+    minutes = length * epoch_min
+    soremp = ((kind[1:] == _REM) & (kind[:-1] == _WN1)
+              & (minutes[:-1] >= SOREMP_WAKE_MIN))
+    return SoremReport(count=int(soremp.sum()),
+                       total_duration_min=sum(minutes[1:][soremp].tolist(), 0.0),
                        rem_latency_min=rem_latency,
-                       sleep_latency_min=sleep_latency)
+                       sleep_latency_min=sleep_idx * epoch_min)
 
 
 def fragmentation_features(hyp: HypnogramLabels) -> np.ndarray:
     """(frag_count, long_bout_count, short_wake_cum_min)."""
-    epoch_min = hyp.epoch_s / 60.0
-    merged = [_merged(s) for s in hyp.stages]
-    runs = _runs(merged)
-    frag = 0
-    long_bouts = 0
-    short_wake = 0.0
-    for j, (label, start, length) in enumerate(runs):
-        minutes = length * epoch_min
-        if label == "NREM" and minutes >= FRAG_NREM_S / 60.0:
-            if j + 1 < len(runs) and runs[j + 1][0] == "WN1" \
-                    and runs[j + 1][2] * epoch_min >= FRAG_BREAK_S / 60.0:
-                frag += 1
-        if label == "WN1":
-            if minutes >= LONG_BOUT_MIN:
-                long_bouts += 1
-            if minutes < SHORT_WAKE_MIN:
-                short_wake += minutes
-    return np.array([frag, long_bouts, short_wake], dtype=float)
+    kind, _, length = _runs(_MERGE[stage_codes(hyp.stages)])
+    minutes = length * (hyp.epoch_s / 60.0)
+    wn1 = kind == _WN1
+    # a sustained N2/N3 run broken by a long enough W/N1 run
+    frag = ((kind[:-1] == _NREM) & (minutes[:-1] >= FRAG_NREM_S / 60.0)
+            & wn1[1:] & (minutes[1:] >= FRAG_BREAK_S / 60.0))
+    short = minutes[wn1 & (minutes < SHORT_WAKE_MIN)]
+    return np.array([frag.sum(), (wn1 & (minutes >= LONG_BOUT_MIN)).sum(),
+                     sum(short.tolist(), 0.0)], dtype=float)
 
 
 def hypnodensity_peaks(hd: Hypnodensity) -> list[tuple[str, float]]:
@@ -254,15 +230,12 @@ def hypnodensity_peaks(hd: Hypnodensity) -> list[tuple[str, float]]:
     Peaks below the mass floor are discarded, then adjacent same-type peaks
     merge with summed mass.
     """
-    merged_probs = np.column_stack([
-        hd.probs[:, 0] + hd.probs[:, 1],   # W + N1
-        hd.probs[:, 2],                    # N2
-        hd.probs[:, 3],                    # N3
-        hd.probs[:, 4],                    # REM
-    ])
+    # columns W + N1, N2, N3, REM: the MERGED_TYPES
+    merged_probs = np.column_stack([hd.probs[:, 0] + hd.probs[:, 1], hd.probs[:, 2:]])
     unit = hd.resolution_s / 30.0
     fused: list[tuple[str, float]] = []
-    for k, start, length in _runs(np.argmax(merged_probs, axis=1).tolist()):
+    runs = _runs(np.argmax(merged_probs, axis=1))
+    for k, start, length in zip(*(r.tolist() for r in runs)):
         m = float(merged_probs[start:start + length, k].sum()) * unit
         if m < PEAK_MASS_FLOOR:
             continue
@@ -304,4 +277,5 @@ def assemble(hd: Hypnodensity, hyp: HypnogramLabels,
     if not np.all(np.isfinite(vec)):
         raise InvalidValues("non-finite feature value")
     return FeatureVector(names=feature_names(), values=vec,
-                         recording_id=hd.recording_id, hla_positive=hla)
+                         recording_id=hd.recording_id,
+                         hla_positive=None if hla is None else bool(hla))

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
+from .errors import (CorruptHeader, DatasetTooSmall, InvalidSpec, NaNGradient,
+                     ShapeMismatch)
 from .encoding import CC_WINDOW_S, INPUTS, MODES, OCTAVE_CUTOFFS_HZ, EncodedRecording
 from .preprocess import TARGET_FS
 from .signal_io import VALID_EPOCH_S
@@ -61,7 +62,7 @@ class NetworkConfig:
     complexity: str = "low"               # "low" or "high"
     segment_s: int = 5                    # one of signal_io.VALID_EPOCH_S
     encoding: str = "cc"                  # "cc" (2 conv layers) or "octave" (3)
-    modality_shapes: dict = field(default_factory=lambda: modality_shapes_for("cc", 5))
+    modality_shapes: dict = field(default_factory=dict)  # default: modality_shapes_for
     conv_features: dict = field(default_factory=dict)   # modality -> per-layer counts
     hidden: int = 16
     dropout_keep: float = DROPOUT_KEEP
@@ -77,6 +78,9 @@ class NetworkConfig:
                 raise InvalidSpec(f"{name} must be one of {allowed}, got {value!r}")
         if self.hidden < 1:
             raise InvalidSpec("hidden size must be > 0")
+        if not self.modality_shapes:
+            object.__setattr__(self, "modality_shapes",
+                               modality_shapes_for(self.encoding, self.segment_s))
         if not self.conv_features:
             depth = 3 if self.encoding == "octave" else 2
             base = 8 if self.complexity == "high" else 4
@@ -114,40 +118,39 @@ class NetworkConfig:
 NORM_PREFIX = "norm/"
 
 
-def init_params(config: NetworkConfig) -> dict[str, np.ndarray]:
-    """All trainable parameters drawn i.i.d. from N(0, INIT_VARIANCE)."""
-    rng = np.random.default_rng(config.seed)
-    std = float(np.sqrt(INIT_VARIANCE))
-    params: dict[str, np.ndarray] = {}
-
-    def draw(name, shape):
-        # biases start at zero so no ReLU unit is dead before training
-        if name.endswith("/b"):
-            params[name] = np.zeros(shape)
-        else:
-            params[name] = rng.normal(0.0, std, size=shape)
-
+def _param_shapes(config: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every array a model of ``config`` holds."""
+    shapes: dict[str, tuple[int, ...]] = {}
     feat_total = 0
     for m in MODALITIES:
         c_in, _ = config.modality_shapes[m]
         for i, f in enumerate(config.conv_features[m]):
-            draw(f"conv{i}/{m}/w", (f, c_in, KERNEL))
-            draw(f"conv{i}/{m}/b", (f,))
+            shapes[f"conv{i}/{m}/w"] = (f, c_in, KERNEL)
+            shapes[f"conv{i}/{m}/b"] = (f,)
             c_in = f
         feat_total += c_in
-        params[f"{NORM_PREFIX}{m}/mean"] = np.zeros((config.modality_shapes[m][0], 1))
-        params[f"{NORM_PREFIX}{m}/std"] = np.ones((config.modality_shapes[m][0], 1))
+        shapes[f"{NORM_PREFIX}{m}/mean"] = shapes[f"{NORM_PREFIX}{m}/std"] = (
+            config.modality_shapes[m][0], 1)
     h = config.hidden
     if config.mode == "FF":
-        draw("fc1/w", (h, feat_total))
-        draw("fc1/b", (h,))
+        shapes.update({"fc1/w": (h, feat_total), "fc1/b": (h,)})
     else:
-        draw("lstm/wx", (4 * h, feat_total))
-        draw("lstm/wh", (4 * h, h))
-        draw("lstm/b", (4 * h,))
-    draw("out/w", (5, h))
-    draw("out/b", (5,))
-    return params
+        shapes.update({"lstm/wx": (4 * h, feat_total), "lstm/wh": (4 * h, h),
+                       "lstm/b": (4 * h,)})
+    shapes.update({"out/w": (5, h), "out/b": (5,)})
+    return shapes
+
+
+def init_params(config: NetworkConfig) -> dict[str, np.ndarray]:
+    """Weights drawn i.i.d. from N(0, INIT_VARIANCE) in ``_param_shapes``
+    order; biases start at zero so no ReLU unit is dead before training, and
+    the input standardization at mean 0, std 1."""
+    rng = np.random.default_rng(config.seed)
+    std = float(np.sqrt(INIT_VARIANCE))
+    return {name: (np.ones(shape) if name.endswith("/std")
+                   else np.zeros(shape) if name.endswith(("/b", "/mean"))
+                   else rng.normal(0.0, std, size=shape))
+            for name, shape in _param_shapes(config).items()}
 
 
 def trainable_names(params: dict[str, np.ndarray]) -> list[str]:
@@ -565,5 +568,14 @@ def save_params(params, config: NetworkConfig, directory: str, name: str) -> str
 
 
 def load_params(path: str):
+    """(params, config) of a model bundle; ``CorruptHeader`` naming the array
+    unless it holds exactly the arrays, and shapes, that ``init_params`` makes."""
     params, meta = read_bundle(path)
-    return params, NetworkConfig.from_json(json.dumps(meta.get("config")))
+    config = NetworkConfig.from_json(json.dumps(meta.get("config")))
+    shapes = _param_shapes(config)
+    for name in sorted(set(shapes) | set(params)):
+        got = params[name].shape if name in params else "missing"
+        if got != shapes.get(name):
+            raise CorruptHeader(f"{path}: array {name!r} is {got}, the config needs "
+                                f"{shapes.get(name, 'no such array')}")
+    return params, config

@@ -185,7 +185,8 @@ def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
         if d < best_dist:
             best_role, best_dist = role, d
     if best_role is None:
-        raise AllDegenerate("every candidate is constant")
+        raise AllDegenerate("every candidate is constant: "
+                            + ", ".join(role for role, _ in candidates))
     return best_role
 
 
@@ -224,7 +225,8 @@ def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
     ``ref`` when there is a ``ref`` and it has two or more, else its first;
     any other role is the raw channel of that name.  Only the channels taken
     or compared are processed.  ``MissingChannel`` for a role with no channel
-    to make it from, before any is processed.
+    to make it from, before any is processed; ``AllDegenerate``, naming the
+    site and its candidates, when every candidate compared is constant.
     """
     psg.validate()
     have = {role: [r for r in SITES.get(role, (role,)) if r in psg.channels]
@@ -237,7 +239,10 @@ def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
     for role, cands in have.items():
         done = {r: to_target_rate(psg.channels[r])
                 for r in (cands if ref is not None else cands[:1])}
-        pick = select_eeg_channel(list(done.items()), ref) if len(done) > 1 else cands[0]
+        try:
+            pick = select_eeg_channel(list(done.items()), ref) if len(done) > 1 else cands[0]
+        except AllDegenerate as e:
+            raise AllDegenerate(f"{role}: {e}") from None
         if role in SITES:
             report[role] = pick
         out[role] = Channel(samples=done[pick], fs=TARGET_FS)

@@ -254,6 +254,26 @@ def test_features_command_writes_481_columns(tmp_path, rng):
     assert len(values.split(",")) == 481
 
 
+@pytest.mark.parametrize("hla", [0, 1])
+def test_features_hla_feeds_diagnose(workspace, tmp_path, rng, hla):
+    src, vec, report = tmp_path / "hd.csv", tmp_path / "v.json", tmp_path / "d.json"
+    write_hd_csv(src, random_hypnodensity(rng, 40))
+    assert cli.main(["features", str(src), "--out", str(vec), "--hla", str(hla)]) == 0
+    assert json.loads(vec.read_text())["hla_positive"] is bool(hla)
+    assert cli.main(["diagnose", "--model", workspace["gp"], "--input", str(vec),
+                     "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["hla_used"] is True
+
+
+def test_features_hla_with_a_csv_out_is_a_typed_error(tmp_path, rng, capsys):
+    src, out = tmp_path / "hd.csv", tmp_path / "v.csv"
+    write_hd_csv(src, random_hypnodensity(rng, 40))
+    assert cli.main(["features", str(src), "--out", str(out), "--hla", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "--hla" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_diagnose_fit_then_predict(tmp_path, rng, capsys):
     n = 60
     y = np.where(rng.random(n) > 0.5, 1.0, 0.0)
@@ -809,6 +829,50 @@ def test_cc_run_all_neither_needs_nor_processes_occipital_channels(workspace, tm
     assert len(selection) == 1
     assert selection[0].startswith("flat: channel selection {'EEG_C': 'EEG_C_")
     assert "EEG_O" not in selection[0]
+
+
+def flat_occipital_recording(tmp_path):
+    """The workspace spec with both occipital electrodes constant (zero)."""
+    spec = {**RAW_SPEC, "EEG_O_LEFT": {"fs": 128.0}, "EEG_O_RIGHT": {"fs": 128.0}}
+    return signal_io.save_recording(signal_io.synth_recording(
+        spec, seed=3, duration_s=120.0, recording_id="flat"), str(tmp_path / "raw"))
+
+
+def test_staged_cc_scores_a_recording_with_flat_occipital_channels(tmp_path, capsys):
+    meta, ref, mont = flat_occipital_recording(tmp_path), tmp_path / "ref.json", tmp_path / "m"
+    ref.write_text(json.dumps(REF))
+    assert cli.main(["preprocess", meta, str(mont), "--ref", str(ref)]) == 0
+    warnings = [e["msg"] for e in map(parse_log_line, capsys.readouterr().err.splitlines())
+                if e["level"] == "warning"]
+    assert warnings == ["flat: left out EEG_O: every candidate is constant: "
+                        "EEG_O_LEFT, EEG_O_RIGHT"]
+    assert set(json.loads((mont / "flat.selection.json").read_text())) == {"EEG_C"}
+    montage = mont / "flat.psgmeta.json"
+    assert cli.main(["encode", str(montage), str(tmp_path / "cc"), "--mode", "cc"]) == 0
+    out = tmp_path / "octave"
+    assert cli.main(["encode", str(montage), str(out), "--mode", "octave"]) == 3
+    err = capsys.readouterr().err
+    assert "required channel missing: EEG_O" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_preprocess_writes_the_montage_of_one_octave_call(workspace, tmp_path):
+    """Made in two calls, the montage and selection are the bytes one call
+    for the octave roles writes."""
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(REF))
+    assert cli.main(["preprocess", workspace["meta"], str(tmp_path / "a"),
+                     "--ref", str(ref)]) == 0
+    psg = signal_io.load_recording(workspace["meta"])
+    montage, report = cli.preprocess.preprocess_recording(
+        psg, cli._load_ref(str(ref)), cli.MONTAGE["octave"])
+    signal_io.save_recording(montage, str(tmp_path / "b"))
+    with open(tmp_path / "b" / "rec1.selection.json", "w") as f:
+        json.dump(report, f, indent=1, sort_keys=True)
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b")) and len(names) == 7
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(NON_UTF8_INPUTS))

@@ -347,6 +347,15 @@ def test_feature_vector_serialization_round_trips(rng):
     assert csv_lines[0].split(",") == vec.names
 
 
+@pytest.mark.parametrize("hla,stored", [(None, None), (0, False), (1, True),
+                                        (False, False), (True, True)])
+def test_assemble_stores_hla_as_a_bool(rng, hla, stored):
+    hd = random_hypnodensity(rng, 10)
+    vec = features.assemble(hd, HypnogramLabels(["W"] * 10, epoch_s=30), hla=hla)
+    assert vec.hla_positive is stored
+    assert features.FeatureVector.from_json(vec.to_json()).hla_positive is stored
+
+
 def test_assemble_rejects_nonfinite(rng, monkeypatch):
     hd = random_hypnodensity(rng, 10)
     hd.probs = hd.probs.copy()

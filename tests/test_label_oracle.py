@@ -3,9 +3,9 @@ they replaced, kept here verbatim as the reference.
 
 Inputs are seeded and random, with many ties (few scorers, quantized
 probabilities) and UNSCORED epochs.  Labels, kappas, vote fractions,
-confusion matrices, peaks and fragmentation counts must be bitwise equal;
-``weighted_accuracy`` sums its weights in another order and may differ by
-1e-12.
+confusion matrices, peaks, SOREMP statistics and fragmentation counts must be
+bitwise equal; ``weighted_accuracy`` sums its weights in another order and
+may differ by 1e-12.
 """
 
 import numpy as np
@@ -24,12 +24,31 @@ FRAG_NREM_S = features.FRAG_NREM_S
 FRAG_BREAK_S = features.FRAG_BREAK_S
 LONG_BOUT_MIN = features.LONG_BOUT_MIN
 SHORT_WAKE_MIN = features.SHORT_WAKE_MIN
+SOREMP_WAKE_MIN = features.SOREMP_WAKE_MIN
+SoremReport = features.SoremReport
 epoch_weight = hyp.epoch_weight
-_runs = features._runs
-_merged = features._merged
 
 
 # ------------------------------------------------- the loops, kept verbatim
+
+def _runs(labels) -> list[tuple]:
+    """Maximal runs of equal labels as (label, start_index, length)."""
+    runs = []
+    start = 0
+    for i in range(1, len(labels) + 1):
+        if i == len(labels) or labels[i] != labels[start]:
+            runs.append((labels[start], start, i - start))
+            start = i
+    return runs
+
+
+def _merged(stage: str) -> str:
+    if stage in ("W", "N1"):
+        return "WN1"
+    if stage in ("N2", "N3"):
+        return "NREM"
+    return stage  # REM or UNSCORED
+
 
 def _argmax_stage(sums: np.ndarray) -> str:
     # np.argmax returns the first maximum: earliest stage wins ties
@@ -187,6 +206,40 @@ def hypnodensity_peaks(hd: Hypnodensity) -> list[tuple[str, float]]:
     return fused
 
 
+def sorem_analysis(hyp: HypnogramLabels) -> SoremReport:
+    """Sleep/REM latencies and sleep-onset REM period statistics."""
+    epoch_min = hyp.epoch_s / 60.0
+    n = len(hyp.stages)
+    duration_min = n * epoch_min
+    sleep_idx = next((i for i, s in enumerate(hyp.stages)
+                      if s not in ("W", UNSCORED)), None)
+    if sleep_idx is None:
+        return SoremReport(count=0, total_duration_min=0.0,
+                           rem_latency_min=duration_min,
+                           sleep_latency_min=duration_min)
+    sleep_latency = sleep_idx * epoch_min
+    rem_idx = next((i for i, s in enumerate(hyp.stages) if s == "REM"), None)
+    rem_latency = ((rem_idx - sleep_idx) * epoch_min
+                   if rem_idx is not None else duration_min)
+
+    # REM runs immediately preceded by >= 2.5 min of contiguous W/N1
+    merged = [_merged(s) for s in hyp.stages]
+    runs = _runs(merged)
+    count = 0
+    total = 0.0
+    for j, (label, start, length) in enumerate(runs):
+        if label != "REM":
+            continue
+        if j > 0 and runs[j - 1][0] == "WN1":
+            prev_min = runs[j - 1][2] * epoch_min
+            if prev_min >= SOREMP_WAKE_MIN:
+                count += 1
+                total += length * epoch_min
+    return SoremReport(count=count, total_duration_min=total,
+                       rem_latency_min=rem_latency,
+                       sleep_latency_min=sleep_latency)
+
+
 def fragmentation_first_three(hyp: HypnogramLabels) -> np.ndarray:
     """The loop behind the first three of the five values the fragmentation
     features had (REM-after-wake minutes and SOREMP presence were dropped)."""
@@ -330,3 +383,19 @@ def test_peaks_and_fragmentation_match_the_loops(cases):
                 h = HypnogramLabels(labels.stages, epoch_s=epoch_s)
                 assert np.array_equal(features.fragmentation_features(h),
                                       fragmentation_first_three(h))
+
+
+def test_sorem_analysis_matches_the_loop(cases):
+    for scorers, model in cases:
+        for labels in [model] + scorers:
+            for epoch_s in (5, 30):
+                h = HypnogramLabels(labels.stages, epoch_s=epoch_s)
+                new, old = features.sorem_analysis(h), sorem_analysis(h)
+                assert new == old
+                assert [type(v) for v in vars(new).values()] == \
+                    [type(v) for v in vars(old).values()]
+
+
+def test_an_empty_hypnodensity_has_no_peaks():
+    hd = Hypnodensity(np.empty((0, 5)), 30)
+    assert features.hypnodensity_peaks(hd) == hypnodensity_peaks(hd) == []

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from hypnopipe import neuralnet as nn
+from hypnopipe.encoding import encode_recording
 from hypnopipe.errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
 
-from conftest import grad_check, zero_params
+from conftest import grad_check, make_montage, zero_params
 
 TOY_SHAPES = {"EEG": (1, 20), "EOG": (3, 20), "EMG": (1, 10)}
 
@@ -312,6 +313,21 @@ def test_params_round_trip(tmp_path, rng):
     for k in params:
         assert np.array_equal(back[k],
                               params[k].astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("encoding,segment_s", [("octave", 10), ("octave", 5),
+                                               ("cc", 5), ("cc", 30)])
+def test_default_shapes_follow_the_encoding(encoding, segment_s):
+    cfg = nn.NetworkConfig(encoding=encoding, segment_s=segment_s)
+    assert cfg.modality_shapes == nn.modality_shapes_for(encoding, segment_s)
+    assert nn.NetworkConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_default_octave_config_scores_an_octave_batch():
+    cfg = nn.NetworkConfig(mode="FF", encoding="octave", segment_s=10)
+    batch = nn.windows_from_encoded(encode_recording(make_montage(30.0), "octave"), 10)
+    probs, _ = nn.forward(nn.init_params(cfg), batch, cfg)
+    assert probs.shape == (3, 5)
 
 
 def test_config_json_round_trip():

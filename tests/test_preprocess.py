@@ -167,6 +167,16 @@ def test_flatline_is_worse_than_any_clean_channel():
         preprocess.select_eeg_channel([("A", np.zeros(60000))], ref)
 
 
+def test_all_degenerate_names_the_site_and_its_candidates():
+    spec = {role: {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5}
+            for role in signal_io.ROLES}
+    spec.update({role: {"fs": 128} for role in signal_io.OCCIPITAL_EEG})
+    psg = signal_io.synth_recording(spec, seed=0, duration_s=60)
+    with pytest.raises(AllDegenerate, match="^EEG_O: every candidate is constant: "
+                                            "EEG_O_LEFT, EEG_O_RIGHT$"):
+        preprocess.preprocess_recording(psg, _ref_from_clean(), MONTAGE["octave"])
+
+
 def test_single_candidate_wins_by_default():
     ref = _ref_from_clean()
     assert preprocess.select_eeg_channel([("ONLY", _clean(5))], ref) == "ONLY"

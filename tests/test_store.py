@@ -38,6 +38,13 @@ def bundles(tmp_path_factory):
     (root / "gp" / "selection.json").write_text(json.dumps({"selected": [0, 1, 2]}))
     vec = features.FeatureVector(names=["a", "b", "c"], values=np.zeros(3))
     (root / "vec.json").write_text(vec.to_json())
+    spec = {role: {"fs": 128.0, "sinusoids": [(10.0, 30.0)], "noise_sigma": 5.0}
+            for role in ("EEG_C_LEFT", "EOG_L", "EOG_R", "EMG_CHIN")}
+    signal_io.save_recording(signal_io.synth_recording(spec, seed=0, duration_s=60.0,
+                                                       recording_id="p"), str(root / "psg"))
+    (root / "config.json").write_text(json.dumps({
+        "recording": "psg/p.psgmeta.json", "out_dir": "o", "models_dir": "models",
+        "gp_model": "gp"}))
     return root
 
 
@@ -149,3 +156,67 @@ def test_only_store_reads_or_writes_blobs():
                  and any(tok in p.read_text()
                          for tok in ("tofile", "fromfile", '"<f4"', "'<f4'"))]
     assert offenders == []
+
+
+def _transpose(key):
+    def edit(meta):
+        info = meta["arrays"][key]
+        info["shape"] = info["shape"][::-1]
+    return edit
+
+
+# (kind, defect) -> manifest edit; the blobs stay as they are
+CONTENT_DEFECTS = {
+    ("model", "missing_array"): lambda meta: meta["arrays"].pop("out/w"),
+    ("model", "wrong_shape"): _transpose("out/w"),
+    ("gp", "missing_array"): lambda meta: meta["arrays"].pop("L"),
+    ("gp", "wrong_shape"): _transpose("X"),
+    ("gp", "missing_scalar"): lambda meta: meta.pop("noise"),
+}
+# command -> (argv, what it would write), run inside a copy of the bundles
+CONTENT_COMMANDS = {
+    "score": (KINDS["model"][2], "hd.csv"),
+    "diagnose": (KINDS["gp"][2] + ["--out", "d.json"], "d.json"),
+    "run-all": (["run-all", "--config", "config.json"], "o"),
+}
+CONTENT_CASES = [(kind, defect, command) for kind, defect in sorted(CONTENT_DEFECTS)
+                 for command in ("run-all", "score" if kind == "model" else "diagnose")]
+
+
+def test_commands_succeed_on_the_valid_bundles(bundles, tmp_path, monkeypatch):
+    work = tmp_path / "b"
+    shutil.copytree(bundles, work)
+    monkeypatch.chdir(work)
+    for argv, written in CONTENT_COMMANDS.values():
+        assert cli.main(argv) == 0
+        assert (work / written).exists()
+
+
+@pytest.mark.parametrize("kind,defect,command", CONTENT_CASES)
+def test_bundle_contents_are_checked_at_load(bundles, tmp_path, monkeypatch, capsys,
+                                             kind, defect, command):
+    work = tmp_path / "b"
+    shutil.copytree(bundles, work)
+    rel, load, _ = KINDS[kind]
+    _edit_manifest(work / rel, CONTENT_DEFECTS[(kind, defect)])
+    with pytest.raises(CorruptHeader, match="noise" if defect == "missing_scalar"
+                       else "'out/w'" if kind == "model" else "'L'|'X'"):
+        load(str(work / rel))
+    monkeypatch.chdir(work)
+    argv, written = CONTENT_COMMANDS[command]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "level=error" in err and "Traceback" not in err
+    assert not (work / written).exists()
+
+
+def test_a_gp_bundle_with_the_retired_y_and_f_hat_still_loads(bundles, tmp_path):
+    path = str(bundles / "gp" / "gp.gp.json")
+    arrays, meta = store.read_bundle(path)
+    assert "y" not in arrays and "f_hat" not in arrays
+    n = len(arrays["X"])
+    old = store.write_bundle(str(tmp_path / "gp.gp.json"),
+                             {**arrays, "y": np.ones(n), "f_hat": np.zeros(n)}, meta)
+    x = np.arange(3.0)[None, :]
+    assert diagnosis.gp_predict(diagnosis.GPModel.load(old), x) == \
+        diagnosis.gp_predict(diagnosis.GPModel.load(path), x)
