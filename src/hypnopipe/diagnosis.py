@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
@@ -31,7 +31,7 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
-from .store import read_bundle, write_bundle
+from .store import check_shapes, read_bundle, write_bundle
 
 RFE_CUTOFF = 0.40
 RFE_TARGET_COUNT = 38
@@ -170,13 +170,7 @@ class GPModel:
         marks) and every scalar is a finite number; other arrays (the ``y``
         and ``f_hat`` of older bundles) are ignored."""
         mats, meta = read_bundle(path)
-        sizes: dict[str, int] = {}
-        for key, dims in _GP_ARRAYS.items():
-            got = mats[key].shape if key in mats else "missing"
-            if len(got) != len(dims) or any(sizes.setdefault(s, g) != g
-                                            for s, g in zip(dims, got)):
-                raise CorruptHeader(f"{path}: array {key!r} is {got}, needs sizes "
-                                    f"{dims} consistent with {sizes}")
+        sizes = check_shapes(path, mats, _GP_ARRAYS, others=True)
         keep = mats["std_keep"] > 0.5
         if keep.sum() != sizes["k"]:
             raise CorruptHeader(f"{path}: array 'X' has {sizes['k']} columns, "
@@ -190,10 +184,14 @@ class GPModel:
                    **{key: meta[key] for key in _GP_SCALARS})
 
 
+def _sqdist(Xa, Xb):
+    """Squared Euclidean distances between rows, clipped at 0 against rounding."""
+    return np.maximum(np.sum(Xa ** 2, axis=1)[:, None] + np.sum(Xb ** 2, axis=1)[None, :]
+                      - 2.0 * Xa @ Xb.T, 0.0)
+
+
 def _kernel(Xa, Xb, ell, sf):
-    d2 = (np.sum(Xa ** 2, axis=1)[:, None] + np.sum(Xb ** 2, axis=1)[None, :]
-          - 2.0 * Xa @ Xb.T)
-    return sf ** 2 * np.exp(-np.maximum(d2, 0.0) / (2.0 * ell ** 2))
+    return sf ** 2 * np.exp(-_sqdist(Xa, Xb) / (2.0 * ell ** 2))
 
 
 def _probit_ll(y, f):
@@ -245,9 +243,7 @@ def _median_heuristic(X):
     n = len(X)
     if n > 200:
         X = X[:: max(1, n // 200)]
-    d2 = (np.sum(X ** 2, axis=1)[:, None] + np.sum(X ** 2, axis=1)[None, :]
-          - 2.0 * X @ X.T)
-    vals = np.sqrt(np.maximum(d2[np.triu_indices(len(X), k=1)], 0.0))
+    vals = np.sqrt(_sqdist(X, X)[np.triu_indices(len(X), k=1)])
     med = float(np.median(vals)) if len(vals) else 1.0
     return med if med > 0 else 1.0
 
@@ -316,11 +312,7 @@ class DiagnosisReport:
     hla_used: bool = False
 
     def to_json(self) -> str:
-        return json.dumps({
-            "score": self.score, "variance": self.variance,
-            "label": bool(self.label), "threshold": self.threshold,
-            "hla_used": self.hla_used,
-        }, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
 
 def ensemble_diagnose(scores) -> DiagnosisReport:

@@ -31,7 +31,7 @@ from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
                      NonpositiveP95, ShapeMismatch, UnsupportedRate)
 from .preprocess import TARGET_FS, butter_zero_phase
 from .signal_io import PolySignalSet
-from .store import read_bundle, write_bundle
+from .store import check_shapes, read_bundle, write_bundle
 
 OCTAVE_CUTOFFS_HZ = (49.0, 25.0, 12.5, 6.25, 3.125)
 P95_WINDOW_S = 90 * 60      # 90 minute windows
@@ -60,6 +60,12 @@ class CCParams:
         if not (0 < self.hop_s <= self.segment_s < self.extension_s):
             raise ValueError("need 0 < hop_s <= segment_s < extension_s")
 
+    @property
+    def n_lags(self) -> int:
+        """Columns of a CC row: extension minus segment samples, plus one."""
+        return (int(round(self.extension_s * TARGET_FS))
+                - int(round(self.segment_s * TARGET_FS)) + 1)
+
 
 # Per-modality parameters; extension is twice the segment, centered.
 CC_PARAMS = {
@@ -67,6 +73,12 @@ CC_PARAMS = {
     "EOG": CCParams(segment_s=4.0, hop_s=0.25, extension_s=8.0),
     "EMG": CCParams(segment_s=0.4, hop_s=0.15, extension_s=0.8),
 }
+# The CC tensors by the modality whose parameters and sub-network they share:
+# name -> (role correlated, role its extension comes from).
+CC_TENSORS = {"EEG": {"EEG": ("EEG_C", "EEG_C")},
+              "EOG": {"EOG_L": ("EOG_L", "EOG_L"), "EOG_R": ("EOG_R", "EOG_R"),
+                      "EOG_X": ("EOG_L", "EOG_R")},
+              "EMG": {"EMG": ("EMG_CHIN", "EMG_CHIN")}}
 
 
 @dataclass
@@ -88,8 +100,11 @@ class EncodedRecording:
     @classmethod
     def load(cls, path: str) -> "EncodedRecording":
         """Raises ``CorruptHeader`` for a manifest whose ``fs`` is not TARGET_FS,
-        or a CC encoding whose rows are not 5 s window means (0.25 s grid
-        rows, as written by older versions)."""
+        a CC encoding whose rows are not 5 s window means (0.25 s grid rows,
+        as written by older versions), or, naming the array, tensors other
+        than ``encode_recording`` makes: for CC, each of CC_TENSORS as (n, its
+        modality's ``n_lags``); for octave, (5, n) for each role of
+        ``MONTAGE["octave"]``; one n throughout."""
         tensors, meta = read_bundle(path)
         keys = ("recording_id", "mode", "duration_s")
         if any(k not in meta for k in keys) or meta["mode"] not in MODES:
@@ -99,6 +114,12 @@ class EncodedRecording:
         if meta["mode"] == "cc" and meta.get("row_s") != CC_WINDOW_S:
             raise CorruptHeader(f"{path}: CC rows are not {CC_WINDOW_S} s window "
                                 f"means; encode the recording again")
+        if meta["mode"] == "cc":
+            shapes = {name: ("n", CC_PARAMS[m].n_lags)
+                      for m, names in CC_TENSORS.items() for name in names}
+        else:
+            shapes = {role: (len(OCTAVE_CUTOFFS_HZ), "n") for role in MONTAGE["octave"]}
+        check_shapes(path, tensors, shapes)
         return cls(tensors=tensors, **{k: meta[k] for k in keys})
 
 
@@ -183,9 +204,9 @@ def segment_starts(n_samples: int, params: CCParams) -> np.ndarray:
 
 
 def _cc_rows(signal, params: CCParams, opposite=None):
-    """``(starts, n_lags, rows)``: every segment's first sample, the number of
-    lags, and a function that returns the raw CC rows of the segments
-    starting at a non-decreasing array of those starts.
+    """``(starts, rows)``: every segment's first sample, and a function that
+    returns the raw CC rows of the segments starting at a non-decreasing
+    array of those starts.
 
     The hop and the segment share a block of ``gcd(segment, hop)`` samples
     (25 for EEG and EOG, 5 for EMG), so a segment's correlation is the sum
@@ -200,9 +221,8 @@ def _cc_rows(signal, params: CCParams, opposite=None):
     if opposite is not None and len(ext_src) != len(x):
         raise ShapeMismatch("opposite channel length differs")
     seg_len = int(round(params.segment_s * TARGET_FS))
-    ext_len = int(round(params.extension_s * TARGET_FS))
-    n_lags = ext_len - seg_len + 1
-    wing = (ext_len - seg_len) // 2
+    n_lags = params.n_lags
+    wing = (n_lags - 1) // 2
     starts = segment_starts(len(x), params)
     block = math.gcd(seg_len, int(round(params.hop_s * TARGET_FS)))
     span = seg_len // block                   # blocks per segment
@@ -225,30 +245,28 @@ def _cc_rows(signal, params: CCParams, opposite=None):
             width *= 2
         return sums[at // block - k0] / seg_len
 
-    return starts, n_lags, rows
+    return starts, rows
 
 
 def cc_segment(signal: np.ndarray, params: CCParams,
                opposite: np.ndarray | None = None) -> np.ndarray:
     """Raw per-segment correlation against a centered extension window.
 
-    Returns (n_segments, n_lags) with n_lags = extension - segment + 1
-    samples; the zero lag sits at index (n_lags - 1) // 2.  The extension
-    comes from the same channel, or from ``opposite`` for EOG cross mode;
-    recording edges are zero-padded.  ``InvalidSpec`` unless the segment is
-    2^k blocks of ``gcd(segment, hop)`` samples (true of ``CC_PARAMS``).
+    Returns (n_segments, ``params.n_lags``); the zero lag sits at index
+    (n_lags - 1) // 2.  The extension comes from the same channel, or from
+    ``opposite`` for EOG cross mode; recording edges are zero-padded.
+    ``InvalidSpec`` unless the segment is 2^k blocks of ``gcd(segment, hop)``
+    samples (true of ``CC_PARAMS``).
     """
-    starts, _, rows = _cc_rows(signal, params, opposite)
+    starts, rows = _cc_rows(signal, params, opposite)
     return rows(starts)
 
 
 def cc_scale(gamma: np.ndarray) -> np.ndarray:
-    """Per-segment scaling D = gamma * log(1 + max|gamma|) / max|gamma|."""
-    g = np.atleast_2d(np.asarray(gamma, dtype=float))
-    peaks = np.max(np.abs(g), axis=1, keepdims=True)
+    """Each segment's row scaled: D = gamma * log(1 + max|gamma|) / max|gamma|."""
+    peaks = np.max(np.abs(gamma), axis=1, keepdims=True)
     scale = np.where(peaks > 0, np.log1p(peaks) / np.where(peaks > 0, peaks, 1.0), 0.0)
-    out = g * scale
-    return out if np.asarray(gamma).ndim > 1 else out[0]
+    return gamma * scale
 
 
 def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
@@ -258,9 +276,9 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     they are cut to the shortest one's count before any encoder runs.
 
     mode="octave": one (5, T) tensor per montage channel (25 channels total).
-    mode="cc": for EEG, EOG_L, EOG_R, EOG_X and EMG, one row per whole 5 s
-    window, the mean of its 20 scaled CC segments on the 0.25 s grid of the
-    4 s EOG segments (each slot takes the EMG segment of nearest center).
+    mode="cc": for each tensor of CC_TENSORS, one row per whole 5 s window,
+    the mean of its 20 scaled CC segments on the 0.25 s grid of the 4 s EOG
+    segments (each slot takes the EMG segment of nearest center).
     Only the segments the grid reads are correlated, CC_CHUNK_WINDOWS
     windows at a time, so no whole-night raw CC matrix is ever built.
     """
@@ -282,9 +300,6 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
         enc.tensors = {role: octave_encode(v) for role, v in x.items()}
         return enc
 
-    sources = {"EEG": (x["EEG_C"], "EEG", None), "EOG_L": (x["EOG_L"], "EOG", None),
-               "EOG_R": (x["EOG_R"], "EOG", None), "EOG_X": (x["EOG_L"], "EOG", x["EOG_R"]),
-               "EMG": (x["EMG_CHIN"], "EMG", None)}
     # the grid steps by the EEG and EOG hop; the 4 s EOG segment is the longest
     eog, emg = CC_PARAMS["EOG"], CC_PARAMS["EMG"]
     n_rows = len(segment_starts(n, eog)) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
@@ -292,12 +307,14 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
 
     chunk = CC_CHUNK_WINDOWS * ROWS_PER_WINDOW
-    for name, (v, kind, opposite) in sources.items():
-        starts, n_lags, rows = _cc_rows(v, CC_PARAMS[kind], opposite)
-        grid = starts[emg_slot] if name == "EMG" else starts[:n_rows]
-        out = enc.tensors[name] = np.empty((n_rows // ROWS_PER_WINDOW, n_lags))
-        for r in range(0, n_rows, chunk):
-            scaled = cc_scale(rows(grid[r:r + chunk]))
-            out[r // ROWS_PER_WINDOW:(r + chunk) // ROWS_PER_WINDOW] = scaled.reshape(
-                -1, ROWS_PER_WINDOW, n_lags).mean(axis=1)
+    for kind, tensors in CC_TENSORS.items():
+        for name, (role, ext_role) in tensors.items():
+            starts, rows = _cc_rows(x[role], CC_PARAMS[kind], x[ext_role])
+            n_lags = CC_PARAMS[kind].n_lags
+            grid = starts[emg_slot] if kind == "EMG" else starts[:n_rows]
+            out = enc.tensors[name] = np.empty((n_rows // ROWS_PER_WINDOW, n_lags))
+            for r in range(0, n_rows, chunk):
+                scaled = cc_scale(rows(grid[r:r + chunk]))
+                out[r // ROWS_PER_WINDOW:(r + chunk) // ROWS_PER_WINDOW] = scaled.reshape(
+                    -1, ROWS_PER_WINDOW, n_lags).mean(axis=1)
     return enc

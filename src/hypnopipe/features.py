@@ -139,9 +139,10 @@ def combo_descriptors(series: np.ndarray, resolution_s: int) -> np.ndarray:
         q = s / total
         nz = q[q > 0]
         out[5] = float(-(nz * np.log(nz)).sum())
-    for j, p in enumerate(CUMSUM_PERCENTS):
-        if total > 0:
-            t_min = _time_to_fraction(s, p / 100.0) * resolution_s / 60.0
+    if total > 0:
+        cum = np.cumsum(s)
+        for j, p in enumerate(CUMSUM_PERCENTS):
+            t_min = _time_to_fraction(s, cum, p / 100.0) * resolution_s / 60.0
             out[6 + j] = t_min * total
     out[12] = total
     if out[1] > 0:
@@ -154,10 +155,10 @@ def combo_descriptors(series: np.ndarray, resolution_s: int) -> np.ndarray:
     return out
 
 
-def _time_to_fraction(series: np.ndarray, frac: float) -> float:
-    """Fractional segment count at which the running sum first crosses
-    ``frac`` of the total, with linear accumulation inside a segment."""
-    cum = np.cumsum(series)
+def _time_to_fraction(series: np.ndarray, cum: np.ndarray, frac: float) -> float:
+    """Fractional segment count at which the running sum ``cum`` of
+    ``series`` first crosses ``frac`` of the total, with linear accumulation
+    inside a segment."""
     target = frac * cum[-1]
     i = int(np.searchsorted(cum, target))
     prev = cum[i - 1] if i > 0 else 0.0

@@ -50,7 +50,7 @@ class Hypnodensity:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, recording_id: str = "") -> "Hypnodensity":
+    def from_csv(cls, text: str) -> "Hypnodensity":
         """Parse ``to_csv`` output (columns after REM are ignored): a bad header,
         an unparseable cell or a ``t_start_s`` that does not increase in equal
         steps is ``CorruptHeader``, a row of the wrong length ``ShapeMismatch``.
@@ -71,7 +71,7 @@ class Hypnodensity:
         if res < 1 or np.any(steps != res):
             raise CorruptHeader("hypnodensity CSV: t_start_s must increase in equal "
                                 "whole-second steps")
-        return cls(probs=probs, resolution_s=res, recording_id=recording_id)
+        return cls(probs=probs, resolution_s=res)
 
 
 @dataclass
@@ -79,7 +79,6 @@ class EnsembleHypnodensity:
     mean: Hypnodensity
     variance: np.ndarray       # (T, 5), across-model population variance
     n_models: int
-    relative_variance: np.ndarray | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -233,33 +232,16 @@ def confusion(model: HypnogramLabels, reference: HypnogramLabels) -> dict:
             "kappa": kappa}
 
 
-def ensemble_hypnodensity(models: list[Hypnodensity],
-                          labels: HypnogramLabels | None = None
-                          ) -> EnsembleHypnodensity:
-    """Elementwise mean and population variance across per-model matrices.
-
-    When reference labels are given, the variance is additionally reported
-    relative to the mean variance of correct wake predictions (stored on the
-    returned object as ``relative_variance``).
-    """
+def ensemble_hypnodensity(models: list[Hypnodensity]) -> EnsembleHypnodensity:
+    """Elementwise mean and population variance across per-model matrices."""
     shapes = {m.probs.shape for m in models}
     res = {m.resolution_s for m in models}
     if len(shapes) != 1 or len(res) != 1:
         raise ShapeMismatch("all models must share shape and resolution")
     stack = np.stack([m.probs for m in models])
-    mean = stack.mean(axis=0)
-    var = stack.var(axis=0)  # population variance
-    ens = EnsembleHypnodensity(
-        mean=Hypnodensity(probs=mean, resolution_s=models[0].resolution_s,
+    return EnsembleHypnodensity(
+        mean=Hypnodensity(probs=stack.mean(axis=0), resolution_s=models[0].resolution_s,
                           recording_id=models[0].recording_id),
-        variance=var,
+        variance=stack.var(axis=0),  # population variance
         n_models=len(models),
     )
-    if labels is not None:
-        hyp = to_hypnogram(ens.mean, epoch_s=labels.epoch_s)
-        wake_vars = [var[i].mean() for i, (p, t) in
-                     enumerate(zip(hyp.stages, labels.stages))
-                     if p == t == "W"]
-        base = float(np.mean(wake_vars)) if wake_vars else 1.0
-        ens.relative_variance = var / base if base > 0 else var
-    return ens

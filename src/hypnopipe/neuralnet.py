@@ -23,17 +23,17 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (CorruptHeader, DatasetTooSmall, InvalidSpec, NaNGradient,
-                     ShapeMismatch)
-from .encoding import CC_WINDOW_S, INPUTS, MODES, OCTAVE_CUTOFFS_HZ, EncodedRecording
+from .errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
+from .encoding import (CC_PARAMS, CC_TENSORS, CC_WINDOW_S, INPUTS, MODES,
+                       OCTAVE_CUTOFFS_HZ, EncodedRecording)
 from .preprocess import TARGET_FS
 from .signal_io import VALID_EPOCH_S
-from .store import read_bundle, write_bundle
+from .store import check_shapes, read_bundle, write_bundle
 
 # Training constants
 WEIGHT_DECAY = 0.00001
@@ -91,14 +91,7 @@ class NetworkConfig:
                 raise InvalidSpec("conv feature counts must be > 0")
 
     def to_json(self) -> str:
-        return json.dumps({
-            "mode": self.mode, "complexity": self.complexity,
-            "segment_s": self.segment_s, "encoding": self.encoding,
-            "modality_shapes": {m: list(v) for m, v in self.modality_shapes.items()},
-            "conv_features": self.conv_features, "hidden": self.hidden,
-            "dropout_keep": self.dropout_keep, "loss_kind": self.loss_kind,
-            "seed": self.seed,
-        }, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkConfig":
@@ -533,10 +526,8 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
             rows = t[name][:n * k]
             return rows.reshape(n, k, rows.shape[1]).mean(axis=1)
 
-        batch = {"EEG": means("EEG")[:, None, :],
-                 "EOG": np.stack([means(x) for x in ("EOG_L", "EOG_R", "EOG_X")],
-                                 axis=1),
-                 "EMG": means("EMG")[:, None, :]}
+        batch = {m: np.stack([means(name) for name in names], axis=1)
+                 for m, names in CC_TENSORS.items()}
     else:
         width = int(round(segment_s * TARGET_FS))
         n = t["EEG_C"].shape[1] // width
@@ -555,7 +546,7 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
 
 def modality_shapes_for(encoding: str, segment_s: int) -> dict:
     if encoding == "cc":
-        return {"EEG": (1, 201), "EOG": (3, 401), "EMG": (1, 41)}
+        return {m: (len(names), CC_PARAMS[m].n_lags) for m, names in CC_TENSORS.items()}
     bands, length = len(OCTAVE_CUTOFFS_HZ), int(TARGET_FS * segment_s)
     return {m: (bands * len(roles), length) for m, roles in INPUTS["octave"].items()}
 
@@ -572,10 +563,5 @@ def load_params(path: str):
     unless it holds exactly the arrays, and shapes, that ``init_params`` makes."""
     params, meta = read_bundle(path)
     config = NetworkConfig.from_json(json.dumps(meta.get("config")))
-    shapes = _param_shapes(config)
-    for name in sorted(set(shapes) | set(params)):
-        got = params[name].shape if name in params else "missing"
-        if got != shapes.get(name):
-            raise CorruptHeader(f"{path}: array {name!r} is {got}, the config needs "
-                                f"{shapes.get(name, 'no such array')}")
+    check_shapes(path, params, _param_shapes(config))
     return params, config

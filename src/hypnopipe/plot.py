@@ -62,15 +62,8 @@ def hypnodensity_svg(hd: Hypnodensity) -> str:
             f'stroke="none" d="M {" L ".join(pts)} Z"><title>{stage}</title></path>\n'
         )
         lower = upper
-    # hour ticks
-    n_ticks = max(int(np.floor(hours)) + 1, 2)
-    for t in range(n_ticks):
-        if hours > 0:
-            x = MARGIN_L + (t / hours) * plot_w if t <= hours else None
-        else:
-            x = MARGIN_L if t == 0 else None
-        if x is None or x > WIDTH - MARGIN_R + 1e-9:
-            continue
+    for t in range(int(hours) + 1):       # hour ticks
+        x = MARGIN_L + (t / hours) * plot_w
         parts.append(
             f'<line x1="{_fmt(x)}" y1="{MARGIN_T + plot_h}" x2="{_fmt(x)}" '
             f'y2="{MARGIN_T + plot_h + 5}" stroke="#333333"/>\n'

@@ -36,16 +36,6 @@ SELECTION_SEGMENT_S = 300  # 5 minute Hjorth segments
 
 
 @dataclass
-class HjorthTriple:
-    activity: float
-    mobility: float
-    complexity: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.activity, self.mobility, self.complexity])
-
-
-@dataclass
 class ReferenceDistribution:
     mean: np.ndarray        # 3-vector of log-Hjorth averages
     covariance: np.ndarray  # 3x3, positive definite
@@ -119,7 +109,7 @@ def resample(x: np.ndarray, fs_in: float) -> np.ndarray:
     return y
 
 
-def hjorth(segment: np.ndarray) -> HjorthTriple:
+def hjorth(segment: np.ndarray) -> np.ndarray:
     """Activity, mobility, complexity of one segment (first-difference form)."""
     x = np.asarray(segment, dtype=float)
     if len(x) < 3:
@@ -134,7 +124,7 @@ def hjorth(segment: np.ndarray) -> HjorthTriple:
     var_ddx = float(np.var(ddx))
     mobility_dx = np.sqrt(var_ddx / var_dx) if var_dx > 0 else 0.0
     complexity = float(mobility_dx / mobility) if mobility > 0 else 0.0
-    return HjorthTriple(activity=var_x, mobility=mobility, complexity=complexity)
+    return np.array([var_x, mobility, complexity])
 
 
 def to_target_rate(ch: Channel) -> np.ndarray:
@@ -159,10 +149,9 @@ def _avg_log_hjorth(x: np.ndarray) -> np.ndarray | None:
     logs = []
     for seg in segments:
         try:
-            h = hjorth(seg)
+            vals = hjorth(seg)
         except DegenerateSegment:
             continue
-        vals = h.as_array()
         if np.any(vals <= 0):
             continue
         logs.append(np.log(vals))

@@ -1,4 +1,4 @@
-"""Recording and hypnogram file formats, plus synthetic recordings for tests.
+"""Recording and hypnogram file formats.
 
 A recording on disk is a ``store`` bundle: ``<id>.psgmeta.json`` (recording
 id, duration, per-role sample rates) next to one little-endian float32 blob
@@ -113,46 +113,6 @@ def load_recording(path: str) -> PolySignalSet:
         raise CorruptHeader(f"{path}: {e!r}") from e
     psg.validate()
     return psg
-
-
-def synth_recording(spec: dict, seed: int, duration_s: float,
-                    recording_id: str = "synthetic") -> PolySignalSet:
-    """Deterministic synthetic recording.
-
-    ``spec`` maps role -> {"fs": Hz, "sinusoids": [(freq_hz, amp_uv), ...],
-    "noise_sigma": uv}.  Pure function of (spec, seed, duration_s).
-    """
-    if duration_s <= 0:
-        raise InvalidSpec("duration_s must be > 0")
-    channels = {}
-    for i, (role, chspec) in enumerate(sorted(spec.items())):
-        fs = float(chspec["fs"])
-        if fs <= 0:
-            raise InvalidSpec(f"{role}: fs must be > 0")
-        n = round(fs * duration_s)
-        t = np.arange(n) / fs
-        x = np.zeros(n)
-        for freq, amp in chspec.get("sinusoids", []):
-            if amp < 0:
-                raise InvalidSpec(f"{role}: negative amplitude")
-            x += amp * np.sin(2.0 * np.pi * freq * t)
-        sigma = chspec.get("noise_sigma", 0.0)
-        if sigma < 0:
-            raise InvalidSpec(f"{role}: negative noise sigma")
-        if sigma > 0:
-            # per-channel stream so adding channels does not shift others
-            rng = np.random.default_rng([seed, i])
-            x += sigma * rng.standard_normal(n)
-        channels[role] = Channel(samples=x, fs=fs)
-    return PolySignalSet(channels=channels, duration_s=duration_s,
-                         recording_id=recording_id)
-
-
-def save_hypnogram(hyp: HypnogramLabels, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(f"epoch_s={hyp.epoch_s}\n")
-        for s in hyp.stages:
-            f.write(s + "\n")
 
 
 def load_hypnogram(path: str) -> HypnogramLabels:

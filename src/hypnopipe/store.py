@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .errors import CorruptHeader, LengthMismatch, MissingBlob
+from .errors import CorruptHeader, InvalidValues, LengthMismatch, MissingBlob
 
 FORMAT = 1
 _DTYPE = np.dtype("<f4")
@@ -51,22 +51,37 @@ def read_text(path: str) -> str:
             raise CorruptHeader(f"{path}: not UTF-8 text: {e}") from e
 
 
+def _entry(info) -> tuple[str, tuple[int, ...]]:
+    """``(blob, shape)`` of an arrays-table entry; ``ValueError`` unless the
+    blob is a bare file name and the shape a list of non-negative integers."""
+    blob, shape = info["blob"], info["shape"]
+    if not isinstance(blob, str) or blob != os.path.basename(blob) or "\0" in blob \
+            or blob in ("", ".", ".."):
+        raise ValueError(f"blob {blob!r} is not a file name in the manifest's directory")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"shape {shape!r} is not a list of non-negative integers")
+    return blob, tuple(shape)
+
+
 def read_bundle(manifest_path: str) -> tuple[dict, dict]:
     """``(arrays, meta)`` of a bundle; arrays come back as float64.
 
-    Raises ``CorruptHeader`` for an unreadable manifest or an unknown
-    ``format``, ``MissingBlob`` for an absent blob and ``LengthMismatch`` for
-    a blob whose size does not match its declared shape.
+    Raises ``CorruptHeader`` for an unreadable manifest, an unknown
+    ``format`` or a bad arrays table (a shape that is not a list of
+    non-negative integers, a blob that is not a bare file name),
+    ``MissingBlob`` for an absent blob, ``LengthMismatch`` for a blob whose
+    size does not match its declared shape and ``InvalidValues``, naming the
+    array and the first flat index, for a non-finite value.
     """
     try:
         meta = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as e:
         raise CorruptHeader(f"{manifest_path}: {e}") from e
-    if not isinstance(meta, dict) or meta.get("format") != FORMAT:
+    if not isinstance(meta, dict) or type(meta.get("format")) is not int \
+            or meta["format"] != FORMAT:
         raise CorruptHeader(f"{manifest_path}: not a format {FORMAT} bundle manifest")
     try:
-        table = {key: (str(info["blob"]), tuple(int(n) for n in info["shape"]))
-                 for key, info in meta.pop("arrays").items()}
+        table = {key: _entry(info) for key, info in meta.pop("arrays").items()}
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CorruptHeader(f"{manifest_path}: bad arrays table: {e!r}") from e
     del meta["format"]
@@ -84,5 +99,27 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
                 raise LengthMismatch(f"{key}: blob {blob} has {size} bytes, shape "
                                      f"{list(shape)} needs {count * _DTYPE.itemsize}")
             data = np.fromfile(f, dtype=_DTYPE, count=count)
+        finite = np.isfinite(data)
+        if not finite.all():
+            raise InvalidValues(f"{manifest_path}: array {key!r} has a non-finite value "
+                                f"at flat index {int(np.argmin(finite))}")
         arrays[key] = data.astype(np.float64).reshape(shape)
     return arrays, meta
+
+
+def check_shapes(path: str, arrays: dict, shapes: dict, others: bool = False) -> dict:
+    """The size of each named dimension of ``shapes`` (key -> shape of sizes
+    and names; a name takes one size in every array).  ``CorruptHeader``
+    naming the first array, in key order, that is missing, of another shape
+    or, unless ``others``, not in ``shapes``."""
+    sizes: dict[str, int] = {}
+    for key in sorted(set(shapes) | (set() if others else set(arrays))):
+        want, got = shapes.get(key), arrays[key].shape if key in arrays else None
+        if want is None or got is None or len(got) != len(want) or any(
+                (sizes.setdefault(w, g) if isinstance(w, str) else w) != g
+                for w, g in zip(want, got)):
+            got = "missing" if got is None else got
+            want = ("no such array" if want is None
+                    else f"{want} with {sizes}" if sizes else want)
+            raise CorruptHeader(f"{path}: array {key!r} is {got}, needs {want}")
+    return sizes

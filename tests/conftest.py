@@ -3,8 +3,50 @@ import pytest
 
 from hypnopipe import neuralnet as nn
 from hypnopipe.encoding import CCParams
+from hypnopipe.errors import InvalidSpec
 from hypnopipe.hypnodensity import Hypnodensity
-from hypnopipe.signal_io import Channel, PolySignalSet
+from hypnopipe.signal_io import Channel, HypnogramLabels, PolySignalSet
+
+
+def synth_recording(spec: dict, seed: int, duration_s: float,
+                    recording_id: str = "synthetic") -> PolySignalSet:
+    """Deterministic synthetic recording.
+
+    ``spec`` maps role -> {"fs": Hz, "sinusoids": [(freq_hz, amp_uv), ...],
+    "noise_sigma": uv}.  Pure function of (spec, seed, duration_s).
+    """
+    if duration_s <= 0:
+        raise InvalidSpec("duration_s must be > 0")
+    channels = {}
+    for i, (role, chspec) in enumerate(sorted(spec.items())):
+        fs = float(chspec["fs"])
+        if fs <= 0:
+            raise InvalidSpec(f"{role}: fs must be > 0")
+        n = round(fs * duration_s)
+        t = np.arange(n) / fs
+        x = np.zeros(n)
+        for freq, amp in chspec.get("sinusoids", []):
+            if amp < 0:
+                raise InvalidSpec(f"{role}: negative amplitude")
+            x += amp * np.sin(2.0 * np.pi * freq * t)
+        sigma = chspec.get("noise_sigma", 0.0)
+        if sigma < 0:
+            raise InvalidSpec(f"{role}: negative noise sigma")
+        if sigma > 0:
+            # per-channel stream so adding channels does not shift others
+            rng = np.random.default_rng([seed, i])
+            x += sigma * rng.standard_normal(n)
+        channels[role] = Channel(samples=x, fs=fs)
+    return PolySignalSet(channels=channels, duration_s=duration_s,
+                         recording_id=recording_id)
+
+
+def save_hypnogram(hyp: HypnogramLabels, path: str) -> None:
+    """Write ``hyp`` in the format ``signal_io.load_hypnogram`` reads."""
+    with open(path, "w") as f:
+        f.write(f"epoch_s={hyp.epoch_s}\n")
+        for s in hyp.stages:
+            f.write(s + "\n")
 
 
 def make_montage(duration_s=600.0, seed=0, fs=100.0):

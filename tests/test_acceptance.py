@@ -24,7 +24,8 @@ from hypnopipe import (
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import STAGES, HypnogramLabels
 
-from conftest import cc_lag0_index, grad_check, make_montage, random_hypnodensity
+from conftest import (cc_lag0_index, grad_check, make_montage, random_hypnodensity,
+                      synth_recording)
 from test_cli import RAW_SPEC
 from test_features import brute_force_vector
 from test_neuralnet import learner_config, pooled, separable_dataset, toy_config
@@ -236,8 +237,8 @@ def test_criterion_gp_suite(rng):
 def test_criterion_end_to_end_determinism(tmp_path, rng):
     with criterion("end-to-end-determinism"):
         raw = tmp_path / "raw"
-        psg = signal_io.synth_recording(RAW_SPEC, seed=11, duration_s=600.0,
-                                        recording_id="e2e")
+        psg = synth_recording(RAW_SPEC, seed=11, duration_s=600.0,
+                              recording_id="e2e")
         meta = signal_io.save_recording(psg, str(raw))
         models = tmp_path / "models"
         base = nn.NetworkConfig(

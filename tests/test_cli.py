@@ -17,7 +17,8 @@ from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile, Invalid
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
-from conftest import eog_one_sample_short, make_montage, random_hypnodensity
+from conftest import (eog_one_sample_short, make_montage, random_hypnodensity,
+                      save_hypnogram, synth_recording)
 
 RAW_SPEC = {
     "EEG_C_LEFT": {"fs": 128.0, "sinusoids": [(10.0, 30.0)], "noise_sigma": 5.0},
@@ -34,8 +35,8 @@ def workspace(tmp_path_factory):
     """A raw recording, a two-model ensemble and a fitted GP on disk."""
     root = tmp_path_factory.mktemp("ws")
     raw_dir = root / "raw"
-    psg = signal_io.synth_recording(RAW_SPEC, seed=3, duration_s=600.0,
-                                    recording_id="rec1")
+    psg = synth_recording(RAW_SPEC, seed=3, duration_s=600.0,
+                          recording_id="rec1")
     meta = signal_io.save_recording(psg, str(raw_dir))
 
     models_dir = root / "models"
@@ -134,7 +135,7 @@ def test_train_drops_unscored_windows(tmp_path, monkeypatch):
             k: rng.random((12, n)) for k, n in (("EEG", 201), ("EOG_L", 401),
                                                 ("EOG_R", 401), ("EOG_X", 401),
                                                 ("EMG", 41))}).save(str(data))
-        signal_io.save_hypnogram(HypnogramLabels(["N2", "UNSCORED"], epoch_s=30),
+        save_hypnogram(HypnogramLabels(["N2", "UNSCORED"], epoch_s=30),
                                  str(data / f"{rid}.hyp.txt"))
     config = tmp_path / "net.json"
     config.write_text(neuralnet.NetworkConfig(mode="FF", segment_s=5).to_json())
@@ -165,7 +166,7 @@ def test_train_rejects_epoch_not_a_multiple_of_segment(tmp_path, capsys,
         k: rng.random((12, n)) for k, n in (("EEG", 201), ("EOG_L", 401),
                                             ("EOG_R", 401), ("EOG_X", 401),
                                             ("EMG", 41))}).save(str(data))
-    signal_io.save_hypnogram(HypnogramLabels(["N2"] * (60 // epoch_s), epoch_s=epoch_s),
+    save_hypnogram(HypnogramLabels(["N2"] * (60 // epoch_s), epoch_s=epoch_s),
                              str(data / "a.hyp.txt"))
     config = tmp_path / "net.json"
     config.write_text(neuralnet.NetworkConfig(mode="FF", segment_s=segment_s).to_json())
@@ -211,7 +212,7 @@ def test_octave_encode_of_a_montage_too_short_to_filter_is_a_typed_error(tmp_pat
                                                                          capsys):
     # 31 samples at 256 Hz pass band-limiting and leave a 12-sample montage
     spec = {role: {**s, "fs": 256.0} for role, s in RAW_SPEC.items()}
-    raw = signal_io.save_recording(signal_io.synth_recording(
+    raw = signal_io.save_recording(synth_recording(
         spec, seed=0, duration_s=0.12, recording_id="short"), str(tmp_path / "raw"))
     assert cli.main(["preprocess", raw, str(tmp_path / "m")]) == 0
     out = tmp_path / "e"
@@ -436,8 +437,8 @@ def test_exit_code_io_error(tmp_path):
 
 def test_exit_code_validation_missing_channels(tmp_path):
     spec = {"EEG_C_LEFT": RAW_SPEC["EEG_C_LEFT"]}
-    psg = signal_io.synth_recording(spec, seed=0, duration_s=60.0,
-                                    recording_id="bare")
+    psg = synth_recording(spec, seed=0, duration_s=60.0,
+                          recording_id="bare")
     meta = signal_io.save_recording(psg, str(tmp_path / "raw"))
     assert cli.main(["preprocess", meta, str(tmp_path / "m")]) == 3
 
@@ -690,8 +691,8 @@ def test_exit_code_malformed_hypnodensity(tmp_path):
 
 def nan_recording(tmp_path):
     """The workspace recording with 10 NaN samples in EMG_CHIN from 1234."""
-    psg = signal_io.synth_recording(RAW_SPEC, seed=3, duration_s=600.0,
-                                    recording_id="rec1")
+    psg = synth_recording(RAW_SPEC, seed=3, duration_s=600.0,
+                          recording_id="rec1")
     meta = signal_io.save_recording(psg, str(tmp_path / "raw"))
     blob = tmp_path / "raw" / "rec1.EMG_CHIN.f32le"
     samples = np.fromfile(blob, dtype="<f4")
@@ -817,7 +818,7 @@ def test_malformed_reference_is_a_typed_error(workspace, tmp_path, capsys, comma
 def test_cc_run_all_neither_needs_nor_processes_occipital_channels(workspace, tmp_path,
                                                                   capsys):
     spec = {**RAW_SPEC, "EEG_O_LEFT": {"fs": 128.0}, "EEG_O_RIGHT": {"fs": 128.0}}
-    meta = signal_io.save_recording(signal_io.synth_recording(
+    meta = signal_io.save_recording(synth_recording(
         spec, seed=3, duration_s=600.0, recording_id="flat"), str(tmp_path / "raw"))
     ref, out = tmp_path / "ref.json", tmp_path / "o"
     ref.write_text(json.dumps(REF))
@@ -834,7 +835,7 @@ def test_cc_run_all_neither_needs_nor_processes_occipital_channels(workspace, tm
 def flat_occipital_recording(tmp_path):
     """The workspace spec with both occipital electrodes constant (zero)."""
     spec = {**RAW_SPEC, "EEG_O_LEFT": {"fs": 128.0}, "EEG_O_RIGHT": {"fs": 128.0}}
-    return signal_io.save_recording(signal_io.synth_recording(
+    return signal_io.save_recording(synth_recording(
         spec, seed=3, duration_s=120.0, recording_id="flat"), str(tmp_path / "raw"))
 
 

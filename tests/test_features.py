@@ -201,6 +201,33 @@ def test_proto_series_monotone_in_combo_size(rng):
     assert np.all(big <= small + 1e-15)
 
 
+def _time_to_fraction_own_cumsum(series, frac):
+    """``features._time_to_fraction`` as it was when every call took its own
+    cumulative sum (one per percentage)."""
+    cum = np.cumsum(series)
+    target = frac * cum[-1]
+    i = int(np.searchsorted(cum, target))
+    prev = cum[i - 1] if i > 0 else 0.0
+    within = (target - prev) / series[i] if series[i] > 0 else 0.0
+    return i + within
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 960])
+def test_one_cumsum_per_series_is_bitwise_the_cumsum_per_percentage(n_rows):
+    rng = np.random.default_rng(n_rows)
+    hd = random_hypnodensity(rng, n_rows, 5)
+    # sure W rows make zeros in every series without W; an all-W night makes
+    # every such series all zeros
+    hd.probs[rng.random(n_rows) < 0.4] = [1.0, 0, 0, 0, 0]
+    for probs in (hd.probs, np.tile([1.0, 0, 0, 0, 0], (n_rows, 1))):
+        for combo in features.STAGE_COMBOS:
+            s = features.proto_series(Hypnodensity(probs=probs, resolution_s=5), combo)
+            total = s.sum()
+            expect = [_time_to_fraction_own_cumsum(s, p / 100.0) * 5 / 60.0 * total
+                      if total > 0 else 0.0 for p in features.CUMSUM_PERCENTS]
+            assert np.array_equal(features.combo_descriptors(s, 5)[6:12], expect)
+
+
 def test_descriptors_constant_series_closed_forms():
     n, res = 100, 30
     c = 0.3

@@ -281,18 +281,6 @@ def test_ensemble_shape_mismatch(rng):
                                    random_hypnodensity(rng, 5)])
 
 
-def test_ensemble_relative_variance_standardized(rng):
-    models = [random_hypnodensity(rng, 12) for _ in range(4)]
-    # force wake-dominant mean so correct-wake epochs exist
-    for m in models:
-        m.probs[:, 0] += 2.0
-        m.probs /= m.probs.sum(axis=1, keepdims=True)
-    labels = HypnogramLabels(["W"] * 12, epoch_s=30)
-    ens = hyp.ensemble_hypnodensity(models, labels=labels)
-    assert ens.relative_variance is not None
-    assert abs(ens.relative_variance.mean() - 1.0) < 1e-9
-
-
 # ---------------------------------------------------------------- CSV I/O
 
 def test_csv_round_trip(rng):

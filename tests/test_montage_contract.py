@@ -13,6 +13,8 @@ from hypnopipe import encoding, neuralnet, signal_io
 from hypnopipe.errors import HypnopipeError
 from hypnopipe.preprocess import TARGET_FS, preprocess_recording
 
+from conftest import synth_recording
+
 # 314.159 Hz is 100000/314159 of the target rate, beyond the resampler's
 # limit_denominator(10000): its output length is padded or cut to the target
 RAW_RATES = (200.0, 256.0, 500.0, 512.0, 314.159)
@@ -36,7 +38,7 @@ def test_windows_are_what_the_shortest_channel_holds(fs, duration_s, trims, segm
     duration_s /= 10_000
     spec = {role: {"fs": fs, "sinusoids": [(7.0, 20.0)], "noise_sigma": 5.0}
             for role in signal_io.ROLES}
-    psg = signal_io.synth_recording(spec, seed=1, duration_s=duration_s)
+    psg = synth_recording(spec, seed=1, duration_s=duration_s)
     for trim, ch in zip(trims, psg.channels.values()):
         ch.samples = ch.samples[:len(ch.samples) - trim]
     try:

@@ -10,6 +10,8 @@ from hypnopipe.errors import (EmptyFile, InvalidSpec, InvalidValues, LengthMisma
                               MissingChannel)
 from hypnopipe.preprocess import preprocess_recording
 
+from conftest import save_hypnogram, synth_recording
+
 FIVE_CH = {
     "EEG_C_LEFT": {"fs": 256, "sinusoids": [(10, 30)]},
     "EOG_L": {"fs": 256, "sinusoids": [(0.5, 60)]},
@@ -21,7 +23,7 @@ FIVE_CH = {
 
 def test_synth_pure_sine_matches_definition():
     spec = {"EEG_C_LEFT": {"fs": 100, "sinusoids": [(10, 50)]}}
-    psg = signal_io.synth_recording(spec, seed=0, duration_s=2)
+    psg = synth_recording(spec, seed=0, duration_s=2)
     n = np.arange(200)
     expect = 50 * np.sin(2 * np.pi * 10 * n / 100)
     assert np.allclose(psg.channels["EEG_C_LEFT"].samples, expect)
@@ -29,30 +31,30 @@ def test_synth_pure_sine_matches_definition():
 
 def test_synth_deterministic_per_seed():
     spec = {"EMG_CHIN": {"fs": 100, "noise_sigma": 3}}
-    a = signal_io.synth_recording(spec, seed=7, duration_s=10)
-    b = signal_io.synth_recording(spec, seed=7, duration_s=10)
+    a = synth_recording(spec, seed=7, duration_s=10)
+    b = synth_recording(spec, seed=7, duration_s=10)
     assert np.array_equal(a.channels["EMG_CHIN"].samples,
                           b.channels["EMG_CHIN"].samples)
 
 
 def test_synth_noise_variance_matches_sigma():
     spec = {"EMG_CHIN": {"fs": 100, "noise_sigma": 10}}
-    psg = signal_io.synth_recording(spec, seed=1, duration_s=600)
+    psg = synth_recording(spec, seed=1, duration_s=600)
     var = psg.channels["EMG_CHIN"].samples.var()
     assert abs(var - 100) / 100 < 0.05
 
 
 def test_synth_rejects_negative_amplitude_and_sigma():
     with pytest.raises(InvalidSpec):
-        signal_io.synth_recording(
+        synth_recording(
             {"EOG_L": {"fs": 100, "sinusoids": [(1, -5)]}}, 0, 10)
     with pytest.raises(InvalidSpec):
-        signal_io.synth_recording(
+        synth_recording(
             {"EOG_L": {"fs": 100, "noise_sigma": -1}}, 0, 10)
 
 
 def test_recording_round_trip_bit_exact(tmp_path):
-    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=60)
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=60)
     # float32 on disk: snap in-memory samples to f32 before comparing
     path = signal_io.save_recording(psg, str(tmp_path))
     back = signal_io.load_recording(path)
@@ -64,14 +66,14 @@ def test_recording_round_trip_bit_exact(tmp_path):
 
 
 def test_load_sample_count_arithmetic(tmp_path):
-    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=60)
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=60)
     path = signal_io.save_recording(psg, str(tmp_path))
     back = signal_io.load_recording(path)
     assert all(len(c.samples) == 15360 for c in back.channels.values())
 
 
 def test_load_missing_blob_names_role(tmp_path):
-    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=60)
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=60)
     path = signal_io.save_recording(psg, str(tmp_path))
     os.remove(tmp_path / f"{psg.recording_id}.EOG_R.f32le")
     with pytest.raises(MissingChannel, match="EOG_R"):
@@ -79,7 +81,7 @@ def test_load_missing_blob_names_role(tmp_path):
 
 
 def test_load_truncated_blob_raises(tmp_path):
-    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=60)
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=60)
     path = signal_io.save_recording(psg, str(tmp_path))
     blob = tmp_path / f"{psg.recording_id}.EOG_L.f32le"
     blob.write_bytes(blob.read_bytes()[:-8])
@@ -88,7 +90,7 @@ def test_load_truncated_blob_raises(tmp_path):
 
 
 def test_pipeline_validation_requires_central_eeg_and_eog_emg():
-    psg = signal_io.synth_recording(
+    psg = synth_recording(
         {"EEG_C_LEFT": {"fs": 100}, "EOG_L": {"fs": 100},
          "EOG_R": {"fs": 100}, "EMG_CHIN": {"fs": 100}}, 0, 10)
     preprocess_recording(psg, None, MONTAGE["cc"])
@@ -104,7 +106,7 @@ def test_hypnogram_round_trip_and_unknown_tokens(tmp_path):
     assert hyp.epoch_s == 30
     assert hyp.stages == ["W", "N1", "N2", "UNSCORED", "REM"]
     out = tmp_path / "h2.txt"
-    signal_io.save_hypnogram(hyp, str(out))
+    save_hypnogram(hyp, str(out))
     assert signal_io.load_hypnogram(str(out)).stages == hyp.stages
 
 
@@ -116,7 +118,7 @@ def test_hypnogram_empty_file(tmp_path):
 
 
 def test_meta_json_is_plain_and_complete(tmp_path):
-    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=60)
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=60)
     path = signal_io.save_recording(psg, str(tmp_path))
     with open(path) as f:
         meta = json.load(f)
@@ -126,7 +128,7 @@ def test_meta_json_is_plain_and_complete(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_validate_rejects_non_finite_samples(bad):
-    psg = signal_io.synth_recording(FIVE_CH, seed=3, duration_s=10)
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=10)
     psg.channels["EOG_R"].samples[[17, 900]] = bad
     with pytest.raises(InvalidValues, match=r"EOG_R.*\b17\b"):
         psg.validate()

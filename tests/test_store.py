@@ -2,16 +2,20 @@ import json
 import os
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypnopipe import cli, diagnosis, features, neuralnet, signal_io, store
-from hypnopipe.encoding import EncodedRecording
-from hypnopipe.errors import CorruptHeader, LengthMismatch, MissingBlob, MissingChannel
+from hypnopipe.encoding import MONTAGE, EncodedRecording
+from hypnopipe.errors import (CorruptHeader, HypnopipeError, InvalidValues, LengthMismatch,
+                              MissingBlob, MissingChannel)
 
-from conftest import make_montage
+from conftest import make_montage, synth_recording
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +44,8 @@ def bundles(tmp_path_factory):
     (root / "vec.json").write_text(vec.to_json())
     spec = {role: {"fs": 128.0, "sinusoids": [(10.0, 30.0)], "noise_sigma": 5.0}
             for role in ("EEG_C_LEFT", "EOG_L", "EOG_R", "EMG_CHIN")}
-    signal_io.save_recording(signal_io.synth_recording(spec, seed=0, duration_s=60.0,
-                                                       recording_id="p"), str(root / "psg"))
+    signal_io.save_recording(synth_recording(spec, seed=0, duration_s=60.0,
+                                             recording_id="p"), str(root / "psg"))
     (root / "config.json").write_text(json.dumps({
         "recording": "psg/p.psgmeta.json", "out_dir": "o", "models_dir": "models",
         "gp_model": "gp"}))
@@ -165,13 +169,15 @@ def _transpose(key):
     return edit
 
 
-# (kind, defect) -> manifest edit; the blobs stay as they are
+# (kind, defect) -> (manifest edit, what the error names); the blobs stay as they are
 CONTENT_DEFECTS = {
-    ("model", "missing_array"): lambda meta: meta["arrays"].pop("out/w"),
-    ("model", "wrong_shape"): _transpose("out/w"),
-    ("gp", "missing_array"): lambda meta: meta["arrays"].pop("L"),
-    ("gp", "wrong_shape"): _transpose("X"),
-    ("gp", "missing_scalar"): lambda meta: meta.pop("noise"),
+    ("model", "missing_array"): (lambda meta: meta["arrays"].pop("out/w"), "'out/w'"),
+    ("model", "wrong_shape"): (_transpose("out/w"), "'out/w'"),
+    ("gp", "missing_array"): (lambda meta: meta["arrays"].pop("L"), "'L'"),
+    ("gp", "wrong_shape"): (_transpose("X"), "'X'"),
+    ("gp", "missing_scalar"): (lambda meta: meta.pop("noise"), "noise"),
+    ("encoding", "missing_array"): (lambda meta: meta["arrays"].pop("EOG_X"), "'EOG_X'"),
+    ("encoding", "wrong_shape"): (_transpose("EMG"), "'EMG'"),
 }
 # command -> (argv, what it would write), run inside a copy of the bundles
 CONTENT_COMMANDS = {
@@ -179,8 +185,22 @@ CONTENT_COMMANDS = {
     "diagnose": (KINDS["gp"][2] + ["--out", "d.json"], "d.json"),
     "run-all": (["run-all", "--config", "config.json"], "o"),
 }
+# kind -> the commands that read it
+READERS = {"model": ("run-all", "score"), "gp": ("run-all", "diagnose"),
+           "encoding": ("score",)}
 CONTENT_CASES = [(kind, defect, command) for kind, defect in sorted(CONTENT_DEFECTS)
-                 for command in ("run-all", "score" if kind == "model" else "diagnose")]
+                 for command in READERS[kind]]
+
+
+def _fails_with_exit_3(work, monkeypatch, capsys, command):
+    """``command`` run in ``work`` exits 3 with a logged error, no traceback,
+    and writes nothing."""
+    monkeypatch.chdir(work)
+    argv, written = CONTENT_COMMANDS[command]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "level=error" in err and "Traceback" not in err
+    assert not (work / written).exists()
 
 
 def test_commands_succeed_on_the_valid_bundles(bundles, tmp_path, monkeypatch):
@@ -198,16 +218,79 @@ def test_bundle_contents_are_checked_at_load(bundles, tmp_path, monkeypatch, cap
     work = tmp_path / "b"
     shutil.copytree(bundles, work)
     rel, load, _ = KINDS[kind]
-    _edit_manifest(work / rel, CONTENT_DEFECTS[(kind, defect)])
-    with pytest.raises(CorruptHeader, match="noise" if defect == "missing_scalar"
-                       else "'out/w'" if kind == "model" else "'L'|'X'"):
+    edit, named = CONTENT_DEFECTS[(kind, defect)]
+    _edit_manifest(work / rel, edit)
+    with pytest.raises(CorruptHeader, match=named):
         load(str(work / rel))
+    _fails_with_exit_3(work, monkeypatch, capsys, command)
+
+
+# kind -> the array given a NaN
+NAN_ARRAYS = {"model": "out/b", "gp": "grad_ll", "encoding": "EEG"}
+
+
+@pytest.mark.parametrize("kind,command", [(kind, command) for kind in sorted(NAN_ARRAYS)
+                                          for command in READERS[kind]])
+def test_a_non_finite_array_is_rejected_at_load(bundles, tmp_path, monkeypatch, capsys,
+                                                kind, command):
+    work = tmp_path / "b"
+    shutil.copytree(bundles, work)
+    rel, load, _ = KINDS[kind]
+    key, manifest = NAN_ARRAYS[kind], work / rel
+    blob = manifest.parent / json.loads(manifest.read_text())["arrays"][key]["blob"]
+    data = np.frombuffer(blob.read_bytes(), dtype="<f4").copy()
+    data[2] = np.nan
+    blob.write_bytes(data.tobytes())
+    with pytest.raises(InvalidValues, match=re.escape(f"{manifest}: array {key!r}")
+                       + r".*flat index 2\b"):
+        load(str(manifest))
+    _fails_with_exit_3(work, monkeypatch, capsys, command)
+
+
+def _valid_tensors(bundles, mode):
+    if mode == "cc":
+        return store.read_bundle(str(bundles / KINDS["encoding"][0]))[0]
+    rng = np.random.default_rng(1)
+    return {role: rng.random((5, 300)) for role in MONTAGE["octave"]}
+
+
+# defect -> (mode, edit of that mode's valid tensors, the array the error names)
+ENCODING_CONTENTS = {
+    "cc_emg_one_row_short": ("cc", lambda t: t.update(EMG=t["EMG"][:-1]), "'EMG'"),
+    "cc_eeg_lags": ("cc", lambda t: t.update(EEG=t["EEG"][:, :-1]), "'EEG'"),
+    "cc_extra": ("cc", lambda t: t.update(EOG_Y=t["EOG_X"]), "'EOG_Y'"),
+    "octave_missing_role": ("octave", lambda t: t.pop("EMG_CHIN"), "'EMG_CHIN'"),
+    "octave_four_bands": ("octave", lambda t: t.update(EEG_O=t["EEG_O"][:4]), "'EEG_O'"),
+    "octave_one_sample_short": ("octave", lambda t: t.update(EOG_R=t["EOG_R"][:, :-1]),
+                                "'EOG_R'"),
+}
+
+
+def test_the_valid_octave_tensors_load(tmp_path, bundles):
+    path = EncodedRecording(recording_id="r", mode="octave", duration_s=3.0,
+                            tensors=_valid_tensors(bundles, "octave")).save(str(tmp_path))
+    assert set(EncodedRecording.load(path).tensors) == set(MONTAGE["octave"])
+
+
+@pytest.mark.parametrize("defect", sorted(ENCODING_CONTENTS))
+def test_encoding_tensors_are_checked_at_load(bundles, tmp_path, monkeypatch, capsys,
+                                              defect):
+    work = tmp_path / "b"
+    shutil.copytree(bundles, work)
+    mode, edit, named = ENCODING_CONTENTS[defect]
+    tensors = _valid_tensors(bundles, mode)
+    edit(tensors)
+    shutil.rmtree(work / "enc")
+    path = EncodedRecording(recording_id="r", mode=mode, duration_s=60.0,
+                            tensors=tensors).save(str(work / "enc"))
+    with pytest.raises(CorruptHeader, match=named):
+        EncodedRecording.load(path)
     monkeypatch.chdir(work)
-    argv, written = CONTENT_COMMANDS[command]
+    argv = ["score", os.path.relpath(path, work), "--models", "models", "--out", "hd.csv"]
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert "level=error" in err and "Traceback" not in err
-    assert not (work / written).exists()
+    assert not (work / "hd.csv").exists()
 
 
 def test_a_gp_bundle_with_the_retired_y_and_f_hat_still_loads(bundles, tmp_path):
@@ -220,3 +303,75 @@ def test_a_gp_bundle_with_the_retired_y_and_f_hat_still_loads(bundles, tmp_path)
     x = np.arange(3.0)[None, :]
     assert diagnosis.gp_predict(diagnosis.GPModel.load(old), x) == \
         diagnosis.gp_predict(diagnosis.GPModel.load(path), x)
+
+
+# ------------------------------------------------ read_bundle on any manifest
+
+def _point_blob(key, name):
+    return lambda meta: meta["arrays"][key].update(blob=name)
+
+
+# the two verified defects: a shape whose product fits the blob, and a blob
+# read from outside the manifest's directory
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["arrays"]["a"].update(shape=[-2, -2]),
+    _point_blob("a", "../outside/x.a.f32le"),
+], ids=["negative_shape", "blob_outside"])
+def test_a_manifest_naming_what_it_may_not_is_corrupt(tmp_path, edit):
+    store.write_bundle(str(tmp_path / "outside" / "x.kind.json"), {"a": np.ones(4)}, {})
+    path = store.write_bundle(str(tmp_path / "inside" / "x.kind.json"),
+                              {"a": np.zeros((2, 2))}, {})
+    _edit_manifest(Path(path), edit)
+    with pytest.raises(CorruptHeader, match="'a'|shape|blob"):
+        store.read_bundle(path)
+
+
+BUNDLE = {"a": np.arange(4.0).reshape(2, 2), "b/c": np.arange(3.0)}
+KEYS = st.sampled_from(sorted(BUNDLE))
+NOT_A_SHAPE = st.one_of(
+    st.lists(st.integers(-3, 4), min_size=1, max_size=3).filter(lambda s: min(s) < 0),
+    st.lists(st.one_of(st.integers(0, 4), st.floats(), st.booleans(), st.none(),
+                       st.text(max_size=2), st.lists(st.integers(0, 4), max_size=2)),
+             min_size=1, max_size=3).filter(lambda s: any(type(n) is not int for n in s)),
+    st.integers(), st.text(max_size=3), st.none(),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+NOT_A_FILE_NAME = st.one_of(
+    st.sampled_from(["../outside/x.a.f32le", "..", ".", "", "/"]),
+    st.tuples(st.text(max_size=4), st.text(max_size=4)).map("/".join),
+    st.integers(), st.none(), st.lists(st.text(max_size=2), max_size=2))
+NOT_FORMAT_1 = st.one_of(st.integers().filter(lambda n: n != 1),
+                         st.sampled_from([True, 1.0, "1", None, [1]]))
+DEFECT = st.one_of(
+    st.tuples(st.just("resize"), KEYS, st.integers(-12, 12).filter(bool)),
+    st.tuples(st.just("shape"), KEYS, NOT_A_SHAPE),
+    st.tuples(st.just("blob"), KEYS, NOT_A_FILE_NAME),
+    st.tuples(st.just("drop"), KEYS, st.sampled_from(["format", "arrays", "blob", "shape"])),
+    st.tuples(st.just("format"), KEYS, NOT_FORMAT_1))
+
+
+def _apply(defect, manifest: Path):
+    what, key, value = defect
+    meta = json.loads(manifest.read_text())
+    if what == "resize":
+        blob = manifest.parent / meta["arrays"][key]["blob"]
+        data = blob.read_bytes()
+        blob.write_bytes(data[:value] if value < 0 else data + b"\x3f" * value)
+    elif what in ("shape", "blob"):
+        meta["arrays"][key][what] = value
+    elif what == "drop":
+        (meta if value in ("format", "arrays") else meta["arrays"][key]).pop(value)
+    else:
+        meta["format"] = value
+    manifest.write_text(json.dumps(meta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(defect=DEFECT)
+def test_read_bundle_raises_a_typed_error_on_any_defect(defect):
+    with tempfile.TemporaryDirectory() as d:
+        # what a blob path leaving the directory would find
+        store.write_bundle(os.path.join(d, "outside", "x.kind.json"), BUNDLE, {})
+        path = store.write_bundle(os.path.join(d, "inside", "x.kind.json"), BUNDLE, {})
+        _apply(defect, Path(path))
+        with pytest.raises(HypnopipeError):
+            store.read_bundle(path)
