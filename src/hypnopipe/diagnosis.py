@@ -19,10 +19,6 @@ import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dsymv, dsyr
-from scipy.linalg.lapack import dpotri
-from scipy.special import ndtr, ndtri
 
 from .errors import (
     CholeskyFailure,
@@ -82,6 +78,11 @@ def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
     remaining columns: O(d^2) per removal instead of a fresh solve.  P is
     symmetric and only its lower triangle is kept up to date.
     """
+    # scipy.linalg and .special take ~0.2 s to import: only where they run
+    from scipy.linalg import cholesky
+    from scipy.linalg.blas import dsymv, dsyr
+    from scipy.linalg.lapack import dpotri
+
     d = Z.shape[1]
     alive = np.ones(d, dtype=bool)
     if d <= target:
@@ -195,11 +196,15 @@ def _kernel(Xa, Xb, ell, sf):
 
 
 def _probit_ll(y, f):
+    from scipy.special import ndtr
+
     z = y * f
     return np.log(np.clip(ndtr(z), 1e-300, None)).sum()
 
 
 def _probit_derivs(y, f):
+    from scipy.special import ndtr
+
     z = y * f
     phi = np.exp(-0.5 * z ** 2) / np.sqrt(2 * np.pi)
     Phi = np.clip(ndtr(z), 1e-300, None)
@@ -212,6 +217,8 @@ def _probit_derivs(y, f):
 def _laplace_mode(K, y, mean):
     """Newton iteration for the latent posterior mode (RW alg. 3.1 with a
     nonzero constant mean); returns mode, grad, W_sqrt, chol, log marginal."""
+    from scipy.linalg import cho_solve, cholesky
+
     n = len(y)
     f = np.full(n, mean, dtype=float)
     prev_obj = -np.inf
@@ -252,6 +259,8 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     """Fit the binary GP by Laplace approximation with a log-grid search
     over (length scale, signal std, jitter) maximizing the approximate
     marginal likelihood.  Labels must be in {-1, +1}."""
+    from scipy.special import ndtri
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -287,6 +296,9 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
 
 def gp_predict(model: GPModel, x: np.ndarray):
     """(score in [-1, 1], latent predictive variance) for one or more points."""
+    from scipy.linalg import solve_triangular
+    from scipy.special import ndtr
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != len(model.standardizer.mean):
         raise DimensionMismatch(

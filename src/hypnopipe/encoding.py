@@ -29,6 +29,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
                      NonpositiveP95, ShapeMismatch, UnsupportedRate)
+from .pool import thread_map
 from .preprocess import TARGET_FS, butter_zero_phase
 from .signal_io import PolySignalSet
 from .store import check_shapes, read_bundle, write_bundle
@@ -47,7 +48,7 @@ MONTAGE = {mode: sum(inputs.values(), ()) for mode, inputs in INPUTS.items()}
 GRID_HOP_S = 0.25           # common alignment grid for all CC modalities
 CC_WINDOW_S = 5             # a stored CC row is the mean over one 5 s window
 ROWS_PER_WINDOW = round(CC_WINDOW_S / GRID_HOP_S)
-CC_CHUNK_WINDOWS = 16       # windows encoded at a time; bounds the raw CC rows held
+CC_CHUNK_WINDOWS = 16       # windows a tensor encodes at once; bounds the raw CC rows
 
 
 @dataclass(frozen=True)
@@ -269,6 +270,21 @@ def cc_scale(gamma: np.ndarray) -> np.ndarray:
     return gamma * scale
 
 
+def _cc_tensor(signal, opposite, params: CCParams, slots: np.ndarray) -> np.ndarray:
+    """One CC tensor: the scaled rows of the segments that ``slots`` index,
+    as means over ROWS_PER_WINDOW consecutive rows, correlated
+    CC_CHUNK_WINDOWS windows at a time."""
+    starts, rows = _cc_rows(signal, params, opposite)
+    grid = starts[slots]
+    out = np.empty((len(grid) // ROWS_PER_WINDOW, params.n_lags))
+    chunk = CC_CHUNK_WINDOWS * ROWS_PER_WINDOW
+    for r in range(0, len(grid), chunk):
+        scaled = cc_scale(rows(grid[r:r + chunk]))
+        out[r // ROWS_PER_WINDOW:(r + chunk) // ROWS_PER_WINDOW] = scaled.reshape(
+            -1, ROWS_PER_WINDOW, params.n_lags).mean(axis=1)
+    return out
+
+
 def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     """Encode a preprocessed 5-channel montage recording.
 
@@ -297,7 +313,7 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     enc = EncodedRecording(recording_id=montage.recording_id, mode=mode,
                            duration_s=montage.duration_s)
     if mode == "octave":
-        enc.tensors = {role: octave_encode(v) for role, v in x.items()}
+        enc.tensors = dict(zip(x, thread_map(octave_encode, x.values())))
         return enc
 
     # the grid steps by the EEG and EOG hop; the 4 s EOG segment is the longest
@@ -305,16 +321,9 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     n_rows = len(segment_starts(n, eog)) // ROWS_PER_WINDOW * ROWS_PER_WINDOW
     grid_centers = np.arange(n_rows) * GRID_HOP_S + eog.segment_s / 2
     emg_slot = np.round((grid_centers - emg.segment_s / 2) / emg.hop_s).astype(int)
-
-    chunk = CC_CHUNK_WINDOWS * ROWS_PER_WINDOW
-    for kind, tensors in CC_TENSORS.items():
-        for name, (role, ext_role) in tensors.items():
-            starts, rows = _cc_rows(x[role], CC_PARAMS[kind], x[ext_role])
-            n_lags = CC_PARAMS[kind].n_lags
-            grid = starts[emg_slot] if kind == "EMG" else starts[:n_rows]
-            out = enc.tensors[name] = np.empty((n_rows // ROWS_PER_WINDOW, n_lags))
-            for r in range(0, n_rows, chunk):
-                scaled = cc_scale(rows(grid[r:r + chunk]))
-                out[r // ROWS_PER_WINDOW:(r + chunk) // ROWS_PER_WINDOW] = scaled.reshape(
-                    -1, ROWS_PER_WINDOW, n_lags).mean(axis=1)
+    jobs = {name: (x[role], x[ext_role], CC_PARAMS[kind],
+                   emg_slot if kind == "EMG" else np.arange(n_rows))
+            for kind, tensors in CC_TENSORS.items()
+            for name, (role, ext_role) in tensors.items()}
+    enc.tensors = dict(zip(jobs, thread_map(lambda job: _cc_tensor(*job), jobs.values())))
     return enc

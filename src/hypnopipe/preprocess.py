@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import (
     AllDegenerate,
@@ -26,6 +25,7 @@ from .errors import (
     SingularCovariance,
     UnsupportedRate,
 )
+from .pool import thread_map
 from .signal_io import CENTRAL_EEG, SITES, Channel, PolySignalSet
 
 FILTER_ORDER = 5
@@ -76,6 +76,8 @@ def butter_zero_phase(x: np.ndarray, cutoff_hz: float, btype: str,
                       fs: float) -> np.ndarray:
     """A FILTER_ORDER Butterworth run forward and backward.  ``SignalTooShort``
     below 6 * FILTER_ORDER samples, which also covers the edge padding."""
+    from scipy import signal as sps       # ~0.5 s to import: only where it runs
+
     if len(x) < 6 * FILTER_ORDER:
         raise SignalTooShort(f"{len(x)} samples < {6 * FILTER_ORDER}")
     sos = sps.butter(FILTER_ORDER, cutoff_hz, btype=btype, fs=fs, output="sos")
@@ -93,6 +95,8 @@ def bandlimit(x: np.ndarray, fs: float) -> np.ndarray:
 
 def resample(x: np.ndarray, fs_in: float) -> np.ndarray:
     """Polyphase down-sampling to TARGET_FS with a Kaiser anti-alias prefilter."""
+    from scipy import signal as sps
+
     x = np.asarray(x, dtype=float)
     if TARGET_FS > fs_in:
         raise UnsupportedRate(f"upsampling {fs_in} -> {TARGET_FS} not supported")
@@ -213,9 +217,11 @@ def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
     ``{site: raw role}``.  A site (``SITES``) takes its candidate nearest
     ``ref`` when there is a ``ref`` and it has two or more, else its first;
     any other role is the raw channel of that name.  Only the channels taken
-    or compared are processed.  ``MissingChannel`` for a role with no channel
-    to make it from, before any is processed; ``AllDegenerate``, naming the
-    site and its candidates, when every candidate compared is constant.
+    or compared are processed, all of them on one ``thread_map``.
+    ``MissingChannel`` for a role with no channel to make it from, before any
+    is processed; a channel's own error, the first in role order, before any
+    site is compared; ``AllDegenerate``, naming the site and its candidates,
+    when every candidate compared is constant.
     """
     psg.validate()
     have = {role: [r for r in SITES.get(role, (role,)) if r in psg.channels]
@@ -223,13 +229,15 @@ def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
     for role in roles:
         if not have[role]:
             raise MissingChannel("|".join(SITES.get(role, (role,))))
+    used = {role: cands if ref is not None else cands[:1] for role, cands in have.items()}
+    raw = [r for cands in used.values() for r in cands]
+    done = dict(zip(raw, thread_map(to_target_rate, [psg.channels[r] for r in raw])))
     report: dict[str, str] = {}
     out: dict[str, Channel] = {}
-    for role, cands in have.items():
-        done = {r: to_target_rate(psg.channels[r])
-                for r in (cands if ref is not None else cands[:1])}
+    for role, cands in used.items():
         try:
-            pick = select_eeg_channel(list(done.items()), ref) if len(done) > 1 else cands[0]
+            pick = (select_eeg_channel([(r, done[r]) for r in cands], ref)
+                    if len(cands) > 1 else cands[0])
         except AllDegenerate as e:
             raise AllDegenerate(f"{role}: {e}") from None
         if role in SITES:

@@ -9,7 +9,7 @@ token per line, preceded by an ``epoch_s=<int>`` header line.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,8 +58,14 @@ class PolySignalSet:
     channels: dict[str, Channel]
     duration_s: float
     recording_id: str
+    # role -> the read-only samples ``load_recording`` read, known finite
+    _finite: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
+        """``CorruptHeader``, ``LengthMismatch`` or ``InvalidValues`` (a
+        non-finite sample) for a channel that breaks the recording's contract.
+        Samples ``load_recording`` read are not scanned again: ``read_bundle``
+        checked every value, and they are read-only."""
         for role, ch in self.channels.items():
             if role not in ROLES and role not in SITES:
                 raise CorruptHeader(f"unknown channel role {role!r}")
@@ -70,6 +76,8 @@ class PolySignalSet:
                 raise LengthMismatch(
                     f"{role}: {len(ch.samples)} samples, expected {expect}±1"
                 )
+            if ch.samples is self._finite.get(role):
+                continue
             finite = np.isfinite(ch.samples)
             if not finite.all():
                 raise InvalidValues(f"{role}: non-finite sample at index "
@@ -111,6 +119,9 @@ def load_recording(path: str) -> PolySignalSet:
                             recording_id=meta["recording_id"])
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CorruptHeader(f"{path}: {e!r}") from e
+    for role, ch in channels.items():
+        ch.samples.flags.writeable = False
+        psg._finite[role] = ch.samples
     psg.validate()
     return psg
 

@@ -68,7 +68,8 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
 
     Raises ``CorruptHeader`` for an unreadable manifest, an unknown
     ``format`` or a bad arrays table (a shape that is not a list of
-    non-negative integers, a blob that is not a bare file name),
+    non-negative integers, a blob that is not a bare file name or that is a
+    directory),
     ``MissingBlob`` for an absent blob, ``LengthMismatch`` for a blob whose
     size does not match its declared shape and ``InvalidValues``, naming the
     array and the first flat index, for a non-finite value.
@@ -93,6 +94,9 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
             f = open(os.path.join(base, blob), "rb")
         except FileNotFoundError as e:
             raise MissingBlob(key, blob) from e
+        except IsADirectoryError as e:
+            raise CorruptHeader(f"{manifest_path}: blob {blob!r} of {key!r} is a "
+                                f"directory") from e
         with f:
             size = os.fstat(f.fileno()).st_size
             if size != count * _DTYPE.itemsize:

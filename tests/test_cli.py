@@ -681,6 +681,24 @@ def test_diagnose_closes_its_input(workspace, tmp_path):
     assert "ResourceWarning" not in proc.stderr
 
 
+def test_importing_the_cli_loads_every_layer_and_none_of_the_heavy_scipy():
+    """A process imports scipy's filters and solvers only when it runs them,
+    and ``import hypnopipe.cli`` still loads the nine layer modules (the
+    benchmark's tracer wraps them right after).  In a fresh process, because
+    this one has loaded scipy already."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys, hypnopipe.cli; "
+                               "print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"scipy.signal", "scipy.stats", "scipy.linalg", "scipy.special"}
+    layers = ("signal_io", "preprocess", "encoding", "neuralnet", "hypnodensity",
+              "features", "diagnosis", "plot", "cli")
+    assert {f"hypnopipe.{layer}" for layer in layers} <= loaded
+
+
 def test_exit_code_malformed_hypnodensity(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("t_start_s,W,N1\n0,definitely,not\n")

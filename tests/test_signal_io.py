@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from hypnopipe import signal_io
+from hypnopipe import preprocess, signal_io
 from hypnopipe.encoding import MONTAGE
 from hypnopipe.errors import (EmptyFile, InvalidSpec, InvalidValues, LengthMismatch,
                               MissingChannel)
@@ -132,3 +132,29 @@ def test_validate_rejects_non_finite_samples(bad):
     psg.channels["EOG_R"].samples[[17, 900]] = bad
     with pytest.raises(InvalidValues, match=r"EOG_R.*\b17\b"):
         psg.validate()
+
+
+def test_a_loaded_recording_is_scanned_for_non_finite_samples_once(tmp_path, monkeypatch):
+    """``read_bundle`` checks every sample; ``load_recording`` and
+    ``preprocess_recording`` do not scan the samples it returned again."""
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=10)
+    path = signal_io.save_recording(psg, str(tmp_path))
+    scanned, isfinite = [], np.isfinite
+    monkeypatch.setattr(np, "isfinite",
+                        lambda a: (scanned.append(np.size(a)), isfinite(a))[1])
+    monkeypatch.setattr(preprocess, "to_target_rate", lambda ch: ch.samples)
+    preprocess_recording(signal_io.load_recording(path), None, MONTAGE["cc"])
+    assert sum(scanned) == sum(ch.samples.size for ch in psg.channels.values())
+
+
+def test_samples_not_checked_at_load_are_checked_by_preprocess(tmp_path):
+    psg = synth_recording(FIVE_CH, seed=3, duration_s=10)
+    loaded = signal_io.load_recording(signal_io.save_recording(psg, str(tmp_path)))
+    eog = loaded.channels["EOG_R"]
+    with pytest.raises(ValueError, match="read-only"):
+        eog.samples[17] = np.nan
+    eog.samples = np.where(np.arange(eog.samples.size) == 17, np.nan, eog.samples)
+    psg.channels["EOG_R"].samples[17] = np.inf
+    for recording in (loaded, psg):
+        with pytest.raises(InvalidValues, match=r"EOG_R.*\b17\b"):
+            preprocess_recording(recording, None, MONTAGE["cc"])

@@ -86,6 +86,8 @@ DEFECTS = {
     "truncated": lambda m: _edit_blob(m, lambda data: data[:-1]),
     "oversized": lambda m: _edit_blob(m, lambda data: data + b"\0" * 4),
     "missing": lambda m: os.remove(_first_blob(m)[1]),
+    # a directory next to the manifest where the blob should be
+    "directory": lambda m: (os.remove(_first_blob(m)[1]), os.mkdir(_first_blob(m)[1])),
     "no_format": lambda m: _edit_manifest(m, lambda meta: meta.pop("format")),
     "unknown_format": lambda m: _edit_manifest(m, lambda meta: meta.update(format=2)),
 }
@@ -106,7 +108,7 @@ def test_malformed_bundle_raises_typed_error_and_exits_3(
         match = re.escape(key)
     else:
         expected = LengthMismatch if defect in ("truncated", "oversized") else CorruptHeader
-        match = None
+        match = re.escape(key) if defect == "directory" else None
     with pytest.raises(expected, match=match):
         load(str(manifest))
     monkeypatch.chdir(work)
