@@ -57,11 +57,10 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     missing = REQUIRED_KEYS - set(cfg)
     if missing:
         raise InvalidSpec(f"missing config keys: {sorted(missing)}")
-    cfg.setdefault("mode", "cc")
-    if cfg["mode"] not in MODES:
-        raise InvalidSpec(f"mode must be one of {MODES}, got {cfg['mode']!r}")
-    for key, allowed in (("hla", (0, 1)), ("resolution", signal_io.VALID_EPOCH_S)):
-        if key in cfg and (cfg[key] not in allowed or type(cfg[key]) is not int):
+    for key, allowed in (("mode", MODES), ("hla", (0, 1)),
+                         ("resolution", signal_io.VALID_EPOCH_S)):
+        # the type test refuses true for 1 and 30.0 for 30
+        if key in cfg and (cfg[key] not in allowed or type(cfg[key]) is not type(allowed[0])):
             raise InvalidSpec(f"{key} must be one of {allowed}, got {cfg[key]!r}")
     return cfg
 
@@ -128,35 +127,45 @@ def cmd_train(args) -> int:
 # ------------------------------------------------------------------ stages
 # Each stage is one function that its subcommand and ``run-all`` both call.
 
-def _load_models(models_dir):
+def _load_models(models_dir, mode=None, resolution=None):
+    """The ensemble's (params, config) pairs.  ``InvalidSpec`` unless every
+    member has one ``encoding`` and one ``segment_s``, the encoding is
+    ``mode`` and ``resolution`` is a multiple of the ``segment_s`` (each
+    when given)."""
     models = [neuralnet.load_params(path) for path in
               sorted(glob.glob(os.path.join(models_dir, "*.model.json")))]
     if not models:
         raise HypnopipeError(f"no models found in {models_dir}")
+    kinds = sorted({(cfg.encoding, cfg.segment_s) for _, cfg in models})
+    if len(kinds) > 1:
+        raise InvalidSpec(f"{models_dir}: the members mix (encoding, segment_s) "
+                          f"{kinds}; an ensemble has one of each")
+    (encoding, segment_s), = kinds
+    if mode not in (None, encoding):
+        raise InvalidSpec(f"mode {mode!r} is not the models' encoding {encoding!r}")
+    if resolution is not None and resolution % segment_s:
+        raise InvalidSpec(f"resolution {resolution} is not a multiple of the "
+                          f"models' segment_s {segment_s}")
     return models
 
 
 def _score_ensemble(models, enc, resolution=None):
-    """Member hypnodensities at ``resolution`` (default: the first member's)
-    and their ensemble.  The recording is windowed once per segment length."""
-    batches = {s: neuralnet.windows_from_encoded(enc, s)
-               for s in {cfg.segment_s for _, cfg in models}}
+    """Member hypnodensities at ``resolution`` (default: the members'
+    ``segment_s``) and their ensemble.  The recording is windowed once."""
+    segment_s = models[0][1].segment_s
+    batch = neuralnet.windows_from_encoded(enc, segment_s)
     members = [hypnodensity.Hypnodensity(
-        probs=neuralnet.forward(params, batches[cfg.segment_s], cfg)[0],
-        resolution_s=cfg.segment_s, recording_id=enc.recording_id)
+        probs=neuralnet.forward(params, batch, cfg)[0],
+        resolution_s=segment_s, recording_id=enc.recording_id)
         for params, cfg in models]
-    target = int(members[0].resolution_s if resolution is None else resolution)
-    members = [hypnodensity.aggregate_resolution(m, target)
-               if target != m.resolution_s else m for m in members]
+    if resolution not in (None, segment_s):
+        members = [hypnodensity.aggregate_resolution(m, resolution) for m in members]
     return members, hypnodensity.ensemble_hypnodensity(members)
 
 
 def _feature_vector(hd, hla=None):
-    """The 481 features, from the hypnogram at 30 s epochs where the
-    resolution divides 30 and at the resolution otherwise."""
-    epoch_s = 30 if 30 % hd.resolution_s == 0 else hd.resolution_s
-    return features.assemble(hd, hypnodensity.to_hypnogram(hd, epoch_s=epoch_s),
-                             hla=hla)
+    """The 481 features, from the hypnogram at 30 s epochs."""
+    return features.assemble(hd, hypnodensity.to_hypnogram(hd), hla=hla)
 
 
 def _load_gp(model_dir):
@@ -175,40 +184,33 @@ def _load_gp(model_dir):
 
 
 def _diagnose(model, cols, vectors, hla=None):
-    """GP score of each feature vector, combined, then HLA-gated if known."""
+    """GP score of each feature vector, combined and HLA-gated if known."""
     width = min(len(v.values) for v in vectors)
     if cols.size and cols.max() >= width:
         raise CorruptHeader(f"selected column {cols.max()} is out of range "
                             f"for {width} features")
-    report = diagnosis.ensemble_diagnose(
-        [diagnosis.gp_predict(model, np.asarray(v.values)[cols][None, :])[0]
-         for v in vectors])
-    if hla is not None:
-        report = diagnosis.apply_hla(report, bool(hla))
-    return report
+    # one call per vector: a batched call moves the scores in the last bits
+    return diagnosis.ensemble_diagnose(
+        [diagnosis.gp_predict(model, np.asarray(v.values)[cols][None, :])[0][0]
+         for v in vectors], hla)
 
 
 def cmd_score(args) -> int:
+    models = _load_models(args.models)
     enc = EncodedRecording.load(args.input)
-    _, ens = _score_ensemble(_load_models(args.models), enc)
+    _, ens = _score_ensemble(models, enc)
     with open(args.out, "w") as f:
         f.write(ens.to_csv())
-    log("score", f"{enc.recording_id}: {ens.n_models} models, "
-                 f"{len(ens.mean.probs)} segments")
+    log("score", f"{enc.recording_id}: {len(models)} models, "
+                 f"{len(ens.probs)} segments")
     return 0
-
-
-def _read_hypnodensity_csv(path):
-    """A parsed and validated hypnodensity CSV; every defect is a typed error."""
-    hd = hypnodensity.Hypnodensity.from_csv(read_text(path))
-    hd.validate()
-    return hd
 
 
 def cmd_features(args) -> int:
     if args.hla is not None and not args.out.endswith(".json"):
         raise InvalidSpec("features --hla needs a .json --out: a CSV vector has no HLA")
-    vec = _feature_vector(_read_hypnodensity_csv(args.input), args.hla)
+    vec = _feature_vector(hypnodensity.Hypnodensity.from_csv(read_text(args.input)),
+                          args.hla)
     with open(args.out, "w") as f:
         if args.out.endswith(".json"):
             f.write(vec.to_json())
@@ -254,12 +256,14 @@ def cmd_diagnose(args) -> int:
 
 def _read_numeric_csv(path):
     """A CSV of finite numbers, after an optional header row, as a
-    (rows, columns >= 2) array; every defect is a typed error."""
+    (rows, columns >= 2) array whose last column, the label, is 0 or 1;
+    every defect is a typed error."""
     rows = list(csv.reader(io.StringIO(read_text(path))))
+    header = 0
     try:
         float(rows[0][0])
     except (IndexError, ValueError):      # not a number: a header row
-        rows = rows[1:]
+        rows, header = rows[1:], 1
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
     if len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
@@ -270,13 +274,20 @@ def _read_numeric_csv(path):
         raise CorruptHeader(f"{path}: {e}") from e
     if not np.all(np.isfinite(data)):
         raise InvalidValues(f"{path}: non-finite value")
+    bad = np.flatnonzero((data[:, -1] != 0) & (data[:, -1] != 1))
+    if bad.size:
+        raise InvalidValues(f"{path}: row {header + bad[0] + 1}: the label must be "
+                            f"0 or 1, got {rows[bad[0]][-1]!r}")
     return data
 
 
 def cmd_evaluate(args) -> int:
+    if not np.isfinite(args.threshold):
+        raise InvalidSpec(f"evaluate --threshold must be finite, got {args.threshold}")
     data = _read_numeric_csv(args.scores)
-    res = diagnosis.evaluate(data[:, 0], data[:, 1].astype(int) != 0,
-                             threshold=args.threshold)
+    if data.shape[1] != 2:
+        raise ShapeMismatch(f"{args.scores}: evaluate reads two columns, score and label")
+    res = diagnosis.evaluate(data[:, 0], data[:, 1] == 1, threshold=args.threshold)
     with open(args.out, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["fpr", "tpr"])
@@ -285,12 +296,13 @@ def cmd_evaluate(args) -> int:
     log("evaluate", f"auc={res['auc']:.4f} sens={res['sensitivity']:.4f} "
                     f"spec={res['specificity']:.4f}")
     print(json.dumps({k: res[k] for k in
-                      ("sensitivity", "specificity", "auc", "threshold")}))
+                      ("sensitivity", "sensitivity_ci", "specificity", "specificity_ci",
+                       "auc", "threshold")}))
     return 0
 
 
 def cmd_plot(args) -> int:
-    hd = _read_hypnodensity_csv(args.input)
+    hd = hypnodensity.Hypnodensity.from_csv(read_text(args.input))
     with open(args.out, "w") as f:
         f.write(hypnodensity_svg(hd))
     log("plot", f"wrote {args.out}")
@@ -304,27 +316,28 @@ def cmd_run_all(args) -> int:
         "recording": args.recording, "out_dir": args.out_dir,
     })
     out_dir = cfg["out_dir"]
-    models = _load_models(cfg["models_dir"])
+    models = _load_models(cfg["models_dir"], cfg.get("mode"), cfg.get("resolution"))
+    mode = models[0][1].encoding
     gp, cols = _load_gp(cfg["gp_model"])
     ref = _load_ref(cfg.get("ref"))
     psg = signal_io.load_recording(cfg["recording"])
     rid = psg.recording_id
 
-    montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[cfg["mode"]])
+    montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
     log("preprocess", f"{rid}: channel selection {report}")
-    enc = encode_recording(montage, cfg["mode"])
+    enc = encode_recording(montage, mode)
     log("encode", f"{rid}: {enc.mode} encoding done")
 
     members, ens = _score_ensemble(models, enc, cfg.get("resolution"))
-    log("score", f"{rid}: hypnodensity over {len(ens.mean.probs)} segments")
+    log("score", f"{rid}: hypnodensity over {len(ens.probs)} segments")
     hla = cfg.get("hla")
-    vec = _feature_vector(ens.mean, hla)
+    vec = _feature_vector(ens, hla)
     log("features", f"{rid}: feature vector done")
     rep = _diagnose(gp, cols, [_feature_vector(m) for m in members], hla)
     log("diagnose", f"{rid}: score={rep.score:.4f} label={rep.label}")
 
     outputs = {"hypnodensity.csv": ens.to_csv(),
-               "hypnodensity.svg": hypnodensity_svg(ens.mean),
+               "hypnodensity.svg": hypnodensity_svg(ens),
                "features.csv": vec.to_csv(),
                "diagnosis.json": rep.to_json()}
     os.makedirs(out_dir, exist_ok=True)

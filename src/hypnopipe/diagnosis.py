@@ -295,7 +295,8 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
 
 
 def gp_predict(model: GPModel, x: np.ndarray):
-    """(score in [-1, 1], latent predictive variance) for one or more points."""
+    """(scores in [-1, 1], latent predictive variances), one of each per row
+    of ``x``."""
     from scipy.linalg import solve_triangular
     from scipy.special import ndtr
 
@@ -309,10 +310,7 @@ def gp_predict(model: GPModel, x: np.ndarray):
     v = solve_triangular(model.L, (model.W_sqrt[:, None] * Ks.T), lower=True)
     kss = model.signal_std ** 2 + model.noise
     var = np.maximum(kss - np.sum(v ** 2, axis=0), 1e-12)
-    score = 2.0 * ndtr(mu / np.sqrt(1.0 + var)) - 1.0
-    if score.shape[0] == 1:
-        return float(score[0]), float(var[0])
-    return score, var
+    return 2.0 * ndtr(mu / np.sqrt(1.0 + var)) - 1.0, var
 
 
 @dataclass
@@ -327,27 +325,20 @@ class DiagnosisReport:
         return json.dumps(asdict(self), indent=1)
 
 
-def ensemble_diagnose(scores) -> DiagnosisReport:
-    """Mean/variance of per-sleep-model GP scores, thresholded at -0.03."""
+def ensemble_diagnose(scores, hla=None) -> DiagnosisReport:
+    """Mean and population variance of per-sleep-model GP scores, labelled
+    positive at >= -0.03; with a known HLA-DQB1*06:02 status the threshold
+    is -0.53 and a negative status is absorbing (always a negative label)."""
     s = np.asarray(list(scores), dtype=float)
     if s.size < 1:
         raise TooFewSamples("need at least one score")
     mean = float(s.mean())
-    var = float(s.var())
-    return DiagnosisReport(score=mean, variance=var,
-                           label=mean >= THRESHOLD_NO_HLA,
-                           threshold=THRESHOLD_NO_HLA, hla_used=False)
-
-
-def apply_hla(report: DiagnosisReport, hla_positive: bool) -> DiagnosisReport:
-    """HLA gate: negatives are absorbing; positives use the -0.53 threshold."""
-    if not hla_positive:
-        label = False
+    if hla is None:
+        threshold, label = THRESHOLD_NO_HLA, mean >= THRESHOLD_NO_HLA
     else:
-        label = report.score >= THRESHOLD_WITH_HLA
-    return DiagnosisReport(score=report.score, variance=report.variance,
-                           label=label, threshold=THRESHOLD_WITH_HLA,
-                           hla_used=True)
+        threshold, label = THRESHOLD_WITH_HLA, bool(hla) and mean >= THRESHOLD_WITH_HLA
+    return DiagnosisReport(score=mean, variance=float(s.var()), label=label,
+                           threshold=threshold, hla_used=hla is not None)
 
 
 def _wilson(k: int, n: int, z: float = 1.959963984540054):

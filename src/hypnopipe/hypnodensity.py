@@ -30,6 +30,7 @@ class Hypnodensity:
     probs: np.ndarray          # (T, 5), rows sum to 1
     resolution_s: int
     recording_id: str = ""
+    variance: np.ndarray | None = None   # (T, 5) across-member variance, ensembles only
 
     def validate(self) -> None:
         p = self.probs
@@ -42,19 +43,25 @@ class Hypnodensity:
             raise InvalidValues("rows must sum to 1")
 
     def to_csv(self) -> str:
+        """``t_start_s`` and the five stages, then ``varW``..``varREM`` when
+        there is a variance."""
+        names, rows = list(STAGES), self.probs
+        if self.variance is not None:
+            names, rows = names + [f"var{s}" for s in STAGES], np.hstack([rows, self.variance])
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t_start_s"] + list(STAGES))
-        for i, row in enumerate(self.probs):
+        w.writerow(["t_start_s"] + names)
+        for i, row in enumerate(rows):
             w.writerow([i * self.resolution_s] + [f"{v:.9g}" for v in row])
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "Hypnodensity":
-        """Parse ``to_csv`` output (columns after REM are ignored): a bad header,
-        an unparseable cell or a ``t_start_s`` that does not increase in equal
-        steps is ``CorruptHeader``, a row of the wrong length ``ShapeMismatch``.
-        The probabilities are checked by ``validate``, not here."""
+        """Parse and ``validate`` ``to_csv`` output (columns after REM are
+        ignored): a bad header, an unparseable cell or a ``t_start_s`` that
+        does not increase in equal steps is ``CorruptHeader``, a row of the
+        wrong length ``ShapeMismatch``, a probability that ``validate``
+        refuses ``InvalidValues``."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0][:6] != ["t_start_s"] + list(STAGES):
             raise CorruptHeader("bad hypnodensity CSV header")
@@ -71,23 +78,9 @@ class Hypnodensity:
         if res < 1 or np.any(steps != res):
             raise CorruptHeader("hypnodensity CSV: t_start_s must increase in equal "
                                 "whole-second steps")
-        return cls(probs=probs, resolution_s=res)
-
-
-@dataclass
-class EnsembleHypnodensity:
-    mean: Hypnodensity
-    variance: np.ndarray       # (T, 5), across-model population variance
-    n_models: int
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t_start_s"] + list(STAGES) + [f"var{s}" for s in STAGES])
-        for i, (row, var) in enumerate(zip(self.mean.probs, self.variance)):
-            w.writerow([i * self.mean.resolution_s]
-                       + [f"{v:.9g}" for v in row] + [f"{v:.9g}" for v in var])
-        return buf.getvalue()
+        hd = cls(probs=probs, resolution_s=res)
+        hd.validate()
+        return hd
 
 
 def stage_codes(stages) -> np.ndarray:
@@ -102,7 +95,8 @@ def _stage_labels(codes: np.ndarray) -> list[str]:
 def _blocks(hd: Hypnodensity, block_s: int) -> np.ndarray:
     """The rows of whole ``block_s`` blocks as (n_blocks, rows per block, 5)."""
     if block_s % hd.resolution_s != 0:
-        raise IncompatibleResolution(f"{block_s} not a multiple of {hd.resolution_s}")
+        raise IncompatibleResolution(f"{block_s} s is not a multiple of the "
+                                     f"{hd.resolution_s} s resolution")
     block = block_s // hd.resolution_s
     n_blocks = len(hd.probs) // block
     if n_blocks == 0:
@@ -232,16 +226,13 @@ def confusion(model: HypnogramLabels, reference: HypnogramLabels) -> dict:
             "kappa": kappa}
 
 
-def ensemble_hypnodensity(models: list[Hypnodensity]) -> EnsembleHypnodensity:
+def ensemble_hypnodensity(models: list[Hypnodensity]) -> Hypnodensity:
     """Elementwise mean and population variance across per-model matrices."""
     shapes = {m.probs.shape for m in models}
     res = {m.resolution_s for m in models}
     if len(shapes) != 1 or len(res) != 1:
         raise ShapeMismatch("all models must share shape and resolution")
     stack = np.stack([m.probs for m in models])
-    return EnsembleHypnodensity(
-        mean=Hypnodensity(probs=stack.mean(axis=0), resolution_s=models[0].resolution_s,
-                          recording_id=models[0].recording_id),
-        variance=stack.var(axis=0),  # population variance
-        n_models=len(models),
-    )
+    return Hypnodensity(probs=stack.mean(axis=0), resolution_s=models[0].resolution_s,
+                        recording_id=models[0].recording_id,
+                        variance=stack.var(axis=0))  # population variance

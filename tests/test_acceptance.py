@@ -224,8 +224,7 @@ def test_criterion_gp_suite(rng):
         base, _ = diagnosis.gp_predict(model, grid)
         assert np.max(np.abs(base + flip)) < 1e-6
         for s in rng.uniform(-1, 1, 1000):
-            rep = diagnosis.apply_hla(
-                diagnosis.ensemble_diagnose([float(s)]), False)
+            rep = diagnosis.ensemble_diagnose([float(s)], hla=False)
             assert rep.label is False
         fixture = diagnosis.evaluate([0.5, 0.5, -0.5, -0.5, 0.5, -0.5],
                                      [True, False, True, False, True, False],

@@ -12,8 +12,8 @@ import pytest
 
 from hypnopipe import cli, diagnosis, features, neuralnet, signal_io
 from hypnopipe.encoding import EncodedRecording
-from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile, InvalidValues,
-                              ShapeMismatch)
+from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile,
+                              IncompatibleResolution, InvalidValues, ShapeMismatch)
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
@@ -266,6 +266,19 @@ def test_features_hla_feeds_diagnose(workspace, tmp_path, rng, hla):
     assert json.loads(report.read_text())["hla_used"] is True
 
 
+@pytest.mark.parametrize("resolution", [20, 60])
+def test_features_needs_a_resolution_that_divides_30(tmp_path, rng, capsys, resolution):
+    src, out = tmp_path / "hd.csv", tmp_path / "v.csv"
+    hd = random_hypnodensity(rng, 40, resolution)
+    write_hd_csv(src, hd)
+    with pytest.raises(IncompatibleResolution, match=f"the {resolution} s resolution"):
+        cli._feature_vector(hd)
+    assert cli.main(["features", str(src), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"the {resolution} s resolution" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_features_hla_with_a_csv_out_is_a_typed_error(tmp_path, rng, capsys):
     src, out = tmp_path / "hd.csv", tmp_path / "v.csv"
     write_hd_csv(src, random_hypnodensity(rng, 40))
@@ -342,9 +355,32 @@ def test_evaluate_command(tmp_path, capsys):
                      "--threshold", "0"]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["auc"] == 1.0
+    for key in ("sensitivity", "specificity"):
+        lo, hi = summary[f"{key}_ci"]
+        assert lo <= summary[key] <= hi
     lines = out.read_text().splitlines()
     assert lines[0] == "fpr,tpr"
     assert len(lines) > 2
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_evaluate_refuses_a_non_finite_threshold_before_reading(tmp_path, capsys,
+                                                                 threshold):
+    out = tmp_path / "roc.csv"
+    # the scores file does not exist: reading it first would be exit 2
+    assert cli.main(["evaluate", str(tmp_path / "none.csv"), "--out", str(out),
+                     f"--threshold={threshold}"]) == 3
+    err = capsys.readouterr().err
+    assert "--threshold must be finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_evaluate_reads_exactly_a_score_and_a_label(tmp_path, capsys):
+    src, out = tmp_path / "scores.csv", tmp_path / "roc.csv"
+    src.write_text("0.9,0,1\n-0.9,1,0\n")
+    assert cli.main(["evaluate", str(src), "--out", str(out)]) == 3
+    assert "two columns" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- plot
@@ -426,6 +462,69 @@ def test_run_all_bad_gp_path_fails_before_preprocessing_and_writes_nothing(
     out = tmp_path / "o"
     assert cli.main(["run-all", "--config", str(bad), "--out-dir", str(out)]) == 2
     assert not out.exists() or os.listdir(out) == []
+
+
+# ----------------------------------------------------------- ensemble shape
+
+def save_member(directory, name, **changes):
+    """A low-complexity FF member: the workspace's (CC, 30 s) with ``changes``."""
+    settings = {"mode": "FF", "complexity": "low", "segment_s": 30, "encoding": "cc",
+                "hidden": 6, "seed": 1, **changes}
+    depth = 3 if settings["encoding"] == "octave" else 2
+    cfg = neuralnet.NetworkConfig(
+        conv_features={m: [3, 4, 3][:depth] for m in neuralnet.MODALITIES}, **settings)
+    neuralnet.save_params(neuralnet.init_params(cfg), cfg, str(directory), name)
+
+
+def never_read(*a, **k):
+    raise AssertionError("the input was read before the models were checked")
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("b", "a")])
+@pytest.mark.parametrize("changes", [{"segment_s": 5}, {"encoding": "octave"}])
+def test_a_mixed_ensemble_is_refused_before_any_input_is_read(
+        workspace, tmp_path, monkeypatch, capsys, names, changes):
+    models = tmp_path / "models"
+    save_member(models, names[0])
+    save_member(models, names[1], **changes)
+    monkeypatch.setattr(cli.signal_io, "load_recording", never_read)
+    monkeypatch.setattr(cli.preprocess, "preprocess_recording", never_read)
+    monkeypatch.setattr(cli.EncodedRecording, "load", never_read)
+    out = tmp_path / "o"
+    cfg = _config_with(workspace, tmp_path, models_dir=str(models))
+    assert cli.main(["run-all", "--config", cfg, "--out-dir", str(out)]) == 3
+    assert cli.main(["score", str(tmp_path / "x.cc.enc.json"), "--models", str(models),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("an ensemble has one of each") == 2 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({"mode": "octave"}, "mode 'octave' is not the models' encoding 'cc'"),
+    ({"resolution": 10}, "resolution 10 is not a multiple of the models' segment_s 30"),
+])
+def test_run_all_refuses_a_mode_or_resolution_the_models_cannot_give(
+        workspace, tmp_path, monkeypatch, capsys, changes, message):
+    monkeypatch.setattr(cli.signal_io, "load_recording", never_read)
+    out = tmp_path / "o"
+    cfg = _config_with(workspace, tmp_path, **changes)
+    assert cli.main(["run-all", "--config", cfg, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_run_all_without_a_mode_runs_the_models_encoding(workspace, tmp_path):
+    models = tmp_path / "models"
+    for name in ("m0", "m1"):
+        save_member(models, name, encoding="octave")
+    out = tmp_path / "o"
+    cfg = _config_with(workspace, tmp_path, drop=("mode",), models_dir=str(models))
+    assert cli.main(["run-all", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert len(os.listdir(out)) == 4
+    hd = Hypnodensity.from_csv((out / "rec1.hypnodensity.csv").read_text())
+    assert (hd.resolution_s, len(hd.probs)) == (30, 20)
 
 
 # --------------------------------------------------------------- exit codes
@@ -572,7 +671,7 @@ def test_malformed_hypnodensity_csv_is_a_typed_error(tmp_path, capsys, command, 
     src, out = tmp_path / "hd.csv", tmp_path / "out"
     src.write_text(text)
     with pytest.raises(expected):
-        cli._read_hypnodensity_csv(str(src))
+        Hypnodensity.from_csv(text)
     argv = ([command, str(src), "--out", str(out)] if command == "features"
             else [command, str(src), str(out)])
     assert cli.main(argv) == 3
@@ -587,6 +686,10 @@ NUMERIC_DEFECTS = {
     "non_numeric_cell": ("score,label\n0.9,1\nhigh,0\n", CorruptHeader),
     "non_finite_cell": ("0.9,1\nnan,0\n", InvalidValues),
     "short_row": ("0.9,1\n-0.9\n", ShapeMismatch),
+    # the label (last column) is exactly 0 or 1 for evaluate and diagnose --fit
+    "label_minus_one": ("0.9,1\n0.8,1\n-0.7,0\n-0.6,-1\n0.1,0\n", InvalidValues),
+    "label_fraction": ("0.9,1\n0.8,0.6\n-0.7,0\n", InvalidValues),
+    "label_two": ("score,label\n0.9,2\n-0.7,0\n", InvalidValues),
 }
 
 
@@ -604,6 +707,15 @@ def test_malformed_numeric_csv_is_a_typed_error(tmp_path, capsys, command, defec
     err = capsys.readouterr().err
     assert f"level=error stage={command}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ["", "score,label\n"])
+def test_a_label_that_is_not_0_or_1_is_named_by_file_and_row(tmp_path, header):
+    src = tmp_path / "in.csv"
+    src.write_text(header + "0.9,1\n0.8,1\n-0.7,0\n-0.6,-1\n0.1,0\n")
+    row = 5 if header else 4
+    with pytest.raises(InvalidValues, match=rf"{re.escape(str(src))}: row {row}: .*'-1'"):
+        cli._read_numeric_csv(str(src))
 
 
 def zero_vector_json(**extra):
@@ -756,8 +868,10 @@ def _copy_models(ws, tmp_path):
     return str(models)
 
 
-def _config_with(ws, tmp_path, **changes):
-    cfg = {**json.loads(Path(ws["config"]).read_text()), **changes}
+def _config_with(ws, tmp_path, drop=(), **changes):
+    cfg = {k: v for k, v in json.loads(Path(ws["config"]).read_text()).items()
+           if k not in drop}
+    cfg.update(changes)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return str(path)

@@ -103,10 +103,10 @@ def test_gp_label_flip_antisymmetry(rng):
 
 def test_gp_conflicting_duplicate_reduces_confidence(rng):
     X, y = blobs(rng, n_per=20)
-    base, _ = dg.gp_predict(dg.gp_fit(X, y), X[0][None, :])
+    (base,), _ = dg.gp_predict(dg.gp_fit(X, y), X[0][None, :])
     X2 = np.vstack([X, X[0]])
     y2 = np.append(y, -y[0])
-    conflicted, _ = dg.gp_predict(dg.gp_fit(X2, y2), X[0][None, :])
+    (conflicted,), _ = dg.gp_predict(dg.gp_fit(X2, y2), X[0][None, :])
     assert abs(conflicted) < abs(base)
     assert np.sign(conflicted) == np.sign(base)
 
@@ -115,7 +115,7 @@ def test_gp_far_point_returns_prior(rng):
     X, y = blobs(rng, n_per=20)
     model = dg.gp_fit(X, y)
     far = np.full((1, 2), 1e6)
-    s, var = dg.gp_predict(model, far)
+    (s,), (var,) = dg.gp_predict(model, far)
     from scipy.special import ndtr
     prior_var = model.signal_std ** 2 + model.noise
     prior_score = 2 * ndtr(model.mean_const / np.sqrt(1 + prior_var)) - 1
@@ -138,8 +138,16 @@ def test_gp_affine_feature_rescaling_invariance(rng):
 def test_gp_boundary_point_near_zero(rng):
     X, y = blobs(rng)
     model = dg.gp_fit(X, y)
-    s, _ = dg.gp_predict(model, np.zeros((1, 2)))
+    (s,), _ = dg.gp_predict(model, np.zeros((1, 2)))
     assert abs(s) < 0.05
+
+
+def test_gp_predict_returns_one_score_and_variance_per_row(rng):
+    X, y = blobs(rng, n_per=20)
+    model = dg.gp_fit(X, y)
+    for n in (1, 3):
+        scores, var = dg.gp_predict(model, X[:n])
+        assert scores.shape == var.shape == (n,)
 
 
 def test_gp_dimension_mismatch(rng):
@@ -175,15 +183,17 @@ def test_ensemble_diagnose_threshold_edges():
 
 
 def test_hla_gate_rules():
-    rep = dg.ensemble_diagnose([0.9])
-    assert dg.apply_hla(rep, False).label is False
-    assert dg.apply_hla(dg.ensemble_diagnose([-0.40]), True).label is True
-    assert dg.apply_hla(dg.ensemble_diagnose([-0.60]), True).label is False
+    assert dg.ensemble_diagnose([0.9], hla=False).label is False
+    assert dg.ensemble_diagnose([-0.40], hla=True).label is True
+    assert dg.ensemble_diagnose([-0.60], hla=True).label is False
+    assert dg.ensemble_diagnose([-0.40], hla=1).threshold == dg.THRESHOLD_WITH_HLA
+    unknown = dg.ensemble_diagnose([-0.40])
+    assert (unknown.hla_used, unknown.threshold) == (False, dg.THRESHOLD_NO_HLA)
 
 
 def test_hla_negative_is_absorbing(rng):
     for s in rng.uniform(-1, 1, 1000):
-        rep = dg.apply_hla(dg.ensemble_diagnose([float(s)]), False)
+        rep = dg.ensemble_diagnose([float(s)], hla=False)
         assert rep.label is False
         assert rep.hla_used is True
 

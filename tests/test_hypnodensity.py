@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypnopipe import hypnodensity as hyp
-from hypnopipe.errors import IncompatibleResolution, ShapeMismatch, ZeroTotalWeight
+from hypnopipe.errors import (IncompatibleResolution, InvalidValues, ShapeMismatch,
+                              ZeroTotalWeight)
 from hypnopipe.signal_io import STAGES, HypnogramLabels
 from conftest import random_hypnodensity
 
@@ -257,22 +258,22 @@ def test_ensemble_identical_models_zero_variance(rng):
     hd = random_hypnodensity(rng, 10)
     ens = hyp.ensemble_hypnodensity([hd, hd, hd])
     assert np.all(ens.variance < 1e-30)
-    assert np.allclose(ens.mean.probs, hd.probs)
+    assert np.allclose(ens.probs, hd.probs)
 
 
 def test_ensemble_two_opposed_models():
     a = hd_from([[1, 0, 0, 0, 0]])
     b = hd_from([[0, 1, 0, 0, 0]])
     ens = hyp.ensemble_hypnodensity([a, b])
-    assert np.allclose(ens.mean.probs[0], [0.5, 0.5, 0, 0, 0])
+    assert np.allclose(ens.probs[0], [0.5, 0.5, 0, 0, 0])
     assert np.allclose(ens.variance[0], [0.25, 0.25, 0, 0, 0])
 
 
 def test_ensemble_mean_rows_sum_to_one(rng):
     models = [random_hypnodensity(rng, 20) for _ in range(16)]
     ens = hyp.ensemble_hypnodensity(models)
-    assert np.allclose(ens.mean.probs.sum(axis=1), 1.0, atol=1e-9)
-    assert ens.n_models == 16
+    assert np.allclose(ens.probs.sum(axis=1), 1.0, atol=1e-9)
+    assert np.array_equal(ens.variance, np.stack([m.probs for m in models]).var(axis=0))
 
 
 def test_ensemble_shape_mismatch(rng):
@@ -292,9 +293,21 @@ def test_csv_round_trip(rng):
 
 def test_ensemble_csv_has_variance_columns(rng):
     models = [random_hypnodensity(rng, 4) for _ in range(3)]
-    text = hyp.ensemble_hypnodensity(models).to_csv()
+    ens = hyp.ensemble_hypnodensity(models)
+    text = ens.to_csv()
     header = text.splitlines()[0]
     assert header == "t_start_s,W,N1,N2,N3,REM,varW,varN1,varN2,varN3,varREM"
+    assert models[0].to_csv().splitlines()[0] == "t_start_s,W,N1,N2,N3,REM"
+    # the variance columns are ignored on reading
+    back = hyp.Hypnodensity.from_csv(text)
+    assert back.variance is None
+    assert np.allclose(back.probs, ens.probs, atol=1e-8)
+
+
+def test_from_csv_validates_the_probabilities():
+    text = hd_from([[1, 0, 0, 0, 0], [0.5, 0, 0, 0, 0]]).to_csv()
+    with pytest.raises(InvalidValues, match="sum to 1"):
+        hyp.Hypnodensity.from_csv(text)
 
 
 def test_only_hypnodensity_knows_the_stage_encoding():
