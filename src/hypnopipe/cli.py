@@ -31,7 +31,8 @@ EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
 REQUIRED_KEYS = {"recording", "out_dir", "models_dir", "gp_model"}
-CONFIG_KEYS = REQUIRED_KEYS | {"mode", "hla", "resolution", "ref"}
+PATH_KEYS = REQUIRED_KEYS | {"ref"}
+CONFIG_KEYS = PATH_KEYS | {"mode", "hla", "resolution"}
 
 
 def log(stage: str, msg: str, level: str = "info") -> None:
@@ -42,7 +43,8 @@ def log(stage: str, msg: str, level: str = "info") -> None:
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
     """The run-all config with ``overrides`` applied; ``InvalidSpec`` for a file
-    that is not a JSON object, an unknown or missing key, or a bad value."""
+    that is not a JSON object, an unknown or missing key, or a bad value (a
+    path that is not a non-empty string among them)."""
     try:
         cfg = json.loads(read_text(path))
     except json.JSONDecodeError as e:
@@ -57,6 +59,9 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     missing = REQUIRED_KEYS - set(cfg)
     if missing:
         raise InvalidSpec(f"missing config keys: {sorted(missing)}")
+    for key in sorted(PATH_KEYS & set(cfg)):
+        if not isinstance(cfg[key], str) or not cfg[key]:
+            raise InvalidSpec(f"{key} must be a non-empty path string, got {cfg[key]!r}")
     for key, allowed in (("mode", MODES), ("hla", (0, 1)),
                          ("resolution", signal_io.VALID_EPOCH_S)):
         # the type test refuses true for 1 and 30.0 for 30
@@ -151,8 +156,12 @@ def _load_models(models_dir, mode=None, resolution=None):
 
 def _score_ensemble(models, enc, resolution=None):
     """Member hypnodensities at ``resolution`` (default: the members'
-    ``segment_s``) and their ensemble.  The recording is windowed once."""
-    segment_s = models[0][1].segment_s
+    ``segment_s``) and their ensemble.  The recording is windowed once;
+    ``InvalidSpec`` before that unless it is in the members' encoding."""
+    encoding, segment_s = models[0][1].encoding, models[0][1].segment_s
+    if enc.mode != encoding:
+        raise InvalidSpec(f"{enc.recording_id}: the encoding is {enc.mode!r}, "
+                          f"the models' encoding is {encoding!r}")
     batch = neuralnet.windows_from_encoded(enc, segment_s)
     members = [hypnodensity.Hypnodensity(
         probs=neuralnet.forward(params, batch, cfg)[0],
@@ -171,7 +180,7 @@ def _feature_vector(hd, hla=None):
 def _load_gp(model_dir):
     """The GP and its feature columns; ``CorruptHeader`` unless ``selection.json``
     is JSON with a list of non-negative integers under ``"selected"``."""
-    model = diagnosis.GPModel.load(os.path.join(model_dir, "gp.gp.json"))
+    model = diagnosis.GPModel.load(os.path.join(model_dir, diagnosis.GP_FILE))
     path = os.path.join(model_dir, "selection.json")
     try:
         sel = json.loads(read_text(path))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,6 +40,7 @@ NOISE_GRID = (1e-4, 1e-2, 1e-1)
 MAX_LAPLACE_ITERS = 100
 RIDGE_LAMBDA = 1e-2
 RFE_TIE_RTOL = 1e-7
+GP_FILE = "gp.gp.json"      # the GP bundle's name in its model directory
 
 
 @dataclass
@@ -64,9 +65,8 @@ class Standardizer:
 @dataclass
 class SelectionResult:
     frequency: np.ndarray      # per-feature selection frequency in [0,1]
-    selected: np.ndarray       # indices with frequency >= cutoff
+    selected: np.ndarray       # indices with frequency >= RFE_CUTOFF
     target_count: int
-    cutoff: float = RFE_CUTOFF
 
 
 def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
@@ -101,8 +101,7 @@ def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
 
 
 def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
-        target_count: int = RFE_TARGET_COUNT,
-        cutoff: float = RFE_CUTOFF) -> SelectionResult:
+        target_count: int = RFE_TARGET_COUNT) -> SelectionResult:
     """Recursive feature elimination under cross-validation.
 
     Per fold, the lowest |weight| feature of the ridge classifier on the
@@ -131,9 +130,8 @@ def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
         active = active[_rfe_survivors(std.apply(X[mask]), y[mask], target)]
         counts[active] += 1
     freq = counts / folds
-    selected = np.flatnonzero(freq >= cutoff)
-    return SelectionResult(frequency=freq, selected=selected,
-                           target_count=target, cutoff=cutoff)
+    selected = np.flatnonzero(freq >= RFE_CUTOFF)
+    return SelectionResult(frequency=freq, selected=selected, target_count=target)
 
 
 # what a saved GP holds: arrays by their sizes (n points, d features, k kept)
@@ -150,17 +148,17 @@ class GPModel:
     noise: float               # jitter variance on the kernel diagonal
     mean_const: float          # constant latent mean
     standardizer: Standardizer
-    grad_ll: np.ndarray = field(default=None, repr=False)  # d log p(y|f) at mode
-    W_sqrt: np.ndarray = field(default=None, repr=False)
-    L: np.ndarray = field(default=None, repr=False)        # chol(I + W^1/2 K W^1/2)
-    log_marginal: float = 0.0
+    grad_ll: np.ndarray        # d log p(y|f) at mode
+    W_sqrt: np.ndarray
+    L: np.ndarray              # chol(I + W^1/2 K W^1/2)
+    log_marginal: float
 
-    def save(self, directory: str, name: str = "gp") -> str:
+    def save(self, directory: str) -> str:
         mats = {"X": self.X, "grad_ll": self.grad_ll, "W_sqrt": self.W_sqrt,
                 "L": self.L, "std_mean": self.standardizer.mean,
                 "std_std": self.standardizer.std,
                 "std_keep": self.standardizer.keep.astype(float)}
-        return write_bundle(os.path.join(directory, f"{name}.gp.json"), mats,
+        return write_bundle(os.path.join(directory, GP_FILE), mats,
                             {k: getattr(self, k) for k in _GP_SCALARS})
 
     @classmethod

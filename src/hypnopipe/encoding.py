@@ -32,7 +32,7 @@ from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
 from .pool import thread_map
 from .preprocess import TARGET_FS, butter_zero_phase
 from .signal_io import PolySignalSet
-from .store import check_shapes, read_bundle, write_bundle
+from .store import check_shapes, is_file_name, read_bundle, write_bundle
 
 OCTAVE_CUTOFFS_HZ = (49.0, 25.0, 12.5, 6.25, 3.125)
 P95_WINDOW_S = 90 * 60      # 90 minute windows
@@ -86,12 +86,10 @@ CC_TENSORS = {"EEG": {"EEG": ("EEG_C", "EEG_C")},
 class EncodedRecording:
     recording_id: str
     mode: str                      # "octave" or "cc"
-    duration_s: float
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
     def save(self, directory: str) -> str:
-        meta = {"recording_id": self.recording_id, "mode": self.mode,
-                "duration_s": self.duration_s, "fs": TARGET_FS}
+        meta = {"recording_id": self.recording_id, "mode": self.mode, "fs": TARGET_FS}
         if self.mode == "cc":
             meta["row_s"] = CC_WINDOW_S
         return write_bundle(
@@ -100,16 +98,20 @@ class EncodedRecording:
 
     @classmethod
     def load(cls, path: str) -> "EncodedRecording":
-        """Raises ``CorruptHeader`` for a manifest whose ``fs`` is not TARGET_FS,
+        """Raises ``CorruptHeader`` for a manifest whose ``recording_id`` is not
+        a bare file name or whose ``fs`` is not TARGET_FS,
         a CC encoding whose rows are not 5 s window means (0.25 s grid rows,
         as written by older versions), or, naming the array, tensors other
         than ``encode_recording`` makes: for CC, each of CC_TENSORS as (n, its
         modality's ``n_lags``); for octave, (5, n) for each role of
         ``MONTAGE["octave"]``; one n throughout."""
         tensors, meta = read_bundle(path)
-        keys = ("recording_id", "mode", "duration_s")
+        keys = ("recording_id", "mode")
         if any(k not in meta for k in keys) or meta["mode"] not in MODES:
             raise CorruptHeader(f"{path}: not an octave or CC encoding manifest")
+        if not is_file_name(meta["recording_id"]):
+            raise CorruptHeader(f"{path}: recording_id {meta['recording_id']!r} is not "
+                                f"a bare file name")
         if meta.get("fs") != TARGET_FS:
             raise CorruptHeader(f"{path}: fs is {meta.get('fs')!r}, not {TARGET_FS}")
         if meta["mode"] == "cc" and meta.get("row_s") != CC_WINDOW_S:
@@ -310,8 +312,7 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
         x[role] = ch.samples
     n = min(map(len, x.values()))
     x = {role: v[:n] for role, v in x.items()}
-    enc = EncodedRecording(recording_id=montage.recording_id, mode=mode,
-                           duration_s=montage.duration_s)
+    enc = EncodedRecording(recording_id=montage.recording_id, mode=mode)
     if mode == "octave":
         enc.tensors = dict(zip(x, thread_map(octave_encode, x.values())))
         return enc

@@ -65,14 +65,11 @@ class NetworkConfig:
     modality_shapes: dict = field(default_factory=dict)  # default: modality_shapes_for
     conv_features: dict = field(default_factory=dict)   # modality -> per-layer counts
     hidden: int = 16
-    dropout_keep: float = DROPOUT_KEEP
-    loss_kind: str = "binary"             # Eq-as-printed; "categorical" optional
     seed: int = 0
 
     def __post_init__(self):
         for name, allowed in (("mode", ("FF", "LSTM")), ("complexity", ("low", "high")),
-                              ("segment_s", VALID_EPOCH_S), ("encoding", MODES),
-                              ("loss_kind", ("binary", "categorical"))):
+                              ("segment_s", VALID_EPOCH_S), ("encoding", MODES)):
             value = getattr(self, name)
             if value not in allowed or type(value) is not type(allowed[0]):
                 raise InvalidSpec(f"{name} must be one of {allowed}, got {value!r}")
@@ -274,7 +271,7 @@ def forward(params, batch, config: NetworkConfig,
                 gates[t] = np.concatenate([i_g, f_g, g_g, o_g])
         cache["hs"] = h = hs
         if rng is not None:
-            mask = (rng.random(h.shape) < config.dropout_keep) / config.dropout_keep
+            mask = (rng.random(h.shape) < DROPOUT_KEEP) / DROPOUT_KEEP
             cache["dropout_mask"] = mask
             h = h * mask
     cache["h"] = h
@@ -282,26 +279,21 @@ def forward(params, batch, config: NetworkConfig,
     return probs, (cache if keep_cache else None)
 
 
-def loss(pred_probs, one_hot, params=None, lam: float = WEIGHT_DECAY,
-         kind: str = "binary") -> float:
-    """Mean cross-entropy (as printed, with the complement term) + L2."""
+def loss(pred_probs, one_hot, params=None) -> float:
+    """Mean cross-entropy (as printed, with the complement term), plus
+    WEIGHT_DECAY times the squared trainable weights if ``params`` is given."""
     p = np.clip(pred_probs, LOG_EPS, 1.0 - LOG_EPS)
     y = np.asarray(one_hot, dtype=float)
-    n = p.shape[0]
-    if kind == "binary":
-        data = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / n
-    else:
-        data = -(y * np.log(p)).sum() / n
+    data = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).sum() / p.shape[0]
     reg = 0.0
-    if params is not None and lam > 0:
-        reg = lam * sum(float((params[k] ** 2).sum()) for k in trainable_names(params))
+    if params is not None:
+        reg = WEIGHT_DECAY * sum(float((params[k] ** 2).sum())
+                                 for k in trainable_names(params))
     return float(data + reg)
 
 
-def _dlogits(probs, one_hot, kind):
+def _dlogits(probs, one_hot):
     n = probs.shape[0]
-    if kind == "categorical":
-        return (probs - one_hot) / n
     p = np.clip(probs, LOG_EPS, 1.0 - LOG_EPS)
     inside = (probs > LOG_EPS) & (probs < 1.0 - LOG_EPS)
     dp = -(one_hot / p - (1.0 - one_hot) / (1.0 - p)) / n
@@ -311,14 +303,14 @@ def _dlogits(probs, one_hot, kind):
     return probs * (dp - dot)
 
 
-def loss_and_grads(params, batch, one_hot, config: NetworkConfig,
-                   lam: float = WEIGHT_DECAY, rng=None):
-    """Loss value and analytic gradients, from the one ``forward`` that keeps
-    its cache; dropout as in ``forward`` (if and only if ``rng`` is given)."""
+def loss_and_grads(params, batch, one_hot, config: NetworkConfig, rng=None):
+    """``loss`` with ``params`` and its analytic gradients, from the one
+    ``forward`` that keeps its cache; dropout as in ``forward`` (if and only
+    if ``rng`` is given)."""
     probs, cache = forward(params, batch, config, rng=rng, keep_cache=True)
-    value = loss(probs, one_hot, params, lam, config.loss_kind)
+    value = loss(probs, one_hot, params)
     grads = {n: np.zeros_like(params[n]) for n in trainable_names(params)}
-    dlog = _dlogits(probs, np.asarray(one_hot, dtype=float), config.loss_kind)
+    dlog = _dlogits(probs, np.asarray(one_hot, dtype=float))
 
     grads["out/w"] += dlog.T @ cache["h"]
     grads["out/b"] += dlog.sum(axis=0)
@@ -364,9 +356,8 @@ def loss_and_grads(params, batch, one_hot, config: NetworkConfig,
         dfeats = np.split(dz[k * CHUNK:(k + 1) * CHUNK], splits, axis=1)
         for m, layers, dfeat in zip(MODALITIES, chunk, dfeats):
             _conv_stack_back(params, layers, dfeat, m, grads)
-    if lam > 0:
-        for n in grads:
-            grads[n] += 2.0 * lam * params[n]
+    for n in grads:
+        grads[n] += 2.0 * WEIGHT_DECAY * params[n]
     return value, grads
 
 
@@ -491,8 +482,7 @@ def train(dataset, config: NetworkConfig, max_batches: int = 4000):
     for n_batch, (batch, ls) in enumerate(batches(), start=1):
         if n_batch > max_batches:
             break
-        _, grads = loss_and_grads(params, batch, _one_hot(ls), config,
-                                  lam=WEIGHT_DECAY, rng=rng)
+        _, grads = loss_and_grads(params, batch, _one_hot(ls), config, rng=rng)
         params, state = sgd_momentum_step(params, grads, state)
         if n_batch % VALIDATE_EVERY == 0:
             acc = _accuracy(params, val_blocks, config)

@@ -183,16 +183,16 @@ def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
     return best_role
 
 
-def fit_reference(training: list[PolySignalSet],
-                  roles: tuple[str, ...] = CENTRAL_EEG) -> ReferenceDistribution:
-    """Mean/covariance of per-recording averaged log-Hjorth vectors, each
-    channel first brought to TARGET_FS as ``preprocess_recording`` does."""
+def fit_reference(training: list[PolySignalSet]) -> ReferenceDistribution:
+    """Mean/covariance of per-recording averaged log-Hjorth vectors of the
+    CENTRAL_EEG channels, each first brought to TARGET_FS as
+    ``preprocess_recording`` does."""
     if len(training) < 4:
         raise SingularCovariance("need at least 4 recordings")
     vectors = []
     for psg in training:
         per_channel = [_avg_log_hjorth(to_target_rate(psg.channels[r]))
-                       for r in roles if r in psg.channels]
+                       for r in CENTRAL_EEG if r in psg.channels]
         per_channel = [v for v in per_channel if v is not None]
         if per_channel:
             vectors.append(np.mean(per_channel, axis=0))

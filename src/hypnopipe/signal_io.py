@@ -8,6 +8,7 @@ token per line, preceded by an ``epoch_s=<int>`` header line.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .errors import (
     MissingBlob,
     MissingChannel,
 )
-from .store import read_bundle, read_text, write_bundle
+from .store import is_file_name, read_bundle, read_text, write_bundle
 
 ROLES = (
     "EEG_C_LEFT",
@@ -62,15 +63,21 @@ class PolySignalSet:
     _finite: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
-        """``CorruptHeader``, ``LengthMismatch`` or ``InvalidValues`` (a
+        """``CorruptHeader`` for a ``recording_id`` that is not a bare file
+        name (outputs are named after it) or a non-finite ``duration_s``;
+        ``CorruptHeader``, ``LengthMismatch`` or ``InvalidValues`` (a
         non-finite sample) for a channel that breaks the recording's contract.
         Samples ``load_recording`` read are not scanned again: ``read_bundle``
         checked every value, and they are read-only."""
+        if not is_file_name(self.recording_id):
+            raise CorruptHeader(f"recording_id {self.recording_id!r} is not a bare file name")
+        if not math.isfinite(self.duration_s):
+            raise CorruptHeader(f"duration_s must be finite, got {self.duration_s}")
         for role, ch in self.channels.items():
             if role not in ROLES and role not in SITES:
                 raise CorruptHeader(f"unknown channel role {role!r}")
-            if ch.fs <= 0:
-                raise CorruptHeader(f"{role}: fs must be > 0, got {ch.fs}")
+            if not (math.isfinite(ch.fs) and ch.fs > 0):
+                raise CorruptHeader(f"{role}: fs must be finite and > 0, got {ch.fs}")
             expect = round(ch.fs * self.duration_s)
             if abs(len(ch.samples) - expect) > 1:
                 raise LengthMismatch(

@@ -51,12 +51,18 @@ def read_text(path: str) -> str:
             raise CorruptHeader(f"{path}: not UTF-8 text: {e}") from e
 
 
+def is_file_name(name) -> bool:
+    """Whether ``name`` is a string naming a file in the directory it is read
+    in or written to: no path separator or NUL, and not '', '.' or '..'."""
+    return (isinstance(name, str) and name == os.path.basename(name)
+            and "\0" not in name and name not in ("", ".", ".."))
+
+
 def _entry(info) -> tuple[str, tuple[int, ...]]:
     """``(blob, shape)`` of an arrays-table entry; ``ValueError`` unless the
     blob is a bare file name and the shape a list of non-negative integers."""
     blob, shape = info["blob"], info["shape"]
-    if not isinstance(blob, str) or blob != os.path.basename(blob) or "\0" in blob \
-            or blob in ("", ".", ".."):
+    if not is_file_name(blob):
         raise ValueError(f"blob {blob!r} is not a file name in the manifest's directory")
     if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
         raise ValueError(f"shape {shape!r} is not a list of non-negative integers")

@@ -106,11 +106,11 @@ def zero_params(config: nn.NetworkConfig) -> dict[str, np.ndarray]:
 def grad_check(params, batch, one_hot, config: nn.NetworkConfig,
                n_samples: int = 64, h: float = 1e-4, seed: int = 0) -> float:
     """Max relative error of analytic vs central finite-difference gradients."""
-    _, grads = nn.loss_and_grads(params, batch, one_hot, config, lam=nn.WEIGHT_DECAY)
+    _, grads = nn.loss_and_grads(params, batch, one_hot, config)
 
     def loss_only():
         probs, _ = nn.forward(params, batch, config)
-        return nn.loss(probs, one_hot, params, nn.WEIGHT_DECAY, config.loss_kind)
+        return nn.loss(probs, one_hot, params)
 
     rng = np.random.default_rng(seed)
     names = nn.trainable_names(params)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hypnopipe import cli, diagnosis, features, neuralnet, signal_io
-from hypnopipe.encoding import EncodedRecording
+from hypnopipe.encoding import EncodedRecording, encode_recording
 from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile,
                               IncompatibleResolution, InvalidValues, ShapeMismatch)
 from hypnopipe.hypnodensity import Hypnodensity
@@ -131,7 +131,7 @@ def test_train_drops_unscored_windows(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     data = tmp_path / "data"
     for rid in ("a", "b"):
-        EncodedRecording(recording_id=rid, mode="cc", duration_s=60.0, tensors={
+        EncodedRecording(recording_id=rid, mode="cc", tensors={
             k: rng.random((12, n)) for k, n in (("EEG", 201), ("EOG_L", 401),
                                                 ("EOG_R", 401), ("EOG_X", 401),
                                                 ("EMG", 41))}).save(str(data))
@@ -162,7 +162,7 @@ def test_train_rejects_epoch_not_a_multiple_of_segment(tmp_path, capsys,
     with windows when segment_s divides epoch_s."""
     rng = np.random.default_rng(0)
     data = tmp_path / "data"
-    EncodedRecording(recording_id="a", mode="cc", duration_s=60.0, tensors={
+    EncodedRecording(recording_id="a", mode="cc", tensors={
         k: rng.random((12, n)) for k, n in (("EEG", 201), ("EOG_L", 401),
                                             ("EOG_R", 401), ("EOG_X", 401),
                                             ("EMG", 41))}).save(str(data))
@@ -555,6 +555,7 @@ def _without(key):
     return lambda cfg: json.dumps({k: v for k, v in cfg.items() if k != key})
 
 
+PATH_KEYS = ("gp_model", "models_dir", "out_dir", "recording", "ref")
 # defect -> the config file's text, made from the valid config
 CONFIG_DEFECTS = {
     "missing_recording": _without("recording"),
@@ -571,13 +572,19 @@ CONFIG_DEFECTS = {
     "resolution_negative": lambda cfg: json.dumps({**cfg, "resolution": -30}),
     "resolution_float": lambda cfg: json.dumps({**cfg, "resolution": 30.0}),
     "resolution_7": lambda cfg: json.dumps({**cfg, "resolution": 7}),
+    # a path that is not a non-empty string: 999 would be read as a file descriptor
+    **{f"{key}_{name}": (lambda key, value: lambda cfg: json.dumps({**cfg, key: value}))(
+        key, value)
+       for key in PATH_KEYS
+       for name, value in (("null", None), ("int", 999), ("list", ["a"]), ("empty", ""))},
 }
 
 
 @pytest.mark.parametrize("defect", sorted(CONFIG_DEFECTS))
 def test_exit_code_validation_bad_config(workspace, tmp_path, monkeypatch,
                                          capsys, defect):
-    cfg = json.loads(Path(workspace["config"]).read_text())
+    cfg = {**json.loads(Path(workspace["config"]).read_text()),
+           "out_dir": str(tmp_path / "o")}
     bad = tmp_path / "bad.json"
     bad.write_text(CONFIG_DEFECTS[defect](cfg))
 
@@ -585,10 +592,13 @@ def test_exit_code_validation_bad_config(workspace, tmp_path, monkeypatch,
         raise AssertionError("preprocessing ran before the config was checked")
 
     monkeypatch.setattr(cli.preprocess, "preprocess_recording", never)
-    assert cli.main(["run-all", "--config", str(bad),
-                     "--out-dir", str(tmp_path / "o")]) == 3
-    assert "Traceback" not in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert cli.main(["run-all", "--config", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    key = defect.rpartition("_")[0]
+    if key in PATH_KEYS:
+        assert f"{key} must be a non-empty path string" in err
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 def test_load_config_keeps_valid_hla_and_resolution(workspace, tmp_path):
@@ -1023,3 +1033,93 @@ def test_non_utf8_hypnogram_is_a_typed_error(tmp_path):
     bad.write_bytes(b"epoch_s=30\n\xff\xfeW\n")
     with pytest.raises(CorruptHeader, match="UTF-8"):
         signal_io.load_hypnogram(str(bad))
+
+
+# ------------------------------------------------------- manifest headers
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+def edited_recording(ws, tmp_path, edit):
+    """A copy of the workspace recording under ``tmp_path/raw`` whose
+    manifest ``edit`` changed; returns the manifest path."""
+    raw = tmp_path / "raw"
+    shutil.copytree(Path(ws["meta"]).parent, raw)
+    manifest = raw / Path(ws["meta"]).name
+    meta = json.loads(manifest.read_text())
+    edit(meta)
+    manifest.write_text(json.dumps(meta))     # NaN and inf as JSON's NaN, Infinity
+    return str(manifest)
+
+
+def _set_fs(value):
+    return lambda meta: meta["channels"]["EEG_C_LEFT"].update(fs=value)
+
+
+RECORDING_DEFECTS = {
+    "fs_nan": (_set_fs(float("nan")), "fs must be finite"),
+    "fs_inf": (_set_fs(float("inf")), "fs must be finite"),
+    "duration_nan": (lambda meta: meta.update(duration_s=float("nan")),
+                     "duration_s must be finite"),
+    "duration_inf": (lambda meta: meta.update(duration_s=float("inf")),
+                     "duration_s must be finite"),
+    "id_parent": (lambda meta: meta.update(recording_id="../evil"), "not a bare file name"),
+    "id_subdir": (lambda meta: meta.update(recording_id="sub/evil"), "not a bare file name"),
+    "id_int": (lambda meta: meta.update(recording_id=5), "not a bare file name"),
+}
+
+
+@pytest.mark.parametrize("command", ["preprocess", "encode", "run-all"])
+@pytest.mark.parametrize("defect", sorted(RECORDING_DEFECTS))
+def test_a_bad_recording_header_is_refused_before_anything_is_written(
+        workspace, tmp_path, capsys, command, defect):
+    edit, message = RECORDING_DEFECTS[defect]
+    meta = edited_recording(workspace, tmp_path, edit)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {"preprocess": ["preprocess", meta, str(out)],
+            "encode": ["encode", meta, str(out)],
+            "run-all": ["run-all", "--config", workspace["config"], "--recording", meta,
+                        "--out-dir", str(out)]}[command]
+    before = files_under(tmp_path)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("rid", ["../evil", "", 5])
+def test_an_encoding_whose_id_is_not_a_file_name_is_refused(workspace, tmp_path, capsys,
+                                                            rid):
+    path = Path(encode_recording(make_montage(60.0), "cc").save(str(tmp_path / "enc")))
+    meta = json.loads(path.read_text())
+    meta["recording_id"] = rid
+    path.write_text(json.dumps(meta))
+    with pytest.raises(CorruptHeader, match="not a bare file name"):
+        EncodedRecording.load(str(path))
+    before = files_under(tmp_path)
+    assert cli.main(["score", str(path), "--models", workspace["models"],
+                     "--out", str(tmp_path / "hd.csv")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert files_under(tmp_path) == before
+
+
+def never_windowed(*a, **k):
+    raise AssertionError("the recording was windowed before its mode was checked")
+
+
+@pytest.mark.parametrize("enc_mode,models_encoding", [("cc", "octave"), ("octave", "cc")])
+def test_score_refuses_an_encoding_in_another_mode_than_the_models(
+        tmp_path, monkeypatch, capsys, enc_mode, models_encoding):
+    models = tmp_path / "models"
+    save_member(models, "m0", encoding=models_encoding)
+    path = encode_recording(make_montage(60.0), enc_mode).save(str(tmp_path / "enc"))
+    monkeypatch.setattr(cli.neuralnet, "windows_from_encoded", never_windowed)
+    before = files_under(tmp_path)
+    assert cli.main(["score", path, "--models", str(models),
+                     "--out", str(tmp_path / "hd.csv")]) == 3
+    err = capsys.readouterr().err
+    assert (f"the encoding is {enc_mode!r}, the models' encoding is {models_encoding!r}"
+            in err and "Traceback" not in err)
+    assert files_under(tmp_path) == before

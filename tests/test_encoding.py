@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -266,6 +268,17 @@ def test_encoded_round_trip(tmp_path):
     for name, t in enc.tensors.items():
         assert np.array_equal(back.tensors[name],
                               t.astype(np.float32).astype(np.float64))
+
+
+def test_the_manifest_holds_no_duration_and_an_older_one_still_loads(tmp_path):
+    path = encoding.encode_recording(make_montage(60.0), "cc").save(str(tmp_path))
+    with open(path) as f:
+        meta = json.load(f)
+    assert "duration_s" not in meta
+    meta["duration_s"] = 60.0                    # as older versions wrote it
+    with open(path, "w") as f:
+        json.dump(meta, f)
+    assert encoding.EncodedRecording.load(path).recording_id == meta["recording_id"]
 
 
 def test_unknown_encoding_mode_is_invalid_spec():

@@ -123,7 +123,7 @@ def forward_whole(params, batch, config: nn.NetworkConfig, train_mode: bool = Fa
         if train_mode:
             if rng is None:
                 rng = np.random.default_rng(config.seed)
-            mask = (rng.random(h.shape) < config.dropout_keep) / config.dropout_keep
+            mask = (rng.random(h.shape) < nn.DROPOUT_KEEP) / nn.DROPOUT_KEEP
             cache["dropout_mask"] = mask
             h = h * mask
         cache["h"] = h

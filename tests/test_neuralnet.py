@@ -122,14 +122,14 @@ def test_inference_deterministic(rng):
 def test_loss_perfect_prediction_near_zero():
     y = one_hot([0, 2])
     p = np.clip(y, 1e-12, 1 - 1e-12)
-    assert nn.loss(p, y, None, 0.0) < 1e-9
+    assert nn.loss(p, y) < 1e-9
 
 
 def test_loss_uniform_prediction_value():
     y = one_hot([1])
     p = np.full((1, 5), 0.2)
     expect = -(np.log(0.2) + 4 * np.log(0.8))
-    assert abs(nn.loss(p, y, None, 0.0) - expect) < 1e-9
+    assert abs(nn.loss(p, y) - expect) < 1e-9
     assert abs(expect - 2.5021) < 5e-4
 
 
@@ -139,8 +139,8 @@ def test_loss_regularizer_isolated():
     y = one_hot([0])
     p = np.clip(y, 1e-12, 1 - 1e-12)
     reg = sum(float((params[k] ** 2).sum()) for k in nn.trainable_names(params))
-    got = nn.loss(p, y, params, 1e-5)
-    assert abs(got - 1e-5 * reg) < 1e-9
+    got = nn.loss(p, y, params)
+    assert abs(got - nn.WEIGHT_DECAY * reg) < 1e-9
 
 
 # --------------------------------------------------------------- optimizer
@@ -206,18 +206,11 @@ def test_grad_check_lstm(rng):
     assert err < 1e-3
 
 
-def test_grad_check_categorical_loss(rng):
-    cfg = toy_config("FF", loss_kind="categorical")
-    params = nn.init_params(cfg)
-    err = grad_check(params, toy_batch(rng, 3), one_hot([0, 1, 2]), cfg)
-    assert err < 1e-3
-
-
 def test_zero_input_zero_bias_first_layer_gradient():
     cfg = toy_config("FF")
     params = zero_params(cfg)
     batch = {m: np.zeros((2,) + TOY_SHAPES[m]) for m in TOY_SHAPES}
-    _, grads = nn.loss_and_grads(params, batch, one_hot([0, 1]), cfg, lam=0.0)
+    _, grads = nn.loss_and_grads(params, batch, one_hot([0, 1]), cfg)
     for m in nn.MODALITIES:
         assert np.all(grads[f"conv0/{m}/w"] == 0.0)
 
@@ -341,7 +334,9 @@ MALFORMED_CONFIGS = {
     "segment_s_float": lambda d: d.update(segment_s=5.0),
     "mode": lambda d: d.update(mode="GRU"),
     "encoding": lambda d: d.update(encoding="wavelet"),
-    "loss_kind": lambda d: d.update(loss_kind="hinge"),
+    # retired knobs: each held its one value in use, now a constant
+    "loss_kind": lambda d: d.update(loss_kind="binary"),
+    "dropout_keep": lambda d: d.update(dropout_keep=0.5),
     "hidden": lambda d: d.update(hidden=0),
     "unknown_key": lambda d: d.update(extra=1),
     "missing_key": lambda d: d.pop("segment_s"),

@@ -37,8 +37,7 @@ def _ridge_weights(X: np.ndarray, y: np.ndarray, lam: float = RIDGE_LAMBDA):
 
 
 def rfe_refit(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
-              target_count: int = RFE_TARGET_COUNT,
-              cutoff: float = RFE_CUTOFF, pick=tie_rule) -> SelectionResult:
+              target_count: int = RFE_TARGET_COUNT, pick=tie_rule) -> SelectionResult:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, d = X.shape
@@ -66,9 +65,8 @@ def rfe_refit(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
             Z = np.delete(Z, drop, axis=1)
         counts[active] += 1
     freq = counts / folds
-    selected = np.flatnonzero(freq >= cutoff)
-    return SelectionResult(frequency=freq, selected=selected,
-                           target_count=target, cutoff=cutoff)
+    selected = np.flatnonzero(freq >= RFE_CUTOFF)
+    return SelectionResult(frequency=freq, selected=selected, target_count=target)
 
 
 # ----------------------------------------------------------------- the cases

@@ -26,7 +26,7 @@ def bundles(tmp_path_factory):
     signal_io.save_recording(make_montage(duration_s=60.0), str(root / "raw"))
     n = 12                                       # 60 s of 5 s CC window rows
     EncodedRecording(
-        recording_id="r", mode="cc", duration_s=60.0,
+        recording_id="r", mode="cc",
         tensors={"EEG": rng.random((n, 201)), "EOG_L": rng.random((n, 401)),
                  "EOG_R": rng.random((n, 401)), "EOG_X": rng.random((n, 401)),
                  "EMG": rng.random((n, 41))}).save(str(root / "enc"))
@@ -269,7 +269,7 @@ ENCODING_CONTENTS = {
 
 
 def test_the_valid_octave_tensors_load(tmp_path, bundles):
-    path = EncodedRecording(recording_id="r", mode="octave", duration_s=3.0,
+    path = EncodedRecording(recording_id="r", mode="octave",
                             tensors=_valid_tensors(bundles, "octave")).save(str(tmp_path))
     assert set(EncodedRecording.load(path).tensors) == set(MONTAGE["octave"])
 
@@ -283,7 +283,7 @@ def test_encoding_tensors_are_checked_at_load(bundles, tmp_path, monkeypatch, ca
     tensors = _valid_tensors(bundles, mode)
     edit(tensors)
     shutil.rmtree(work / "enc")
-    path = EncodedRecording(recording_id="r", mode=mode, duration_s=60.0,
+    path = EncodedRecording(recording_id="r", mode=mode,
                             tensors=tensors).save(str(work / "enc"))
     with pytest.raises(CorruptHeader, match=named):
         EncodedRecording.load(path)
