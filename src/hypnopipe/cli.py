@@ -164,22 +164,22 @@ def _score_ensemble(models, enc, resolution=None):
                           f"the models' encoding is {encoding!r}")
     batch = neuralnet.windows_from_encoded(enc, segment_s)
     members = [hypnodensity.Hypnodensity(
-        probs=neuralnet.forward(params, batch, cfg)[0],
-        resolution_s=segment_s, recording_id=enc.recording_id)
+        probs=neuralnet.forward(params, batch, cfg)[0], resolution_s=segment_s)
         for params, cfg in models]
     if resolution not in (None, segment_s):
         members = [hypnodensity.aggregate_resolution(m, resolution) for m in members]
     return members, hypnodensity.ensemble_hypnodensity(members)
 
 
-def _feature_vector(hd, hla=None):
+def _feature_vector(hd):
     """The 481 features, from the hypnogram at 30 s epochs."""
-    return features.assemble(hd, hypnodensity.to_hypnogram(hd), hla=hla)
+    return features.assemble(hd, hypnodensity.to_hypnogram(hd))
 
 
 def _load_gp(model_dir):
     """The GP and its feature columns; ``CorruptHeader`` unless ``selection.json``
-    is JSON with a list of non-negative integers under ``"selected"``."""
+    is JSON with a list of feature columns under ``"selected"``, one for each
+    feature of the GP."""
     model = diagnosis.GPModel.load(os.path.join(model_dir, diagnosis.GP_FILE))
     path = os.path.join(model_dir, "selection.json")
     try:
@@ -187,21 +187,20 @@ def _load_gp(model_dir):
     except ValueError as e:
         raise CorruptHeader(f"{path}: {e}") from e
     cols = sel.get("selected") if isinstance(sel, dict) else None
-    if not isinstance(cols, list) or not all(type(c) is int and c >= 0 for c in cols):
-        raise CorruptHeader(f'{path}: "selected" must be a list of non-negative integers')
+    n = len(features.feature_names())
+    if not isinstance(cols, list) or not all(type(c) is int and 0 <= c < n for c in cols):
+        raise CorruptHeader(f'{path}: "selected" must be a list of integers in [0, {n})')
+    if len(cols) != len(model.standardizer.mean):
+        raise CorruptHeader(f"{path}: {len(cols)} selected columns for a GP of "
+                            f"{len(model.standardizer.mean)} features")
     return model, np.array(cols, dtype=int)
 
 
 def _diagnose(model, cols, vectors, hla=None):
     """GP score of each feature vector, combined and HLA-gated if known."""
-    width = min(len(v.values) for v in vectors)
-    if cols.size and cols.max() >= width:
-        raise CorruptHeader(f"selected column {cols.max()} is out of range "
-                            f"for {width} features")
     # one call per vector: a batched call moves the scores in the last bits
     return diagnosis.ensemble_diagnose(
-        [diagnosis.gp_predict(model, np.asarray(v.values)[cols][None, :])[0][0]
-         for v in vectors], hla)
+        [diagnosis.gp_predict(model, v.values[cols][None, :])[0][0] for v in vectors], hla)
 
 
 def cmd_score(args) -> int:
@@ -216,10 +215,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_features(args) -> int:
-    if args.hla is not None and not args.out.endswith(".json"):
-        raise InvalidSpec("features --hla needs a .json --out: a CSV vector has no HLA")
-    vec = _feature_vector(hypnodensity.Hypnodensity.from_csv(read_text(args.input)),
-                          args.hla)
+    vec = _feature_vector(hypnodensity.Hypnodensity.from_csv(read_text(args.input)))
     with open(args.out, "w") as f:
         if args.out.endswith(".json"):
             f.write(vec.to_json())
@@ -234,11 +230,17 @@ def cmd_diagnose(args) -> int:
                        else (("model", "input"), ("matrix", "seed")))
     wrong = ([f"needs --{name}" for name in needed if getattr(args, name) is None]
              + [f"takes no --{name}" for name in ignored if getattr(args, name) is not None])
+    if args.fit and args.seed is not None and args.seed < 0:
+        wrong.append(f"needs a --seed >= 0, got {args.seed}")
     if wrong:
         raise InvalidSpec(f"diagnose {'--fit' if args.fit else 'without --fit'} "
                           f"{' and '.join(wrong)}")
     if args.fit:
         data = _read_numeric_csv(args.matrix)
+        n = len(features.feature_names())
+        if data.shape[1] != n + 1:
+            raise ShapeMismatch(f"{args.matrix}: diagnose --fit reads {n} feature columns "
+                                f"and a label, got {data.shape[1]} columns")
         X, y = data[:, :-1], data[:, -1]
         sel = diagnosis.rfe(X, y, seed=args.seed or 0)
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
@@ -251,8 +253,7 @@ def cmd_diagnose(args) -> int:
         return 0
     model, cols = _load_gp(args.model)
     vec = features.FeatureVector.from_json(read_text(args.input))
-    report = _diagnose(model, cols, [vec],
-                       vec.hla_positive if args.hla is None else args.hla)
+    report = _diagnose(model, cols, [vec], args.hla)
     out = report.to_json()
     if args.out:
         with open(args.out, "w") as f:
@@ -339,10 +340,9 @@ def cmd_run_all(args) -> int:
 
     members, ens = _score_ensemble(models, enc, cfg.get("resolution"))
     log("score", f"{rid}: hypnodensity over {len(ens.probs)} segments")
-    hla = cfg.get("hla")
-    vec = _feature_vector(ens, hla)
+    vec = _feature_vector(ens)
     log("features", f"{rid}: feature vector done")
-    rep = _diagnose(gp, cols, [_feature_vector(m) for m in members], hla)
+    rep = _diagnose(gp, cols, [_feature_vector(m) for m in members], cfg.get("hla"))
     log("diagnose", f"{rid}: score={rep.score:.4f} label={rep.label}")
 
     outputs = {"hypnodensity.csv": ens.to_csv(),
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("features", help="481-dim feature vector from hypnodensity")
     sp.add_argument("input", help="hypnodensity CSV")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--hla", type=int, choices=(0, 1), default=None)
     sp.set_defaults(func=cmd_features)
 
     sp = sub.add_parser("diagnose", help="fit or apply the GP classifier")

@@ -27,7 +27,7 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
-from .store import check_shapes, read_bundle, write_bundle
+from .store import check_shapes, is_number, read_bundle, write_bundle
 
 RFE_CUTOFF = 0.40
 RFE_TARGET_COUNT = 38
@@ -175,7 +175,7 @@ class GPModel:
             raise CorruptHeader(f"{path}: array 'X' has {sizes['k']} columns, "
                                 f"std_keep keeps {keep.sum()}")
         for key in _GP_SCALARS:
-            if type(meta.get(key)) not in (int, float) or not np.isfinite(meta[key]):
+            if not is_number(meta.get(key)) or not np.isfinite(meta[key]):
                 raise CorruptHeader(f"{path}: {key} must be a finite number")
         return cls(X=mats["X"], standardizer=Standardizer(
                        mean=mats["std_mean"], std=mats["std_std"], keep=keep),

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CorruptHeader, InvalidValues, ShapeMismatch
 from .hypnodensity import Hypnodensity, stage_codes
 from .signal_io import STAGES, HypnogramLabels
+from .store import is_number
 
 # 31 nonempty stage subsets: sizes ascending, lexicographic in stage order
 STAGE_COMBOS: tuple[tuple[str, ...], ...] = tuple(
@@ -59,50 +60,46 @@ SHORT_WAKE_MIN = 15.0        # W/N1 bouts below this accumulate
 
 @dataclass
 class FeatureVector:
-    names: list[str]
-    values: np.ndarray
-    recording_id: str = ""
-    hla_positive: bool | None = None
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.names, map(float, self.values)))
+    values: np.ndarray         # the 481 values, in feature_names() order
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.names)
+        w.writerow(feature_names())
         w.writerow([f"{v:.12g}" for v in self.values])
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps({
-            "recording_id": self.recording_id,
-            "hla_positive": self.hla_positive,
-            "features": self.as_dict(),
-        }, indent=1)
+        return json.dumps({"features": dict(zip(feature_names(), map(float, self.values)))},
+                          indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "FeatureVector":
         """The vector ``to_json`` writes; ``CorruptHeader`` for text that is not
-        a JSON object with a ``"features"`` object of numbers and an optional
-        boolean ``"hla_positive"``, ``InvalidValues`` for a non-finite value."""
+        a JSON object with a ``"features"`` object mapping exactly
+        ``feature_names()``, in order, to numbers, or with an ``"hla_positive"``
+        other than null (the HLA status is given to ``diagnose``),
+        ``InvalidValues`` for a non-finite value."""
         try:
             d = json.loads(text)
         except ValueError as e:
             raise CorruptHeader(f"feature vector: {e}") from e
         feats = d.get("features") if isinstance(d, dict) else None
-        if not isinstance(feats, dict) or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                for v in feats.values()):
+        if not isinstance(feats, dict) or not all(map(is_number, feats.values())):
             raise CorruptHeader('feature vector: "features" must map names to numbers')
-        hla = d.get("hla_positive")
-        if hla is not None and not isinstance(hla, bool):
-            raise CorruptHeader('feature vector: "hla_positive" must be true, false or null')
+        got, names = list(feats) + [None], feature_names() + [None]   # None: past the end
+        i = next((i for i, (a, b) in enumerate(zip(got, names)) if a != b), None)
+        if i is not None:
+            raise CorruptHeader(f'feature vector: "features" must be the {len(names) - 1} '
+                                f'feature names in order; key {i} is {got[i]!r}, not '
+                                f'{names[i]!r}')
+        if d.get("hla_positive") is not None:
+            raise CorruptHeader('feature vector: "hla_positive" is not read from a vector; '
+                                'give the HLA status to diagnose --hla')
         values = np.array(list(feats.values()), dtype=float)
         if not np.all(np.isfinite(values)):
             raise InvalidValues("feature vector: non-finite value")
-        return cls(names=list(feats), values=values,
-                   recording_id=d.get("recording_id", ""), hla_positive=hla)
+        return cls(values=values)
 
 
 def feature_names() -> list[str]:
@@ -126,7 +123,7 @@ def combo_descriptors(series: np.ndarray, resolution_s: int) -> np.ndarray:
     s = np.asarray(series, dtype=float)
     if len(s) == 0:
         raise ShapeMismatch("empty series")
-    out = np.zeros(15)
+    out = np.zeros(len(DESCRIPTOR_NAMES))
     out[0] = s.mean()
     out[1] = s.max()
     out[2] = s.std()
@@ -262,8 +259,7 @@ def transition_features(hd: Hypnodensity) -> np.ndarray:
     return transition_sums(hypnodensity_peaks(hd))
 
 
-def assemble(hd: Hypnodensity, hyp: HypnogramLabels,
-             hla: bool | None = None) -> FeatureVector:
+def assemble(hd: Hypnodensity, hyp: HypnogramLabels) -> FeatureVector:
     """Build the full 481-value vector in canonical name order."""
     hd.validate()
     values = []
@@ -277,6 +273,4 @@ def assemble(hd: Hypnodensity, hyp: HypnogramLabels,
     vec = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vec)):
         raise InvalidValues("non-finite feature value")
-    return FeatureVector(names=feature_names(), values=vec,
-                         recording_id=hd.recording_id,
-                         hla_positive=None if hla is None else bool(hla))
+    return FeatureVector(values=vec)

@@ -29,7 +29,6 @@ STAGE_INDEX = {s: i for i, s in enumerate(STAGES)}
 class Hypnodensity:
     probs: np.ndarray          # (T, 5), rows sum to 1
     resolution_s: int
-    recording_id: str = ""
     variance: np.ndarray | None = None   # (T, 5) across-member variance, ensembles only
 
     def validate(self) -> None:
@@ -116,8 +115,7 @@ def aggregate_resolution(hd: Hypnodensity, target_s: int) -> Hypnodensity:
     """Block-mean rows down to a coarser resolution, then renormalize."""
     means = _blocks(hd, target_s).mean(axis=1)
     means = means / means.sum(axis=1, keepdims=True)
-    return Hypnodensity(probs=means, resolution_s=target_s,
-                        recording_id=hd.recording_id)
+    return Hypnodensity(probs=means, resolution_s=target_s)
 
 
 def _agreement(a: list[str], b: list[str]) -> np.ndarray:
@@ -234,5 +232,4 @@ def ensemble_hypnodensity(models: list[Hypnodensity]) -> Hypnodensity:
         raise ShapeMismatch("all models must share shape and resolution")
     stack = np.stack([m.probs for m in models])
     return Hypnodensity(probs=stack.mean(axis=0), resolution_s=models[0].resolution_s,
-                        recording_id=models[0].recording_id,
                         variance=stack.var(axis=0))  # population variance

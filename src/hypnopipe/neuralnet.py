@@ -73,8 +73,11 @@ class NetworkConfig:
             value = getattr(self, name)
             if value not in allowed or type(value) is not type(allowed[0]):
                 raise InvalidSpec(f"{name} must be one of {allowed}, got {value!r}")
-        if self.hidden < 1:
-            raise InvalidSpec("hidden size must be > 0")
+        # the exact type test refuses true for 1 and 16.0 for 16
+        for name, least in (("hidden", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise InvalidSpec(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.modality_shapes:
             object.__setattr__(self, "modality_shapes",
                                modality_shapes_for(self.encoding, self.segment_s))
@@ -84,8 +87,8 @@ class NetworkConfig:
             object.__setattr__(self, "conv_features", {
                 m: [base * (2 ** i) for i in range(depth)] for m in MODALITIES})
         for counts in self.conv_features.values():
-            if any(c < 1 for c in counts):
-                raise InvalidSpec("conv feature counts must be > 0")
+            if any(type(c) is not int or c < 1 for c in counts):
+                raise InvalidSpec(f"conv feature counts must be integers > 0, got {counts!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .pool import thread_map
 from .signal_io import CENTRAL_EEG, SITES, Channel, PolySignalSet
+from .store import is_number
 
 FILTER_ORDER = 5
 HIGHPASS_HZ = 0.2
@@ -55,6 +56,9 @@ class ReferenceDistribution:
             d = json.loads(text)
             if not isinstance(d, dict) or set(d) != {"mean", "covariance"}:
                 raise ValueError('need an object with exactly "mean" and "covariance"')
+            if not all(isinstance(d[k], list) and all(map(is_number, d[k]))
+                       for k in ("mean", "covariance")):
+                raise ValueError("mean and covariance must be lists of numbers")
             mean, cov = (np.array(d[k], dtype=float) for k in ("mean", "covariance"))
             if (mean.shape, cov.shape) != ((3,), (9,)):
                 raise ValueError("need 3 mean values and 9 covariance values")

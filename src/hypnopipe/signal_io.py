@@ -23,7 +23,7 @@ from .errors import (
     MissingBlob,
     MissingChannel,
 )
-from .store import is_file_name, read_bundle, read_text, write_bundle
+from .store import is_file_name, is_number, read_bundle, read_text, write_bundle
 
 ROLES = (
     "EEG_C_LEFT",
@@ -120,8 +120,10 @@ def load_recording(path: str) -> PolySignalSet:
     except MissingBlob as e:
         raise MissingChannel(e.key) from e
     try:
-        channels = {role: Channel(samples=arrays[role], fs=float(info["fs"]))
-                    for role, info in meta["channels"].items()}
+        fs = {role: info["fs"] for role, info in meta["channels"].items()}
+        if not all(map(is_number, [meta["duration_s"], *fs.values()])):
+            raise TypeError("duration_s and every fs must be JSON numbers")
+        channels = {role: Channel(samples=arrays[role], fs=float(f)) for role, f in fs.items()}
         psg = PolySignalSet(channels=channels, duration_s=float(meta["duration_s"]),
                             recording_id=meta["recording_id"])
     except (KeyError, TypeError, ValueError, AttributeError) as e:

@@ -58,6 +58,12 @@ def is_file_name(name) -> bool:
             and "\0" not in name and name not in ("", ".", ".."))
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a number as ``json`` reads one: an int or a float,
+    not a bool or a string."""
+    return type(value) in (int, float)
+
+
 def _entry(info) -> tuple[str, tuple[int, ...]]:
     """``(blob, shape)`` of an arrays-table entry; ``ValueError`` unless the
     blob is a bare file name and the shape a list of non-negative integers."""

@@ -81,11 +81,10 @@ def eog_one_sample_short(duration_s, roles=("EOG_L", "EOG_R")):
     return montage
 
 
-def random_hypnodensity(rng, n_rows, resolution_s=30, recording_id="r"):
+def random_hypnodensity(rng, n_rows, resolution_s=30):
     p = rng.random((n_rows, 5)) + 1e-3
     p = p / p.sum(axis=1, keepdims=True)
-    return Hypnodensity(probs=p, resolution_s=resolution_s,
-                        recording_id=recording_id)
+    return Hypnodensity(probs=p, resolution_s=resolution_s)
 
 
 def cc_lag0_index(params: CCParams, fs: float) -> int:

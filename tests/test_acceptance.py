@@ -183,7 +183,7 @@ def test_criterion_feature_oracle(rng):
         # uniform hypnodensity closed forms
         hd = Hypnodensity(probs=np.full((120, 5), 0.2), resolution_s=30)
         vec = features.assemble(hd, HypnogramLabels(["W"] * 120))
-        d = vec.as_dict()
+        d = dict(zip(features.feature_names(), vec.values))
         total_h = 120 * 30 / 3600
         for combo in ("W", "W+N1", "W+N1+N2+N3+REM"):
             k = combo.count("+") + 1

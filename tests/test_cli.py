@@ -257,13 +257,35 @@ def test_features_command_writes_481_columns(tmp_path, rng):
 
 @pytest.mark.parametrize("hla", [0, 1])
 def test_features_hla_feeds_diagnose(workspace, tmp_path, rng, hla):
+    """The HLA status goes to ``diagnose --hla``; the report is the GP score of
+    the vector gated by that status."""
     src, vec, report = tmp_path / "hd.csv", tmp_path / "v.json", tmp_path / "d.json"
     write_hd_csv(src, random_hypnodensity(rng, 40))
-    assert cli.main(["features", str(src), "--out", str(vec), "--hla", str(hla)]) == 0
-    assert json.loads(vec.read_text())["hla_positive"] is bool(hla)
+    assert cli.main(["features", str(src), "--out", str(vec)]) == 0
+    assert list(json.loads(vec.read_text())) == ["features"]
     assert cli.main(["diagnose", "--model", workspace["gp"], "--input", str(vec),
-                     "--out", str(report)]) == 0
-    assert json.loads(report.read_text())["hla_used"] is True
+                     "--out", str(report), "--hla", str(hla)]) == 0
+    model, cols = cli._load_gp(workspace["gp"])
+    values = features.FeatureVector.from_json(vec.read_text()).values
+    score = diagnosis.gp_predict(model, values[cols][None, :])[0][0]
+    assert report.read_text() == diagnosis.ensemble_diagnose([score], bool(hla)).to_json()
+
+
+@pytest.mark.parametrize("hla", [True, False])
+def test_a_vector_carrying_an_hla_status_is_refused(workspace, tmp_path, capsys, hla):
+    code, out = run_diagnose(workspace, tmp_path, vector_json(hla_positive=hla))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "hla_positive" in err and "diagnose --hla" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_features_has_no_hla_option(tmp_path, rng):
+    src = tmp_path / "hd.csv"
+    write_hd_csv(src, random_hypnodensity(rng, 40))
+    with pytest.raises(SystemExit) as e:
+        cli.main(["features", str(src), "--out", str(tmp_path / "v.json"), "--hla", "1"])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize("resolution", [20, 60])
@@ -279,32 +301,26 @@ def test_features_needs_a_resolution_that_divides_30(tmp_path, rng, capsys, reso
     assert not out.exists()
 
 
-def test_features_hla_with_a_csv_out_is_a_typed_error(tmp_path, rng, capsys):
-    src, out = tmp_path / "hd.csv", tmp_path / "v.csv"
-    write_hd_csv(src, random_hypnodensity(rng, 40))
-    assert cli.main(["features", str(src), "--out", str(out), "--hla", "1"]) == 3
-    err = capsys.readouterr().err
-    assert "--hla" in err and "Traceback" not in err
-    assert not out.exists()
+def write_matrix(path, X, y):
+    with open(path, "w") as f:
+        for row, label in zip(X, y):
+            f.write(",".join(f"{v:.8g}" for v in row) + f",{label:g}\n")
 
 
 def test_diagnose_fit_then_predict(tmp_path, rng, capsys):
     n = 60
     y = np.where(rng.random(n) > 0.5, 1.0, 0.0)
-    X = rng.standard_normal((n, 8))
+    X = rng.standard_normal((n, 481))
     X[:, 2] += 3.0 * (2 * y - 1)
     mat = tmp_path / "matrix.csv"
-    with open(mat, "w") as f:
-        for row, label in zip(X, y):
-            f.write(",".join(f"{v:.8g}" for v in row) + f",{label:g}\n")
+    write_matrix(mat, X, y)
     gp_dir = tmp_path / "gp"
     assert cli.main(["diagnose", "--fit", "--matrix", str(mat),
                      "--out", str(gp_dir)]) == 0
     assert (gp_dir / "gp.gp.json").exists()
-    assert (gp_dir / "selection.json").exists()
+    assert 2 in json.loads((gp_dir / "selection.json").read_text())["selected"]
 
-    vec = features.FeatureVector(names=[f"f{i}" for i in range(8)],
-                                 values=X[0], recording_id="r0")
+    vec = features.FeatureVector(values=X[0])
     vec_path = tmp_path / "vec.json"
     vec_path.write_text(vec.to_json())
     capsys.readouterr()
@@ -313,6 +329,31 @@ def test_diagnose_fit_then_predict(tmp_path, rng, capsys):
     report = json.loads(capsys.readouterr().out)
     assert -1.0 <= report["score"] <= 1.0
     assert isinstance(report["label"], bool)
+
+
+def test_diagnose_fit_needs_the_481_feature_columns(tmp_path, rng, capsys):
+    """A matrix of other width would fit a GP that scores feature vectors by
+    whatever columns it happened to have."""
+    y = np.where(rng.random(40) > 0.5, 1.0, 0.0)
+    mat, gp_dir = tmp_path / "matrix.csv", tmp_path / "gp"
+    write_matrix(mat, rng.standard_normal((40, 6)) + y[:, None], y)
+    argv = ["diagnose", "--fit", "--matrix", str(mat), "--out", str(gp_dir)]
+    with pytest.raises(ShapeMismatch, match="481 feature columns and a label, got 7"):
+        cli.cmd_diagnose(cli.build_parser().parse_args(argv))
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert "481 feature columns" in err and "Traceback" not in err
+    assert not gp_dir.exists()
+
+
+def test_diagnose_fit_refuses_a_negative_seed_before_reading(tmp_path, capsys):
+    # the matrix does not exist: reading it first would be exit 2
+    gp_dir = tmp_path / "gp"
+    assert cli.main(["diagnose", "--fit", "--matrix", str(tmp_path / "none.csv"),
+                     "--out", str(gp_dir), "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert "--seed >= 0, got -1" in err and "Traceback" not in err
+    assert not gp_dir.exists()
 
 
 @pytest.mark.parametrize("given,missing", [
@@ -402,7 +443,7 @@ def test_plot_svg_structure(tmp_path, rng):
 def test_plot_all_wake_is_white_band(tmp_path):
     probs = np.zeros((20, 5))
     probs[:, 0] = 1.0
-    hd = Hypnodensity(probs=probs, resolution_s=30, recording_id="w")
+    hd = Hypnodensity(probs=probs, resolution_s=30)
     src, out = tmp_path / "w.csv", tmp_path / "w.svg"
     write_hd_csv(src, hd)
     assert cli.main(["plot", str(src), str(out)]) == 0
@@ -525,6 +566,33 @@ def test_run_all_without_a_mode_runs_the_models_encoding(workspace, tmp_path):
     assert len(os.listdir(out)) == 4
     hd = Hypnodensity.from_csv((out / "rec1.hypnodensity.csv").read_text())
     assert (hd.resolution_s, len(hd.probs)) == (30, 20)
+
+
+@pytest.mark.parametrize("change", [{"seed": 1.5}, {"seed": -1}, {"hidden": True},
+                                    {"hidden": 16.0}])
+def test_train_refuses_a_config_whose_integers_are_not_integers(tmp_path, capsys, change):
+    cfg = json.loads(neuralnet.NetworkConfig(mode="FF", segment_s=30).to_json())
+    path, out = tmp_path / "cfg.json", tmp_path / "models"
+    path.write_text(json.dumps({**cfg, **change}))
+    assert cli.main(["train", "--config", str(path), "--data", str(tmp_path),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_score_refuses_a_model_whose_hidden_size_is_a_float(workspace, tmp_path, capsys):
+    models, out = tmp_path / "models", tmp_path / "hd.csv"
+    shutil.copytree(workspace["models"], models)
+    manifest = models / "model00.model.json"
+    meta = json.loads(manifest.read_text())
+    meta["config"]["hidden"] = float(meta["config"]["hidden"])
+    manifest.write_text(json.dumps(meta))
+    assert cli.main(["score", str(tmp_path / "x.cc.enc.json"), "--models", str(models),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "hidden must be an integer >= 1, got " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 # --------------------------------------------------------------- exit codes
@@ -728,9 +796,11 @@ def test_a_label_that_is_not_0_or_1_is_named_by_file_and_row(tmp_path, header):
         cli._read_numeric_csv(str(src))
 
 
-def zero_vector_json(**extra):
-    vec = features.FeatureVector(names=features.feature_names(), values=np.zeros(481))
-    return json.dumps({**json.loads(vec.to_json()), **extra})
+def vector_json(edit=dict, **extra):
+    """A zero vector as ``to_json`` writes it, with ``edit`` applied to its
+    "features" object and the keys ``extra`` added."""
+    feats = json.loads(features.FeatureVector(values=np.zeros(481)).to_json())["features"]
+    return json.dumps({"features": edit(feats), **extra})
 
 
 SELECTION_DEFECTS = {
@@ -743,6 +813,9 @@ SELECTION_DEFECTS = {
     "bool_index": '{"selected": [0, true, 10]}',
     "negative_index": '{"selected": [0, -1, 10]}',
     "index_out_of_range": '{"selected": [0, 5, 481]}',
+    # the workspace GP has 3 features
+    "one_column_short": '{"selected": [0, 5]}',
+    "one_column_extra": '{"selected": [0, 5, 10, 15]}',
 }
 VECTOR_DEFECTS = {
     "not_json": ("features: 1", CorruptHeader),
@@ -750,9 +823,17 @@ VECTOR_DEFECTS = {
     "no_features_key": ('{"recording_id": "r"}', CorruptHeader),
     "features_not_an_object": ('{"features": [1.0, 2.0]}', CorruptHeader),
     "non_numeric_value": ('{"features": {"a": 1.0, "b": "x"}}', CorruptHeader),
-    "hla_not_boolean": (zero_vector_json(hla_positive="no"), CorruptHeader),
-    "nan_value": ('{"features": {"a": NaN}}', InvalidValues),
-    "too_few_features": ('{"features": {"a": 1.0, "b": 2.0}}', None),
+    "boolean_value": (vector_json(lambda f: {**f, "W.mean": True}), CorruptHeader),
+    "hla_not_boolean": (vector_json(hla_positive="no"), CorruptHeader),
+    "nan_value": (vector_json(lambda f: {**f, "W.mean": float("nan")}), InvalidValues),
+    "too_few_features": ('{"features": {"a": 1.0, "b": 2.0}}', CorruptHeader),
+    # the layout is feature_names(), in order: no other keys, none left out
+    "sorted_keys": (vector_json(lambda f: dict(sorted(f.items()))), CorruptHeader),
+    "renamed_keys": (vector_json(lambda f: {f"x{i}": v for i, v in enumerate(f.values())}),
+                     CorruptHeader),
+    "cut_to_405_keys": (vector_json(lambda f: dict(list(f.items())[:405])), CorruptHeader),
+    "extra_leading_key": (vector_json(lambda f: {"extra": 0.0, **f}), CorruptHeader),
+    "extra_trailing_key": (vector_json(lambda f: {**f, "extra": 0.0}), CorruptHeader),
 }
 
 
@@ -769,7 +850,7 @@ def run_diagnose(workspace, tmp_path, vector, selection=None):
 
 @pytest.mark.parametrize("defect", sorted(SELECTION_DEFECTS))
 def test_malformed_selection_is_a_typed_error(workspace, tmp_path, capsys, defect):
-    code, out = run_diagnose(workspace, tmp_path, zero_vector_json(),
+    code, out = run_diagnose(workspace, tmp_path, vector_json(),
                              SELECTION_DEFECTS[defect])
     assert code == 3
     err = capsys.readouterr().err
@@ -790,9 +871,34 @@ def test_malformed_feature_vector_is_a_typed_error(workspace, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_a_vector_with_a_null_hla_status_is_read(workspace, tmp_path):
+    """An empty ``recording_id`` and a null ``hla_positive``, as older vectors
+    carry them, change nothing."""
+    reports = []
+    for name, text in (("bare", vector_json()),
+                       ("null", vector_json(recording_id="", hla_positive=None))):
+        code, out = run_diagnose(workspace, tmp_path / name, text)
+        assert code == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
+def test_run_all_refuses_a_selection_short_of_its_gp_before_reading_the_recording(
+        workspace, tmp_path, capsys):
+    gp_dir, out = tmp_path / "gp", tmp_path / "o"
+    shutil.copytree(workspace["gp"], gp_dir)
+    (gp_dir / "selection.json").write_text('{"selected": [0, 5]}')
+    cfg = _config_with(workspace, tmp_path, gp_model=str(gp_dir))
+    assert cli.main(["run-all", "--config", cfg, "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "selection.json: 2 selected columns for a GP of 3 features" in err
+    assert "stage=preprocess" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_diagnose_closes_its_input(workspace, tmp_path):
     vec = tmp_path / "vec.json"
-    vec.write_text(zero_vector_json())
+    vec.write_text(vector_json())
     src = os.path.dirname(os.path.dirname(cli.__file__))
     proc = subprocess.run(
         [sys.executable, "-W", "error::ResourceWarning", "-m", "hypnopipe.cli",
@@ -935,6 +1041,11 @@ REF_DEFECTS = {
     "unknown_key": json.dumps({**REF, "scale": 2}),
     "two_means": json.dumps({"mean": [0, 0], "covariance": [1, 0, 0, 1]}),
     "text_value": json.dumps({**REF, "mean": ["a", 0, 0]}),
+    "numeric_text_mean": json.dumps({**REF, "mean": ["5.0", "-0.5", "0.7"]}),
+    "boolean_mean": json.dumps({**REF, "mean": [True, False, True]}),
+    "numeric_text_covariance": json.dumps({**REF, "covariance": [str(v) for v in
+                                                                  REF["covariance"]]}),
+    "mean_not_a_list": json.dumps({**REF, "mean": 5.0}),
     "nan_mean": json.dumps({**REF, "mean": [float("nan"), 0, 0]}),
     "asymmetric": json.dumps({**REF, "covariance": [1, 0.5, 0, 0, 1, 0, 0, 0, 1]}),
     "indefinite": json.dumps({**REF, "covariance": [1, 0, 0, 0, -1, 0, 0, 0, 1]}),
@@ -1067,6 +1178,11 @@ RECORDING_DEFECTS = {
     "id_parent": (lambda meta: meta.update(recording_id="../evil"), "not a bare file name"),
     "id_subdir": (lambda meta: meta.update(recording_id="sub/evil"), "not a bare file name"),
     "id_int": (lambda meta: meta.update(recording_id=5), "not a bare file name"),
+    # the workspace recording is 600 s with EEG_C_LEFT at 128 Hz
+    "fs_string": (_set_fs("128"), "must be JSON numbers"),
+    "fs_bool": (_set_fs(True), "must be JSON numbers"),
+    "duration_string": (lambda meta: meta.update(duration_s="600"), "must be JSON numbers"),
+    "duration_bool": (lambda meta: meta.update(duration_s=True), "must be JSON numbers"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -340,7 +341,7 @@ def test_transition_scale_homogeneity():
 def test_assemble_matches_brute_force_on_random_recordings(rng):
     for trial in range(10):
         n = int(rng.integers(60, 200))
-        hd = random_hypnodensity(rng, n, 30, recording_id=f"t{trial}")
+        hd = random_hypnodensity(rng, n, 30)
         hyp = HypnogramLabels(
             [STAGES[int(np.argmax(r))] for r in hd.probs], epoch_s=30)
         vec = features.assemble(hd, hyp)
@@ -352,8 +353,7 @@ def test_assemble_matches_brute_force_on_random_recordings(rng):
 def test_assemble_uniform_hypnodensity_closed_forms():
     hd = Hypnodensity(probs=np.full((120, 5), 0.2), resolution_s=30)
     hyp = HypnogramLabels(["W"] * 120, epoch_s=30)
-    vec = features.assemble(hd, hyp)
-    d = vec.as_dict()
+    d = dict(zip(features.feature_names(), features.assemble(hd, hyp).values))
     for k in range(1, 6):
         tag = "+".join(features.STAGE_COMBOS[
             [len(c) for c in features.STAGE_COMBOS].index(k)])
@@ -365,22 +365,12 @@ def test_feature_vector_serialization_round_trips(rng):
     hd = random_hypnodensity(rng, 60)
     hyp = HypnogramLabels([STAGES[int(np.argmax(r))] for r in hd.probs],
                           epoch_s=30)
-    vec = features.assemble(hd, hyp, hla=True)
+    vec = features.assemble(hd, hyp)
     back = features.FeatureVector.from_json(vec.to_json())
-    assert back.names == vec.names
     assert np.allclose(back.values, vec.values)
-    assert back.hla_positive is True
+    assert list(json.loads(vec.to_json())["features"]) == features.feature_names()
     csv_lines = vec.to_csv().splitlines()
-    assert csv_lines[0].split(",") == vec.names
-
-
-@pytest.mark.parametrize("hla,stored", [(None, None), (0, False), (1, True),
-                                        (False, False), (True, True)])
-def test_assemble_stores_hla_as_a_bool(rng, hla, stored):
-    hd = random_hypnodensity(rng, 10)
-    vec = features.assemble(hd, HypnogramLabels(["W"] * 10, epoch_s=30), hla=hla)
-    assert vec.hla_positive is stored
-    assert features.FeatureVector.from_json(vec.to_json()).hla_positive is stored
+    assert csv_lines[0].split(",") == features.feature_names()
 
 
 def test_assemble_rejects_nonfinite(rng, monkeypatch):

@@ -338,6 +338,15 @@ MALFORMED_CONFIGS = {
     "loss_kind": lambda d: d.update(loss_kind="binary"),
     "dropout_keep": lambda d: d.update(dropout_keep=0.5),
     "hidden": lambda d: d.update(hidden=0),
+    # integers have type int: the exact type test refuses true for 1 and 16.0 for 16
+    "hidden_true": lambda d: d.update(hidden=True),
+    "hidden_float": lambda d: d.update(hidden=16.0),
+    "hidden_string": lambda d: d.update(hidden="16"),
+    "seed_float": lambda d: d.update(seed=1.5),
+    "seed_negative": lambda d: d.update(seed=-1),
+    "seed_bool": lambda d: d.update(seed=False),
+    "conv_count_float": lambda d: d["conv_features"]["EEG"].__setitem__(0, 4.0),
+    "conv_count_bool": lambda d: d["conv_features"]["EEG"].__setitem__(0, True),
     "unknown_key": lambda d: d.update(extra=1),
     "missing_key": lambda d: d.pop("segment_s"),
     "shapes_not_a_map": lambda d: d.update(modality_shapes=3),

@@ -40,7 +40,7 @@ def bundles(tmp_path_factory):
     y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
     diagnosis.gp_fit(rng.standard_normal((40, 3)) + y[:, None], y).save(str(root / "gp"))
     (root / "gp" / "selection.json").write_text(json.dumps({"selected": [0, 1, 2]}))
-    vec = features.FeatureVector(names=["a", "b", "c"], values=np.zeros(3))
+    vec = features.FeatureVector(values=np.zeros(481))
     (root / "vec.json").write_text(vec.to_json())
     spec = {role: {"fs": 128.0, "sinusoids": [(10.0, 30.0)], "noise_sigma": 5.0}
             for role in ("EEG_C_LEFT", "EOG_L", "EOG_R", "EMG_CHIN")}
