@@ -24,6 +24,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      HypnopipeError, InvalidSpec, InvalidValues, NaNGradient,
                      ShapeMismatch)
 from .plot import hypnodensity_svg
+from .pool import thread_map
 from .store import read_text
 
 EXIT_IO = 2
@@ -156,16 +157,17 @@ def _load_models(models_dir, mode=None, resolution=None):
 
 def _score_ensemble(models, enc, resolution=None):
     """Member hypnodensities at ``resolution`` (default: the members'
-    ``segment_s``) and their ensemble.  The recording is windowed once;
-    ``InvalidSpec`` before that unless it is in the members' encoding."""
+    ``segment_s``) and their ensemble.  The recording is windowed once, and
+    the members run on the thread pool; ``InvalidSpec`` before that unless
+    it is in the members' encoding."""
     encoding, segment_s = models[0][1].encoding, models[0][1].segment_s
     if enc.mode != encoding:
         raise InvalidSpec(f"{enc.recording_id}: the encoding is {enc.mode!r}, "
                           f"the models' encoding is {encoding!r}")
     batch = neuralnet.windows_from_encoded(enc, segment_s)
-    members = [hypnodensity.Hypnodensity(
-        probs=neuralnet.forward(params, batch, cfg)[0], resolution_s=segment_s)
-        for params, cfg in models]
+    members = thread_map(lambda model: hypnodensity.Hypnodensity(
+        probs=neuralnet.forward(model[0], batch, model[1])[0], resolution_s=segment_s),
+        models)
     if resolution not in (None, segment_s):
         members = [hypnodensity.aggregate_resolution(m, resolution) for m in members]
     return members, hypnodensity.ensemble_hypnodensity(members)

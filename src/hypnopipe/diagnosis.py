@@ -166,14 +166,18 @@ class GPModel:
         """The GP ``save`` wrote.  ``CorruptHeader`` naming the array or value
         unless every array ``gp_predict`` reads is there with consistent
         sizes (n training points, d features, X keeping the columns std_keep
-        marks) and every scalar is a finite number; other arrays (the ``y``
-        and ``f_hat`` of older bundles) are ignored."""
+        marks), std_std positive in every kept column and every scalar a
+        finite number; other arrays (the ``y`` and ``f_hat`` of older
+        bundles) are ignored."""
         mats, meta = read_bundle(path)
         sizes = check_shapes(path, mats, _GP_ARRAYS, others=True)
         keep = mats["std_keep"] > 0.5
         if keep.sum() != sizes["k"]:
             raise CorruptHeader(f"{path}: array 'X' has {sizes['k']} columns, "
                                 f"std_keep keeps {keep.sum()}")
+        if not (mats["std_std"][keep] > 0).all():
+            raise CorruptHeader(f"{path}: array 'std_std' must be positive in every "
+                                f"column std_keep keeps")
         for key in _GP_SCALARS:
             if not is_number(meta.get(key)) or not np.isfinite(meta[key]):
                 raise CorruptHeader(f"{path}: {key} must be a finite number")

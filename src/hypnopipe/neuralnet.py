@@ -86,6 +86,15 @@ class NetworkConfig:
             base = 8 if self.complexity == "high" else 4
             object.__setattr__(self, "conv_features", {
                 m: [base * (2 ** i) for i in range(depth)] for m in MODALITIES})
+        for name in ("modality_shapes", "conv_features"):
+            if set(getattr(self, name)) != set(MODALITIES):
+                raise InvalidSpec(f"{name} must name exactly {list(MODALITIES)}, "
+                                  f"got {list(getattr(self, name))}")
+        for shape in self.modality_shapes.values():
+            if (not isinstance(shape, (tuple, list)) or len(shape) != 2
+                    or any(type(n) is not int or n < 1 for n in shape)):
+                raise InvalidSpec(f"a modality shape must be two integers > 0 "
+                                  f"(channels, length), got {shape!r}")
         for counts in self.conv_features.values():
             if any(type(c) is not int or c < 1 for c in counts):
                 raise InvalidSpec(f"conv feature counts must be integers > 0, got {counts!r}")

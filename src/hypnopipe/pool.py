@@ -1,7 +1,11 @@
-"""The one thread pool: channels in preprocess, tensors and roles in encode.
+"""The one thread pool: channels in preprocess, tensors and roles in encode,
+and the ensemble's members in scoring.
 
-Their kernels (scipy's filters and resampler, numpy's einsum and reductions)
-release the GIL, so threads run them on every core the process may use.
+Their kernels (scipy's filters and resampler, numpy's einsum, matrix
+products and reductions) release the GIL, so threads run them on every core
+the process may use.  BLAS runs one thread of its own by default (see the
+package ``__init__``), so the members' matrix products do not oversubscribe
+the cores.
 """
 
 from __future__ import annotations

@@ -595,6 +595,21 @@ def test_score_refuses_a_model_whose_hidden_size_is_a_float(workspace, tmp_path,
     assert not out.exists()
 
 
+def test_score_refuses_a_model_whose_shapes_lack_a_modality(workspace, tmp_path, capsys):
+    models, out = tmp_path / "models", tmp_path / "hd.csv"
+    shutil.copytree(workspace["models"], models)
+    manifest = models / "model00.model.json"
+    meta = json.loads(manifest.read_text())
+    del meta["config"]["modality_shapes"]["EMG"]
+    manifest.write_text(json.dumps(meta))
+    assert cli.main(["score", str(tmp_path / "x.cc.enc.json"), "--models", str(models),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "modality_shapes must name exactly ['EEG', 'EOG', 'EMG']" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_exit_code_io_error(tmp_path):
@@ -683,6 +698,8 @@ MODEL_DEFECTS = {
     "unknown_key": lambda c: c.update(extra=1),
     "missing_key": lambda c: c.pop("hidden"),
     "unknown_encoding": lambda c: c.update(encoding="wavelet"),
+    "shapes_without_emg": lambda c: c["modality_shapes"].pop("EMG"),
+    "shape_float_channels": lambda c: c["modality_shapes"].update(EEG=[1.0, 201]),
 }
 
 
@@ -925,6 +942,57 @@ def test_importing_the_cli_loads_every_layer_and_none_of_the_heavy_scipy():
     layers = ("signal_io", "preprocess", "encoding", "neuralnet", "hypnodensity",
               "features", "diagnosis", "plot", "cli")
     assert {f"hypnopipe.{layer}" for layer in layers} <= loaded
+
+
+def _fresh_python(code, **env):
+    """What ``code`` prints in a fresh interpreter with ``src`` on its path, and
+    with ``OPENBLAS_NUM_THREADS`` unset unless ``env`` sets it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True,
+                          env={**base, "PYTHONPATH": src, **env}).stdout.strip()
+
+
+@pytest.mark.parametrize("code,env,threads", [
+    # the CLI and the console script import the package, then numpy
+    ("import sys, hypnopipe; assert 'numpy' not in sys.modules", {}, "1"),
+    ("import hypnopipe", {"OPENBLAS_NUM_THREADS": "3"}, "3"),
+    # a host program that loaded numpy first keeps its own setting and environment
+    ("import numpy, hypnopipe", {}, "None"),
+])
+def test_blas_runs_one_thread_unless_the_user_or_a_host_program_chose(code, env, threads):
+    assert _fresh_python(f"{code}; import os; "
+                         f"print(os.environ.get('OPENBLAS_NUM_THREADS'))", **env) == threads
+
+
+def test_diagnose_fit_at_one_or_two_blas_threads_scores_alike(tmp_path):
+    """One BLAS thread sums the GP fit's products in another order.  On this
+    150-night matrix the fitted log marginal likelihood moves by about 1e-14
+    and, since the GP's arrays are stored as float32, every blob and the score
+    are unchanged; the bounds allow rounding at the float64 level."""
+    rng = np.random.default_rng(44)
+    y = np.where(rng.random(150) > 0.5, 1.0, 0.0)
+    X = rng.standard_normal((150, 481))
+    X[:, 2] += 2 * y - 1
+    X[:, 7] += 0.7 * (2 * y - 1)
+    write_matrix(tmp_path / "m.csv", X, y)
+    (tmp_path / "v.json").write_text(features.FeatureVector(values=X[0]).to_json())
+    fits = {}
+    for threads in ("1", "2"):
+        gp = tmp_path / f"gp{threads}"
+        report = _fresh_python(
+            "from hypnopipe import cli; raise SystemExit("
+            f"cli.main(['diagnose', '--fit', '--matrix', {str(tmp_path / 'm.csv')!r}, "
+            f"'--out', {str(gp)!r}]) or "
+            f"cli.main(['diagnose', '--model', {str(gp)!r}, "
+            f"'--input', {str(tmp_path / 'v.json')!r}]))",
+            OPENBLAS_NUM_THREADS=threads)
+        fits[threads] = (json.loads(report)["score"],
+                         json.loads((gp / "gp.gp.json").read_text())["log_marginal"])
+    (s1, lm1), (s2, lm2) = fits["1"], fits["2"]
+    assert abs(s1 - s2) <= 1e-12
+    assert abs(lm1 - lm2) <= 1e-12 * abs(lm2)
 
 
 def test_exit_code_malformed_hypnodensity(tmp_path):

@@ -350,6 +350,16 @@ MALFORMED_CONFIGS = {
     "unknown_key": lambda d: d.update(extra=1),
     "missing_key": lambda d: d.pop("segment_s"),
     "shapes_not_a_map": lambda d: d.update(modality_shapes=3),
+    # exactly the three modalities, each (channels, length) as two integers > 0
+    "shapes_without_emg": lambda d: d["modality_shapes"].pop("EMG"),
+    "shapes_extra_modality": lambda d: d["modality_shapes"].update(ECG=[1, 201]),
+    "shape_float_channels": lambda d: d["modality_shapes"].update(EEG=[1.0, 201]),
+    "shape_bool_length": lambda d: d["modality_shapes"].update(EEG=[1, True]),
+    "shape_zero_length": lambda d: d["modality_shapes"].update(EEG=[1, 0]),
+    "shape_one_number": lambda d: d["modality_shapes"].update(EEG=[1]),
+    "shape_three_numbers": lambda d: d["modality_shapes"].update(EEG=[1, 201, 1]),
+    "shape_a_number": lambda d: d["modality_shapes"].update(EEG=201),
+    "conv_without_emg": lambda d: d["conv_features"].pop("EMG"),
 }
 
 

@@ -1,4 +1,4 @@
-"""The one thread pool: pooled preprocess and encode equal a serial map."""
+"""The one thread pool: pooled preprocess, encode and scoring equal a serial map."""
 
 import threading
 import time
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypnopipe import encoding, pool, preprocess, signal_io
+from hypnopipe import cli, encoding, neuralnet, pool, preprocess, signal_io
 from hypnopipe.encoding import CC_TENSORS, MONTAGE, encode_recording
 from hypnopipe.errors import SignalTooShort
 
@@ -71,6 +71,26 @@ def test_pooled_preprocess_equals_a_serial_map(monkeypatch, three_cores):
     assert list(pooled.channels) == list(alone.channels) == list(MONTAGE["octave"])
     for role, ch in pooled.channels.items():
         assert np.array_equal(ch.samples, alone.channels[role].samples), role
+
+
+@pytest.mark.parametrize("mode,encoded", [("FF", "cc"), ("LSTM", "octave")])
+def test_pooled_members_equal_a_serial_map(monkeypatch, three_cores, mode, encoded):
+    enc = encode_recording(make_montage(duration_s=300.0), encoded)
+    base = neuralnet.NetworkConfig(mode=mode, segment_s=5, encoding=encoded)
+    # weights 3 times their initial scale, so that each member gives its own
+    # hypnodensity rather than about 0.2 for every stage
+    models = [({k: v if k.startswith(neuralnet.NORM_PREFIX) else 3.0 * v
+                for k, v in neuralnet.init_params(cfg).items()}, cfg)
+              for cfg in neuralnet.make_ensemble(base, n=5, seed=3)]
+    pooled, pooled_ens = cli._score_ensemble(models, enc)
+    monkeypatch.setattr(cli, "thread_map", serial)
+    alone, alone_ens = cli._score_ensemble(models, enc)
+    assert len(pooled) == len(alone) == 5
+    assert not np.array_equal(pooled[0].probs, pooled[1].probs)
+    for got, want in zip(pooled, alone):
+        assert np.array_equal(got.probs, want.probs)
+    assert np.array_equal(pooled_ens.probs, alone_ens.probs)
+    assert np.array_equal(pooled_ens.variance, alone_ens.variance)
 
 
 def test_two_channels_too_short_raise_the_serial_first_error(monkeypatch, three_cores):

@@ -165,20 +165,29 @@ def test_only_store_reads_or_writes_blobs():
 
 
 def _transpose(key):
-    def edit(meta):
-        info = meta["arrays"][key]
-        info["shape"] = info["shape"][::-1]
+    def edit(arrays, meta):
+        arrays[key] = arrays[key].T
     return edit
 
 
-# (kind, defect) -> (manifest edit, what the error names); the blobs stay as they are
+def _rewrite_bundle(manifest: Path, edit) -> None:
+    """The bundle written again with ``edit(arrays, meta)`` applied."""
+    arrays, meta = store.read_bundle(str(manifest))
+    edit(arrays, meta)
+    store.write_bundle(str(manifest), arrays, meta)
+
+
+# (kind, defect) -> (edit of the bundle's arrays and meta, what the error names)
 CONTENT_DEFECTS = {
-    ("model", "missing_array"): (lambda meta: meta["arrays"].pop("out/w"), "'out/w'"),
+    ("model", "missing_array"): (lambda arrays, meta: arrays.pop("out/w"), "'out/w'"),
     ("model", "wrong_shape"): (_transpose("out/w"), "'out/w'"),
-    ("gp", "missing_array"): (lambda meta: meta["arrays"].pop("L"), "'L'"),
+    ("gp", "missing_array"): (lambda arrays, meta: arrays.pop("L"), "'L'"),
     ("gp", "wrong_shape"): (_transpose("X"), "'X'"),
-    ("gp", "missing_scalar"): (lambda meta: meta.pop("noise"), "noise"),
-    ("encoding", "missing_array"): (lambda meta: meta["arrays"].pop("EOG_X"), "'EOG_X'"),
+    ("gp", "missing_scalar"): (lambda arrays, meta: meta.pop("noise"), "noise"),
+    # a kept feature whose standard deviation is 0 would divide by zero
+    ("gp", "zero_std_kept"): (lambda arrays, meta: arrays["std_std"].__setitem__(0, 0.0),
+                              "'std_std'"),
+    ("encoding", "missing_array"): (lambda arrays, meta: arrays.pop("EOG_X"), "'EOG_X'"),
     ("encoding", "wrong_shape"): (_transpose("EMG"), "'EMG'"),
 }
 # command -> (argv, what it would write), run inside a copy of the bundles
@@ -221,7 +230,7 @@ def test_bundle_contents_are_checked_at_load(bundles, tmp_path, monkeypatch, cap
     shutil.copytree(bundles, work)
     rel, load, _ = KINDS[kind]
     edit, named = CONTENT_DEFECTS[(kind, defect)]
-    _edit_manifest(work / rel, edit)
+    _rewrite_bundle(work / rel, edit)
     with pytest.raises(CorruptHeader, match=named):
         load(str(work / rel))
     _fails_with_exit_3(work, monkeypatch, capsys, command)
