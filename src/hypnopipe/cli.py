@@ -25,7 +25,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
-from .store import read_text
+from .store import read_text, write_text
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -79,6 +79,10 @@ def _load_ref(path):
 
 def cmd_preprocess(args) -> int:
     psg = signal_io.load_recording(args.input)
+    target = os.path.join(args.out, f"{psg.recording_id}.psgmeta.json")
+    if os.path.exists(target) and os.path.samefile(target, args.input):
+        raise InvalidSpec(f"{args.input}: the montage would replace its own input; "
+                          f"give another output directory")
     ref = _load_ref(args.ref)
     # the mode is not known here: the CC roles, and EEG_O if it can be made
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE["cc"])
@@ -91,8 +95,8 @@ def cmd_preprocess(args) -> int:
             montage.channels.update(occipital.channels)
             report.update(picked)
     signal_io.save_recording(montage, args.out)
-    with open(os.path.join(args.out, f"{psg.recording_id}.selection.json"), "w") as f:
-        json.dump(report, f, indent=1, sort_keys=True)
+    write_text(os.path.join(args.out, f"{psg.recording_id}.selection.json"),
+               json.dumps(report, indent=1, sort_keys=True))
     log("preprocess", f"wrote montage for {psg.recording_id}")
     return 0
 
@@ -183,7 +187,7 @@ def _load_gp(model_dir):
     is JSON with a list of feature columns under ``"selected"``, one for each
     feature of the GP."""
     model = diagnosis.GPModel.load(os.path.join(model_dir, diagnosis.GP_FILE))
-    path = os.path.join(model_dir, "selection.json")
+    path = os.path.join(model_dir, diagnosis.SELECTION_FILE)
     try:
         sel = json.loads(read_text(path))
     except ValueError as e:
@@ -209,8 +213,7 @@ def cmd_score(args) -> int:
     models = _load_models(args.models)
     enc = EncodedRecording.load(args.input)
     _, ens = _score_ensemble(models, enc)
-    with open(args.out, "w") as f:
-        f.write(ens.to_csv())
+    write_text(args.out, ens.to_csv())
     log("score", f"{enc.recording_id}: {len(models)} models, "
                  f"{len(ens.probs)} segments")
     return 0
@@ -218,11 +221,7 @@ def cmd_score(args) -> int:
 
 def cmd_features(args) -> int:
     vec = _feature_vector(hypnodensity.Hypnodensity.from_csv(read_text(args.input)))
-    with open(args.out, "w") as f:
-        if args.out.endswith(".json"):
-            f.write(vec.to_json())
-        else:
-            f.write(vec.to_csv())
+    write_text(args.out, vec.to_json() if args.out.endswith(".json") else vec.to_csv())
     log("features", f"481 features written to {args.out}")
     return 0
 
@@ -248,20 +247,18 @@ def cmd_diagnose(args) -> int:
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
         model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0))
         model.save(args.out)
-        with open(os.path.join(args.out, "selection.json"), "w") as f:
-            json.dump({"selected": cols.tolist(),
-                       "frequency": sel.frequency.tolist()}, f)
+        write_text(os.path.join(args.out, diagnosis.SELECTION_FILE),
+                   json.dumps({"selected": cols.tolist(),
+                               "frequency": sel.frequency.tolist()}))
         log("diagnose", f"GP fit on {len(cols)} selected features")
         return 0
     model, cols = _load_gp(args.model)
     vec = features.FeatureVector.from_json(read_text(args.input))
     report = _diagnose(model, cols, [vec], args.hla)
-    out = report.to_json()
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(out)
+        write_text(args.out, report.to_json())
     else:
-        print(out)
+        print(report.to_json())
     log("diagnose", f"score={report.score:.4f} label={report.label}")
     return 0
 
@@ -300,11 +297,8 @@ def cmd_evaluate(args) -> int:
     if data.shape[1] != 2:
         raise ShapeMismatch(f"{args.scores}: evaluate reads two columns, score and label")
     res = diagnosis.evaluate(data[:, 0], data[:, 1] == 1, threshold=args.threshold)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["fpr", "tpr"])
-        for fpr, tpr in res["roc"]:
-            w.writerow([f"{fpr:.6g}", f"{tpr:.6g}"])
+    write_text(args.out, "fpr,tpr\n" + "".join(f"{fpr:.6g},{tpr:.6g}\n"
+                                                for fpr, tpr in res["roc"]))
     log("evaluate", f"auc={res['auc']:.4f} sens={res['sensitivity']:.4f} "
                     f"spec={res['specificity']:.4f}")
     print(json.dumps({k: res[k] for k in
@@ -315,8 +309,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_plot(args) -> int:
     hd = hypnodensity.Hypnodensity.from_csv(read_text(args.input))
-    with open(args.out, "w") as f:
-        f.write(hypnodensity_svg(hd))
+    write_text(args.out, hypnodensity_svg(hd))
     log("plot", f"wrote {args.out}")
     return 0
 
@@ -353,8 +346,7 @@ def cmd_run_all(args) -> int:
                "diagnosis.json": rep.to_json()}
     os.makedirs(out_dir, exist_ok=True)
     for suffix, text in outputs.items():
-        with open(os.path.join(out_dir, f"{rid}.{suffix}"), "w") as f:
-            f.write(text)
+        write_text(os.path.join(out_dir, f"{rid}.{suffix}"), text)
     log("run-all", f"{rid}: wrote {len(outputs)} files to {out_dir}")
     return 0
 

@@ -41,6 +41,7 @@ MAX_LAPLACE_ITERS = 100
 RIDGE_LAMBDA = 1e-2
 RFE_TIE_RTOL = 1e-7
 GP_FILE = "gp.gp.json"      # the GP bundle's name in its model directory
+SELECTION_FILE = "selection.json"   # its selected feature columns, beside it
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     ZeroTotalWeight,
 )
-from .signal_io import STAGES, HypnogramLabels
+from .signal_io import STAGES, VALID_EPOCH_S, HypnogramLabels
 
 STAGE_INDEX = {s: i for i, s in enumerate(STAGES)}
 
@@ -58,9 +58,11 @@ class Hypnodensity:
     def from_csv(cls, text: str) -> "Hypnodensity":
         """Parse and ``validate`` ``to_csv`` output (columns after REM are
         ignored): a bad header, an unparseable cell or a ``t_start_s`` that
-        does not increase in equal steps is ``CorruptHeader``, a row of the
-        wrong length ``ShapeMismatch``, a probability that ``validate``
-        refuses ``InvalidValues``."""
+        is not finite or does not increase in equal steps is
+        ``CorruptHeader``, a step not in ``VALID_EPOCH_S`` (what ``score``
+        and ``run-all`` write) ``IncompatibleResolution``, a row of the wrong
+        length ``ShapeMismatch``, a probability that ``validate`` refuses
+        ``InvalidValues``."""
         rows = list(csv.reader(io.StringIO(text)))
         if not rows or rows[0][:6] != ["t_start_s"] + list(STAGES):
             raise CorruptHeader("bad hypnodensity CSV header")
@@ -73,11 +75,14 @@ class Hypnodensity:
         except ValueError as e:
             raise CorruptHeader(f"hypnodensity CSV: {e}") from e
         steps = np.diff(t)
-        res = int(round(steps[0])) if len(steps) else 30
-        if res < 1 or np.any(steps != res):
-            raise CorruptHeader("hypnodensity CSV: t_start_s must increase in equal "
-                                "whole-second steps")
-        hd = cls(probs=probs, resolution_s=res)
+        res = steps[0] if len(steps) else 30
+        if not np.all(np.isfinite(t)) or res <= 0 or np.any(steps != res):
+            raise CorruptHeader("hypnodensity CSV: t_start_s must be finite and increase "
+                                "in equal steps")
+        if res not in VALID_EPOCH_S:
+            raise IncompatibleResolution(f"hypnodensity CSV: the {res:g} s resolution is "
+                                         f"not one of {VALID_EPOCH_S}")
+        hd = cls(probs=probs, resolution_s=int(res))
         hd.validate()
         return hd
 

@@ -215,15 +215,22 @@ def fit_reference(training: list[PolySignalSet]) -> ReferenceDistribution:
     return ReferenceDistribution(mean=mean, covariance=cov)
 
 
+def _varies(x: np.ndarray) -> bool:
+    """Whether the samples ``x`` are not all equal."""
+    return x.size > 0 and np.ptp(x) > 0
+
+
 def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
                          roles: tuple[str, ...]) -> tuple[PolySignalSet, dict]:
     """The montage of ``roles`` at TARGET_FS and the selection report
     ``{site: raw role}``.  A site (``SITES``) takes its candidate nearest
-    ``ref`` when there is a ``ref`` and it has two or more, else its first;
-    any other role is the raw channel of that name.  Only the channels taken
-    or compared are processed, all of them on one ``thread_map``.
-    ``MissingChannel`` for a role with no channel to make it from, before any
-    is processed; a channel's own error, the first in role order, before any
+    ``ref`` when there is a ``ref`` and it has two or more, else its first
+    candidate whose raw samples are not all equal; any other role is the raw
+    channel of that name.  Only the channels taken or compared are
+    processed, all of them on one ``thread_map``.  ``MissingChannel`` for a
+    role with no channel to make it from, then ``AllDegenerate`` for a site
+    that takes its first candidate and has only constant ones, before any is
+    processed; a channel's own error, the first in role order, before any
     site is compared; ``AllDegenerate``, naming the site and its candidates,
     when every candidate compared is constant.
     """
@@ -233,7 +240,13 @@ def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
     for role in roles:
         if not have[role]:
             raise MissingChannel("|".join(SITES.get(role, (role,))))
-    used = {role: cands if ref is not None else cands[:1] for role, cands in have.items()}
+    used = dict(have)
+    for role in roles:
+        if role in SITES and (ref is None or len(have[role]) == 1):
+            used[role] = [r for r in have[role] if _varies(psg.channels[r].samples)][:1]
+            if not used[role]:
+                raise AllDegenerate(f"{role}: every candidate is constant: "
+                                    + ", ".join(have[role]))
     raw = [r for cands in used.values() for r in cands]
     done = dict(zip(raw, thread_map(to_target_rate, [psg.channels[r] for r in raw])))
     report: dict[str, str] = {}

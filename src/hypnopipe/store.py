@@ -1,12 +1,20 @@
-"""The on-disk array format shared by recordings, encodings, models and GPs.
+"""The on-disk array format shared by recordings, encodings, models and GPs,
+and the one rule by which hypnopipe writes a file.
 
 A bundle is a JSON manifest ``<stem>.<kind>.json`` next to one blob per array,
 ``<stem>.<key>.f32le`` ('/' in a key becomes '_'), holding the array as
 little-endian float32 in C order.  Besides the caller's metadata the manifest
 carries ``format`` (the version below) and ``arrays``, which maps each key to
 ``{"shape": [...], "blob": name}``.  The blobs are written first and the
-manifest last, through a temporary file and ``os.replace``, so a manifest
-never names a blob that was not completely written.
+manifest last, so a manifest never names a blob that was not completely
+written.
+
+Every file, blob, manifest or text output, is written to a temporary file
+next to its path and renamed over it (``os.replace``), so a reader, or a map,
+of the previous file keeps the previous bytes and a write that fails leaves
+the previous file as it was and no temporary file.  A target that exists and
+is not a regular file, or is a symlink (``/dev/stdout``, a FIFO, a link to
+follow), is written in place instead.
 """
 
 from __future__ import annotations
@@ -23,6 +31,28 @@ FORMAT = 1
 _DTYPE = np.dtype("<f4")
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, by the rule above."""
+    _write(path, text.encode("utf-8"))
+
+
+def _write(path: str, data) -> None:
+    """Write ``data``, bytes or a C-ordered array, to ``path`` by the rule above."""
+    if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_bundle(manifest_path: str, arrays: dict, meta: dict) -> str:
     """Write ``arrays`` as blobs, then the manifest; returns ``manifest_path``."""
     directory = os.path.dirname(manifest_path)
@@ -31,14 +61,11 @@ def write_bundle(manifest_path: str, arrays: dict, meta: dict) -> str:
     table = {}
     for key, arr in arrays.items():
         blob = f"{stem}.{key.replace('/', '_')}.f32le"
-        data = np.asarray(arr, dtype=_DTYPE)
-        data.tofile(os.path.join(directory, blob))
+        data = np.asarray(arr, dtype=_DTYPE, order="C")
+        _write(os.path.join(directory, blob), data)
         table[key] = {"shape": list(data.shape), "blob": blob}
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({**meta, "format": FORMAT, "arrays": table}, f,
-                  indent=1, sort_keys=True)
-    os.replace(tmp, manifest_path)
+    write_text(manifest_path, json.dumps({**meta, "format": FORMAT, "arrays": table},
+                                         indent=1, sort_keys=True))
     return manifest_path
 
 

@@ -2,8 +2,10 @@ import json
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -756,6 +758,11 @@ HD_DEFECTS = {
     "row_sum_not_one": (HD_HEADER + "0,0.5,0,0,0,0\n", InvalidValues),
     "nan": (HD_HEADER + "0,nan,0,1,0,0\n", InvalidValues),
     "inf": (HD_HEADER + "0,inf,0,0,0,0\n", InvalidValues),
+    "time_inf": (HD_HEADER + "0,1,0,0,0,0\ninf,1,0,0,0,0\n", CorruptHeader),
+    "time_nan": (HD_HEADER + "0,1,0,0,0,0\nnan,1,0,0,0,0\n", CorruptHeader),
+    # one step of 1e300 s: plot's hour ticks would never end
+    "time_huge_step": (HD_HEADER + "0,1,0,0,0,0\n1e300,1,0,0,0,0\n",
+                       IncompatibleResolution),
 }
 
 
@@ -772,6 +779,16 @@ def test_malformed_hypnodensity_csv_is_a_typed_error(tmp_path, capsys, command, 
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert f"level=error stage={command}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolution", [20, 60])
+def test_plot_needs_a_resolution_the_pipeline_writes(tmp_path, rng, capsys, resolution):
+    src, out = tmp_path / "hd.csv", tmp_path / "hd.svg"
+    write_hd_csv(src, random_hypnodensity(rng, 40, resolution))
+    assert cli.main(["plot", str(src), str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"the {resolution} s resolution" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -1306,4 +1323,149 @@ def test_score_refuses_an_encoding_in_another_mode_than_the_models(
     err = capsys.readouterr().err
     assert (f"the encoding is {enc_mode!r}, the models' encoding is {models_encoding!r}"
             in err and "Traceback" not in err)
+    assert files_under(tmp_path) == before
+
+
+# ------------------------------------------------------- flat candidates
+
+FLAT_EEG = {"fs": 128.0}        # constant (zero) samples
+
+
+def _recording_with(tmp_path, rid, duration_s=600.0, **roles):
+    """The workspace spec with ``roles`` changed, saved under ``tmp_path/rid``."""
+    return signal_io.save_recording(synth_recording(
+        {**RAW_SPEC, **roles}, seed=3, duration_s=duration_s, recording_id=rid),
+        str(tmp_path / rid))
+
+
+def test_run_all_without_ref_skips_a_flat_first_candidate(workspace, tmp_path, capsys):
+    """The run reads as if the flat channel were not there."""
+    flat = _recording_with(tmp_path, "a", EEG_C_LEFT=FLAT_EEG)
+    psg = signal_io.load_recording(flat)
+    del psg.channels["EEG_C_LEFT"]
+    without = signal_io.save_recording(psg, str(tmp_path / "b"))
+    for meta, out in ((flat, tmp_path / "o1"), (without, tmp_path / "o2")):
+        assert cli.main(["run-all", "--config", workspace["config"],
+                         "--recording", meta, "--out-dir", str(out)]) == 0
+    selection = [e["msg"] for e in map(parse_log_line, capsys.readouterr().err.splitlines())
+                 if "channel selection" in e["msg"]]
+    assert selection == ["a: channel selection {'EEG_C': 'EEG_C_RIGHT'}"] * 2
+    names = sorted(os.listdir(tmp_path / "o1"))
+    assert names == sorted(os.listdir(tmp_path / "o2")) and len(names) == 4
+    for name in names:
+        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+
+
+def test_staged_preprocess_without_ref_skips_a_flat_first_candidate(tmp_path):
+    meta = _recording_with(tmp_path, "a", EEG_C_LEFT=FLAT_EEG, EEG_O_LEFT=FLAT_EEG,
+                           EEG_O_RIGHT=RAW_SPEC["EEG_O_LEFT"])
+    assert cli.main(["preprocess", meta, str(tmp_path / "m")]) == 0
+    assert json.loads((tmp_path / "m" / "a.selection.json").read_text()) == {
+        "EEG_C": "EEG_C_RIGHT", "EEG_O": "EEG_O_RIGHT"}
+
+
+# case -> (the central candidates, all constant; whether a ref is given)
+FLAT_CENTRAL = {"pair_without_ref": (("EEG_C_LEFT", "EEG_C_RIGHT"), False),
+                "one_candidate_with_ref": (("EEG_C_LEFT",), True)}
+
+
+@pytest.mark.parametrize("command", ["preprocess", "run-all"])
+@pytest.mark.parametrize("case", sorted(FLAT_CENTRAL))
+def test_an_all_flat_central_site_is_refused(workspace, tmp_path, capsys, command, case):
+    cands, with_ref = FLAT_CENTRAL[case]
+    spec = {role: FLAT_EEG if role in cands else s for role, s in RAW_SPEC.items()
+            if role in cands or role not in signal_io.CENTRAL_EEG}
+    meta = signal_io.save_recording(synth_recording(
+        spec, seed=3, duration_s=600.0, recording_id="a"), str(tmp_path / "a"))
+    ref = tmp_path / "ref.json"
+    ref.write_text(json.dumps(REF))
+    out = str(tmp_path / "o")
+    argv = (["preprocess", meta, out] + (["--ref", str(ref)] if with_ref else [])
+            if command == "preprocess" else
+            ["run-all", "--config", _config_with(workspace, tmp_path, **(
+                {"ref": str(ref)} if with_ref else {})), "--recording", meta,
+             "--out-dir", out])
+    before = files_under(tmp_path)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert (f"EEG_C: every candidate is constant: {', '.join(cands)}" in err
+            and "Traceback" not in err)
+    assert files_under(tmp_path) == before
+
+
+def test_preprocess_without_ref_leaves_out_an_all_flat_occipital_site(tmp_path, capsys):
+    meta = _recording_with(tmp_path, "flat", 120.0, EEG_O_LEFT=FLAT_EEG,
+                           EEG_O_RIGHT=FLAT_EEG)
+    mont = tmp_path / "m"
+    assert cli.main(["preprocess", meta, str(mont)]) == 0
+    warnings = [e["msg"] for e in map(parse_log_line, capsys.readouterr().err.splitlines())
+                if e["level"] == "warning"]
+    assert warnings == ["flat: left out EEG_O: every candidate is constant: "
+                        "EEG_O_LEFT, EEG_O_RIGHT"]
+    assert json.loads((mont / "flat.selection.json").read_text()) == {"EEG_C": "EEG_C_LEFT"}
+    assert "EEG_O" not in signal_io.load_recording(str(mont / "flat.psgmeta.json")).channels
+
+
+# ------------------------------------------------------- the write rule
+
+@pytest.mark.parametrize("out", ["raw", "raw/../raw"])
+def test_preprocess_refuses_to_write_over_its_input(workspace, tmp_path, capsys, out):
+    raw = tmp_path / "raw"
+    shutil.copytree(Path(workspace["meta"]).parent, raw)
+    before = {p.name: p.read_bytes() for p in raw.iterdir()}
+    assert cli.main(["preprocess", str(raw / "rec1.psgmeta.json"), str(tmp_path / out)]) == 3
+    err = capsys.readouterr().err
+    assert "would replace its own input" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in raw.iterdir()} == before
+
+
+def _two_plots(tmp_path, rng):
+    """Two hypnodensity CSVs whose plots differ, and those plots' bytes."""
+    srcs, svgs = [tmp_path / "1.csv", tmp_path / "2.csv"], []
+    for src, n in zip(srcs, (40, 80)):
+        hd = random_hypnodensity(rng, n)
+        write_hd_csv(src, hd)
+        svgs.append(cli.hypnodensity_svg(hd).encode())
+    return srcs, svgs
+
+
+def test_a_rewritten_output_leaves_an_open_reader_the_old_bytes(tmp_path, rng):
+    (first, second), (old, new) = _two_plots(tmp_path, rng)
+    out = tmp_path / "hd.svg"
+    assert cli.main(["plot", str(first), str(out)]) == 0
+    with open(out, "rb") as reader:
+        assert cli.main(["plot", str(second), str(out)]) == 0
+        assert reader.read() == old
+    assert out.read_bytes() == new
+    assert sorted(os.listdir(tmp_path)) == ["1.csv", "2.csv", "hd.svg"]
+
+
+def test_a_symlinked_output_is_written_through_the_link(tmp_path, rng):
+    (first, _), (svg, _) = _two_plots(tmp_path, rng)
+    target, link = tmp_path / "target.svg", tmp_path / "link.svg"
+    target.write_text("old")
+    link.symlink_to(target)
+    assert cli.main(["plot", str(first), str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == svg
+
+
+def test_a_fifo_output_is_written_in_place(tmp_path, rng):
+    (first, _), (svg, _) = _two_plots(tmp_path, rng)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["plot", str(first), str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [svg]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def test_a_directory_output_is_an_io_error(tmp_path, rng, capsys):
+    (first, _), _ = _two_plots(tmp_path, rng)
+    (tmp_path / "d").mkdir()
+    before = files_under(tmp_path)
+    assert cli.main(["plot", str(first), str(tmp_path / "d")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
     assert files_under(tmp_path) == before

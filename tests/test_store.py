@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -162,6 +163,79 @@ def test_only_store_reads_or_writes_blobs():
                  and any(tok in p.read_text()
                          for tok in ("tofile", "fromfile", '"<f4"', "'<f4'"))]
     assert offenders == []
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for writing or writes one: ``open`` or
+    ``fdopen`` with a mode that is not read-only, ``tofile``, a path's
+    ``write_text``/``write_bytes``, ``json.dump`` or numpy's ``save*``."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    owner = getattr(func.value, "id", None) if isinstance(func, ast.Attribute) else None
+    if name in ("open", "fdopen"):
+        mode = next((k.value for k in call.keywords if k.arg in ("mode", "flags")),
+                    call.args[1] if len(call.args) > 1 else None)
+        return mode is not None and not (isinstance(mode, ast.Constant)
+                                          and set(str(mode.value)) <= set("rbt"))
+    path_write = isinstance(func, ast.Attribute) and owner != "store"
+    return (name == "tofile" or (name in ("write_text", "write_bytes") and path_write)
+            or (owner == "json" and name == "dump")
+            or (owner in ("np", "numpy") and name.startswith("save")))
+
+
+def test_only_store_writes_files():
+    src = Path(store.__file__).parent
+    offenders = [f"{p.name}:{node.lineno}" for p in sorted(src.glob("*.py"))
+                 if p.name != "store.py"
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, ast.Call) and _writes_a_file(node)]
+    assert offenders == []
+
+
+def test_the_write_check_sees_each_way_to_write():
+    writes = ['open(p, "w")', 'open(p, mode="a")', 'open(p, "r+")', "os.open(p, flags)",
+              'os.fdopen(fd, "wb")', "x.tofile(p)", "Path(p).write_text(t)",
+              "json.dump(v, f)", "np.save(p, x)"]
+    reads = ["open(p)", 'open(p, "rb")', "write_text(p, t)", "store.write_text(p, t)",
+             "json.dumps(v)", "enc.save(d)"]
+    assert [_writes_a_file(ast.parse(c).body[0].value) for c in writes + reads] == \
+        [True] * len(writes) + [False] * len(reads)
+
+
+def test_rewriting_a_bundle_leaves_open_readers_the_old_blobs(tmp_path):
+    manifest = str(tmp_path / "x.kind.json")
+    store.write_bundle(manifest, {"a": np.arange(4.0)}, {})
+    blob = tmp_path / "x.a.f32le"
+    old = blob.read_bytes()
+    mapped = np.memmap(blob, dtype="<f4", mode="r")
+    with open(blob, "rb") as reader:
+        store.write_bundle(manifest, {"a": -np.arange(4.0)}, {})
+        assert reader.read() == old
+    assert mapped.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert store.read_bundle(manifest)[0]["a"].tolist() == [-0.0, -1.0, -2.0, -3.0]
+    assert sorted(os.listdir(tmp_path)) == ["x.a.f32le", "x.kind.json"]
+
+
+def test_a_text_that_does_not_encode_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.txt"
+    store.write_text(str(path), "old")
+    with pytest.raises(UnicodeEncodeError):
+        store.write_text(str(path), "new \ud800")          # a lone surrogate
+    assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["t.txt"]
+
+
+def test_a_write_that_fails_part_way_leaves_the_old_file_and_no_temporary(
+        tmp_path, monkeypatch):
+    path = tmp_path / "t.txt"
+    store.write_text(str(path), "old")
+
+    def no_rename(src, dst):
+        assert Path(src).read_bytes() == "néw".encode()    # written whole, as UTF-8
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", no_rename)
+    with pytest.raises(OSError, match="rename refused"):
+        store.write_text(str(path), "néw")
+    assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["t.txt"]
 
 
 def _transpose(key):
