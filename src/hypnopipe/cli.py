@@ -25,7 +25,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
-from .store import read_text, write_text
+from .store import bundle_files, bundle_paths, read_text, write_text
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -79,14 +79,19 @@ def _load_ref(path):
 
 def cmd_preprocess(args) -> int:
     psg = signal_io.load_recording(args.input)
-    target = os.path.join(args.out, f"{psg.recording_id}.psgmeta.json")
-    if os.path.exists(target) and os.path.samefile(target, args.input):
+    # the mode is not known here: the CC roles, and EEG_O if it can be made
+    roles = MONTAGE["cc"] + (("EEG_O",) if any(r in psg.channels
+                                               for r in signal_io.OCCIPITAL_EEG) else ())
+    selection = os.path.join(args.out, f"{psg.recording_id}.selection.json")
+    outputs = bundle_paths(os.path.join(args.out, f"{psg.recording_id}.psgmeta.json"),
+                           roles) + [selection]
+    if any(os.path.exists(o) and os.path.samefile(o, i)
+           for o in outputs for i in bundle_files(args.input)):
         raise InvalidSpec(f"{args.input}: the montage would replace its own input; "
                           f"give another output directory")
     ref = _load_ref(args.ref)
-    # the mode is not known here: the CC roles, and EEG_O if it can be made
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE["cc"])
-    if any(r in psg.channels for r in signal_io.OCCIPITAL_EEG):
+    if "EEG_O" in roles:
         try:
             occipital, picked = preprocess.preprocess_recording(psg, ref, ("EEG_O",))
         except AllDegenerate as e:
@@ -95,8 +100,7 @@ def cmd_preprocess(args) -> int:
             montage.channels.update(occipital.channels)
             report.update(picked)
     signal_io.save_recording(montage, args.out)
-    write_text(os.path.join(args.out, f"{psg.recording_id}.selection.json"),
-               json.dumps(report, indent=1, sort_keys=True))
+    write_text(selection, json.dumps(report, indent=1, sort_keys=True))
     log("preprocess", f"wrote montage for {psg.recording_id}")
     return 0
 

@@ -277,12 +277,17 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     base_ell = _median_heuristic(Z)
     frac_pos = float(np.clip((y > 0).mean(), 1e-3, 1 - 1e-3))
     mean_const = float(ndtri(frac_pos))
+    # _kernel(Z, Z, ell, sf) + noise * I, with the distances and each length
+    # scale's exponential computed once for the grid
+    D = _sqdist(Z, Z)
+    eye = np.eye(len(Z))
     best = None
     for mult in LENGTH_SCALE_GRID:
+        ell = mult * base_ell
+        E = np.exp(-D / (2.0 * ell ** 2))
         for sf in SIGNAL_STD_GRID:
             for noise in NOISE_GRID:
-                ell = mult * base_ell
-                K = _kernel(Z, Z, ell, sf) + noise * np.eye(len(Z))
+                K = sf ** 2 * E + noise * eye
                 try:
                     _, grad, sw, Lc, lml = _laplace_mode(K, y, mean_const)
                 except CholeskyFailure:

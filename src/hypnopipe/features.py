@@ -26,6 +26,10 @@ STAGE_COMBOS: tuple[tuple[str, ...], ...] = tuple(
     for k in range(1, 6)
     for combo in itertools.combinations(STAGES, k)
 )
+# each combination's size, its prefix's row in STAGE_COMBOS and its last stage
+_SIZE = np.array([len(c) for c in STAGE_COMBOS])
+_PREFIX = np.array([STAGE_COMBOS.index(c[:-1]) if len(c) > 1 else 0 for c in STAGE_COMBOS])
+_LAST = np.array([STAGES.index(c[-1]) for c in STAGE_COMBOS])
 
 DESCRIPTOR_NAMES = (
     "mean", "max", "std", "mean_abs_diff", "max_abs_diff", "entropy",
@@ -34,6 +38,7 @@ DESCRIPTOR_NAMES = (
 )
 
 CUMSUM_PERCENTS = (5, 10, 30, 50, 70, 90)
+_CUMSUM_FRACS = np.array(CUMSUM_PERCENTS) / 100.0
 
 SEQUENCING_NAMES = (
     "rem_latency_min", "sleep_latency_min", "soremp_count",
@@ -112,55 +117,78 @@ def feature_names() -> list[str]:
     return names
 
 
-def proto_series(hd: Hypnodensity, combo: tuple[str, ...]) -> np.ndarray:
-    """Per-segment product of the stage probabilities in the combination."""
-    idx = [STAGES.index(s) for s in combo]
-    return np.prod(hd.probs[:, idx], axis=1)
+def proto_series(hd: Hypnodensity) -> np.ndarray:
+    """The (31, T) per-segment products of the stage probabilities of each
+    combination, in STAGE_COMBOS order.  A combination's series is its prefix
+    combination's series times its last stage's column, the left-to-right
+    order of ``np.prod``."""
+    probs = hd.probs.T
+    stack = np.empty((len(STAGE_COMBOS), probs.shape[1]), dtype=probs.dtype)
+    stack[_SIZE == 1] = probs
+    for k in range(2, len(STAGES) + 1):
+        rows = _SIZE == k
+        stack[rows] = stack[_PREFIX[rows]] * stack[_LAST[rows]]
+    return stack
 
 
 def combo_descriptors(series: np.ndarray, resolution_s: int) -> np.ndarray:
-    """The 15 descriptors in DESCRIPTOR_NAMES order."""
-    s = np.asarray(series, dtype=float)
-    if len(s) == 0:
-        raise ShapeMismatch("empty series")
-    out = np.zeros(len(DESCRIPTOR_NAMES))
-    out[0] = s.mean()
-    out[1] = s.max()
-    out[2] = s.std()
-    if len(s) > 1:
-        d = np.abs(np.diff(s))
-        out[3] = d.mean()
-        out[4] = d.max()
-    total = s.sum()
-    if total > 0:
-        q = s / total
-        nz = q[q > 0]
-        out[5] = float(-(nz * np.log(nz)).sum())
-    if total > 0:
-        cum = np.cumsum(s)
-        for j, p in enumerate(CUMSUM_PERCENTS):
-            t_min = _time_to_fraction(s, cum, p / 100.0) * resolution_s / 60.0
-            out[6 + j] = t_min * total
-    out[12] = total
-    if out[1] > 0:
-        out[13] = float(np.mean(s > 0.5 * out[1]))
-    if len(s) > 1:
-        centered = s - out[0]
-        ups = (centered[1:] > 0) & (centered[:-1] <= 0)
-        hours = len(s) * resolution_s / 3600.0
-        out[14] = float(ups.sum()) / hours
+    """The 15 descriptors, in DESCRIPTOR_NAMES order, of each row of the
+    (k, T) ``series``: a (k, 15) array.  Each row is reduced along its own
+    contiguous axis, so its descriptors are bitwise those of the row alone."""
+    s = np.ascontiguousarray(series, dtype=float)
+    if s.ndim != 2 or s.shape[1] == 0:
+        raise ShapeMismatch(f"expected a (k, T) stack of series with T > 0, got {s.shape}")
+    n = s.shape[1]
+    out = np.zeros((len(s), len(DESCRIPTOR_NAMES)))
+    total = s.sum(axis=1)
+    pos = total > 0
+    out[:, 0] = total / n
+    out[:, 1] = s.max(axis=1)
+    out[:, 5] = np.where(pos, _entropy(s / np.where(pos, total, 1.0)[:, None]), 0.0)
+    out[:, 12] = total
+    out[:, 13] = np.where(out[:, 1] > 0, (s > 0.5 * out[:, 1:2]).sum(axis=1) / n, 0.0)
+    # one (k, T) work array holds the centred series, then the absolute
+    # differences, then the running sums: every fresh array this size is
+    # paid for in page faults on every call
+    w = s - out[:, :1]
+    if n > 1:
+        ups = (w[:, 1:] > 0) & (w[:, :-1] <= 0)
+        out[:, 14] = ups.sum(axis=1) / (n * resolution_s / 3600.0)
+    out[:, 2] = np.sqrt(np.square(w, out=w).sum(axis=1) / n)
+    if n > 1:
+        d = np.abs(np.subtract(s[:, 1:], s[:, :-1], out=w[:, 1:]), out=w[:, 1:])
+        out[:, 3] = d.sum(axis=1) / (n - 1)
+        out[:, 4] = d.max(axis=1)
+    t_min = _time_to_fraction(s, np.cumsum(s, axis=1, out=w)) * resolution_s / 60.0
+    out[:, 6:12] = np.where(pos[:, None], t_min * total[:, None], 0.0)
     return out
 
 
-def _time_to_fraction(series: np.ndarray, cum: np.ndarray, frac: float) -> float:
-    """Fractional segment count at which the running sum ``cum`` of
-    ``series`` first crosses ``frac`` of the total, with linear accumulation
-    inside a segment."""
-    target = frac * cum[-1]
-    i = int(np.searchsorted(cum, target))
-    prev = cum[i - 1] if i > 0 else 0.0
-    within = (target - prev) / series[i] if series[i] > 0 else 0.0
-    return i + within
+def _entropy(q: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of ``q`` over its positive entries.  A
+    row with zeros is summed over its positive terms alone, packed with the
+    rows that have as many, so that each sum is bitwise that of the row's
+    positive entries."""
+    nz = q > 0
+    terms = np.log(q, out=np.zeros_like(q), where=nz)
+    terms *= q
+    ent = -terms.sum(axis=1)
+    counts = nz.sum(axis=1)
+    for c in np.unique(counts[counts < q.shape[1]]):
+        rows = counts == c
+        ent[rows] = -terms[rows][nz[rows]].reshape(-1, c).sum(axis=1) if c else 0.0
+    return ent
+
+
+def _time_to_fraction(series: np.ndarray, cum: np.ndarray) -> np.ndarray:
+    """(k, 6) fractional segment counts at which the running sums ``cum`` of
+    the rows of ``series`` first reach each of CUMSUM_PERCENTS of their
+    totals, with linear accumulation inside a segment."""
+    target = _CUMSUM_FRACS * cum[:, -1:]
+    i = np.argmax(cum[:, None, :] >= target[:, :, None], axis=2)
+    prev = np.where(i > 0, np.take_along_axis(cum, np.maximum(i - 1, 0), axis=1), 0.0)
+    at = np.take_along_axis(series, i, axis=1)
+    return i + np.where(at > 0, (target - prev) / np.where(at > 0, at, 1.0), 0.0)
 
 
 @dataclass
@@ -262,15 +290,12 @@ def transition_features(hd: Hypnodensity) -> np.ndarray:
 def assemble(hd: Hypnodensity, hyp: HypnogramLabels) -> FeatureVector:
     """Build the full 481-value vector in canonical name order."""
     hd.validate()
-    values = []
-    for combo in STAGE_COMBOS:
-        values.extend(combo_descriptors(proto_series(hd, combo), hd.resolution_s))
     rep = sorem_analysis(hyp)
-    values.extend([rep.rem_latency_min, rep.sleep_latency_min,
-                   float(rep.count), rep.total_duration_min])
-    values.extend(fragmentation_features(hyp))
-    values.extend(transition_features(hd))
-    vec = np.asarray(values, dtype=float)
+    vec = np.concatenate([
+        combo_descriptors(proto_series(hd), hd.resolution_s).ravel(),
+        [rep.rem_latency_min, rep.sleep_latency_min, float(rep.count),
+         rep.total_duration_min],
+        fragmentation_features(hyp), transition_features(hd)])
     if not np.all(np.isfinite(vec)):
         raise InvalidValues("non-finite feature value")
     return FeatureVector(values=vec)

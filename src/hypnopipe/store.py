@@ -12,7 +12,9 @@ written.
 Every file, blob, manifest or text output, is written to a temporary file
 next to its path and renamed over it (``os.replace``), so a reader, or a map,
 of the previous file keeps the previous bytes and a write that fails leaves
-the previous file as it was and no temporary file.  A target that exists and
+the previous file as it was and no temporary file.  A bundle's blobs are all
+written before the first is renamed, so a rewrite that fails on one array
+leaves the previous bundle as it was.  A target that exists and
 is not a regular file, or is a symlink (``/dev/stdout``, a FIFO, a link to
 follow), is written in place instead.
 """
@@ -38,35 +40,74 @@ def write_text(path: str, text: str) -> None:
 
 def _write(path: str, data) -> None:
     """Write ``data``, bytes or a C-ordered array, to ``path`` by the rule above."""
+    tmp = _stage(path, data)
+    if tmp is not None:
+        try:
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
+def _stage(path: str, data) -> str | None:
+    """The temporary file next to ``path`` that now holds ``data``, for the
+    caller to rename over ``path``; None once ``data`` is written in place,
+    for a target the rule above writes in place."""
     if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as f:
             f.write(data)
-        return
+        return None
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
             f.write(data)
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return tmp
 
 
 def write_bundle(manifest_path: str, arrays: dict, meta: dict) -> str:
-    """Write ``arrays`` as blobs, then the manifest; returns ``manifest_path``."""
-    directory = os.path.dirname(manifest_path)
-    os.makedirs(directory or ".", exist_ok=True)
-    stem = os.path.basename(manifest_path).rsplit(".", 2)[0]
-    table = {}
-    for key, arr in arrays.items():
-        blob = f"{stem}.{key.replace('/', '_')}.f32le"
-        data = np.asarray(arr, dtype=_DTYPE, order="C")
-        _write(os.path.join(directory, blob), data)
-        table[key] = {"shape": list(data.shape), "blob": blob}
+    """Write ``arrays`` as blobs, then the manifest; returns ``manifest_path``.
+    Every blob is written to its temporary file before the first is renamed,
+    so an array that fails to convert or to be written leaves the previous
+    bundle whole, and one array at a time is held as float32."""
+    os.makedirs(os.path.dirname(manifest_path) or ".", exist_ok=True)
+    table, staged = {}, []
+    try:
+        for (key, arr), path in zip(arrays.items(), bundle_paths(manifest_path, arrays)[1:]):
+            data = np.asarray(arr, dtype=_DTYPE, order="C")
+            staged.append((_stage(path, data), path))
+            table[key] = {"shape": list(data.shape), "blob": os.path.basename(path)}
+        for tmp, path in staged:
+            if tmp is not None:
+                os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            if tmp is not None and os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
     write_text(manifest_path, json.dumps({**meta, "format": FORMAT, "arrays": table},
                                          indent=1, sort_keys=True))
     return manifest_path
+
+
+def bundle_paths(manifest_path: str, keys) -> list[str]:
+    """The manifest, then the blob of each of ``keys``, that ``write_bundle``
+    writes."""
+    directory = os.path.dirname(manifest_path)
+    stem = os.path.basename(manifest_path).rsplit(".", 2)[0]
+    return [manifest_path] + [os.path.join(directory, f"{stem}.{key.replace('/', '_')}.f32le")
+                              for key in keys]
+
+
+def bundle_files(manifest_path: str) -> list[str]:
+    """The manifest, then each blob its arrays table names; the errors of
+    ``read_bundle`` for a manifest it refuses."""
+    _, table = _manifest(manifest_path)
+    base = os.path.dirname(manifest_path)
+    return [manifest_path] + [os.path.join(base, blob) for blob, _ in table.values()]
 
 
 def read_text(path: str) -> str:
@@ -102,17 +143,9 @@ def _entry(info) -> tuple[str, tuple[int, ...]]:
     return blob, tuple(shape)
 
 
-def read_bundle(manifest_path: str) -> tuple[dict, dict]:
-    """``(arrays, meta)`` of a bundle; arrays come back as float64.
-
-    Raises ``CorruptHeader`` for an unreadable manifest, an unknown
-    ``format`` or a bad arrays table (a shape that is not a list of
-    non-negative integers, a blob that is not a bare file name or that is a
-    directory),
-    ``MissingBlob`` for an absent blob, ``LengthMismatch`` for a blob whose
-    size does not match its declared shape and ``InvalidValues``, naming the
-    array and the first flat index, for a non-finite value.
-    """
+def _manifest(manifest_path: str) -> tuple[dict, dict]:
+    """``(meta, {key: (blob, shape)})`` of a manifest; ``CorruptHeader`` as
+    ``read_bundle`` says."""
     try:
         meta = json.loads(read_text(manifest_path))
     except json.JSONDecodeError as e:
@@ -125,6 +158,21 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CorruptHeader(f"{manifest_path}: bad arrays table: {e!r}") from e
     del meta["format"]
+    return meta, table
+
+
+def read_bundle(manifest_path: str) -> tuple[dict, dict]:
+    """``(arrays, meta)`` of a bundle; arrays come back as float64.
+
+    Raises ``CorruptHeader`` for an unreadable manifest, an unknown
+    ``format`` or a bad arrays table (a shape that is not a list of
+    non-negative integers, a blob that is not a bare file name or that is a
+    directory),
+    ``MissingBlob`` for an absent blob, ``LengthMismatch`` for a blob whose
+    size does not match its declared shape and ``InvalidValues``, naming the
+    array and the first flat index, for a non-finite value.
+    """
+    meta, table = _manifest(manifest_path)
     base = os.path.dirname(manifest_path)
     arrays = {}
     for key, (blob, shape) in table.items():

@@ -1419,6 +1419,19 @@ def test_preprocess_refuses_to_write_over_its_input(workspace, tmp_path, capsys,
     assert {p.name: p.read_bytes() for p in raw.iterdir()} == before
 
 
+def test_preprocess_refuses_to_write_over_a_blob_of_its_input(workspace, tmp_path, capsys):
+    """A manifest renamed from its recording id still names the id's blobs,
+    and the montage's EMG_CHIN blob has the raw EMG_CHIN blob's name."""
+    raw = tmp_path / "raw"
+    shutil.copytree(Path(workspace["meta"]).parent, raw)
+    (raw / "rec1.psgmeta.json").rename(raw / "x.psgmeta.json")
+    before = {p.name: p.read_bytes() for p in raw.iterdir()}
+    assert cli.main(["preprocess", str(raw / "x.psgmeta.json"), str(raw)]) == 3
+    err = capsys.readouterr().err
+    assert "would replace its own input" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in raw.iterdir()} == before
+
+
 def _two_plots(tmp_path, rng):
     """Two hypnodensity CSVs whose plots differ, and those plots' bytes."""
     srcs, svgs = [tmp_path / "1.csv", tmp_path / "2.csv"], []

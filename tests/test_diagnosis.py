@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from hypnopipe import diagnosis as dg
-from hypnopipe.errors import DimensionMismatch, SingleClass, TooFewSamples
+from hypnopipe.errors import CholeskyFailure, DimensionMismatch, SingleClass, TooFewSamples
 
 
 def blobs(rng, n_per=50, d=2, sep=4.0):
@@ -165,6 +165,48 @@ def test_gp_archive_round_trip(tmp_path, rng):
     a, _ = dg.gp_predict(model, X)
     b, _ = dg.gp_predict(back, X)
     assert np.max(np.abs(a - b)) < 1e-4
+
+
+def _gp_fit_kernel_per_point(X, y):
+    """``gp_fit`` as it was when each of the 45 grid points built its own
+    kernel, ``_kernel(Z, Z, ell, sf) + noise * I``, distances included."""
+    from scipy.special import ndtri
+
+    std = dg.Standardizer.fit(X)
+    Z = std.apply(X)
+    base = dg._median_heuristic(Z)
+    mean_const = float(ndtri(float(np.clip((y > 0).mean(), 1e-3, 1 - 1e-3))))
+    best = None
+    for mult in dg.LENGTH_SCALE_GRID:
+        for sf in dg.SIGNAL_STD_GRID:
+            for noise in dg.NOISE_GRID:
+                ell = mult * base
+                K = dg._kernel(Z, Z, ell, sf) + noise * np.eye(len(Z))
+                try:
+                    _, grad, sw, Lc, lml = dg._laplace_mode(K, y, mean_const)
+                except CholeskyFailure:
+                    continue
+                if best is None or lml > best[0] + 1e-12:
+                    best = (lml, ell, sf, noise, grad, sw, Lc)
+    lml, ell, sf, noise, grad, sw, Lc = best
+    return dg.GPModel(X=Z, length_scale=ell, signal_std=sf, noise=noise,
+                      mean_const=mean_const, standardizer=std, grad_ll=grad,
+                      W_sqrt=sw, L=Lc, log_marginal=lml)
+
+
+@pytest.mark.parametrize("n, d", [(60, 5), (300, 38)])
+def test_gp_fit_is_bitwise_the_kernel_built_per_grid_point(n, d):
+    rng = np.random.default_rng([n, d])
+    y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    X = rng.standard_normal((n, d)) + 0.8 * y[:, None] * (rng.random(d) < 0.3)
+    got, ref = dg.gp_fit(X, y), _gp_fit_kernel_per_point(X, y)
+    for name in ("X", "grad_ll", "W_sqrt", "L"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for name in ("mean", "std", "keep"):
+        assert np.array_equal(getattr(got.standardizer, name),
+                              getattr(ref.standardizer, name)), name
+    for name in ("length_scale", "signal_std", "noise", "mean_const", "log_marginal"):
+        assert getattr(got, name) == getattr(ref, name), name
 
 
 # ------------------------------------------------------------ thresholds

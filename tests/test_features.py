@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypnopipe import features
-from hypnopipe.errors import InvalidValues
+from hypnopipe.errors import InvalidValues, ShapeMismatch
 from hypnopipe.hypnodensity import Hypnodensity
 from hypnopipe.signal_io import STAGES, HypnogramLabels
 from conftest import random_hypnodensity
@@ -179,26 +181,32 @@ def test_vector_has_481_stable_names():
     assert names == features.feature_names()
 
 
+def _series(hd, combo):
+    """The row of ``proto_series``'s stack for ``combo``."""
+    return features.proto_series(hd)[features.STAGE_COMBOS.index(combo)]
+
+
 def test_proto_series_uniform_pair():
     hd = Hypnodensity(probs=np.full((4, 5), 0.2), resolution_s=30)
-    assert np.allclose(features.proto_series(hd, ("W", "N2")), 0.04)
+    assert features.proto_series(hd).shape == (31, 4)
+    assert np.allclose(_series(hd, ("W", "N2")), 0.04)
 
 
 def test_proto_series_singleton_is_raw_column(rng):
     hd = random_hypnodensity(rng, 6)
-    assert np.array_equal(features.proto_series(hd, ("REM",)), hd.probs[:, 4])
+    assert np.array_equal(_series(hd, ("REM",)), hd.probs[:, 4])
 
 
 def test_proto_series_zero_annihilates():
     p = np.array([[0.0, 0.5, 0.5, 0.0, 0.0]])
     hd = Hypnodensity(probs=p, resolution_s=30)
-    assert features.proto_series(hd, ("W", "N1"))[0] == 0.0
+    assert _series(hd, ("W", "N1"))[0] == 0.0
 
 
 def test_proto_series_monotone_in_combo_size(rng):
     hd = random_hypnodensity(rng, 8)
-    small = features.proto_series(hd, ("N2", "N3"))
-    big = features.proto_series(hd, ("N2", "N3", "REM"))
+    small = _series(hd, ("N2", "N3"))
+    big = _series(hd, ("N2", "N3", "REM"))
     assert np.all(big <= small + 1e-15)
 
 
@@ -221,18 +229,88 @@ def test_one_cumsum_per_series_is_bitwise_the_cumsum_per_percentage(n_rows):
     # every such series all zeros
     hd.probs[rng.random(n_rows) < 0.4] = [1.0, 0, 0, 0, 0]
     for probs in (hd.probs, np.tile([1.0, 0, 0, 0, 0], (n_rows, 1))):
-        for combo in features.STAGE_COMBOS:
-            s = features.proto_series(Hypnodensity(probs=probs, resolution_s=5), combo)
+        stack = features.proto_series(Hypnodensity(probs=probs, resolution_s=5))
+        got = features.combo_descriptors(stack, 5)[:, 6:12]
+        for s, row in zip(stack, got):
             total = s.sum()
             expect = [_time_to_fraction_own_cumsum(s, p / 100.0) * 5 / 60.0 * total
                       if total > 0 else 0.0 for p in features.CUMSUM_PERCENTS]
-            assert np.array_equal(features.combo_descriptors(s, 5)[6:12], expect)
+            assert np.array_equal(row, expect)
+
+
+# ``proto_series`` and ``combo_descriptors`` as they were when each of the
+# 31 series was built and described on its own: the oracle for the stack.
+
+def _proto_series_one(hd, combo):
+    idx = [STAGES.index(s) for s in combo]
+    return np.prod(hd.probs[:, idx], axis=1)
+
+
+def _combo_descriptors_one(series, resolution_s):
+    s = np.asarray(series, dtype=float)
+    out = np.zeros(len(features.DESCRIPTOR_NAMES))
+    out[0] = s.mean()
+    out[1] = s.max()
+    out[2] = s.std()
+    if len(s) > 1:
+        d = np.abs(np.diff(s))
+        out[3] = d.mean()
+        out[4] = d.max()
+    total = s.sum()
+    if total > 0:
+        q = s / total
+        nz = q[q > 0]
+        out[5] = float(-(nz * np.log(nz)).sum())
+        cum = np.cumsum(s)
+        for j, p in enumerate(features.CUMSUM_PERCENTS):
+            target = p / 100.0 * cum[-1]
+            i = int(np.searchsorted(cum, target))
+            prev = cum[i - 1] if i > 0 else 0.0
+            within = (target - prev) / s[i] if s[i] > 0 else 0.0
+            out[6 + j] = (i + within) * resolution_s / 60.0 * total
+    out[12] = total
+    if out[1] > 0:
+        out[13] = float(np.mean(s > 0.5 * out[1]))
+    if len(s) > 1:
+        centered = s - out[0]
+        ups = (centered[1:] > 0) & (centered[:-1] <= 0)
+        out[14] = float(ups.sum()) / (len(s) * resolution_s / 3600.0)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 400),
+       sure_w=st.sampled_from([0.0, 0.3, 1.0]), spread=st.sampled_from([0.5, 3.0, 300.0]))
+@example(seed=0, n_rows=1, sure_w=0.0, spread=3.0)
+@example(seed=1, n_rows=2, sure_w=0.0, spread=3.0)
+@example(seed=2, n_rows=1, sure_w=1.0, spread=3.0)
+@example(seed=3, n_rows=2, sure_w=0.3, spread=3.0)
+@example(seed=4, n_rows=2880, sure_w=0.3, spread=3.0)
+def test_the_stack_is_bitwise_each_series_described_alone(seed, n_rows, sure_w, spread):
+    """Softmax rows at several confidences (at ``spread`` 300 small
+    probabilities underflow to exact zeros); a fraction ``sure_w`` of rows is
+    exactly W, which makes zeros in every series without W, and all of them
+    (1.0) makes those series all zeros."""
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(0.0, spread, (n_rows, 5))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[rng.random(n_rows) < sure_w] = [1.0, 0, 0, 0, 0]
+    hd = Hypnodensity(probs=probs, resolution_s=5)
+    stack = features.proto_series(hd)
+    assert stack.shape == (31, n_rows)
+    assert np.array_equal(stack, [_proto_series_one(hd, c) for c in features.STAGE_COMBOS])
+    for res in (5, 30):
+        got = features.combo_descriptors(stack, res)
+        expect = np.array([_combo_descriptors_one(s, res) for s in stack])
+        assert np.array_equal(got, expect)
+        assert np.array_equal(np.signbit(got), np.signbit(expect))
 
 
 def test_descriptors_constant_series_closed_forms():
     n, res = 100, 30
     c = 0.3
-    out = features.combo_descriptors(np.full(n, c), res)
+    out = features.combo_descriptors(np.full((1, n), c), res)[0]
     total = c * n
     duration_min = n * res / 60.0
     assert abs(out[0] - c) < 1e-12                      # mean
@@ -246,12 +324,18 @@ def test_descriptors_constant_series_closed_forms():
 def test_descriptors_impulse_series():
     s = np.zeros(60)
     s[17] = 1.0
-    out = features.combo_descriptors(s, 30)
+    out = features.combo_descriptors(s[None], 30)[0]
     assert out[5] == 0.0                                # entropy of a point mass
     # every cumulative-threshold time falls inside the impulse segment
     for j in range(6):
         t_min = out[6 + j] / out[12]
         assert 17 * 0.5 <= t_min <= 18 * 0.5
+
+
+@pytest.mark.parametrize("shape", [(31, 0), (0,), (5,)])
+def test_descriptors_refuse_what_is_not_a_stack_of_series(shape):
+    with pytest.raises(ShapeMismatch):
+        features.combo_descriptors(np.zeros(shape), 30)
 
 
 def test_sorem_fixture_count_one():

@@ -216,6 +216,23 @@ def test_rewriting_a_bundle_leaves_open_readers_the_old_blobs(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["x.a.f32le", "x.kind.json"]
 
 
+class _Unconvertible:
+    def __array__(self, dtype=None, copy=None):
+        raise ValueError("no array here")
+
+
+def test_a_bundle_whose_array_does_not_convert_leaves_the_old_bundle(tmp_path):
+    manifest = str(tmp_path / "x.kind.json")
+    store.write_bundle(manifest, {"a": np.zeros(3), "b": np.zeros(3)}, {"v": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(ValueError, match="no array here"):
+        store.write_bundle(manifest, {"a": np.ones(3), "b": _Unconvertible()}, {"v": 2})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    arrays, meta = store.read_bundle(manifest)
+    assert arrays["a"].tolist() == arrays["b"].tolist() == [0.0, 0.0, 0.0]
+    assert meta == {"v": 1}
+
+
 def test_a_text_that_does_not_encode_leaves_the_old_file(tmp_path):
     path = tmp_path / "t.txt"
     store.write_text(str(path), "old")
