@@ -21,8 +21,8 @@ import numpy as np
 from . import diagnosis, features, hypnodensity, neuralnet, preprocess, signal_io
 from .encoding import MODES, MONTAGE, EncodedRecording, encode_recording
 from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
-                     HypnopipeError, InvalidSpec, InvalidValues, NaNGradient,
-                     ShapeMismatch)
+                     HypnopipeError, InvalidSpec, InvalidValues, MissingChannel,
+                     NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
 from .store import bundle_files, bundle_paths, read_text, write_text
@@ -79,9 +79,15 @@ def _load_ref(path):
 
 def cmd_preprocess(args) -> int:
     psg = signal_io.load_recording(args.input)
-    # the mode is not known here: the CC roles, and EEG_O if it can be made
-    roles = MONTAGE["cc"] + (("EEG_O",) if any(r in psg.channels
-                                               for r in signal_io.OCCIPITAL_EEG) else ())
+    # the mode is not known here: the octave roles if EEG_O can be made
+    roles = MONTAGE["cc"]
+    try:
+        preprocess.usable_candidates(psg, ("EEG_O",))
+        roles = MONTAGE["octave"]
+    except MissingChannel:
+        pass
+    except AllDegenerate as e:
+        log("preprocess", f"{psg.recording_id}: left out {e}", level="warning")
     selection = os.path.join(args.out, f"{psg.recording_id}.selection.json")
     outputs = bundle_paths(os.path.join(args.out, f"{psg.recording_id}.psgmeta.json"),
                            roles) + [selection]
@@ -89,16 +95,7 @@ def cmd_preprocess(args) -> int:
            for o in outputs for i in bundle_files(args.input)):
         raise InvalidSpec(f"{args.input}: the montage would replace its own input; "
                           f"give another output directory")
-    ref = _load_ref(args.ref)
-    montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE["cc"])
-    if "EEG_O" in roles:
-        try:
-            occipital, picked = preprocess.preprocess_recording(psg, ref, ("EEG_O",))
-        except AllDegenerate as e:
-            log("preprocess", f"{psg.recording_id}: left out {e}", level="warning")
-        else:
-            montage.channels.update(occipital.channels)
-            report.update(picked)
+    montage, report = preprocess.preprocess_recording(psg, _load_ref(args.ref), roles)
     signal_io.save_recording(montage, args.out)
     write_text(selection, json.dumps(report, indent=1, sort_keys=True))
     log("preprocess", f"wrote montage for {psg.recording_id}")

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedRate,
 )
 from .pool import thread_map
-from .signal_io import CENTRAL_EEG, SITES, Channel, PolySignalSet
+from .signal_io import SITES, Channel, PolySignalSet
 from .store import is_number
 
 FILTER_ORDER = 5
@@ -171,8 +171,6 @@ def _avg_log_hjorth(x: np.ndarray) -> np.ndarray | None:
 def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
                        ref: ReferenceDistribution) -> str:
     """Return the TARGET_FS candidate with lowest Mahalanobis distance to ref."""
-    if not candidates:
-        raise AllDegenerate("no candidates")
     best_role, best_dist = None, np.inf
     for role, x in candidates:
         v = _avg_log_hjorth(np.asarray(x, dtype=float))
@@ -182,37 +180,29 @@ def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
         if d < best_dist:
             best_role, best_dist = role, d
     if best_role is None:
-        raise AllDegenerate("every candidate is constant: "
+        raise AllDegenerate("every candidate is degenerate: "
                             + ", ".join(role for role, _ in candidates))
     return best_role
 
 
-def fit_reference(training: list[PolySignalSet]) -> ReferenceDistribution:
-    """Mean/covariance of per-recording averaged log-Hjorth vectors of the
-    CENTRAL_EEG channels, each first brought to TARGET_FS as
-    ``preprocess_recording`` does."""
-    if len(training) < 4:
-        raise SingularCovariance("need at least 4 recordings")
-    vectors = []
-    for psg in training:
-        per_channel = [_avg_log_hjorth(to_target_rate(psg.channels[r]))
-                       for r in CENTRAL_EEG if r in psg.channels]
-        per_channel = [v for v in per_channel if v is not None]
-        if per_channel:
-            vectors.append(np.mean(per_channel, axis=0))
-    if len(vectors) < 4:
-        raise SingularCovariance("fewer than 4 usable recordings")
-    V = np.array(vectors)
-    mean = V.mean(axis=0)
-    cov = np.cov(V, rowvar=False, bias=False)
-    cov = np.atleast_2d(cov)
-    eps = 1e-6 * max(np.trace(cov) / 3.0, 1e-12)
-    cov = cov + eps * np.eye(3)
-    try:
-        np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as e:
-        raise SingularCovariance(str(e)) from e
-    return ReferenceDistribution(mean=mean, covariance=cov)
+def usable_candidates(psg: PolySignalSet, roles) -> dict[str, list[str]]:
+    """Each role's candidates (its ``SITES`` electrodes, or else the channel of
+    its own name) in ``psg`` whose raw samples are not all equal: a constant
+    one has no Hjorth activity to rank.  ``MissingChannel`` for a role with
+    none present, checked for every role first; then ``AllDegenerate``, naming
+    the role and its candidates, for one whose every candidate is constant."""
+    present = {role: [r for r in SITES.get(role, (role,)) if r in psg.channels]
+               for role in roles}
+    for role, cands in present.items():
+        if not cands:
+            raise MissingChannel("|".join(SITES.get(role, (role,))))
+    usable = {role: [r for r in cands if _varies(psg.channels[r].samples)]
+              for role, cands in present.items()}
+    for role, cands in usable.items():
+        if not cands:
+            raise AllDegenerate(f"{role}: every candidate is constant: "
+                                + ", ".join(present[role]))
+    return usable
 
 
 def _varies(x: np.ndarray) -> bool:
@@ -220,33 +210,45 @@ def _varies(x: np.ndarray) -> bool:
     return x.size > 0 and np.ptp(x) > 0
 
 
+def fit_reference(training: list[PolySignalSet]) -> ReferenceDistribution:
+    """Mean/covariance of per-recording averaged log-Hjorth vectors of the
+    ``usable_candidates`` of ``EEG_C`` (whose errors refuse a recording), each
+    first brought to TARGET_FS as ``preprocess_recording`` does."""
+    if len(training) < 4:
+        raise SingularCovariance("need at least 4 recordings")
+    vectors = []
+    for psg in training:
+        usable = usable_candidates(psg, ("EEG_C",))["EEG_C"]
+        per_channel = [_avg_log_hjorth(to_target_rate(psg.channels[r])) for r in usable]
+        per_channel = [v for v in per_channel if v is not None]
+        if per_channel:
+            vectors.append(np.mean(per_channel, axis=0))
+    if len(vectors) < 4:
+        raise SingularCovariance("fewer than 4 usable recordings")
+    V = np.array(vectors)
+    cov = np.cov(V, rowvar=False, bias=False)
+    eps = 1e-6 * max(np.trace(cov) / 3.0, 1e-12)
+    cov = cov + eps * np.eye(3)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as e:
+        raise SingularCovariance(str(e)) from e
+    return ReferenceDistribution(mean=V.mean(axis=0), covariance=cov)
+
+
 def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
                          roles: tuple[str, ...]) -> tuple[PolySignalSet, dict]:
     """The montage of ``roles`` at TARGET_FS and the selection report
-    ``{site: raw role}``.  A site (``SITES``) takes its candidate nearest
-    ``ref`` when there is a ``ref`` and it has two or more, else its first
-    candidate whose raw samples are not all equal; any other role is the raw
-    channel of that name.  Only the channels taken or compared are
-    processed, all of them on one ``thread_map``.  ``MissingChannel`` for a
-    role with no channel to make it from, then ``AllDegenerate`` for a site
-    that takes its first candidate and has only constant ones, before any is
-    processed; a channel's own error, the first in role order, before any
-    site is compared; ``AllDegenerate``, naming the site and its candidates,
-    when every candidate compared is constant.
-    """
+    ``{site: raw role}``.  A role takes, of its ``usable_candidates`` (whose
+    errors come before any channel is processed), the one nearest ``ref``
+    when there is a ``ref`` and two or more, else the first.  Only the
+    channels taken or compared are processed, on one ``thread_map``; a
+    channel's own error, the first in role order, comes before any site is
+    compared; ``AllDegenerate`` names a site whose every candidate compared
+    is degenerate once filtered."""
     psg.validate()
-    have = {role: [r for r in SITES.get(role, (role,)) if r in psg.channels]
-            for role in roles}
-    for role in roles:
-        if not have[role]:
-            raise MissingChannel("|".join(SITES.get(role, (role,))))
-    used = dict(have)
-    for role in roles:
-        if role in SITES and (ref is None or len(have[role]) == 1):
-            used[role] = [r for r in have[role] if _varies(psg.channels[r].samples)][:1]
-            if not used[role]:
-                raise AllDegenerate(f"{role}: every candidate is constant: "
-                                    + ", ".join(have[role]))
+    used = {role: cands if ref is not None else cands[:1]
+            for role, cands in usable_candidates(psg, roles).items()}
     raw = [r for cands in used.values() for r in cands]
     done = dict(zip(raw, thread_map(to_target_rate, [psg.channels[r] for r in raw])))
     report: dict[str, str] = {}

@@ -1196,8 +1196,8 @@ def test_staged_cc_scores_a_recording_with_flat_occipital_channels(tmp_path, cap
 
 
 def test_preprocess_writes_the_montage_of_one_octave_call(workspace, tmp_path):
-    """Made in two calls, the montage and selection are the bytes one call
-    for the octave roles writes."""
+    """The montage and selection are the bytes one ``preprocess_recording``
+    call for the octave roles writes."""
     ref = tmp_path / "ref.json"
     ref.write_text(json.dumps(REF))
     assert cli.main(["preprocess", workspace["meta"], str(tmp_path / "a"),
@@ -1364,32 +1364,54 @@ def test_staged_preprocess_without_ref_skips_a_flat_first_candidate(tmp_path):
         "EEG_C": "EEG_C_RIGHT", "EEG_O": "EEG_O_RIGHT"}
 
 
-# case -> (the central candidates, all constant; whether a ref is given)
-FLAT_CENTRAL = {"pair_without_ref": (("EEG_C_LEFT", "EEG_C_RIGHT"), False),
-                "one_candidate_with_ref": (("EEG_C_LEFT",), True)}
+# case -> (each constant channel's value, None to leave the channel out;
+# whether a ref is given; the role refused and the candidates it names)
+FLAT_CENTRAL = {
+    "pair_without_ref": ({"EEG_C_LEFT": 0.0, "EEG_C_RIGHT": 0.0}, False,
+                         "EEG_C: every candidate is constant: EEG_C_LEFT, EEG_C_RIGHT"),
+    "one_candidate_with_ref": ({"EEG_C_LEFT": 0.0, "EEG_C_RIGHT": None}, True,
+                               "EEG_C: every candidate is constant: EEG_C_LEFT"),
+    # a DC line is not constant once high-passed: the rule reads raw samples
+    "dc_pair_with_ref": ({"EEG_C_LEFT": 50.0, "EEG_C_RIGHT": 70.0}, True,
+                         "EEG_C: every candidate is constant: EEG_C_LEFT, EEG_C_RIGHT"),
+    "eog_left": ({"EOG_L": 0.0}, False, "EOG_L: every candidate is constant: EOG_L"),
+    "eog_pair": ({"EOG_L": 0.0, "EOG_R": 0.0}, True,
+                 "EOG_L: every candidate is constant: EOG_L"),
+    "emg": ({"EMG_CHIN": 0.0}, False, "EMG_CHIN: every candidate is constant: EMG_CHIN"),
+}
 
 
-@pytest.mark.parametrize("command", ["preprocess", "run-all"])
-@pytest.mark.parametrize("case", sorted(FLAT_CENTRAL))
-def test_an_all_flat_central_site_is_refused(workspace, tmp_path, capsys, command, case):
-    cands, with_ref = FLAT_CENTRAL[case]
-    spec = {role: FLAT_EEG if role in cands else s for role, s in RAW_SPEC.items()
-            if role in cands or role not in signal_io.CENTRAL_EEG}
-    meta = signal_io.save_recording(synth_recording(
-        spec, seed=3, duration_s=600.0, recording_id="a"), str(tmp_path / "a"))
+@pytest.mark.parametrize("case,command", [
+    (case, command) for case in sorted(FLAT_CENTRAL) for command in ("preprocess", "run-all")
+] + [("eog_pair", "octave-run-all")])
+def test_an_all_flat_central_site_is_refused(workspace, tmp_path, monkeypatch, capsys,
+                                             command, case):
+    """Every role refuses a recording whose candidates for it are all
+    constant, before any channel is filtered; each role is named."""
+    flat, with_ref, message = FLAT_CENTRAL[case]
+    spec = {role: s for role, s in RAW_SPEC.items() if flat.get(role, 0.0) is not None}
+    psg = synth_recording(spec, seed=3, duration_s=600.0, recording_id="a")
+    for role, level in flat.items():
+        if level is not None:
+            psg.channels[role].samples = np.full_like(psg.channels[role].samples, level)
+    meta = signal_io.save_recording(psg, str(tmp_path / "a"))
     ref = tmp_path / "ref.json"
     ref.write_text(json.dumps(REF))
+    changes = {"ref": str(ref)} if with_ref else {}
+    if command == "octave-run-all":
+        for name in ("m0", "m1"):
+            save_member(tmp_path / "models", name, encoding="octave")
+        changes.update(models_dir=str(tmp_path / "models"), mode="octave")
     out = str(tmp_path / "o")
     argv = (["preprocess", meta, out] + (["--ref", str(ref)] if with_ref else [])
             if command == "preprocess" else
-            ["run-all", "--config", _config_with(workspace, tmp_path, **(
-                {"ref": str(ref)} if with_ref else {})), "--recording", meta,
-             "--out-dir", out])
+            ["run-all", "--config", _config_with(workspace, tmp_path, **changes),
+             "--recording", meta, "--out-dir", out])
     before = files_under(tmp_path)
+    monkeypatch.setattr(cli.preprocess, "bandlimit", None)    # nothing is filtered
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
-    assert (f"EEG_C: every candidate is constant: {', '.join(cands)}" in err
-            and "Traceback" not in err)
+    assert message in err and "Traceback" not in err
     assert files_under(tmp_path) == before
 
 

@@ -136,6 +136,39 @@ def test_reference_is_fitted_at_the_target_rate():
     assert np.max(np.abs(a.mean - b.mean)) < 0.01
 
 
+def test_a_constant_central_channel_is_left_out_of_the_reference():
+    """A DC line is not constant once high-passed, but it is left out as its
+    raw samples are all equal: the fit is the fit without that channel."""
+    def calibration(left):
+        recs = [signal_io.PolySignalSet(
+            channels={role: signal_io.Channel(_clean([seed, k]), 100.0)
+                      for k, role in enumerate(signal_io.CENTRAL_EEG)},
+            duration_s=600, recording_id=f"r{seed}") for seed in range(5)]
+        if left is None:
+            del recs[2].channels["EEG_C_LEFT"]
+        else:
+            recs[2].channels["EEG_C_LEFT"] = signal_io.Channel(np.full(60000, left), 100.0)
+        return preprocess.fit_reference(recs)
+
+    dropped = calibration(None)
+    for level in (0.0, 50.0):
+        fit = calibration(level)
+        assert np.array_equal(fit.mean, dropped.mean)
+        assert np.array_equal(fit.covariance, dropped.covariance)
+
+
+def test_a_calibration_night_without_a_usable_central_channel_is_refused():
+    recs = [signal_io.PolySignalSet(
+        channels={"EEG_C_LEFT": signal_io.Channel(_clean(seed), 100.0)},
+        duration_s=600, recording_id=f"r{seed}") for seed in range(5)]
+    recs[1].channels["EEG_C_LEFT"] = signal_io.Channel(np.full(60000, 50.0), 100.0)
+    with pytest.raises(AllDegenerate, match="^EEG_C: every candidate is constant: EEG_C_LEFT$"):
+        preprocess.fit_reference(recs)
+    recs[1].channels = {"EOG_L": recs[0].channels["EEG_C_LEFT"]}
+    with pytest.raises(MissingChannel):
+        preprocess.fit_reference(recs)
+
+
 def test_fit_reference_needs_four_recordings():
     with pytest.raises(SingularCovariance):
         preprocess.fit_reference([])
@@ -220,15 +253,17 @@ def test_preprocess_recording_builds_montage():
     assert report["EEG_C"] in ("EEG_C_LEFT", "EEG_C_RIGHT")
 
 
-@pytest.mark.parametrize("with_ref,n_calls,mode", [
-    pytest.param(False, 5, "octave", id="False-5"),
-    pytest.param(True, 7, "octave", id="True-7"),
-    pytest.param(False, 4, "cc", id="cc-False-4"),
-    pytest.param(True, 5, "cc", id="cc-True-5"),
+@pytest.mark.parametrize("with_ref,n_calls,mode,flat", [
+    pytest.param(False, 5, "octave", (), id="False-5"),
+    pytest.param(True, 7, "octave", (), id="True-7"),
+    pytest.param(False, 4, "cc", (), id="cc-False-4"),
+    pytest.param(True, 5, "cc", (), id="cc-True-5"),
+    pytest.param(True, 4, "cc", ("EEG_C_LEFT",), id="cc-True-flat-4"),
 ])
 def test_only_channels_selection_can_use_are_band_limited(monkeypatch, with_ref, n_calls,
-                                                          mode):
-    spec = {role: {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5}
+                                                          mode, flat):
+    spec = {role: {"fs": 128} if role in flat else
+            {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5}
             for role in signal_io.ROLES}
     psg = synth_recording(spec, seed=0, duration_s=60)
     ref = _ref_from_clean() if with_ref else None
@@ -245,6 +280,7 @@ def test_only_channels_selection_can_use_are_band_limited(monkeypatch, with_ref,
     if not with_ref:
         assert report == {site: group[0] for site, group in signal_io.SITES.items()
                           if site in MONTAGE[mode]}
+    assert not set(report.values()) & set(flat)
     sources = {**report, "EOG_L": "EOG_L", "EOG_R": "EOG_R", "EMG_CHIN": "EMG_CHIN"}
     for site, role in sources.items():
         ch = psg.channels[role]

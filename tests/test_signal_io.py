@@ -91,8 +91,8 @@ def test_load_truncated_blob_raises(tmp_path):
 
 def test_pipeline_validation_requires_central_eeg_and_eog_emg():
     psg = synth_recording(
-        {"EEG_C_LEFT": {"fs": 100, "noise_sigma": 1.0}, "EOG_L": {"fs": 100},
-         "EOG_R": {"fs": 100}, "EMG_CHIN": {"fs": 100}}, 0, 10)
+        {role: {"fs": 100, "noise_sigma": 1.0}
+         for role in ("EEG_C_LEFT", "EOG_L", "EOG_R", "EMG_CHIN")}, 0, 10)
     preprocess_recording(psg, None, MONTAGE["cc"])
     del psg.channels["EOG_R"]
     with pytest.raises(MissingChannel, match="EOG_R"):
