@@ -25,7 +25,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
-from .store import bundle_files, bundle_paths, read_text, write_text
+from .store import bundle_files, read_text, write_files, write_text
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -88,16 +88,15 @@ def cmd_preprocess(args) -> int:
         pass
     except AllDegenerate as e:
         log("preprocess", f"{psg.recording_id}: left out {e}", level="warning")
-    selection = os.path.join(args.out, f"{psg.recording_id}.selection.json")
-    outputs = bundle_paths(os.path.join(args.out, f"{psg.recording_id}.psgmeta.json"),
-                           roles) + [selection]
+    montage, report = preprocess.preprocess_recording(psg, _load_ref(args.ref), roles)
+    files = {**signal_io.recording_files(montage, args.out),
+             os.path.join(args.out, f"{psg.recording_id}.selection.json"):
+                 json.dumps(report, indent=1, sort_keys=True)}
     if any(os.path.exists(o) and os.path.samefile(o, i)
-           for o in outputs for i in bundle_files(args.input)):
+           for o in files for i in bundle_files(args.input)):
         raise InvalidSpec(f"{args.input}: the montage would replace its own input; "
                           f"give another output directory")
-    montage, report = preprocess.preprocess_recording(psg, _load_ref(args.ref), roles)
-    signal_io.save_recording(montage, args.out)
-    write_text(selection, json.dumps(report, indent=1, sort_keys=True))
+    write_files(files)
     log("preprocess", f"wrote montage for {psg.recording_id}")
     return 0
 
@@ -247,10 +246,10 @@ def cmd_diagnose(args) -> int:
         sel = diagnosis.rfe(X, y, seed=args.seed or 0)
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
         model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0))
-        model.save(args.out)
-        write_text(os.path.join(args.out, diagnosis.SELECTION_FILE),
-                   json.dumps({"selected": cols.tolist(),
-                               "frequency": sel.frequency.tolist()}))
+        write_files({**model.files(args.out),
+                     os.path.join(args.out, diagnosis.SELECTION_FILE):
+                         json.dumps({"selected": cols.tolist(),
+                                     "frequency": sel.frequency.tolist()})})
         log("diagnose", f"GP fit on {len(cols)} selected features")
         return 0
     model, cols = _load_gp(args.model)
@@ -345,9 +344,8 @@ def cmd_run_all(args) -> int:
                "hypnodensity.svg": hypnodensity_svg(ens),
                "features.csv": vec.to_csv(),
                "diagnosis.json": rep.to_json()}
-    os.makedirs(out_dir, exist_ok=True)
-    for suffix, text in outputs.items():
-        write_text(os.path.join(out_dir, f"{rid}.{suffix}"), text)
+    write_files({os.path.join(out_dir, f"{rid}.{suffix}"): text
+                 for suffix, text in outputs.items()})
     log("run-all", f"{rid}: wrote {len(outputs)} files to {out_dir}")
     return 0
 

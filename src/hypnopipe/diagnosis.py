@@ -27,7 +27,7 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
-from .store import check_shapes, is_number, read_bundle, write_bundle
+from .store import bundle, check_shapes, is_number, read_bundle, write_files
 
 RFE_CUTOFF = 0.40
 RFE_TARGET_COUNT = 38
@@ -154,13 +154,18 @@ class GPModel:
     L: np.ndarray              # chol(I + W^1/2 K W^1/2)
     log_marginal: float
 
-    def save(self, directory: str) -> str:
+    def files(self, directory: str) -> dict:
+        """The files of the GP's bundle in ``directory``, for ``write_files``."""
         mats = {"X": self.X, "grad_ll": self.grad_ll, "W_sqrt": self.W_sqrt,
                 "L": self.L, "std_mean": self.standardizer.mean,
                 "std_std": self.standardizer.std,
                 "std_keep": self.standardizer.keep.astype(float)}
-        return write_bundle(os.path.join(directory, GP_FILE), mats,
-                            {k: getattr(self, k) for k in _GP_SCALARS})
+        return bundle(os.path.join(directory, GP_FILE), mats,
+                      {k: getattr(self, k) for k in _GP_SCALARS})
+
+    def save(self, directory: str) -> str:
+        write_files(self.files(directory))
+        return os.path.join(directory, GP_FILE)
 
     @classmethod
     def load(cls, path: str) -> "GPModel":

@@ -23,7 +23,7 @@ from .errors import (
     MissingBlob,
     MissingChannel,
 )
-from .store import is_file_name, is_number, read_bundle, read_text, write_bundle
+from .store import bundle, is_file_name, is_number, read_bundle, read_text, write_files
 
 ROLES = (
     "EEG_C_LEFT",
@@ -64,15 +64,15 @@ class PolySignalSet:
 
     def validate(self) -> None:
         """``CorruptHeader`` for a ``recording_id`` that is not a bare file
-        name (outputs are named after it) or a non-finite ``duration_s``;
+        name (outputs are named after it) or a ``duration_s`` not in (0, inf);
         ``CorruptHeader``, ``LengthMismatch`` or ``InvalidValues`` (a
         non-finite sample) for a channel that breaks the recording's contract.
         Samples ``load_recording`` read are not scanned again: ``read_bundle``
         checked every value, and they are read-only."""
         if not is_file_name(self.recording_id):
             raise CorruptHeader(f"recording_id {self.recording_id!r} is not a bare file name")
-        if not math.isfinite(self.duration_s):
-            raise CorruptHeader(f"duration_s must be finite, got {self.duration_s}")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise CorruptHeader(f"duration_s must be finite and > 0, got {self.duration_s}")
         for role, ch in self.channels.items():
             if role not in ROLES and role not in SITES:
                 raise CorruptHeader(f"unknown channel role {role!r}")
@@ -103,14 +103,21 @@ class HypnogramLabels:
             raise EmptyFile("hypnogram has no epochs")
 
 
-def save_recording(psg: PolySignalSet, directory: str) -> str:
-    """Write the recording as a bundle (see ``store``); returns the meta path."""
+def recording_files(psg: PolySignalSet, directory: str) -> dict:
+    """The files of the recording's bundle, for ``write_files``: the manifest last."""
     psg.validate()
-    return write_bundle(
+    return bundle(
         os.path.join(directory, f"{psg.recording_id}.psgmeta.json"),
         {role: ch.samples for role, ch in psg.channels.items()},
         {"recording_id": psg.recording_id, "duration_s": psg.duration_s,
          "channels": {role: {"fs": ch.fs} for role, ch in psg.channels.items()}})
+
+
+def save_recording(psg: PolySignalSet, directory: str) -> str:
+    """Write the recording's files; returns the meta path."""
+    files = recording_files(psg, directory)
+    write_files(files)
+    return list(files)[-1]
 
 
 def load_recording(path: str) -> PolySignalSet:

@@ -5,18 +5,18 @@ A bundle is a JSON manifest ``<stem>.<kind>.json`` next to one blob per array,
 ``<stem>.<key>.f32le`` ('/' in a key becomes '_'), holding the array as
 little-endian float32 in C order.  Besides the caller's metadata the manifest
 carries ``format`` (the version below) and ``arrays``, which maps each key to
-``{"shape": [...], "blob": name}``.  The blobs are written first and the
-manifest last, so a manifest never names a blob that was not completely
-written.
+``{"shape": [...], "blob": name}``.  The blobs are renamed into place first
+and the manifest last, so a manifest never names a blob that was not
+completely written.
 
-Every file, blob, manifest or text output, is written to a temporary file
-next to its path and renamed over it (``os.replace``), so a reader, or a map,
-of the previous file keeps the previous bytes and a write that fails leaves
-the previous file as it was and no temporary file.  A bundle's blobs are all
-written before the first is renamed, so a rewrite that fails on one array
-leaves the previous bundle as it was.  A target that exists and
-is not a regular file, or is a symlink (``/dev/stdout``, a FIFO, a link to
-follow), is written in place instead.
+Every file is written by one rule, ``write_files``'s: each file of a command
+is written to a temporary file next to its path, and only once all of them
+are written are they renamed over their paths (``os.replace``), in order.  A
+reader, or a map, of a previous file keeps the previous bytes, and a write
+that fails before the first rename leaves every previous file as it was and
+no temporary file.  A target that exists and is not a regular file, or is a
+symlink (``/dev/stdout``, a FIFO, a link to follow), is written in place
+instead, when its turn to be staged comes.
 """
 
 from __future__ import annotations
@@ -35,71 +35,60 @@ _DTYPE = np.dtype("<f4")
 
 def write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, by the rule above."""
-    _write(path, text.encode("utf-8"))
+    write_files({path: text})
 
 
-def _write(path: str, data) -> None:
-    """Write ``data``, bytes or a C-ordered array, to ``path`` by the rule above."""
-    tmp = _stage(path, data)
-    if tmp is not None:
-        try:
+def write_files(files: dict) -> None:
+    """Write each ``path -> data`` of ``files`` by the rule above, making
+    missing parent directories."""
+    staged = {}
+    try:
+        for path, data in files.items():
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            _stage(path, data, staged)
+        for path, tmp in staged.items():
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    except BaseException:
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
 
 
-def _stage(path: str, data) -> str | None:
-    """The temporary file next to ``path`` that now holds ``data``, for the
-    caller to rename over ``path``; None once ``data`` is written in place,
-    for a target the rule above writes in place."""
+def _stage(path: str, data, staged: dict) -> None:
+    """Write ``data``, text as UTF-8 or an array as little-endian float32 in C
+    order, in place for a target the rule above writes in place, else to a
+    temporary file next to ``path``, which ``staged[path]`` names once made."""
+    data = (data.encode("utf-8") if isinstance(data, str)
+            else np.asarray(data, dtype=_DTYPE, order="C"))
     if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
         with open(path, "wb") as f:
             f.write(data)
-        return None
+        return
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    f = open(tmp, "xb")
-    try:
-        with f:
-            f.write(data)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return tmp
+    with open(tmp, "xb") as f:
+        staged[path] = tmp
+        f.write(data)
 
 
 def write_bundle(manifest_path: str, arrays: dict, meta: dict) -> str:
-    """Write ``arrays`` as blobs, then the manifest; returns ``manifest_path``.
-    Every blob is written to its temporary file before the first is renamed,
-    so an array that fails to convert or to be written leaves the previous
-    bundle whole, and one array at a time is held as float32."""
-    os.makedirs(os.path.dirname(manifest_path) or ".", exist_ok=True)
-    table, staged = {}, []
-    try:
-        for (key, arr), path in zip(arrays.items(), bundle_paths(manifest_path, arrays)[1:]):
-            data = np.asarray(arr, dtype=_DTYPE, order="C")
-            staged.append((_stage(path, data), path))
-            table[key] = {"shape": list(data.shape), "blob": os.path.basename(path)}
-        for tmp, path in staged:
-            if tmp is not None:
-                os.replace(tmp, path)
-    except BaseException:
-        for tmp, _ in staged:
-            if tmp is not None and os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
-    write_text(manifest_path, json.dumps({**meta, "format": FORMAT, "arrays": table},
-                                         indent=1, sort_keys=True))
+    """Write ``bundle(manifest_path, arrays, meta)``; returns ``manifest_path``."""
+    write_files(bundle(manifest_path, arrays, meta))
     return manifest_path
 
 
-def bundle_paths(manifest_path: str, keys) -> list[str]:
-    """The manifest, then the blob of each of ``keys``, that ``write_bundle``
-    writes."""
-    directory = os.path.dirname(manifest_path)
+def bundle(manifest_path: str, arrays: dict, meta: dict) -> dict:
+    """The files of a bundle, for ``write_files``: each array's blob, then the
+    manifest, whose text is made here, so meta that does not encode as JSON
+    fails before any file is written."""
     stem = os.path.basename(manifest_path).rsplit(".", 2)[0]
-    return [manifest_path] + [os.path.join(directory, f"{stem}.{key.replace('/', '_')}.f32le")
-                              for key in keys]
+    blobs = {key: f"{stem}.{key.replace('/', '_')}.f32le" for key in arrays}
+    table = {key: {"shape": list(np.shape(arr)), "blob": blobs[key]}
+             for key, arr in arrays.items()}
+    return {**{os.path.join(os.path.dirname(manifest_path), blobs[key]): arr
+               for key, arr in arrays.items()},
+            manifest_path: json.dumps({**meta, "format": FORMAT, "arrays": table},
+                                      indent=1, sort_keys=True)}
 
 
 def bundle_files(manifest_path: str) -> list[str]:

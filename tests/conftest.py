@@ -103,12 +103,17 @@ def zero_params(config: nn.NetworkConfig) -> dict[str, np.ndarray]:
 
 
 def grad_check(params, batch, one_hot, config: nn.NetworkConfig,
-               n_samples: int = 64, h: float = 1e-4, seed: int = 0) -> float:
-    """Max relative error of analytic vs central finite-difference gradients."""
-    _, grads = nn.loss_and_grads(params, batch, one_hot, config)
+               n_samples: int = 64, h: float = 1e-4, seed: int = 0,
+               dropout_seed: int | None = None) -> float:
+    """Max relative error of analytic vs central finite-difference gradients;
+    with ``dropout_seed``, every forward draws its dropout mask from a fresh
+    ``default_rng(dropout_seed)``, so all of them use the same mask."""
+    def dropout():
+        return None if dropout_seed is None else np.random.default_rng(dropout_seed)
+    _, grads = nn.loss_and_grads(params, batch, one_hot, config, rng=dropout())
 
     def loss_only():
-        probs, _ = nn.forward(params, batch, config)
+        probs, _ = nn.forward(params, batch, config, rng=dropout())
         return nn.loss(probs, one_hot, params)
 
     rng = np.random.default_rng(seed)

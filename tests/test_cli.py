@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypnopipe import cli, diagnosis, features, neuralnet, signal_io
-from hypnopipe.encoding import EncodedRecording, encode_recording
+from hypnopipe import cli, diagnosis, features, neuralnet, preprocess, signal_io, store
+from hypnopipe.encoding import MONTAGE, EncodedRecording, encode_recording
 from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile,
                               IncompatibleResolution, InvalidValues, ShapeMismatch)
-from hypnopipe.hypnodensity import Hypnodensity
+from hypnopipe.hypnodensity import Hypnodensity, aggregate_resolution, ensemble_hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
 from conftest import (eog_one_sample_short, make_montage, random_hypnodensity,
@@ -568,6 +568,35 @@ def test_run_all_without_a_mode_runs_the_models_encoding(workspace, tmp_path):
     assert len(os.listdir(out)) == 4
     hd = Hypnodensity.from_csv((out / "rec1.hypnodensity.csv").read_text())
     assert (hd.resolution_s, len(hd.probs)) == (30, 20)
+
+
+@pytest.fixture(scope="module")
+def five_s_models(tmp_path_factory):
+    """Two different 5 s FF members in the workspace's encoding."""
+    models = tmp_path_factory.mktemp("five_s")
+    for seed in (1, 2):
+        save_member(models, f"m{seed}", segment_s=5, seed=seed)
+    return str(models)
+
+
+def test_run_all_aggregates_each_member_to_the_resolution(workspace, five_s_models,
+                                                           tmp_path):
+    out = tmp_path / "o"
+    cfg = _config_with(workspace, tmp_path, models_dir=five_s_models, resolution=30)
+    assert cli.main(["run-all", "--config", cfg, "--out-dir", str(out)]) == 0
+    text = (out / "rec1.hypnodensity.csv").read_text()
+    montage, _ = preprocess.preprocess_recording(
+        signal_io.load_recording(workspace["meta"]), None, MONTAGE["cc"])
+    batch = neuralnet.windows_from_encoded(encode_recording(montage, "cc"), 5)
+    members = [aggregate_resolution(Hypnodensity(
+        probs=neuralnet.forward(params, batch, config)[0], resolution_s=5), 30)
+        for params, config in (neuralnet.load_params(str(p)) for p in
+                               sorted(Path(five_s_models).glob("*.model.json")))]
+    assert len(members) == 2 and not np.array_equal(members[0].probs, members[1].probs)
+    assert Hypnodensity.from_csv(text).resolution_s == 30
+    starts = [int(row.split(",")[0]) for row in text.splitlines()[1:]]
+    assert len(starts) > 1 and starts == list(range(0, 30 * len(starts), 30))
+    assert text == ensemble_hypnodensity(members).to_csv()
 
 
 @pytest.mark.parametrize("change", [{"seed": 1.5}, {"seed": -1}, {"hidden": True},
@@ -1504,3 +1533,99 @@ def test_a_directory_output_is_an_io_error(tmp_path, rng, capsys):
     assert cli.main(["plot", str(first), str(tmp_path / "d")]) == 2
     assert "Traceback" not in capsys.readouterr().err
     assert files_under(tmp_path) == before
+
+
+def _bytes_under(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in Path(root).rglob("*")}
+
+
+RUN_ALL_OUTPUTS = ("hypnodensity.csv", "hypnodensity.svg", "features.csv", "diagnosis.json")
+
+
+@pytest.mark.parametrize("previous", [False, True])
+def test_a_run_all_that_cannot_write_one_output_writes_none(workspace, five_s_models,
+                                                            tmp_path, capsys, previous):
+    """``<id>.features.csv`` is a directory, so it cannot be written; the
+    outputs staged before it are not renamed into place, over those of a
+    previous run at another resolution if there are any."""
+    out = tmp_path / "o"
+    if previous:
+        cfg = _config_with(workspace, tmp_path, models_dir=five_s_models)
+        assert cli.main(["run-all", "--config", cfg, "--out-dir", str(out)]) == 0
+        (out / "rec1.features.csv").unlink()
+    (out / "rec1.features.csv").mkdir(parents=True)
+    before = _bytes_under(tmp_path)
+    assert len(before) == (6 if previous else 2)
+    assert cli.main(["run-all", "--config", workspace["config"],
+                     "--out-dir", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert _bytes_under(tmp_path) == before
+
+
+def test_a_run_all_cut_short_by_a_file_size_limit_leaves_the_previous_outputs(
+        workspace, five_s_models, tmp_path):
+    """A second run at 30 s, whose features file is over the limit and whose
+    hypnodensity files are under it, exits 2 and leaves the first run's four
+    5 s files, not a mix of the two runs."""
+    pytest.importorskip("resource")
+    first = _config_with(workspace, tmp_path, models_dir=five_s_models)
+    out, unlimited = tmp_path / "o", tmp_path / "unlimited"
+    assert cli.main(["run-all", "--config", first, "--out-dir", str(out)]) == 0
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps({**json.loads(Path(first).read_text()), "resolution": 30}))
+    assert cli.main(["run-all", "--config", str(second), "--out-dir", str(unlimited)]) == 0
+    size = {s: (unlimited / f"rec1.{s}").stat().st_size for s in RUN_ALL_OUTPUTS}
+    assert max(size["hypnodensity.csv"], size["hypnodensity.svg"]) < size["features.csv"]
+    limit = size["features.csv"] - 1
+    before = {s: (out / f"rec1.{s}").read_bytes() for s in RUN_ALL_OUTPUTS}
+    assert all(before[s] != (unlimited / f"rec1.{s}").read_bytes()
+               for s in RUN_ALL_OUTPUTS[:3])
+    argv = ["run-all", "--config", str(second), "--out-dir", str(out)]
+    child = subprocess.run(
+        [sys.executable, "-c", "import resource, sys; "
+         f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit})); "
+         f"from hypnopipe import cli; sys.exit(cli.main({argv!r}))"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+             "PYTHONDONTWRITEBYTECODE": "1"})
+    assert child.returncode == 2 and "Traceback" not in child.stderr
+    assert {s: (out / f"rec1.{s}").read_bytes() for s in RUN_ALL_OUTPUTS} == before
+    assert sorted(os.listdir(out)) == sorted(f"rec1.{s}" for s in RUN_ALL_OUTPUTS)
+
+
+def test_preprocess_that_cannot_write_its_selection_writes_no_montage(workspace, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "m"
+    (out / "rec1.selection.json").mkdir(parents=True)
+    assert cli.main(["preprocess", workspace["meta"], str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert files_under(out) == ["rec1.selection.json"]
+
+
+def test_diagnose_fit_that_cannot_write_its_selection_writes_no_gp(tmp_path, rng, capsys):
+    y = np.where(rng.random(40) > 0.5, 1.0, 0.0)
+    X = rng.standard_normal((40, 481))
+    X[:, 2] += 3.0 * (2 * y - 1)
+    write_matrix(tmp_path / "matrix.csv", X, y)
+    gp_dir = tmp_path / "gp"
+    (gp_dir / diagnosis.SELECTION_FILE).mkdir(parents=True)
+    assert cli.main(["diagnose", "--fit", "--matrix", str(tmp_path / "matrix.csv"),
+                     "--out", str(gp_dir)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert files_under(gp_dir) == [diagnosis.SELECTION_FILE]
+
+
+def test_a_recording_of_no_duration_is_refused(workspace, tmp_path, capsys):
+    """Seven empty channels of a 0 s recording: refused at load as the header
+    defect it is, not as seven constant channels."""
+    manifest = str(tmp_path / "raw" / "z.psgmeta.json")
+    store.write_bundle(manifest, {role: np.zeros(0) for role in signal_io.ROLES},
+                       {"recording_id": "z", "duration_s": 0.0,
+                        "channels": {role: {"fs": 256.0} for role in signal_io.ROLES}})
+    with pytest.raises(CorruptHeader, match="duration_s"):
+        signal_io.load_recording(manifest)
+    assert cli.main(["preprocess", manifest, str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "duration_s must be finite and > 0, got 0.0" in err and "Traceback" not in err
+    assert not (tmp_path / "m").exists()

@@ -206,6 +206,19 @@ def test_grad_check_lstm(rng):
     assert err < 1e-3
 
 
+def test_grad_check_lstm_with_dropout(rng):
+    cfg = toy_config("LSTM")
+    params = nn.init_params(cfg)
+    batch, labels = toy_batch(rng, 6), one_hot([1, 3, 0, 2, 4, 1])
+    err = grad_check(params, batch, labels, cfg, dropout_seed=5)
+    assert err < 1e-3
+    # the mask is drawn: the gradient is not the one without dropout
+    with_mask = nn.loss_and_grads(params, batch, labels, cfg,
+                                  rng=np.random.default_rng(5))[1]
+    without = nn.loss_and_grads(params, batch, labels, cfg)[1]
+    assert not np.array_equal(with_mask["out/w"], without["out/w"])
+
+
 def test_zero_input_zero_bias_first_layer_gradient():
     cfg = toy_config("FF")
     params = zero_params(cfg)
@@ -287,6 +300,19 @@ def test_training_is_bit_identical_across_runs(rng):
     assert h1 == h2
     for k in p1:
         assert np.array_equal(p1[k], p2[k])
+
+
+def test_lstm_training_is_bit_identical_across_runs(rng):
+    """LSTM training consumes whole shuffled blocks, with dropout."""
+    cfg = toy_config("LSTM", seed=3)
+    dataset = separable_dataset(rng, n_windows=120)
+    p1, h1 = nn.train(dataset, cfg, max_batches=2 * nn.VALIDATE_EVERY)
+    p2, h2 = nn.train(dataset, cfg, max_batches=2 * nn.VALIDATE_EVERY)
+    assert len(h1) >= 1 and h1 == h2
+    assert p1.keys() == p2.keys()
+    for k in p1:
+        assert np.array_equal(p1[k], p2[k])
+    assert not np.array_equal(p1["lstm/wx"], nn.init_params(cfg)["lstm/wx"])
 
 
 def test_training_requires_two_recordings(rng):

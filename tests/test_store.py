@@ -192,6 +192,31 @@ def test_only_store_writes_files():
     assert offenders == []
 
 
+def _renames(tree):
+    """The innermost function (None at module level) around each call of
+    ``os.replace`` or ``os.rename`` in ``tree``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("replace", "rename") \
+                and getattr(node.func.value, "id", None) == "os":
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+    visit(tree, None)
+    return found
+
+
+def test_one_function_renames_files():
+    src = Path(store.__file__).parent
+    sites = {(p.name, function) for p in sorted(src.glob("*.py"))
+             for function in _renames(ast.parse(p.read_text()))}
+    assert sites == {("store.py", "write_files")}
+
+
 def test_the_write_check_sees_each_way_to_write():
     writes = ['open(p, "w")', 'open(p, mode="a")', 'open(p, "r+")', "os.open(p, flags)",
               'os.fdopen(fd, "wb")', "x.tofile(p)", "Path(p).write_text(t)",
@@ -231,6 +256,31 @@ def test_a_bundle_whose_array_does_not_convert_leaves_the_old_bundle(tmp_path):
     arrays, meta = store.read_bundle(manifest)
     assert arrays["a"].tolist() == arrays["b"].tolist() == [0.0, 0.0, 0.0]
     assert meta == {"v": 1}
+
+
+def test_a_bundle_whose_meta_does_not_encode_leaves_the_old_bundle(tmp_path):
+    manifest = str(tmp_path / "x.kind.json")
+    store.write_bundle(manifest, {"a": np.zeros(3), "b": np.zeros(3)}, {"v": 1})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(TypeError, match="float32"):
+        store.write_bundle(manifest, {"a": np.ones(3), "b": np.ones(3)},
+                           {"v": np.float32(2)})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    arrays, meta = store.read_bundle(manifest)
+    assert arrays["a"].tolist() == arrays["b"].tolist() == [0.0, 0.0, 0.0]
+    assert meta == {"v": 1}
+
+
+def test_files_that_cannot_all_be_written_leave_every_old_file(tmp_path):
+    text, blob, folder = tmp_path / "t.txt", tmp_path / "b.f32le", tmp_path / "d"
+    store.write_files({str(text): "old", str(blob): np.zeros(2)})
+    folder.mkdir()
+    before = {p.name: p.read_bytes() for p in (text, blob)}
+    with pytest.raises(IsADirectoryError):
+        store.write_files({str(text): "new", str(blob): np.ones(2), str(folder): "x"})
+    assert {p.name: p.read_bytes() for p in (text, blob)} == before
+    assert sorted(os.listdir(tmp_path)) == ["b.f32le", "d", "t.txt"]
+    assert os.listdir(folder) == []
 
 
 def test_a_text_that_does_not_encode_leaves_the_old_file(tmp_path):
