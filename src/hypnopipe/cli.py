@@ -25,7 +25,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
-from .store import bundle_files, read_text, write_files, write_text
+from .store import as_stored, bundle_files, read_text, write_files, write_text
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -131,6 +131,9 @@ def cmd_train(args) -> int:
         neuralnet.save_params(params, cfg, args.out, f"model{i:02d}")
         log("train", f"model{i:02d}: {len(history)} validations, "
                      f"best={max(history) if history else float('nan'):.3f}")
+        if not history or max(history) <= history[0] < 1:
+            log("train", f"model{i:02d}: validation accuracy never rose above its "
+                         "first check; the model may be untrained", level="warning")
     return 0
 
 
@@ -328,19 +331,25 @@ def cmd_run_all(args) -> int:
     psg = signal_io.load_recording(cfg["recording"])
     rid = psg.recording_id
 
+    # each stage is handed what the subcommands' files would hold
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
+    for ch in montage.channels.values():
+        ch.samples = as_stored(ch.samples)
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, mode)
+    enc.tensors = {name: as_stored(x) for name, x in enc.tensors.items()}
     log("encode", f"{rid}: {enc.mode} encoding done")
 
     members, ens = _score_ensemble(models, enc, cfg.get("resolution"))
+    csv_text = ens.to_csv()
+    ens = hypnodensity.Hypnodensity.from_csv(csv_text)
     log("score", f"{rid}: hypnodensity over {len(ens.probs)} segments")
     vec = _feature_vector(ens)
     log("features", f"{rid}: feature vector done")
     rep = _diagnose(gp, cols, [_feature_vector(m) for m in members], cfg.get("hla"))
     log("diagnose", f"{rid}: score={rep.score:.4f} label={rep.label}")
 
-    outputs = {"hypnodensity.csv": ens.to_csv(),
+    outputs = {"hypnodensity.csv": csv_text,
                "hypnodensity.svg": hypnodensity_svg(ens),
                "features.csv": vec.to_csv(),
                "diagnosis.json": rep.to_json()}

@@ -15,6 +15,7 @@ columns) and rounding-level ones are broken the same way by any solver.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -172,9 +173,10 @@ class GPModel:
         """The GP ``save`` wrote.  ``CorruptHeader`` naming the array or value
         unless every array ``gp_predict`` reads is there with consistent
         sizes (n training points, d features, X keeping the columns std_keep
-        marks), std_std positive in every kept column and every scalar a
-        finite number; other arrays (the ``y`` and ``f_hat`` of older
-        bundles) are ignored."""
+        marks), std_std positive in every kept column, every scalar a finite
+        number, ``length_scale`` and ``signal_std`` positive with a positive
+        finite square and ``noise`` >= 0 (the ranges ``gp_fit``'s grids give);
+        other arrays (the ``y`` and ``f_hat`` of older bundles) are ignored."""
         mats, meta = read_bundle(path)
         sizes = check_shapes(path, mats, _GP_ARRAYS, others=True)
         keep = mats["std_keep"] > 0.5
@@ -185,12 +187,18 @@ class GPModel:
             raise CorruptHeader(f"{path}: array 'std_std' must be positive in every "
                                 f"column std_keep keeps")
         for key in _GP_SCALARS:
-            if not is_number(meta.get(key)) or not np.isfinite(meta[key]):
+            if not (is_number(meta.get(key)) and math.isfinite(meta[key])):
                 raise CorruptHeader(f"{path}: {key} must be a finite number")
+        scalars = {key: float(meta[key]) for key in _GP_SCALARS}
+        for key in ("length_scale", "signal_std"):      # _kernel squares them
+            if not (scalars[key] > 0 and 0 < scalars[key] * scalars[key] < math.inf):
+                raise CorruptHeader(f"{path}: {key} must be > 0 with a positive finite "
+                                    f"square, got {scalars[key]!r}")
+        if scalars["noise"] < 0:
+            raise CorruptHeader(f"{path}: noise must be >= 0, got {scalars['noise']!r}")
         return cls(X=mats["X"], standardizer=Standardizer(
                        mean=mats["std_mean"], std=mats["std_std"], keep=keep),
-                   grad_ll=mats["grad_ll"], W_sqrt=mats["W_sqrt"], L=mats["L"],
-                   **{key: meta[key] for key in _GP_SCALARS})
+                   grad_ll=mats["grad_ll"], W_sqrt=mats["W_sqrt"], L=mats["L"], **scalars)
 
 
 def _sqdist(Xa, Xb):

@@ -525,7 +525,7 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
         n = t["EEG"].shape[0] // k
 
         def means(name):
-            rows = t[name][:n * k]
+            rows = np.asarray(t[name][:n * k], dtype=float)
             return rows.reshape(n, k, rows.shape[1]).mean(axis=1)
 
         batch = {m: np.stack([means(name) for name in names], axis=1)

@@ -48,7 +48,7 @@ VALID_EPOCH_S = (5, 10, 15, 30)
 
 @dataclass
 class Channel:
-    samples: np.ndarray  # microvolts, float64 in memory
+    samples: np.ndarray  # microvolts; float64 as read, float32 as run-all hands it on
     fs: float
 
 
@@ -65,7 +65,8 @@ class PolySignalSet:
     def validate(self) -> None:
         """``CorruptHeader`` for a ``recording_id`` that is not a bare file
         name (outputs are named after it) or a ``duration_s`` not in (0, inf);
-        ``CorruptHeader``, ``LengthMismatch`` or ``InvalidValues`` (a
+        ``CorruptHeader`` (among them an ``fs`` whose sample count overflows),
+        ``LengthMismatch`` or ``InvalidValues`` (a
         non-finite sample) for a channel that breaks the recording's contract.
         Samples ``load_recording`` read are not scanned again: ``read_bundle``
         checked every value, and they are read-only."""
@@ -78,6 +79,9 @@ class PolySignalSet:
                 raise CorruptHeader(f"unknown channel role {role!r}")
             if not (math.isfinite(ch.fs) and ch.fs > 0):
                 raise CorruptHeader(f"{role}: fs must be finite and > 0, got {ch.fs}")
+            if not math.isfinite(ch.fs * self.duration_s):
+                raise CorruptHeader(f"{role}: fs * duration_s overflows "
+                                    f"({ch.fs} * {self.duration_s})")
             expect = round(ch.fs * self.duration_s)
             if abs(len(ch.samples) - expect) > 1:
                 raise LengthMismatch(

@@ -16,14 +16,17 @@ reader, or a map, of a previous file keeps the previous bytes, and a write
 that fails before the first rename leaves every previous file as it was and
 no temporary file.  A target that exists and is not a regular file, or is a
 symlink (``/dev/stdout``, a FIFO, a link to follow), is written in place
-instead, when its turn to be staged comes.
+instead, at its turn among the renames, so a write that fails while staging
+has not written through it; a directory target fails while staging.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -41,29 +44,40 @@ def write_text(path: str, text: str) -> None:
 def write_files(files: dict) -> None:
     """Write each ``path -> data`` of ``files`` by the rule above, making
     missing parent directories."""
-    staged = {}
+    staged = {}         # path -> its temporary file, or the data to write in place
     try:
         for path, data in files.items():
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             _stage(path, data, staged)
         for path, tmp in staged.items():
-            os.replace(tmp, path)
+            if isinstance(tmp, str):
+                os.replace(tmp, path)
+            else:
+                with open(path, "wb") as f:
+                    f.write(tmp)
     except BaseException:
         for tmp in staged.values():
-            if os.path.exists(tmp):
+            if isinstance(tmp, str) and os.path.exists(tmp):
                 os.unlink(tmp)
         raise
 
 
+def as_stored(arr) -> np.ndarray:
+    """``arr`` as a blob holds it: little-endian float32 in C order.  A stage
+    hands the next one what its file would hold."""
+    return np.asarray(arr, dtype=_DTYPE, order="C")
+
+
 def _stage(path: str, data, staged: dict) -> None:
-    """Write ``data``, text as UTF-8 or an array as little-endian float32 in C
-    order, in place for a target the rule above writes in place, else to a
-    temporary file next to ``path``, which ``staged[path]`` names once made."""
-    data = (data.encode("utf-8") if isinstance(data, str)
-            else np.asarray(data, dtype=_DTYPE, order="C"))
+    """Encode ``data``, text as UTF-8 or an array ``as_stored``, and write it
+    to a temporary file next to ``path``, which ``staged[path]`` names once
+    made; for a target the rule above writes in place, ``staged[path]`` is
+    the encoded data, and a directory is ``IsADirectoryError``."""
+    data = data.encode("utf-8") if isinstance(data, str) else as_stored(data)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as f:
-            f.write(data)
+        staged[path] = data
         return
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     with open(tmp, "xb") as f:
@@ -116,9 +130,10 @@ def is_file_name(name) -> bool:
 
 
 def is_number(value) -> bool:
-    """Whether ``value`` is a number as ``json`` reads one: an int or a float,
+    """Whether ``value`` is a number as ``json`` reads one that a float holds:
+    a float, or an int (unbounded in JSON) no larger than the largest float;
     not a bool or a string."""
-    return type(value) in (int, float)
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
 def _entry(info) -> tuple[str, tuple[int, ...]]:

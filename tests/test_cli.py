@@ -157,6 +157,64 @@ def test_train_drops_unscored_windows(tmp_path, monkeypatch):
             "EEG": 6, "EOG": 6, "EMG": 6}
 
 
+CC_LAGS = (("EEG", 201), ("EOG_L", 401), ("EOG_R", 401), ("EOG_X", 401), ("EMG", 41))
+
+
+def train_on(tmp_path, rows, conv_features, n_windows=120):
+    """``train`` one low-complexity FF member on two CC recordings of 5 s
+    windows labelled W, N2, W, ..., whose rows are ``rows(rng, labels)``
+    (tensor -> (n_windows, lags))."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    labels = np.arange(n_windows) % 2 * 2
+    for rid in ("a", "b"):
+        EncodedRecording(recording_id=rid, mode="cc",
+                         tensors=rows(rng, labels)).save(str(data))
+        save_hypnogram(HypnogramLabels([("W", "N1", "N2")[s] for s in labels], epoch_s=5),
+                       str(data / f"{rid}.hyp.txt"))
+    config = tmp_path / "net.json"
+    config.write_text(neuralnet.NetworkConfig(
+        mode="FF", segment_s=5, hidden=32, seed=7,
+        conv_features={m: conv_features for m in neuralnet.MODALITIES}).to_json())
+    return cli.main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp_path / "m"), "--n-models", "1"])
+
+
+def identical_windows(rng, labels):
+    return {k: np.repeat(rng.random((1, n)), len(labels), axis=0) for k, n in CC_LAGS}
+
+
+def separable_windows(rng, labels):
+    """Noise, with the EEG rows shifted by +1 for W and -1 for N2."""
+    rows = {k: 0.1 * rng.standard_normal((len(labels), n)) for k, n in CC_LAGS}
+    rows["EEG"] += np.where(labels == 0, 1.0, -1.0)[:, None]
+    return rows
+
+
+def train_log(capsys):
+    """``(level, msg)`` of each line ``train`` logged."""
+    return [(ln["level"], ln["msg"]) for ln in
+            map(parse_log_line, capsys.readouterr().err.splitlines())]
+
+
+def test_train_warns_of_a_member_that_never_beat_its_first_validation(tmp_path, capsys):
+    """Windows of one content cannot be told apart: validation accuracy
+    stays at its first check and early stopping ends after 4 checks."""
+    assert train_on(tmp_path, identical_windows, [3, 4]) == 0
+    assert train_log(capsys) == [
+        ("info", "model00: 4 validations, best=0.500"),
+        ("warning", "model00: validation accuracy never rose above its first check; "
+                    "the model may be untrained")]
+
+
+# the smaller member is perfect at its first check, the larger one only later
+@pytest.mark.parametrize("conv_features", [[3, 4], [4, 8]])
+def test_train_does_not_warn_of_a_member_that_learned(tmp_path, capsys, conv_features):
+    assert train_on(tmp_path, separable_windows, conv_features) == 0
+    (level, msg), = train_log(capsys)
+    assert level == "info" and msg.endswith("best=1.000")
+
+
 @pytest.mark.parametrize("epoch_s,segment_s", [(5, 15), (15, 10)])
 def test_train_rejects_epoch_not_a_multiple_of_segment(tmp_path, capsys,
                                                        epoch_s, segment_s):
@@ -587,7 +645,11 @@ def test_run_all_aggregates_each_member_to_the_resolution(workspace, five_s_mode
     text = (out / "rec1.hypnodensity.csv").read_text()
     montage, _ = preprocess.preprocess_recording(
         signal_io.load_recording(workspace["meta"]), None, MONTAGE["cc"])
-    batch = neuralnet.windows_from_encoded(encode_recording(montage, "cc"), 5)
+    for ch in montage.channels.values():
+        ch.samples = store.as_stored(ch.samples)
+    enc = encode_recording(montage, "cc")
+    enc.tensors = {name: store.as_stored(x) for name, x in enc.tensors.items()}
+    batch = neuralnet.windows_from_encoded(enc, 5)
     members = [aggregate_resolution(Hypnodensity(
         probs=neuralnet.forward(params, batch, config)[0], resolution_s=5), 30)
         for params, config in (neuralnet.load_params(str(p)) for p in
@@ -597,6 +659,31 @@ def test_run_all_aggregates_each_member_to_the_resolution(workspace, five_s_mode
     starts = [int(row.split(",")[0]) for row in text.splitlines()[1:]]
     assert len(starts) > 1 and starts == list(range(0, 30 * len(starts), 30))
     assert text == ensemble_hypnodensity(members).to_csv()
+
+
+@pytest.mark.parametrize("member", [
+    {"encoding": "cc", "segment_s": 5, "mode": "FF"},
+    {"encoding": "cc", "segment_s": 30, "mode": "FF"},     # the windowing takes means
+    {"encoding": "octave", "segment_s": 30, "mode": "LSTM"},
+], ids=["cc-5s-FF", "cc-30s-FF", "octave-30s-LSTM"])
+def test_run_all_writes_what_the_staged_chain_writes(workspace, tmp_path, member):
+    models = tmp_path / "models"
+    for seed in (1, 2):
+        save_member(models, f"m{seed}", seed=seed, **member)
+    staged, one = tmp_path / "staged", tmp_path / "run_all"
+    mode, hd = member["encoding"], str(staged / "rec1.hypnodensity.csv")
+    for argv in (["preprocess", workspace["meta"], str(staged)],
+                 ["encode", str(staged / "rec1.psgmeta.json"), str(staged), "--mode", mode],
+                 ["score", str(staged / f"rec1.{mode}.enc.json"), "--models", str(models),
+                  "--out", hd],
+                 ["features", hd, "--out", str(staged / "rec1.features.csv")],
+                 ["plot", hd, str(staged / "rec1.hypnodensity.svg")]):
+        assert cli.main(argv) == 0
+    cfg = _config_with(workspace, tmp_path, models_dir=str(models), mode=mode)
+    assert cli.main(["run-all", "--config", cfg, "--out-dir", str(one)]) == 0
+    for suffix in ("hypnodensity.csv", "hypnodensity.svg", "features.csv"):
+        assert (one / f"rec1.{suffix}").read_bytes() == \
+            (staged / f"rec1.{suffix}").read_bytes(), suffix
 
 
 @pytest.mark.parametrize("change", [{"seed": 1.5}, {"seed": -1}, {"hidden": True},
@@ -889,6 +976,7 @@ VECTOR_DEFECTS = {
     "boolean_value": (vector_json(lambda f: {**f, "W.mean": True}), CorruptHeader),
     "hla_not_boolean": (vector_json(hla_positive="no"), CorruptHeader),
     "nan_value": (vector_json(lambda f: {**f, "W.mean": float("nan")}), InvalidValues),
+    "int_overflow_value": (vector_json(lambda f: {**f, "W.mean": 10 ** 400}), CorruptHeader),
     "too_few_features": ('{"features": {"a": 1.0, "b": 2.0}}', CorruptHeader),
     # the layout is feature_names(), in order: no other keys, none left out
     "sorted_keys": (vector_json(lambda f: dict(sorted(f.items()))), CorruptHeader),
@@ -1161,6 +1249,7 @@ REF_DEFECTS = {
                                                                   REF["covariance"]]}),
     "mean_not_a_list": json.dumps({**REF, "mean": 5.0}),
     "nan_mean": json.dumps({**REF, "mean": [float("nan"), 0, 0]}),
+    "int_overflow_mean": json.dumps({**REF, "mean": [10 ** 400, 0, 0]}),
     "asymmetric": json.dumps({**REF, "covariance": [1, 0.5, 0, 0, 1, 0, 0, 0, 1]}),
     "indefinite": json.dumps({**REF, "covariance": [1, 0, 0, 0, -1, 0, 0, 0, 1]}),
 }
@@ -1289,6 +1378,9 @@ RECORDING_DEFECTS = {
                      "duration_s must be finite"),
     "duration_inf": (lambda meta: meta.update(duration_s=float("inf")),
                      "duration_s must be finite"),
+    "fs_overflow": (_set_fs(1e308), "fs * duration_s overflows (1e+308 * 600.0)"),
+    "duration_overflow": (lambda meta: meta.update(duration_s=1e308),
+                          "fs * duration_s overflows (128.0 * 1e+308)"),
     "id_parent": (lambda meta: meta.update(recording_id="../evil"), "not a bare file name"),
     "id_subdir": (lambda meta: meta.update(recording_id="sub/evil"), "not a bare file name"),
     "id_int": (lambda meta: meta.update(recording_id=5), "not a bare file name"),
@@ -1297,6 +1389,9 @@ RECORDING_DEFECTS = {
     "fs_bool": (_set_fs(True), "must be JSON numbers"),
     "duration_string": (lambda meta: meta.update(duration_s="600"), "must be JSON numbers"),
     "duration_bool": (lambda meta: meta.update(duration_s=True), "must be JSON numbers"),
+    # JSON integers are unbounded; this one is beyond the largest float
+    "duration_int_overflow": (lambda meta: meta.update(duration_s=10 ** 400),
+                              "must be JSON numbers"),
 }
 
 

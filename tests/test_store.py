@@ -283,6 +283,24 @@ def test_files_that_cannot_all_be_written_leave_every_old_file(tmp_path):
     assert os.listdir(folder) == []
 
 
+@pytest.mark.parametrize("later,text,error", [
+    ("d", "x", IsADirectoryError),
+    ("t.txt", "x \ud800", UnicodeEncodeError),            # a lone surrogate
+])
+def test_a_write_that_fails_while_staging_has_not_written_through_a_link(
+        tmp_path, later, text, error):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old")
+    link.symlink_to(target)
+    (tmp_path / "d").mkdir()
+    with pytest.raises(error):
+        store.write_files({str(link): "new", str(tmp_path / later): text})
+    assert link.is_symlink() and target.read_text() == "old"
+    assert sorted(os.listdir(tmp_path)) == ["d", "link.txt", "target.txt"]
+    store.write_files({str(link): "new"})
+    assert link.is_symlink() and target.read_text() == "new"
+
+
 def test_a_text_that_does_not_encode_leaves_the_old_file(tmp_path):
     path = tmp_path / "t.txt"
     store.write_text(str(path), "old")
@@ -318,6 +336,10 @@ def _rewrite_bundle(manifest: Path, edit) -> None:
     store.write_bundle(str(manifest), arrays, meta)
 
 
+def _set_scalar(key, value):
+    return lambda arrays, meta: meta.update({key: value})
+
+
 # (kind, defect) -> (edit of the bundle's arrays and meta, what the error names)
 CONTENT_DEFECTS = {
     ("model", "missing_array"): (lambda arrays, meta: arrays.pop("out/w"), "'out/w'"),
@@ -328,6 +350,13 @@ CONTENT_DEFECTS = {
     # a kept feature whose standard deviation is 0 would divide by zero
     ("gp", "zero_std_kept"): (lambda arrays, meta: arrays["std_std"].__setitem__(0, 0.0),
                               "'std_std'"),
+    # the ranges gp_fit's grids draw from; _kernel squares the first two
+    **{("gp", f"{key}_{name}"): (_set_scalar(key, value), key) for key, name, value in (
+        ("length_scale", "overflow", 1e308), ("length_scale", "zero", 0),
+        ("length_scale", "negative", -1), ("length_scale", "int_overflow", 10 ** 400),
+        ("length_scale", "square_underflow", 1e-320),
+        ("signal_std", "overflow", 1e308), ("signal_std", "zero", 0),
+        ("signal_std", "negative", -2), ("noise", "negative", -10))},
     ("encoding", "missing_array"): (lambda arrays, meta: arrays.pop("EOG_X"), "'EOG_X'"),
     ("encoding", "wrong_shape"): (_transpose("EMG"), "'EMG'"),
 }
