@@ -1,8 +1,10 @@
 """Command-line surface for the pipeline.
 
 Subcommands: preprocess, encode, train, score, features, diagnose, evaluate,
-plot, run-all.  Results go to files or stdout; structured logs go to stderr
-as logfmt ``level=.. stage=.. msg=..`` lines.  Exit codes: 0 success, 2 I/O error,
+plot, run-all.  Each returns its files, ``{path: text or array}``, and any
+stdout text; ``main`` writes the files in one call, then prints the text, so
+a command that fails writes and prints nothing.  Logs go to stderr as logfmt
+``level=.. stage=.. msg=..`` lines.  Exit codes: 0 success, 2 I/O error,
 3 validation error, 4 numeric failure.
 """
 
@@ -25,7 +27,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
-from .store import as_stored, bundle_files, read_text, write_files, write_text
+from .store import as_stored, bundle_files, read_text, write_files
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -77,7 +79,7 @@ def _load_ref(path):
     return preprocess.ReferenceDistribution.from_json(read_text(path))
 
 
-def cmd_preprocess(args) -> int:
+def cmd_preprocess(args):
     psg = signal_io.load_recording(args.input)
     # the mode is not known here: the octave roles if EEG_O can be made
     roles = MONTAGE["cc"]
@@ -96,21 +98,25 @@ def cmd_preprocess(args) -> int:
            for o in files for i in bundle_files(args.input)):
         raise InvalidSpec(f"{args.input}: the montage would replace its own input; "
                           f"give another output directory")
-    write_files(files)
-    log("preprocess", f"wrote montage for {psg.recording_id}")
-    return 0
+    return files, None
 
 
-def cmd_encode(args) -> int:
-    montage = signal_io.load_recording(args.input)
-    enc = encode_recording(montage, args.mode)
-    enc.save(args.out)
-    log("encode", f"{montage.recording_id}: {args.mode} encoding written")
-    return 0
+def cmd_encode(args):
+    enc = encode_recording(signal_io.load_recording(args.input), args.mode)
+    return enc.files(args.out), None
 
 
-def cmd_train(args) -> int:
+def cmd_train(args):
+    """Every member's files; ``InvalidSpec`` before any encoding is read if
+    ``--out`` holds a member they would not replace (``_load_models`` reads all)."""
     config = neuralnet.NetworkConfig.from_json(read_text(args.config))
+    configs = neuralnet.make_ensemble(config, n=args.n_models, seed=config.seed)
+    names = [f"model{i:02d}" for i in range(len(configs))]
+    stale = sorted({os.path.basename(p) for p in _member_paths(args.out)}
+                   - {f"{name}.model.json" for name in names})
+    if stale:
+        raise InvalidSpec(f"{args.out} holds {stale}, which {len(names)} members would "
+                          f"not replace; remove them or give another --out")
     dataset = []
     for enc_path in sorted(glob.glob(os.path.join(args.data, "*.enc.json"))):
         enc = EncodedRecording.load(enc_path)
@@ -125,28 +131,32 @@ def cmd_train(args) -> int:
         scored = labels >= 0                  # UNSCORED windows are not learned
         dataset.append(({m: x[:len(labels)][scored] for m, x in batch.items()},
                         labels[scored]))
-    configs = neuralnet.make_ensemble(config, n=args.n_models, seed=config.seed)
-    for i, cfg in enumerate(configs):
+    files = {}
+    for name, cfg in zip(names, configs):
         params, history = neuralnet.train(dataset, cfg)
-        neuralnet.save_params(params, cfg, args.out, f"model{i:02d}")
-        log("train", f"model{i:02d}: {len(history)} validations, "
+        files.update(neuralnet.param_files(params, cfg, args.out, name))
+        log("train", f"{name}: {len(history)} validations, "
                      f"best={max(history) if history else float('nan'):.3f}")
         if not history or max(history) <= history[0] < 1:
-            log("train", f"model{i:02d}: validation accuracy never rose above its "
+            log("train", f"{name}: validation accuracy never rose above its "
                          "first check; the model may be untrained", level="warning")
-    return 0
+    return files, None
 
 
 # ------------------------------------------------------------------ stages
 # Each stage is one function that its subcommand and ``run-all`` both call.
+
+def _member_paths(models_dir):
+    """The manifest of each member of the ensemble in ``models_dir``."""
+    return sorted(glob.glob(os.path.join(models_dir, "*.model.json")))
+
 
 def _load_models(models_dir, mode=None, resolution=None):
     """The ensemble's (params, config) pairs.  ``InvalidSpec`` unless every
     member has one ``encoding`` and one ``segment_s``, the encoding is
     ``mode`` and ``resolution`` is a multiple of the ``segment_s`` (each
     when given)."""
-    models = [neuralnet.load_params(path) for path in
-              sorted(glob.glob(os.path.join(models_dir, "*.model.json")))]
+    models = [neuralnet.load_params(path) for path in _member_paths(models_dir)]
     if not models:
         raise HypnopipeError(f"no models found in {models_dir}")
     kinds = sorted({(cfg.encoding, cfg.segment_s) for _, cfg in models})
@@ -212,24 +222,21 @@ def _diagnose(model, cols, vectors, hla=None):
         [diagnosis.gp_predict(model, v.values[cols][None, :])[0][0] for v in vectors], hla)
 
 
-def cmd_score(args) -> int:
+def cmd_score(args):
     models = _load_models(args.models)
     enc = EncodedRecording.load(args.input)
     _, ens = _score_ensemble(models, enc)
-    write_text(args.out, ens.to_csv())
     log("score", f"{enc.recording_id}: {len(models)} models, "
                  f"{len(ens.probs)} segments")
-    return 0
+    return {args.out: ens.to_csv()}, None
 
 
-def cmd_features(args) -> int:
+def cmd_features(args):
     vec = _feature_vector(hypnodensity.Hypnodensity.from_csv(read_text(args.input)))
-    write_text(args.out, vec.to_json() if args.out.endswith(".json") else vec.to_csv())
-    log("features", f"481 features written to {args.out}")
-    return 0
+    return {args.out: vec.to_json() if args.out.endswith(".json") else vec.to_csv()}, None
 
 
-def cmd_diagnose(args) -> int:
+def cmd_diagnose(args):
     needed, ignored = ((("matrix", "out"), ("model", "input", "hla")) if args.fit
                        else (("model", "input"), ("matrix", "seed")))
     wrong = ([f"needs --{name}" for name in needed if getattr(args, name) is None]
@@ -249,21 +256,16 @@ def cmd_diagnose(args) -> int:
         sel = diagnosis.rfe(X, y, seed=args.seed or 0)
         cols = sel.selected if len(sel.selected) else np.arange(X.shape[1])
         model = diagnosis.gp_fit(X[:, cols], np.where(y > 0, 1.0, -1.0))
-        write_files({**model.files(args.out),
-                     os.path.join(args.out, diagnosis.SELECTION_FILE):
-                         json.dumps({"selected": cols.tolist(),
-                                     "frequency": sel.frequency.tolist()})})
         log("diagnose", f"GP fit on {len(cols)} selected features")
-        return 0
+        return {**model.files(args.out),
+                os.path.join(args.out, diagnosis.SELECTION_FILE):
+                    json.dumps({"selected": cols.tolist(),
+                                "frequency": sel.frequency.tolist()})}, None
     model, cols = _load_gp(args.model)
     vec = features.FeatureVector.from_json(read_text(args.input))
     report = _diagnose(model, cols, [vec], args.hla)
-    if args.out:
-        write_text(args.out, report.to_json())
-    else:
-        print(report.to_json())
     log("diagnose", f"score={report.score:.4f} label={report.label}")
-    return 0
+    return ({args.out: report.to_json()}, None) if args.out else ({}, report.to_json())
 
 
 def _read_numeric_csv(path):
@@ -293,37 +295,29 @@ def _read_numeric_csv(path):
     return data
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args):
     if not np.isfinite(args.threshold):
         raise InvalidSpec(f"evaluate --threshold must be finite, got {args.threshold}")
     data = _read_numeric_csv(args.scores)
     if data.shape[1] != 2:
         raise ShapeMismatch(f"{args.scores}: evaluate reads two columns, score and label")
     res = diagnosis.evaluate(data[:, 0], data[:, 1] == 1, threshold=args.threshold)
-    write_text(args.out, "fpr,tpr\n" + "".join(f"{fpr:.6g},{tpr:.6g}\n"
-                                                for fpr, tpr in res["roc"]))
     log("evaluate", f"auc={res['auc']:.4f} sens={res['sensitivity']:.4f} "
                     f"spec={res['specificity']:.4f}")
-    print(json.dumps({k: res[k] for k in
-                      ("sensitivity", "sensitivity_ci", "specificity", "specificity_ci",
-                       "auc", "threshold")}))
-    return 0
+    roc = "fpr,tpr\n" + "".join(f"{fpr:.6g},{tpr:.6g}\n" for fpr, tpr in res["roc"])
+    return {args.out: roc}, json.dumps({k: res[k] for k in (
+        "sensitivity", "sensitivity_ci", "specificity", "specificity_ci", "auc", "threshold")})
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args):
     hd = hypnodensity.Hypnodensity.from_csv(read_text(args.input))
-    write_text(args.out, hypnodensity_svg(hd))
-    log("plot", f"wrote {args.out}")
-    return 0
+    return {args.out: hypnodensity_svg(hd)}, None
 
 
-def cmd_run_all(args) -> int:
-    """Every stage in memory; the four output files are written only once
-    all stages have succeeded, and the models and GP are read first."""
-    cfg = load_config(args.config, {
-        "recording": args.recording, "out_dir": args.out_dir,
-    })
-    out_dir = cfg["out_dir"]
+def cmd_run_all(args):
+    """The four output files, from every stage run in memory; the models and
+    GP are read first."""
+    cfg = load_config(args.config, {"recording": args.recording, "out_dir": args.out_dir})
     models = _load_models(cfg["models_dir"], cfg.get("mode"), cfg.get("resolution"))
     mode = models[0][1].encoding
     gp, cols = _load_gp(cfg["gp_model"])
@@ -353,10 +347,8 @@ def cmd_run_all(args) -> int:
                "hypnodensity.svg": hypnodensity_svg(ens),
                "features.csv": vec.to_csv(),
                "diagnosis.json": rep.to_json()}
-    write_files({os.path.join(out_dir, f"{rid}.{suffix}"): text
-                 for suffix, text in outputs.items()})
-    log("run-all", f"{rid}: wrote {len(outputs)} files to {out_dir}")
-    return 0
+    return {os.path.join(cfg["out_dir"], f"{rid}.{suffix}"): text
+            for suffix, text in outputs.items()}, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        files, stdout = args.func(args)
+        write_files(files)
+        if stdout is not None:
+            print(stdout)
+        if files:
+            log(args.command, f"wrote {len(files)} file{'s' * (len(files) > 1)} to "
+                              f"{os.path.commonpath(list(files))}")
+        return 0
     except (CholeskyFailure, NaNGradient, np.linalg.LinAlgError,
             FloatingPointError) as e:
         log(args.command, str(e), level="error")

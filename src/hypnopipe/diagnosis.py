@@ -165,8 +165,7 @@ class GPModel:
                       {k: getattr(self, k) for k in _GP_SCALARS})
 
     def save(self, directory: str) -> str:
-        write_files(self.files(directory))
-        return os.path.join(directory, GP_FILE)
+        return write_files(self.files(directory))
 
     @classmethod
     def load(cls, path: str) -> "GPModel":
@@ -202,8 +201,9 @@ class GPModel:
 
 
 def _sqdist(Xa, Xb):
-    """Squared Euclidean distances between rows, clipped at 0 against rounding."""
-    return np.maximum(np.sum(Xa ** 2, axis=1)[:, None] + np.sum(Xb ** 2, axis=1)[None, :]
+    """Squared Euclidean distances between rows in float64, clipped at 0 against rounding."""
+    return np.maximum(np.sum(np.square(Xa, dtype=float), axis=1)[:, None]
+                      + np.sum(np.square(Xb, dtype=float), axis=1)[None, :]
                       - 2.0 * Xa @ Xb.T, 0.0)
 
 

@@ -32,7 +32,7 @@ from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
 from .pool import thread_map
 from .preprocess import TARGET_FS, butter_zero_phase
 from .signal_io import PolySignalSet
-from .store import check_shapes, is_file_name, read_bundle, write_bundle
+from .store import bundle, check_shapes, is_file_name, read_bundle, write_files
 
 OCTAVE_CUTOFFS_HZ = (49.0, 25.0, 12.5, 6.25, 3.125)
 P95_WINDOW_S = 90 * 60      # 90 minute windows
@@ -88,13 +88,16 @@ class EncodedRecording:
     mode: str                      # "octave" or "cc"
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def save(self, directory: str) -> str:
+    def files(self, directory: str) -> dict:
+        """The files of the encoding's bundle in ``directory``, for ``write_files``."""
         meta = {"recording_id": self.recording_id, "mode": self.mode, "fs": TARGET_FS}
         if self.mode == "cc":
             meta["row_s"] = CC_WINDOW_S
-        return write_bundle(
-            os.path.join(directory, f"{self.recording_id}.{self.mode}.enc.json"),
-            self.tensors, meta)
+        return bundle(os.path.join(directory, f"{self.recording_id}.{self.mode}.enc.json"),
+                      self.tensors, meta)
+
+    def save(self, directory: str) -> str:
+        return write_files(self.files(directory))
 
     @classmethod
     def load(cls, path: str) -> "EncodedRecording":

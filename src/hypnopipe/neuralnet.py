@@ -33,7 +33,7 @@ from .encoding import (CC_PARAMS, CC_TENSORS, CC_WINDOW_S, INPUTS, MODES,
                        OCTAVE_CUTOFFS_HZ, EncodedRecording)
 from .preprocess import TARGET_FS
 from .signal_io import VALID_EPOCH_S
-from .store import check_shapes, read_bundle, write_bundle
+from .store import bundle, check_shapes, read_bundle, write_files
 
 # Training constants
 WEIGHT_DECAY = 0.00001
@@ -555,9 +555,14 @@ def modality_shapes_for(encoding: str, segment_s: int) -> dict:
 
 # ---------------------------------------------------------------- archive
 
+def param_files(params, config: NetworkConfig, directory: str, name: str) -> dict:
+    """The files of the model bundle ``<name>.model.json``, for ``write_files``."""
+    return bundle(os.path.join(directory, f"{name}.model.json"), params,
+                  {"config": json.loads(config.to_json())})
+
+
 def save_params(params, config: NetworkConfig, directory: str, name: str) -> str:
-    return write_bundle(os.path.join(directory, f"{name}.model.json"), params,
-                        {"config": json.loads(config.to_json())})
+    return write_files(param_files(params, config, directory, name))
 
 
 def load_params(path: str):

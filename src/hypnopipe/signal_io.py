@@ -48,7 +48,7 @@ VALID_EPOCH_S = (5, 10, 15, 30)
 
 @dataclass
 class Channel:
-    samples: np.ndarray  # microvolts; float64 as read, float32 as run-all hands it on
+    samples: np.ndarray  # microvolts; float32 as stored, float64 as preprocess makes it
     fs: float
 
 
@@ -119,9 +119,7 @@ def recording_files(psg: PolySignalSet, directory: str) -> dict:
 
 def save_recording(psg: PolySignalSet, directory: str) -> str:
     """Write the recording's files; returns the meta path."""
-    files = recording_files(psg, directory)
-    write_files(files)
-    return list(files)[-1]
+    return write_files(recording_files(psg, directory))
 
 
 def load_recording(path: str) -> PolySignalSet:

@@ -7,11 +7,13 @@ little-endian float32 in C order.  Besides the caller's metadata the manifest
 carries ``format`` (the version below) and ``arrays``, which maps each key to
 ``{"shape": [...], "blob": name}``.  The blobs are renamed into place first
 and the manifest last, so a manifest never names a blob that was not
-completely written.
+completely written.  An array is read back as stored, float32 (``as_stored``
+states it); the code that computes with it converts it to float64 there.
 
-Every file is written by one rule, ``write_files``'s: each file of a command
-is written to a temporary file next to its path, and only once all of them
-are written are they renamed over their paths (``os.replace``), in order.  A
+Every file is written by one rule, ``write_files``'s, and ``cli.main`` makes
+the one call for each command, with all of its files: each file is written
+to a temporary file next to its path, and only once all of them are written
+are they renamed over their paths (``os.replace``), in order.  A
 reader, or a map, of a previous file keeps the previous bytes, and a write
 that fails before the first rename leaves every previous file as it was and
 no temporary file.  A target that exists and is not a regular file, or is a
@@ -36,14 +38,9 @@ FORMAT = 1
 _DTYPE = np.dtype("<f4")
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, by the rule above."""
-    write_files({path: text})
-
-
-def write_files(files: dict) -> None:
+def write_files(files: dict) -> str | None:
     """Write each ``path -> data`` of ``files`` by the rule above, making
-    missing parent directories."""
+    missing parent directories; returns the last path, a bundle's manifest."""
     staged = {}         # path -> its temporary file, or the data to write in place
     try:
         for path, data in files.items():
@@ -60,6 +57,7 @@ def write_files(files: dict) -> None:
             if isinstance(tmp, str) and os.path.exists(tmp):
                 os.unlink(tmp)
         raise
+    return next(reversed(files), None)
 
 
 def as_stored(arr) -> np.ndarray:
@@ -83,12 +81,6 @@ def _stage(path: str, data, staged: dict) -> None:
     with open(tmp, "xb") as f:
         staged[path] = tmp
         f.write(data)
-
-
-def write_bundle(manifest_path: str, arrays: dict, meta: dict) -> str:
-    """Write ``bundle(manifest_path, arrays, meta)``; returns ``manifest_path``."""
-    write_files(bundle(manifest_path, arrays, meta))
-    return manifest_path
 
 
 def bundle(manifest_path: str, arrays: dict, meta: dict) -> dict:
@@ -166,7 +158,7 @@ def _manifest(manifest_path: str) -> tuple[dict, dict]:
 
 
 def read_bundle(manifest_path: str) -> tuple[dict, dict]:
-    """``(arrays, meta)`` of a bundle; arrays come back as float64.
+    """``(arrays, meta)`` of a bundle; arrays come back as stored, float32.
 
     Raises ``CorruptHeader`` for an unreadable manifest, an unknown
     ``format`` or a bad arrays table (a shape that is not a list of
@@ -198,7 +190,7 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
         if not finite.all():
             raise InvalidValues(f"{manifest_path}: array {key!r} has a non-finite value "
                                 f"at flat index {int(np.argmin(finite))}")
-        arrays[key] = data.astype(np.float64).reshape(shape)
+        arrays[key] = data.reshape(shape)
     return arrays, meta
 
 

@@ -15,7 +15,8 @@ import pytest
 from hypnopipe import cli, diagnosis, features, neuralnet, preprocess, signal_io, store
 from hypnopipe.encoding import MONTAGE, EncodedRecording, encode_recording
 from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile,
-                              IncompatibleResolution, InvalidValues, ShapeMismatch)
+                              IncompatibleResolution, InvalidValues, NaNGradient,
+                              ShapeMismatch)
 from hypnopipe.hypnodensity import Hypnodensity, aggregate_resolution, ensemble_hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
@@ -197,6 +198,11 @@ def train_log(capsys):
             map(parse_log_line, capsys.readouterr().err.splitlines())]
 
 
+def wrote(directory):
+    """The line ``main`` logs once it has written every file in ``directory``."""
+    return "info", f"wrote {len(os.listdir(directory))} files to {directory}"
+
+
 def test_train_warns_of_a_member_that_never_beat_its_first_validation(tmp_path, capsys):
     """Windows of one content cannot be told apart: validation accuracy
     stays at its first check and early stopping ends after 4 checks."""
@@ -204,15 +210,17 @@ def test_train_warns_of_a_member_that_never_beat_its_first_validation(tmp_path, 
     assert train_log(capsys) == [
         ("info", "model00: 4 validations, best=0.500"),
         ("warning", "model00: validation accuracy never rose above its first check; "
-                    "the model may be untrained")]
+                    "the model may be untrained"),
+        wrote(tmp_path / "m")]
 
 
 # the smaller member is perfect at its first check, the larger one only later
 @pytest.mark.parametrize("conv_features", [[3, 4], [4, 8]])
 def test_train_does_not_warn_of_a_member_that_learned(tmp_path, capsys, conv_features):
     assert train_on(tmp_path, separable_windows, conv_features) == 0
-    (level, msg), = train_log(capsys)
+    (level, msg), last = train_log(capsys)
     assert level == "info" and msg.endswith("best=1.000")
+    assert last == wrote(tmp_path / "m")
 
 
 @pytest.mark.parametrize("epoch_s,segment_s", [(5, 15), (15, 10)])
@@ -236,6 +244,107 @@ def test_train_rejects_epoch_not_a_multiple_of_segment(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"epoch_s {epoch_s} " in err and f"segment_s {segment_s}" in err
     assert not out.exists() or not os.listdir(out)
+
+
+def train_argv(tmp_path, n_models):
+    """``train`` of ``n_models`` members into ``tmp_path/m``, on two 60 s CC
+    recordings labelled N2."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    for rid in ("a", "b"):
+        EncodedRecording(recording_id=rid, mode="cc", tensors={
+            k: rng.random((12, n)) for k, n in CC_LAGS}).save(str(data))
+        save_hypnogram(HypnogramLabels(["N2", "N2"], epoch_s=30), str(data / f"{rid}.hyp.txt"))
+    config = tmp_path / "net.json"
+    config.write_text(neuralnet.NetworkConfig(mode="FF", segment_s=5).to_json())
+    return ["train", "--config", str(config), "--data", str(data),
+            "--out", str(tmp_path / "m"), "--n-models", str(n_models)]
+
+
+def fake_train(calls):
+    """A ``neuralnet.train`` whose params differ from call to call."""
+    def train(dataset, cfg):
+        calls.append(cfg)
+        return {k: v + len(calls) for k, v in neuralnet.init_params(cfg).items()}, []
+    return train
+
+
+def test_train_refuses_to_leave_members_it_would_not_replace(tmp_path, monkeypatch,
+                                                              capsys):
+    """Two members over an ensemble of three would leave model02, which
+    ``score`` and ``run-all`` read with the new two."""
+    calls = []
+    monkeypatch.setattr(cli.neuralnet, "train", fake_train(calls))
+    argv = train_argv(tmp_path, 3)
+    assert cli.main(argv) == 0 and len(calls) == 3
+    before = _bytes_under(tmp_path)
+    monkeypatch.setattr(cli.EncodedRecording, "load", never_read)
+    capsys.readouterr()
+    assert cli.main(argv[:-1] + ["2"]) == 3
+    err = capsys.readouterr().err
+    assert "'model02.model.json'" in err and "Traceback" not in err
+    assert len(calls) == 3 and _bytes_under(tmp_path) == before
+
+
+def test_train_that_fails_on_a_member_leaves_the_previous_ensemble(tmp_path, monkeypatch,
+                                                                   capsys):
+    """The second member's ``NaNGradient`` (exit 4) comes after the first was
+    trained; no member is written, so no new member sits by an old one."""
+    calls = []
+    monkeypatch.setattr(cli.neuralnet, "train", fake_train(calls))
+    argv = train_argv(tmp_path, 2)
+    assert cli.main(argv) == 0
+    before = _bytes_under(tmp_path)
+    train = fake_train(calls)
+
+    def fails_second(dataset, cfg):
+        if len(calls) == 3:                 # this run's model00 is trained
+            raise NaNGradient("loss is nan")
+        return train(dataset, cfg)
+    monkeypatch.setattr(cli.neuralnet, "train", fails_second)
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert len(calls) == 3 and captured.out == "" and "Traceback" not in captured.err
+    assert _bytes_under(tmp_path) == before
+
+
+def _evaluate_into_a_directory(tmp_path, workspace, monkeypatch):
+    (tmp_path / "scores.csv").write_text("score,label\n0.9,1\n-0.7,0\n")
+    (tmp_path / "roc.csv").mkdir()
+    return ["evaluate", str(tmp_path / "scores.csv"), "--out", str(tmp_path / "roc.csv")]
+
+
+def _diagnose_into_a_directory(tmp_path, workspace, monkeypatch):
+    shutil.copytree(workspace["gp"], tmp_path / "gp")
+    (tmp_path / "vec.json").write_text(vector_json())
+    (tmp_path / "report.json").mkdir()
+    return ["diagnose", "--model", str(tmp_path / "gp"), "--input", str(tmp_path / "vec.json"),
+            "--out", str(tmp_path / "report.json")]
+
+
+def _train_into_a_directory(tmp_path, workspace, monkeypatch):
+    monkeypatch.setattr(cli.neuralnet, "train", fake_train([]))
+    (tmp_path / "m" / "model01.model.json").mkdir(parents=True)
+    return train_argv(tmp_path, 2)
+
+
+@pytest.mark.parametrize("setup", [
+    _evaluate_into_a_directory, _diagnose_into_a_directory, _train_into_a_directory,
+], ids=["evaluate", "diagnose", "train"])
+def test_a_command_whose_commit_fails_writes_and_prints_nothing(workspace, tmp_path,
+                                                                 monkeypatch, capsys, setup):
+    """One of the command's outputs is a directory, so ``main``'s commit of
+    its files fails (exit 2): no file is written, the summary or report is
+    not printed, and nothing says it was written."""
+    argv = setup(tmp_path, workspace, monkeypatch)
+    before = _bytes_under(tmp_path)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "wrote" not in captured.err and "level=error" in captured.err
+    assert _bytes_under(tmp_path) == before
 
 
 def test_preprocess_then_encode(workspace, tmp_path):
@@ -684,6 +793,40 @@ def test_run_all_writes_what_the_staged_chain_writes(workspace, tmp_path, member
     for suffix in ("hypnodensity.csv", "hypnodensity.svg", "features.csv"):
         assert (one / f"rec1.{suffix}").read_bytes() == \
             (staged / f"rec1.{suffix}").read_bytes(), suffix
+
+
+def test_run_all_hands_each_stage_what_the_subcommands_files_hold(workspace, tmp_path,
+                                                                  monkeypatch):
+    """The montage that ``run-all`` encodes and the encoding it scores are,
+    dtype and bytes, what ``load_recording`` and ``EncodedRecording.load``
+    read from the files of ``preprocess`` and ``encode``."""
+    staged = tmp_path / "staged"
+    assert cli.main(["preprocess", workspace["meta"], str(staged)]) == 0
+    assert cli.main(["encode", str(staged / "rec1.psgmeta.json"), str(staged),
+                     "--mode", "cc"]) == 0
+    montage = signal_io.load_recording(str(staged / "rec1.psgmeta.json"))
+    enc = EncodedRecording.load(str(staged / "rec1.cc.enc.json"))
+    handed, score_ensemble = {}, cli._score_ensemble
+
+    def encode(montage, mode):
+        handed["montage"] = montage
+        return encode_recording(montage, mode)
+
+    def score(models, enc, resolution=None):
+        handed["enc"] = enc
+        return score_ensemble(models, enc, resolution)
+    monkeypatch.setattr(cli, "encode_recording", encode)
+    monkeypatch.setattr(cli, "_score_ensemble", score)
+    assert cli.main(["run-all", "--config", workspace["config"],
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    channels = handed["montage"].channels
+    assert sorted(channels) == sorted(MONTAGE["cc"])
+    assert sorted(handed["enc"].tensors) == sorted(enc.tensors)
+    pairs = [*((ch.samples, montage.channels[role].samples) for role, ch in channels.items()),
+             *((x, enc.tensors[name]) for name, x in handed["enc"].tensors.items())]
+    for got, read in pairs:
+        assert got.dtype == read.dtype == np.float32 and got.tobytes() == read.tobytes()
+    assert all(ch.fs == montage.channels[role].fs for role, ch in channels.items())
 
 
 @pytest.mark.parametrize("change", [{"seed": 1.5}, {"seed": -1}, {"hidden": True},
@@ -1715,9 +1858,10 @@ def test_a_recording_of_no_duration_is_refused(workspace, tmp_path, capsys):
     """Seven empty channels of a 0 s recording: refused at load as the header
     defect it is, not as seven constant channels."""
     manifest = str(tmp_path / "raw" / "z.psgmeta.json")
-    store.write_bundle(manifest, {role: np.zeros(0) for role in signal_io.ROLES},
-                       {"recording_id": "z", "duration_s": 0.0,
-                        "channels": {role: {"fs": 256.0} for role in signal_io.ROLES}})
+    store.write_files(store.bundle(
+        manifest, {role: np.zeros(0) for role in signal_io.ROLES},
+        {"recording_id": "z", "duration_s": 0.0,
+         "channels": {role: {"fs": 256.0} for role in signal_io.ROLES}}))
     with pytest.raises(CorruptHeader, match="duration_s"):
         signal_io.load_recording(manifest)
     assert cli.main(["preprocess", manifest, str(tmp_path / "m")]) == 3

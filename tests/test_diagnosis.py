@@ -167,6 +167,23 @@ def test_gp_archive_round_trip(tmp_path, rng):
     assert np.max(np.abs(a - b)) < 1e-4
 
 
+def test_a_loaded_gp_scores_as_its_float64_copy(tmp_path, rng):
+    """A loaded GP's arrays are float32, as stored; the kernel squares them
+    in float64, so the scores and variances are those of float64 copies."""
+    X, y = blobs(rng, n_per=25, d=3)
+    back = dg.GPModel.load(dg.gp_fit(X, y).save(str(tmp_path)))
+    std = back.standardizer
+    wide = dg.GPModel(
+        X=back.X.astype(float), grad_ll=back.grad_ll.astype(float),
+        W_sqrt=back.W_sqrt.astype(float), L=back.L.astype(float),
+        standardizer=dg.Standardizer(mean=std.mean.astype(float),
+                                     std=std.std.astype(float), keep=std.keep),
+        **{k: getattr(back, k) for k in dg._GP_SCALARS})
+    assert back.X.dtype == np.float32
+    for got, want in zip(dg.gp_predict(back, X), dg.gp_predict(wide, X)):
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 def _gp_fit_kernel_per_point(X, y):
     """``gp_fit`` as it was when each of the 45 grid points built its own
     kernel, ``_kernel(Z, Z, ell, sf) + noise * I``, distances included."""

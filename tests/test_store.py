@@ -149,12 +149,42 @@ def test_encoding_manifest_defect_raises_corrupt_header_and_exits_3(
 
 def test_bundle_round_trip_leaves_only_manifest_and_blobs(tmp_path):
     arrays = {"a/b": np.arange(6.0).reshape(2, 3), "s": np.float64(2.5)}
-    path = store.write_bundle(str(tmp_path / "x.kind.json"), arrays, {"note": "n"})
+    path = store.write_files(store.bundle(str(tmp_path / "x.kind.json"), arrays,
+                                          {"note": "n"}))
     back, meta = store.read_bundle(path)
     assert meta == {"note": "n"}
     assert {k: v.tolist() for k, v in back.items()} == {k: np.asarray(v).tolist()
                                                         for k, v in arrays.items()}
     assert sorted(os.listdir(tmp_path)) == ["x.a_b.f32le", "x.kind.json", "x.s.f32le"]
+
+
+def test_every_bundle_kind_reads_back_what_its_blobs_hold(tmp_path, rng):
+    """Arrays are float32 at rest and as read: each array a recording,
+    encoding, model or GP loads is bitwise ``as_stored`` of what was written."""
+    psg = make_montage(duration_s=60.0)
+    rec = signal_io.load_recording(signal_io.save_recording(psg, str(tmp_path)))
+    enc = EncodedRecording(recording_id="r", mode="cc", tensors={
+        k: rng.standard_normal((12, n)) for k, n in (
+            ("EEG", 201), ("EOG_L", 401), ("EOG_R", 401), ("EOG_X", 401), ("EMG", 41))})
+    enc_back = EncodedRecording.load(enc.save(str(tmp_path)))
+    cfg = neuralnet.NetworkConfig(mode="FF", segment_s=5)
+    params = {k: v + rng.standard_normal(v.shape)
+              for k, v in neuralnet.init_params(cfg).items()}
+    params_back, _ = neuralnet.load_params(
+        neuralnet.save_params(params, cfg, str(tmp_path), "m"))
+    y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
+    gp = diagnosis.gp_fit(rng.standard_normal((40, 3)) + y[:, None], y)
+    gp_back = diagnosis.GPModel.load(gp.save(str(tmp_path)))
+    pairs = [*((rec.channels[r].samples, ch.samples) for r, ch in psg.channels.items()),
+             *((enc_back.tensors[k], x) for k, x in enc.tensors.items()),
+             *((params_back[k], x) for k, x in params.items()),
+             *((getattr(gp_back, k), getattr(gp, k)) for k in ("X", "grad_ll", "W_sqrt", "L")),
+             *((getattr(gp_back.standardizer, k), getattr(gp.standardizer, k))
+               for k in ("mean", "std"))]
+    assert len(pairs) == len(psg.channels) + 5 + len(params) + 6
+    for got, wrote in pairs:
+        assert got.dtype == np.float32 and got.shape == np.shape(wrote)
+        assert got.tobytes() == store.as_stored(wrote).tobytes()
 
 
 def test_only_store_reads_or_writes_blobs():
@@ -190,6 +220,39 @@ def test_only_store_writes_files():
                  for node in ast.walk(ast.parse(p.read_text()))
                  if isinstance(node, ast.Call) and _writes_a_file(node)]
     assert offenders == []
+
+
+def _called(node) -> list:
+    """The name of each function called under ``node``: ``f`` of ``f(..)``
+    and of ``x.f(..)``."""
+    return [c.func.attr if isinstance(c.func, ast.Attribute) else getattr(c.func, "id", "")
+            for c in ast.walk(node) if isinstance(c, ast.Call)]
+
+
+def _commits(name: str) -> bool:
+    """Whether a call of ``name`` writes a file or prints: a command's part
+    that ``cli.main`` does for it."""
+    return name == "print" or name.startswith(("save", "write_"))
+
+
+def test_cli_main_is_the_one_commit_site():
+    """Each command returns its files and stdout text; ``main`` makes the
+    one ``write_files`` call, so a command that fails writes and prints
+    nothing."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    calls = {f.name: _called(f) for f in tree.body if isinstance(f, ast.FunctionDef)}
+    assert _called(tree).count("write_files") == calls["main"].count("write_files") == 1
+    offenders = [f"{name}: {called}" for name, names in calls.items()
+                 if name.startswith("cmd_") for called in names if _commits(called)]
+    assert offenders == []
+    assert not hasattr(store, "write_text")
+
+
+def test_the_commit_site_check_sees_each_way_to_write():
+    calls = _called(ast.parse("print(x); enc.save(d); neuralnet.save_params(p, c, d, n); "
+                              "write_files(f); store.write_text(p, t); len(x)"))
+    assert [c for c in calls if _commits(c)] == \
+        ["print", "save", "save_params", "write_files", "write_text"]
 
 
 def _renames(tree):
@@ -229,12 +292,12 @@ def test_the_write_check_sees_each_way_to_write():
 
 def test_rewriting_a_bundle_leaves_open_readers_the_old_blobs(tmp_path):
     manifest = str(tmp_path / "x.kind.json")
-    store.write_bundle(manifest, {"a": np.arange(4.0)}, {})
+    store.write_files(store.bundle(manifest, {"a": np.arange(4.0)}, {}))
     blob = tmp_path / "x.a.f32le"
     old = blob.read_bytes()
     mapped = np.memmap(blob, dtype="<f4", mode="r")
     with open(blob, "rb") as reader:
-        store.write_bundle(manifest, {"a": -np.arange(4.0)}, {})
+        store.write_files(store.bundle(manifest, {"a": -np.arange(4.0)}, {}))
         assert reader.read() == old
     assert mapped.tolist() == [0.0, 1.0, 2.0, 3.0]
     assert store.read_bundle(manifest)[0]["a"].tolist() == [-0.0, -1.0, -2.0, -3.0]
@@ -248,10 +311,11 @@ class _Unconvertible:
 
 def test_a_bundle_whose_array_does_not_convert_leaves_the_old_bundle(tmp_path):
     manifest = str(tmp_path / "x.kind.json")
-    store.write_bundle(manifest, {"a": np.zeros(3), "b": np.zeros(3)}, {"v": 1})
+    store.write_files(store.bundle(manifest, {"a": np.zeros(3), "b": np.zeros(3)}, {"v": 1}))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(ValueError, match="no array here"):
-        store.write_bundle(manifest, {"a": np.ones(3), "b": _Unconvertible()}, {"v": 2})
+        store.write_files(store.bundle(manifest, {"a": np.ones(3), "b": _Unconvertible()},
+                                       {"v": 2}))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     arrays, meta = store.read_bundle(manifest)
     assert arrays["a"].tolist() == arrays["b"].tolist() == [0.0, 0.0, 0.0]
@@ -260,11 +324,11 @@ def test_a_bundle_whose_array_does_not_convert_leaves_the_old_bundle(tmp_path):
 
 def test_a_bundle_whose_meta_does_not_encode_leaves_the_old_bundle(tmp_path):
     manifest = str(tmp_path / "x.kind.json")
-    store.write_bundle(manifest, {"a": np.zeros(3), "b": np.zeros(3)}, {"v": 1})
+    store.write_files(store.bundle(manifest, {"a": np.zeros(3), "b": np.zeros(3)}, {"v": 1}))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     with pytest.raises(TypeError, match="float32"):
-        store.write_bundle(manifest, {"a": np.ones(3), "b": np.ones(3)},
-                           {"v": np.float32(2)})
+        store.write_files(store.bundle(manifest, {"a": np.ones(3), "b": np.ones(3)},
+                                       {"v": np.float32(2)}))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     arrays, meta = store.read_bundle(manifest)
     assert arrays["a"].tolist() == arrays["b"].tolist() == [0.0, 0.0, 0.0]
@@ -303,23 +367,23 @@ def test_a_write_that_fails_while_staging_has_not_written_through_a_link(
 
 def test_a_text_that_does_not_encode_leaves_the_old_file(tmp_path):
     path = tmp_path / "t.txt"
-    store.write_text(str(path), "old")
+    store.write_files({str(path): "old"})
     with pytest.raises(UnicodeEncodeError):
-        store.write_text(str(path), "new \ud800")          # a lone surrogate
+        store.write_files({str(path): "new \ud800"})       # a lone surrogate
     assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["t.txt"]
 
 
 def test_a_write_that_fails_part_way_leaves_the_old_file_and_no_temporary(
         tmp_path, monkeypatch):
     path = tmp_path / "t.txt"
-    store.write_text(str(path), "old")
+    store.write_files({str(path): "old"})
 
     def no_rename(src, dst):
         assert Path(src).read_bytes() == "néw".encode()    # written whole, as UTF-8
         raise OSError("rename refused")
     monkeypatch.setattr(os, "replace", no_rename)
     with pytest.raises(OSError, match="rename refused"):
-        store.write_text(str(path), "néw")
+        store.write_files({str(path): "néw"})
     assert path.read_bytes() == b"old" and os.listdir(tmp_path) == ["t.txt"]
 
 
@@ -333,7 +397,7 @@ def _rewrite_bundle(manifest: Path, edit) -> None:
     """The bundle written again with ``edit(arrays, meta)`` applied."""
     arrays, meta = store.read_bundle(str(manifest))
     edit(arrays, meta)
-    store.write_bundle(str(manifest), arrays, meta)
+    store.write_files(store.bundle(str(manifest), arrays, meta))
 
 
 def _set_scalar(key, value):
@@ -479,8 +543,8 @@ def test_a_gp_bundle_with_the_retired_y_and_f_hat_still_loads(bundles, tmp_path)
     arrays, meta = store.read_bundle(path)
     assert "y" not in arrays and "f_hat" not in arrays
     n = len(arrays["X"])
-    old = store.write_bundle(str(tmp_path / "gp.gp.json"),
-                             {**arrays, "y": np.ones(n), "f_hat": np.zeros(n)}, meta)
+    old = store.write_files(store.bundle(
+        str(tmp_path / "gp.gp.json"), {**arrays, "y": np.ones(n), "f_hat": np.zeros(n)}, meta))
     x = np.arange(3.0)[None, :]
     for a, b in zip(diagnosis.gp_predict(diagnosis.GPModel.load(old), x),
                     diagnosis.gp_predict(diagnosis.GPModel.load(path), x)):
@@ -500,9 +564,10 @@ def _point_blob(key, name):
     _point_blob("a", "../outside/x.a.f32le"),
 ], ids=["negative_shape", "blob_outside"])
 def test_a_manifest_naming_what_it_may_not_is_corrupt(tmp_path, edit):
-    store.write_bundle(str(tmp_path / "outside" / "x.kind.json"), {"a": np.ones(4)}, {})
-    path = store.write_bundle(str(tmp_path / "inside" / "x.kind.json"),
-                              {"a": np.zeros((2, 2))}, {})
+    store.write_files(store.bundle(str(tmp_path / "outside" / "x.kind.json"),
+                                   {"a": np.ones(4)}, {}))
+    path = store.write_files(store.bundle(str(tmp_path / "inside" / "x.kind.json"),
+                                          {"a": np.zeros((2, 2))}, {}))
     _edit_manifest(Path(path), edit)
     with pytest.raises(CorruptHeader, match="'a'|shape|blob"):
         store.read_bundle(path)
@@ -552,8 +617,9 @@ def _apply(defect, manifest: Path):
 def test_read_bundle_raises_a_typed_error_on_any_defect(defect):
     with tempfile.TemporaryDirectory() as d:
         # what a blob path leaving the directory would find
-        store.write_bundle(os.path.join(d, "outside", "x.kind.json"), BUNDLE, {})
-        path = store.write_bundle(os.path.join(d, "inside", "x.kind.json"), BUNDLE, {})
+        store.write_files(store.bundle(os.path.join(d, "outside", "x.kind.json"), BUNDLE, {}))
+        path = store.write_files(store.bundle(os.path.join(d, "inside", "x.kind.json"),
+                                              BUNDLE, {}))
         _apply(defect, Path(path))
         with pytest.raises(HypnopipeError):
             store.read_bundle(path)
