@@ -108,7 +108,8 @@ def cmd_encode(args):
 
 def cmd_train(args):
     """Every member's files; ``InvalidSpec`` before any encoding is read if
-    ``--out`` holds a member they would not replace (``_load_models`` reads all)."""
+    ``--out`` holds a member they would not replace (``_load_models`` reads all),
+    and before any trains if an encoding is not ``<id>.<mode>.enc.json``."""
     config = neuralnet.NetworkConfig.from_json(read_text(args.config))
     configs = neuralnet.make_ensemble(config, n=args.n_models, seed=config.seed)
     names = [f"model{i:02d}" for i in range(len(configs))]
@@ -118,9 +119,12 @@ def cmd_train(args):
         raise InvalidSpec(f"{args.out} holds {stale}, which {len(names)} members would "
                           f"not replace; remove them or give another --out")
     dataset = []
-    for enc_path in sorted(glob.glob(os.path.join(args.data, "*.enc.json"))):
+    for enc_path in sorted(glob.glob(os.path.join(glob.escape(args.data), "*.enc.json"))):
         enc = EncodedRecording.load(enc_path)
-        hyp_path = enc_path.replace(f".{enc.mode}.enc.json", ".hyp.txt")
+        suffix = f".{enc.mode}.enc.json"
+        if not enc_path.endswith(suffix):
+            raise InvalidSpec(f"{enc_path} is not <id>{suffix}, so it has no <id>.hyp.txt")
+        hyp_path = enc_path[:-len(suffix)] + ".hyp.txt"
         hyp = signal_io.load_hypnogram(hyp_path)
         if hyp.epoch_s % config.segment_s:
             raise InvalidSpec(f"{hyp_path}: epoch_s {hyp.epoch_s} is not a multiple "
@@ -148,17 +152,17 @@ def cmd_train(args):
 
 def _member_paths(models_dir):
     """The manifest of each member of the ensemble in ``models_dir``."""
-    return sorted(glob.glob(os.path.join(models_dir, "*.model.json")))
+    return sorted(glob.glob(os.path.join(glob.escape(models_dir), "*.model.json")))
 
 
 def _load_models(models_dir, mode=None, resolution=None):
-    """The ensemble's (params, config) pairs.  ``InvalidSpec`` unless every
-    member has one ``encoding`` and one ``segment_s``, the encoding is
-    ``mode`` and ``resolution`` is a multiple of the ``segment_s`` (each
-    when given)."""
+    """The ensemble's (params, config) pairs.  ``InvalidSpec`` unless there is
+    a member, every member has one ``encoding`` and one ``segment_s``, the
+    encoding is ``mode`` and ``resolution`` is a multiple of the ``segment_s``
+    (each when given)."""
     models = [neuralnet.load_params(path) for path in _member_paths(models_dir)]
     if not models:
-        raise HypnopipeError(f"no models found in {models_dir}")
+        raise InvalidSpec(f"{models_dir}: no *.model.json, so no ensemble to score")
     kinds = sorted({(cfg.encoding, cfg.segment_s) for _, cfg in models})
     if len(kinds) > 1:
         raise InvalidSpec(f"{models_dir}: the members mix (encoding, segment_s) "

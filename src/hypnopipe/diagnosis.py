@@ -1,15 +1,18 @@
 """Feature selection, Gaussian-process narcolepsy classifier, HLA gating, ROC.
 
 The classifier is a binary GP with a squared-exponential kernel and constant
-mean, fit by Laplace approximation with a probit likelihood; predictive
-scores are mapped to [-1, 1].  Recursive feature elimination ranks features
-by the absolute weights of an L2-regularized (ridge) linear classifier, with
-per-fold selection frequencies thresholded at 0.40.  Each fold inverts the
-ridge matrix once; removing a column is a rank-one downdate of that inverse
-and of the weights, exactly the refit on the remaining columns.  The column
-removed is the highest-indexed one whose |weight| is within
-``RFE_TIE_RTOL * max|weight|`` of the smallest, so exact ties (duplicate
-columns) and rounding-level ones are broken the same way by any solver.
+mean, fit by Laplace approximation with a probit likelihood in one Newton loop
+(one likelihood evaluation per mode; a failed factorisation in it is
+``CholeskyFailure``); predictive scores are mapped to [-1, 1], and the ROC
+counts each cut by binary search.  Recursive feature elimination ranks
+features by the absolute weights of an L2-regularized (ridge) linear
+classifier, with per-fold selection frequencies thresholded at 0.40.  Each
+fold inverts the ridge matrix once; removing a column is a rank-one downdate
+of that inverse and of the weights, exactly the refit on the remaining
+columns.  The column removed is the highest-indexed one whose |weight| is
+within ``RFE_TIE_RTOL * max|weight|`` of the smallest, so exact ties
+(duplicate columns) and rounding-level ones are broken the same way by any
+solver.
 """
 
 from __future__ import annotations
@@ -211,54 +214,43 @@ def _kernel(Xa, Xb, ell, sf):
     return sf ** 2 * np.exp(-_sqdist(Xa, Xb) / (2.0 * ell ** 2))
 
 
-def _probit_ll(y, f):
-    from scipy.special import ndtr
-
-    z = y * f
-    return np.log(np.clip(ndtr(z), 1e-300, None)).sum()
-
-
-def _probit_derivs(y, f):
+def _probit(y, f):
+    """log p(y|f) summed over the points, its gradient and W = -d2 log p/df2
+    (floored at 1e-12), from one evaluation of the normal CDF."""
     from scipy.special import ndtr
 
     z = y * f
     phi = np.exp(-0.5 * z ** 2) / np.sqrt(2 * np.pi)
     Phi = np.clip(ndtr(z), 1e-300, None)
     r = phi / Phi
-    grad = y * r
-    W = r ** 2 + z * r          # -d2 log lik / df2, positive
-    return grad, np.maximum(W, 1e-12)
+    return np.log(Phi).sum(), y * r, np.maximum(r ** 2 + z * r, 1e-12)
 
 
 def _laplace_mode(K, y, mean):
     """Newton iteration for the latent posterior mode (RW alg. 3.1 with a
-    nonzero constant mean); returns mode, grad, W_sqrt, chol, log marginal."""
+    nonzero constant mean); returns mode, grad, W_sqrt, chol, log marginal.
+    Each pass factors B at the current mode, then stops or takes one step."""
     from scipy.linalg import cho_solve, cholesky
 
     n = len(y)
     f = np.full(n, mean, dtype=float)
-    prev_obj = -np.inf
-    for _ in range(MAX_LAPLACE_ITERS):
-        grad, W = _probit_derivs(y, f)
+    obj = -np.inf
+    for step in range(MAX_LAPLACE_ITERS + 1):
+        ll, grad, W = _probit(y, f)
         sw = np.sqrt(W)
-        B = np.eye(n) + sw[:, None] * K * sw[None, :]
         try:
-            Lc = cholesky(B, lower=True)
+            Lc = cholesky(np.eye(n) + sw[:, None] * K * sw[None, :], lower=True)
         except np.linalg.LinAlgError as e:
             raise CholeskyFailure(str(e)) from e
+        if step:
+            # f = mean + K a, so a'(f - mean) is (f - mean)' K^-1 (f - mean)
+            # (RW alg. 3.1 line 10)
+            prev, obj = obj, ll - 0.5 * float(a @ (f - mean))
+            if abs(obj - prev) < 1e-9 or step == MAX_LAPLACE_ITERS:
+                break
         b = W * (f - mean) + grad
         a = b - sw * cho_solve((Lc, True), sw * (K @ b))
         f = mean + K @ a
-        obj = _probit_ll(y, f) - 0.5 * float(a @ (f - mean))
-        if abs(obj - prev_obj) < 1e-9:
-            break
-        prev_obj = obj
-    grad, W = _probit_derivs(y, f)
-    sw = np.sqrt(W)
-    B = np.eye(n) + sw[:, None] * K * sw[None, :]
-    Lc = cholesky(B, lower=True)
-    # f = mean + K a, so obj's a'(f - mean) is (f - mean)' K^-1 (f - mean)
-    # (RW alg. 3.1 line 10)
     return f, grad, sw, Lc, obj - float(np.log(np.diag(Lc)).sum())
 
 
@@ -379,24 +371,17 @@ def evaluate(scores, truth, threshold: float = THRESHOLD_NO_HLA) -> dict:
     t = np.asarray(truth, dtype=bool)
     if t.all() or not t.any():
         raise SingleClass("both classes required")
-    n_pos = int(t.sum())
-    n_neg = int((~t).sum())
-    cuts = np.concatenate([[np.inf], np.sort(np.unique(s))[::-1], [-np.inf]])
-    points = []
-    for c in cuts:
-        pred = s >= c
-        tp = int((pred & t).sum())
-        fp = int((pred & ~t).sum())
-        points.append((fp / n_neg, tp / n_pos))  # (1-specificity, sensitivity)
-    points = np.array(points)
+    neg, pos = np.sort(s[~t]), np.sort(s[t])
+    n_neg, n_pos = len(neg), len(pos)
+    cuts = np.concatenate([[np.inf], np.unique(s)[::-1], [-np.inf]])
+    # a class's scores at or above a cut: its count less those sorted below it
+    fp, tp = n_neg - np.searchsorted(neg, cuts), n_pos - np.searchsorted(pos, cuts)
+    points = np.column_stack((fp / n_neg, tp / n_pos))  # (1-specificity, sensitivity)
     auc = float(np.trapezoid(points[:, 1], points[:, 0]))
-    pred = s >= threshold
-    tp = int((pred & t).sum())
-    tn = int((~pred & ~t).sum())
-    sens = tp / n_pos
-    spec = tn / n_neg
+    tp = n_pos - int(np.searchsorted(pos, threshold))
+    tn = int(np.searchsorted(neg, threshold))
     return {
-        "sensitivity": sens, "specificity": spec,
+        "sensitivity": tp / n_pos, "specificity": tn / n_neg,
         "sensitivity_ci": _wilson(tp, n_pos),
         "specificity_ci": _wilson(tn, n_neg),
         "roc": points, "auc": auc, "threshold": threshold,

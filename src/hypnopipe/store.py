@@ -13,22 +13,25 @@ states it); the code that computes with it converts it to float64 there.
 Every file is written by one rule, ``write_files``'s, and ``cli.main`` makes
 the one call for each command, with all of its files: each file is written
 to a temporary file next to its path, and only once all of them are written
-are they renamed over their paths (``os.replace``), in order.  A
-reader, or a map, of a previous file keeps the previous bytes, and a write
-that fails before the first rename leaves every previous file as it was and
-no temporary file.  A target that exists and is not a regular file, or is a
-symlink (``/dev/stdout``, a FIFO, a link to follow), is written in place
-instead, at its turn among the renames, so a write that fails while staging
-has not written through it; a directory target fails while staging.
+are they renamed over their paths (``os.replace``), in order.  A reader, or
+a map, of a previous file keeps the previous bytes, and a write that fails
+before the first rename leaves every previous file as it was and no
+temporary file or directory it made.  A target that exists and is not a
+regular file, or is a symlink (``/dev/stdout``, a FIFO, a link to follow),
+is written in place instead, at its turn among the renames, so a write that
+fails while staging has not written through it; a directory target fails
+while staging.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -42,8 +45,10 @@ def write_files(files: dict) -> str | None:
     """Write each ``path -> data`` of ``files`` by the rule above, making
     missing parent directories; returns the last path, a bundle's manifest."""
     staged = {}         # path -> its temporary file, or the data to write in place
+    made = []           # the directories this call makes, each after its parent
     try:
         for path, data in files.items():
+            made += [d for d in reversed(Path(path).parents) if not d.exists()]
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             _stage(path, data, staged)
         for path, tmp in staged.items():
@@ -56,6 +61,9 @@ def write_files(files: dict) -> str | None:
         for tmp in staged.values():
             if isinstance(tmp, str) and os.path.exists(tmp):
                 os.unlink(tmp)
+        for directory in reversed(made):      # deepest first; one holding a file stays
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
     return next(reversed(files), None)
 

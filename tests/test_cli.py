@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -15,8 +16,8 @@ import pytest
 from hypnopipe import cli, diagnosis, features, neuralnet, preprocess, signal_io, store
 from hypnopipe.encoding import MONTAGE, EncodedRecording, encode_recording
 from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile,
-                              IncompatibleResolution, InvalidValues, NaNGradient,
-                              ShapeMismatch)
+                              IncompatibleResolution, InvalidSpec, InvalidValues,
+                              NaNGradient, ShapeMismatch)
 from hypnopipe.hypnodensity import Hypnodensity, aggregate_resolution, ensemble_hypnodensity
 from hypnopipe.signal_io import HypnogramLabels
 
@@ -307,6 +308,40 @@ def test_train_that_fails_on_a_member_leaves_the_previous_ensemble(tmp_path, mon
     captured = capsys.readouterr()
     assert len(calls) == 3 and captured.out == "" and "Traceback" not in captured.err
     assert _bytes_under(tmp_path) == before
+
+
+def test_train_refuses_an_encoding_it_cannot_pair(tmp_path, monkeypatch, capsys):
+    """``b.enc.json`` is not named ``<id>.cc.enc.json``, so no hypnogram pairs
+    with it; read as its own hypnogram, every epoch was UNSCORED and the
+    recording was dropped with exit 0.  It is refused before any member trains."""
+    calls = []
+    monkeypatch.setattr(cli.neuralnet, "train", fake_train(calls))
+    argv = train_argv(tmp_path, 1)
+    data = tmp_path / "data"
+    (data / "b.cc.enc.json").rename(data / "b.enc.json")
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{data / 'b.enc.json'} is not <id>.cc.enc.json, so it has no <id>.hyp.txt" in err
+    assert "Traceback" not in err
+    assert calls == [] and not (tmp_path / "m").exists()
+
+
+def test_train_reads_only_the_literal_data_directory(tmp_path, monkeypatch):
+    """``--data 'd[1]'`` is that directory, not a pattern that matches ``d1``."""
+    monkeypatch.setattr(cli.neuralnet, "train", fake_train([]))
+    argv = train_argv(tmp_path, 1)
+    literal, other = tmp_path / "d[1]", tmp_path / "d1"
+    literal.mkdir()
+    (tmp_path / "data").rename(other)
+    for name in os.listdir(other):
+        if name.startswith("b."):
+            (other / name).rename(literal / name)
+    load, loaded = EncodedRecording.load, []
+    monkeypatch.setattr(cli.EncodedRecording, "load",
+                        lambda path: loaded.append(path) or load(path))
+    argv[argv.index("--data") + 1] = str(literal)
+    assert cli.main(argv) == 0
+    assert loaded == [str(literal / "b.cc.enc.json")]
 
 
 def _evaluate_into_a_directory(tmp_path, workspace, monkeypatch):
@@ -708,6 +743,56 @@ def test_a_mixed_ensemble_is_refused_before_any_input_is_read(
     err = capsys.readouterr().err
     assert err.count("an ensemble has one of each") == 2 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "run-all"])
+@pytest.mark.parametrize("name", ["models", "m[1]"])
+def test_a_models_directory_without_members_is_refused(
+        workspace, tmp_path, monkeypatch, capsys, command, name):
+    """Before any input is read; ``m[1]`` is that directory, not a pattern
+    that matches the member in ``m1`` beside it."""
+    save_member(tmp_path / "m1", "model00")
+    models = tmp_path / name
+    models.mkdir(exist_ok=True)
+    monkeypatch.setattr(cli.signal_io, "load_recording", never_read)
+    monkeypatch.setattr(cli.EncodedRecording, "load", never_read)
+    out = tmp_path / "o"
+    argv = (["score", str(tmp_path / "x.cc.enc.json"), "--models", str(models),
+             "--out", str(out)] if command == "score" else
+            ["run-all", "--config", _config_with(workspace, tmp_path, models_dir=str(models)),
+             "--out-dir", str(out)])
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"{models}: no *.model.json" in err and "Traceback" not in err
+    assert not out.exists()
+    with pytest.raises(InvalidSpec):
+        cli._load_models(str(models))
+
+
+def _bare_globs(source: str) -> list[int]:
+    """The lines of ``source`` with a ``glob.glob`` or ``glob.iglob`` call whose
+    pattern is not built on ``glob.escape``."""
+    def is_call_of(node, *names):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "glob"
+                and node.func.attr in names)
+    bare = []
+    for node in ast.walk(ast.parse(source)):
+        if is_call_of(node, "glob", "iglob"):
+            pattern = node.args[0] if node.args else node.keywords[0].value
+            if not any(is_call_of(n, "escape") for n in ast.walk(pattern)):
+                bare.append(node.lineno)
+    return bare
+
+
+def test_every_glob_pattern_escapes_its_directory():
+    """A directory argument is read literally: ``[``, ``*`` and ``?`` in it
+    are not pattern characters."""
+    src = Path(cli.__file__).parent
+    assert {p.name: _bare_globs(p.read_text()) for p in sorted(src.glob("*.py"))
+            if _bare_globs(p.read_text())} == {}
+    assert _bare_globs("glob.glob(os.path.join(d, '*.x'))\nglob.iglob(pathname=d)\n"
+                       "glob.glob(os.path.join(glob.escape(d), '*.x'))\n") == [1, 2]
 
 
 @pytest.mark.parametrize("changes,message", [
@@ -1532,6 +1617,11 @@ RECORDING_DEFECTS = {
     "fs_bool": (_set_fs(True), "must be JSON numbers"),
     "duration_string": (lambda meta: meta.update(duration_s="600"), "must be JSON numbers"),
     "duration_bool": (lambda meta: meta.update(duration_s=True), "must be JSON numbers"),
+    # a role outside the montage, whose blob is there
+    "unknown_role": (lambda meta: (meta["channels"].update(EKG={"fs": 128.0}),
+                                   meta["arrays"].update(EKG=meta["arrays"]["EEG_C_LEFT"])),
+                     "unknown channel role 'EKG'"),
+    "sample_count": (_set_fs(64.0), "EEG_C_LEFT: 76800 samples, expected 38400±1"),
     # JSON integers are unbounded; this one is beyond the largest float
     "duration_int_overflow": (lambda meta: meta.update(duration_s=10 ** 400),
                               "must be JSON numbers"),

@@ -226,6 +226,61 @@ def test_gp_fit_is_bitwise_the_kernel_built_per_grid_point(n, d):
         assert getattr(got, name) == getattr(ref, name), name
 
 
+REAL_CHOLESKY = scipy.linalg.cholesky
+
+
+def _counting_cholesky(monkeypatch, fail_at=None):
+    """Count ``scipy.linalg.cholesky``'s calls (``diagnosis`` imports it where
+    it calls it); call number ``fail_at`` raises ``LinAlgError``."""
+    calls = []
+
+    def cholesky(a, *args, **kwargs):
+        calls.append(len(calls) + 1)
+        if calls[-1] == fail_at:
+            raise np.linalg.LinAlgError("forced failure")
+        return REAL_CHOLESKY(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "cholesky", cholesky)
+    return calls
+
+
+def test_a_failed_last_factorisation_is_a_cholesky_failure(monkeypatch):
+    """The factorisation at the mode the Newton loop stops at fails like
+    every other one, as ``CholeskyFailure``."""
+    X, y = blobs(np.random.default_rng(3), n_per=20, d=3)
+    Z = dg.Standardizer.fit(X).apply(X)
+    K = dg._kernel(Z, Z, dg._median_heuristic(Z), 1.0) + 1e-2 * np.eye(len(Z))
+    calls = _counting_cholesky(monkeypatch)
+    dg._laplace_mode(K, y, 0.0)
+    assert len(calls) > 2
+    _counting_cholesky(monkeypatch, fail_at=len(calls))
+    with pytest.raises(CholeskyFailure, match="forced failure"):
+        dg._laplace_mode(K, y, 0.0)
+
+
+def test_gp_fit_skips_a_grid_point_whose_last_factorisation_fails(monkeypatch):
+    X, y = blobs(np.random.default_rng(4), n_per=20, d=3)
+    calls = _counting_cholesky(monkeypatch)
+    ends, lmls = [], []             # per grid point: calls so far, log marginal
+    laplace_mode = dg._laplace_mode
+
+    def recording(K, y, mean):
+        out = laplace_mode(K, y, mean)
+        ends.append(len(calls))
+        lmls.append(out[4])
+        return out
+    monkeypatch.setattr(dg, "_laplace_mode", recording)
+    fit = dg.gp_fit(X, y)
+    assert len(lmls) == len(dg.LENGTH_SCALE_GRID) * len(dg.SIGNAL_STD_GRID) * len(
+        dg.NOISE_GRID)
+    win = lmls.index(fit.log_marginal)
+    monkeypatch.setattr(dg, "_laplace_mode", laplace_mode)
+    _counting_cholesky(monkeypatch, fail_at=ends[win])
+    refit = dg.gp_fit(X, y)
+    assert refit.log_marginal == max(lmls[:win] + lmls[win + 1:])
+    assert ((refit.length_scale, refit.signal_std, refit.noise)
+            != (fit.length_scale, fit.signal_std, fit.noise))
+
+
 # ------------------------------------------------------------ thresholds
 
 def test_threshold_constants():
@@ -286,6 +341,44 @@ def test_roc_monotone(rng):
     roc = dg.evaluate(scores, truth)["roc"]
     assert np.all(np.diff(roc[:, 0]) >= 0)
     assert np.all(np.diff(roc[:, 1]) >= 0)
+
+
+def _evaluate_per_cut(scores, truth, threshold):
+    """``evaluate``'s ROC, sensitivity and specificity as they were: every
+    score compared with every cut."""
+    s = np.asarray(scores, dtype=float)
+    t = np.asarray(truth, dtype=bool)
+    n_pos = int(t.sum())
+    n_neg = int((~t).sum())
+    cuts = np.concatenate([[np.inf], np.sort(np.unique(s))[::-1], [-np.inf]])
+    points = []
+    for c in cuts:
+        pred = s >= c
+        tp = int((pred & t).sum())
+        fp = int((pred & ~t).sum())
+        points.append((fp / n_neg, tp / n_pos))  # (1-specificity, sensitivity)
+    pred = s >= threshold
+    return (np.array(points), int((pred & t).sum()) / n_pos,
+            int((~pred & ~t).sum()) / n_neg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_roc_is_bitwise_the_per_cut_sweep(seed):
+    """Scores rounded to 1-3 decimals, so many are tied, within a class and
+    across the two; thresholds between, at and beyond the scores."""
+    rng = np.random.default_rng([seed, 23])
+    n = (7, 40, 200, 1000, 13, 333)[seed]
+    scores = np.round(rng.uniform(-1, 1, n), 1 + seed % 3)
+    truth = rng.random(n) < 0.4
+    truth[:2] = (True, False)
+    for threshold in (dg.THRESHOLD_NO_HLA, dg.THRESHOLD_WITH_HLA, scores[0], scores[1],
+                      np.inf, -np.inf):
+        out = dg.evaluate(scores, truth, threshold)
+        roc, sens, spec = _evaluate_per_cut(scores, truth, threshold)
+        assert out["roc"].dtype == roc.dtype and out["roc"].shape == roc.shape
+        assert out["roc"].tobytes() == roc.tobytes()
+        assert out["auc"] == float(np.trapezoid(roc[:, 1], roc[:, 0]))
+        assert (out["sensitivity"], out["specificity"]) == (sens, spec)
 
 
 def test_evaluate_requires_both_classes():

@@ -19,8 +19,17 @@ from hypnopipe import diagnosis as dg
 from hypnopipe.errors import CholeskyFailure
 
 MAX_LAPLACE_ITERS = dg.MAX_LAPLACE_ITERS
-_probit_derivs = dg._probit_derivs
-_probit_ll = dg._probit_ll
+
+
+# the two probit functions the reference called, which ``dg._probit`` joins
+def _probit_ll(y, f):
+    return dg._probit(y, f)[0]
+
+
+def _probit_derivs(y, f):
+    return dg._probit(y, f)[1:]
+
+
 LML_RTOL = 1e-13
 
 

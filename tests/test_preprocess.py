@@ -212,6 +212,21 @@ def test_all_degenerate_names_the_site_and_its_candidates():
         preprocess.preprocess_recording(psg, _ref_from_clean(), MONTAGE["octave"])
 
 
+def test_a_site_degenerate_once_filtered_is_named():
+    """Candidates that vary raw, by one subnormal sample, and are constant at
+    TARGET_FS: selection finds no Hjorth vector, and the error names the site."""
+    spec = {role: {"fs": 128, "sinusoids": [(10, 30)], "noise_sigma": 5}
+            for role in signal_io.ROLES}
+    psg = synth_recording(spec, seed=0, duration_s=60)
+    for role in signal_io.CENTRAL_EEG:
+        x = np.zeros_like(psg.channels[role].samples)
+        x[100] = 5e-324
+        psg.channels[role].samples = x
+    with pytest.raises(AllDegenerate, match="^EEG_C: every candidate is degenerate: "
+                                            "EEG_C_LEFT, EEG_C_RIGHT$"):
+        preprocess.preprocess_recording(psg, _ref_from_clean(), MONTAGE["cc"])
+
+
 def test_single_candidate_wins_by_default():
     ref = _ref_from_clean()
     assert preprocess.select_eeg_channel([("ONLY", _clean(5))], ref) == "ONLY"

@@ -91,6 +91,7 @@ DEFECTS = {
     "directory": lambda m: (os.remove(_first_blob(m)[1]), os.mkdir(_first_blob(m)[1])),
     "no_format": lambda m: _edit_manifest(m, lambda meta: meta.pop("format")),
     "unknown_format": lambda m: _edit_manifest(m, lambda meta: meta.update(format=2)),
+    "not_json": lambda m: m.write_text('{"format": 1, "arrays": '),
 }
 
 
@@ -347,6 +348,18 @@ def test_files_that_cannot_all_be_written_leave_every_old_file(tmp_path):
     assert os.listdir(folder) == []
 
 
+@pytest.mark.parametrize("parent", ["new", "new/deeper"])
+def test_a_write_that_fails_while_staging_leaves_no_directory_it_made(tmp_path, parent):
+    """Those it made go, deepest first; one that was there stays."""
+    (tmp_path / "old").mkdir()
+    (tmp_path / "d").mkdir()
+    with pytest.raises(IsADirectoryError):
+        store.write_files({str(tmp_path / parent / "a.txt"): "x",
+                           str(tmp_path / "old" / "sub" / "b.txt"): "y",
+                           str(tmp_path / "d"): "z"})
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == ["d", "old"]
+
+
 @pytest.mark.parametrize("later,text,error", [
     ("d", "x", IsADirectoryError),
     ("t.txt", "x \ud800", UnicodeEncodeError),            # a lone surrogate
@@ -414,6 +427,9 @@ CONTENT_DEFECTS = {
     # a kept feature whose standard deviation is 0 would divide by zero
     ("gp", "zero_std_kept"): (lambda arrays, meta: arrays["std_std"].__setitem__(0, 0.0),
                               "'std_std'"),
+    # X keeps a column more or fewer than std_keep marks
+    ("gp", "keep_count"): (lambda arrays, meta: arrays["std_keep"].__setitem__(
+        0, 1.0 - arrays["std_keep"][0]), "'X' has 3 columns, std_keep keeps"),
     # the ranges gp_fit's grids draw from; _kernel squares the first two
     **{("gp", f"{key}_{name}"): (_set_scalar(key, value), key) for key, name, value in (
         ("length_scale", "overflow", 1e308), ("length_scale", "zero", 0),
