@@ -26,10 +26,10 @@ STAGE_COMBOS: tuple[tuple[str, ...], ...] = tuple(
     for k in range(1, 6)
     for combo in itertools.combinations(STAGES, k)
 )
-# each combination's size, its prefix's row in STAGE_COMBOS and its last stage
-_SIZE = np.array([len(c) for c in STAGE_COMBOS])
-_PREFIX = np.array([STAGE_COMBOS.index(c[:-1]) if len(c) > 1 else 0 for c in STAGE_COMBOS])
-_LAST = np.array([STAGES.index(c[-1]) for c in STAGE_COMBOS])
+# the singletons come first, in STAGES order; then each larger combination's
+# row in STAGE_COMBOS, its prefix's row and its last stage's row
+_PRODUCTS = tuple((i, STAGE_COMBOS.index(c[:-1]), STAGES.index(c[-1]))
+                  for i, c in enumerate(STAGE_COMBOS) if len(c) > 1)
 
 DESCRIPTOR_NAMES = (
     "mean", "max", "std", "mean_abs_diff", "max_abs_diff", "entropy",
@@ -122,13 +122,38 @@ def proto_series(hd: Hypnodensity) -> np.ndarray:
     combination, in STAGE_COMBOS order.  A combination's series is its prefix
     combination's series times its last stage's column, the left-to-right
     order of ``np.prod``."""
-    probs = hd.probs.T
-    stack = np.empty((len(STAGE_COMBOS), probs.shape[1]), dtype=probs.dtype)
-    stack[_SIZE == 1] = probs
-    for k in range(2, len(STAGES) + 1):
-        rows = _SIZE == k
-        stack[rows] = stack[_PREFIX[rows]] * stack[_LAST[rows]]
+    probs = hd.probs
+    stack = np.empty((len(STAGE_COMBOS), len(probs)), dtype=probs.dtype)
+    stack[:len(STAGES)] = probs.T
+    for i, prefix, last in _PRODUCTS:
+        np.multiply(stack[prefix], stack[last], out=stack[i])
     return stack
+
+
+class _Workspace:
+    """``combo_descriptors``' work arrays for a (k, T) stack: two float ones,
+    two boolean masks and ``_time_to_fraction``'s (k, 6, T) mask."""
+
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = shape
+        self.q, self.w = np.empty(shape), np.empty(shape)
+        self.above, self.below = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.reached = np.empty((shape[0], len(CUMSUM_PERCENTS), shape[1]), dtype=bool)
+
+
+# Workspaces no call holds.  A call takes one (``list.pop`` is atomic, so no
+# two threads get the same) and puts it back when it returns: calls on series
+# of one shape reuse the same arrays instead of faulting in fresh ones.
+_SPARE: list[_Workspace] = []
+
+
+def _take_workspace(shape: tuple[int, int]) -> _Workspace:
+    """A spare workspace of ``shape``, or a new one in place of the spare."""
+    try:
+        ws = _SPARE.pop()
+    except IndexError:
+        return _Workspace(shape)
+    return ws if ws.shape == shape else _Workspace(shape)
 
 
 def combo_descriptors(series: np.ndarray, resolution_s: int) -> np.ndarray:
@@ -139,38 +164,47 @@ def combo_descriptors(series: np.ndarray, resolution_s: int) -> np.ndarray:
     if s.ndim != 2 or s.shape[1] == 0:
         raise ShapeMismatch(f"expected a (k, T) stack of series with T > 0, got {s.shape}")
     n = s.shape[1]
+    # every (k, T) intermediate is written through ``out=`` into the workspace
+    ws = _take_workspace(s.shape)
+    q, w, above, below = ws.q, ws.w, ws.above, ws.below
     out = np.zeros((len(s), len(DESCRIPTOR_NAMES)))
     total = s.sum(axis=1)
     pos = total > 0
     out[:, 0] = total / n
     out[:, 1] = s.max(axis=1)
-    out[:, 5] = np.where(pos, _entropy(s / np.where(pos, total, 1.0)[:, None]), 0.0)
+    np.divide(s, np.where(pos, total, 1.0)[:, None], out=q)
+    out[:, 5] = np.where(pos, _entropy(q, w, above), 0.0)
     out[:, 12] = total
-    out[:, 13] = np.where(out[:, 1] > 0, (s > 0.5 * out[:, 1:2]).sum(axis=1) / n, 0.0)
-    # one (k, T) work array holds the centred series, then the absolute
-    # differences, then the running sums: every fresh array this size is
-    # paid for in page faults on every call
-    w = s - out[:, :1]
+    np.greater(s, 0.5 * out[:, 1:2], out=above)
+    out[:, 13] = np.where(out[:, 1] > 0, above.sum(axis=1) / n, 0.0)
+    # w holds the centred series, then the absolute differences, then the
+    # running sums
+    np.subtract(s, out[:, :1], out=w)
     if n > 1:
-        ups = (w[:, 1:] > 0) & (w[:, :-1] <= 0)
+        ups = np.logical_and(np.greater(w[:, 1:], 0, out=above[:, 1:]),
+                             np.less_equal(w[:, :-1], 0, out=below[:, :-1]),
+                             out=above[:, 1:])
         out[:, 14] = ups.sum(axis=1) / (n * resolution_s / 3600.0)
     out[:, 2] = np.sqrt(np.square(w, out=w).sum(axis=1) / n)
     if n > 1:
         d = np.abs(np.subtract(s[:, 1:], s[:, :-1], out=w[:, 1:]), out=w[:, 1:])
         out[:, 3] = d.sum(axis=1) / (n - 1)
         out[:, 4] = d.max(axis=1)
-    t_min = _time_to_fraction(s, np.cumsum(s, axis=1, out=w)) * resolution_s / 60.0
+    cum = np.cumsum(s, axis=1, out=w)
+    t_min = _time_to_fraction(s, cum, ws.reached) * resolution_s / 60.0
     out[:, 6:12] = np.where(pos[:, None], t_min * total[:, None], 0.0)
+    _SPARE.append(ws)
     return out
 
 
-def _entropy(q: np.ndarray) -> np.ndarray:
-    """Shannon entropy of each row of ``q`` over its positive entries.  A
-    row with zeros is summed over its positive terms alone, packed with the
-    rows that have as many, so that each sum is bitwise that of the row's
-    positive entries."""
-    nz = q > 0
-    terms = np.log(q, out=np.zeros_like(q), where=nz)
+def _entropy(q: np.ndarray, terms: np.ndarray, nz: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of ``q`` over its positive entries, with
+    ``terms`` and ``nz`` work arrays of its shape.  A row with zeros is
+    summed over its positive terms alone, packed with the rows that have as
+    many, so that each sum is bitwise that of the row's positive entries."""
+    np.greater(q, 0, out=nz)
+    terms.fill(0.0)
+    np.log(q, out=terms, where=nz)
     terms *= q
     ent = -terms.sum(axis=1)
     counts = nz.sum(axis=1)
@@ -180,12 +214,13 @@ def _entropy(q: np.ndarray) -> np.ndarray:
     return ent
 
 
-def _time_to_fraction(series: np.ndarray, cum: np.ndarray) -> np.ndarray:
+def _time_to_fraction(series: np.ndarray, cum: np.ndarray, reached: np.ndarray) -> np.ndarray:
     """(k, 6) fractional segment counts at which the running sums ``cum`` of
     the rows of ``series`` first reach each of CUMSUM_PERCENTS of their
-    totals, with linear accumulation inside a segment."""
+    totals, with linear accumulation inside a segment; ``reached`` is a
+    (k, 6, T) boolean work array."""
     target = _CUMSUM_FRACS * cum[:, -1:]
-    i = np.argmax(cum[:, None, :] >= target[:, :, None], axis=2)
+    i = np.argmax(np.greater_equal(cum[:, None, :], target[:, :, None], out=reached), axis=2)
     prev = np.where(i > 0, np.take_along_axis(cum, np.maximum(i - 1, 0), axis=1), 0.0)
     at = np.take_along_axis(series, i, axis=1)
     return i + np.where(at > 0, (target - prev) / np.where(at > 0, at, 1.0), 0.0)
@@ -254,14 +289,22 @@ def hypnodensity_peaks(hd: Hypnodensity) -> list[tuple[str, float]]:
     """Probability-mass peaks of merged-type dominance runs, in 30 s units.
 
     Peaks below the mass floor are discarded, then adjacent same-type peaks
-    merge with summed mass.
+    merge with summed mass.  A run whose length times its largest value
+    (times ``unit``, with a margin of its length in ulps of 1 for the sum's
+    rounding) is below the floor cannot reach it and is not summed.
     """
     # columns W + N1, N2, N3, REM: the MERGED_TYPES
     merged_probs = np.column_stack([hd.probs[:, 0] + hd.probs[:, 1], hd.probs[:, 2:]])
     unit = hd.resolution_s / 30.0
     fused: list[tuple[str, float]] = []
-    runs = _runs(np.argmax(merged_probs, axis=1))
-    for k, start, length in zip(*(r.tolist() for r in runs)):
+    kind, starts, lengths = _runs(np.argmax(merged_probs, axis=1))
+    top = np.maximum.reduceat(merged_probs.max(axis=1), starts)
+    # a float sum of a run lies within its length in ulps of its length x top;
+    # an integer one is exact
+    eps = np.finfo(merged_probs.dtype).eps if merged_probs.dtype.kind == "f" else 0.0
+    # written so that a NaN bound keeps its run, whose sum is then NaN as before
+    may_reach = ~(lengths * top * unit * (1 + lengths * eps) < PEAK_MASS_FLOOR)
+    for k, start, length in zip(*(r[may_reach].tolist() for r in (kind, starts, lengths))):
         m = float(merged_probs[start:start + length, k].sum()) * unit
         if m < PEAK_MASS_FLOOR:
             continue

@@ -1,17 +1,22 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypnopipe import features
+from hypnopipe import features, pool
 from hypnopipe.errors import InvalidValues, ShapeMismatch
-from hypnopipe.hypnodensity import Hypnodensity
+from hypnopipe.hypnodensity import Hypnodensity, to_hypnogram
 from hypnopipe.signal_io import STAGES, HypnogramLabels
 from conftest import random_hypnodensity
+from test_label_oracle import hypnodensity_peaks as peaks_loop
 
 
 # ------------------------------------------------------------------
@@ -468,3 +473,158 @@ def test_assemble_rejects_nonfinite(rng, monkeypatch):
     monkeypatch.setattr(features, "transition_features", lambda hd: np.full(9, np.inf))
     with pytest.raises(InvalidValues, match="non-finite feature"):
         features.assemble(hd, hyp)
+
+
+# ------------------------------------------------------- the workspace
+
+# A fresh interpreter: in this one, what earlier tests freed sets glibc's
+# allocation thresholds, and with them whether fresh (31, T) arrays fault.
+# It prints "uncounted" where touching a fresh 8 MB array counts no fault.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from hypnopipe import features
+from hypnopipe.hypnodensity import Hypnodensity, to_hypnogram
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+before = faults()
+touched = np.ones(1 << 20)   # kept: freeing it would raise those thresholds
+if faults() == before:
+    print("uncounted")
+else:
+    rng = np.random.default_rng(2018)
+    nights = []
+    for _ in range(41):
+        p = rng.random((2880, 5)) + 1e-3
+        p /= p.sum(axis=1, keepdims=True)
+        hd = Hypnodensity(probs=p, resolution_s=5)
+        nights.append((hd, to_hypnogram(hd)))
+    features.assemble(*nights[0])
+    before = faults()
+    for hd, hyp in nights[1:]:
+        features.assemble(hd, hyp)
+    print((faults() - before) / 40)
+"""
+
+
+def test_assemble_makes_no_fresh_large_arrays_for_nights_of_equal_length():
+    """After one warm-up night, 40 nights of 8 h at 5 s (T = 2880) cost at
+    most 20 minor page faults each: ``combo_descriptors``' work arrays are
+    those of the previous call, not arrays the allocator hands back to the
+    system between nights (about 860 faults a night when they were, about
+    640 when the same arrays were allocated on every call)."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(features.__file__))
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.strip()
+    if out == "uncounted":
+        pytest.skip("this system does not count minor page faults")
+    assert float(out) <= 20
+
+
+def _nights(seed, lengths, resolution_s=5):
+    rng = np.random.default_rng(seed)
+    nights = [random_hypnodensity(rng, n, resolution_s) for n in lengths]
+    return [(hd, to_hypnogram(hd)) for hd in nights]
+
+
+def test_assemble_on_threads_is_the_serial_loop():
+    """Nights of two lengths interleaved, so that a spare workspace is often
+    of the other shape; then more threads than cores switching every
+    microsecond, so that calls overlap."""
+    nights = _nights(24, (2880, 700) * 4)
+    serial = [features.assemble(hd, hyp).values for hd, hyp in nights]
+    threaded = pool.thread_map(lambda night: features.assemble(*night).values, nights)
+    assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as ex:
+            futures = [ex.submit(features.assemble, *night) for night in nights * 2]
+            stressed = [f.result(timeout=120).values for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(serial * 2, stressed))
+
+
+def test_no_result_aliases_the_workspace():
+    """What ``assemble``, ``proto_series`` and ``combo_descriptors`` return,
+    and the series given to ``combo_descriptors``, stay as they were through
+    later calls on nights of the same and of another length."""
+    nights = _nights(25, (960, 960, 300))
+    hd, hyp = nights[0]
+    vector = features.assemble(hd, hyp)
+    stack = features.proto_series(hd)
+    described = features.combo_descriptors(stack, 5)
+    kept = [a.copy() for a in (vector.values, stack, described)]
+    for other, other_hyp in nights[1:] + nights[:1]:
+        features.assemble(other, other_hyp)
+        features.combo_descriptors(features.proto_series(other), 30)
+    assert all(np.array_equal(a, b) for a, b in zip((vector.values, stack, described), kept))
+
+
+def test_float32_probabilities_are_described_as_each_series_alone():
+    """A float32 hypnodensity's series multiply in float32, as ``np.prod``
+    of its columns does, and are described in float64."""
+    hd = random_hypnodensity(np.random.default_rng(32), 700, 5)
+    hd = Hypnodensity(hd.probs.astype(np.float32), 5)
+    expect = np.concatenate([_combo_descriptors_one(_proto_series_one(hd, c), 5)
+                             for c in features.STAGE_COMBOS])
+    got = features.assemble(hd, to_hypnogram(hd)).values[:len(expect)]
+    assert np.array_equal(got, expect)
+
+
+def _block(stage, rows, value=1.0, dtype=float):
+    """``rows`` rows with ``value`` on ``stage`` and the rest of the row's
+    sum on the stage after it, no lower than the -1e-9 ``validate`` allows."""
+    p = np.zeros((rows, 5), dtype=dtype)
+    p[:, stage] = value
+    p[:, (stage + 1) % 5] = max(dtype(1) - p[0, stage], -1e-9)
+    return p
+
+
+@pytest.mark.parametrize("resolution_s", [5, 15, 30])
+def test_peak_floor_skip_at_its_edge_is_the_loop(resolution_s):
+    """A run whose mass is exactly PEAK_MASS_FLOOR is kept, one a row
+    shorter is dropped, and rows at the 1 + 1e-9 edge ``validate`` allows
+    agree with the loop that sums every run."""
+    at_floor = round(features.PEAK_MASS_FLOOR * 30 / resolution_s)
+    # W at the floor, N2 one row short, REM at the floor
+    hd = Hypnodensity(np.vstack([_block(0, at_floor), _block(2, at_floor - 1),
+                                 _block(4, at_floor)]), resolution_s)
+    floor = features.PEAK_MASS_FLOOR
+    assert features.hypnodensity_peaks(hd) == peaks_loop(hd) == [("WN1", floor), ("REM", floor)]
+    edge = 1 + 1e-9
+    rng = np.random.default_rng(resolution_s)
+    for _ in range(100):
+        blocks = [_block(int(rng.integers(5)), at_floor + int(rng.integers(-1, 2)),
+                         rng.choice([1.0, edge, 1 - 1e-9, rng.uniform(0.6, 1.0)]))
+                  for _ in range(int(rng.integers(1, 6)))]
+        hd = Hypnodensity(np.vstack(blocks), resolution_s)
+        hd.validate()
+        assert features.hypnodensity_peaks(hd) == peaks_loop(hd)
+
+
+def test_a_float32_run_whose_sum_rounds_up_to_the_floor_is_kept():
+    """11 rows at 30 s of the float32 N2 value 15252014 * 2**-24: their
+    exact mass is 9.99999965, but numpy's float32 sum rounds it to 10.0,
+    so the loop keeps the peak; a bound with a float64-sized margin would
+    skip the run.  Float32 runs near the floor at each resolution agree
+    with the loop too."""
+    n2 = np.float32(15252014 * 2.0**-24)
+    hd = Hypnodensity(_block(2, 11, n2, np.float32), 30)
+    hd.validate()
+    assert features.hypnodensity_peaks(hd) == peaks_loop(hd) == [("N2", 10.0)]
+    rng = np.random.default_rng(33)
+    for resolution_s in (5, 15, 30):
+        at_floor = round(features.PEAK_MASS_FLOOR * 30 / resolution_s)
+        for _ in range(100):
+            value = np.float32(1 - rng.uniform(0, 2e-6) * 10.0 ** -rng.integers(0, 3))
+            blocks = [_block(int(rng.integers(5)), at_floor + int(rng.integers(-1, 2)),
+                             value, np.float32)
+                      for _ in range(int(rng.integers(1, 6)))]
+            hd = Hypnodensity(np.vstack(blocks), resolution_s)
+            assert features.hypnodensity_peaks(hd) == peaks_loop(hd)
