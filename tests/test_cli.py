@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -1275,17 +1277,90 @@ def test_run_all_refuses_a_selection_short_of_its_gp_before_reading_the_recordin
     assert not out.exists()
 
 
+# ------------------------------------------------------------ process entry
+
+def _run_module(*args, python=()):
+    """``python -m hypnopipe.cli ARGS`` with ``src`` on its path."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *python, "-m", "hypnopipe.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
 def test_diagnose_closes_its_input(workspace, tmp_path):
     vec = tmp_path / "vec.json"
     vec.write_text(vector_json())
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::ResourceWarning", "-m", "hypnopipe.cli",
-         "diagnose", "--model", workspace["gp"], "--input", str(vec)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
+    proc = _run_module("diagnose", "--model", workspace["gp"], "--input", str(vec),
+                       python=("-W", "error::ResourceWarning"))
     assert proc.returncode == 0, proc.stderr
     assert "ResourceWarning" not in proc.stderr
+
+
+def test_diagnose_closes_its_input_also_when_a_cycle_holds_it(workspace, tmp_path):
+    """The in-process twin of the test above.  ``run`` freezes the heap, so a
+    process never finalizes a file that only a reference cycle holds, and the
+    ``-m`` path cannot show that leak; a collection here does."""
+    vec = tmp_path / "vec.json"
+    vec.write_text(vector_json())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert cli.main(["diagnose", "--model", workspace["gp"], "--input", str(vec),
+                         "--out", str(tmp_path / "d.json")]) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_the_installed_command_and_the_module_both_call_run():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(cli.__file__).resolve().parents[2]
+    with open(root / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts == {"hypnopipe": "hypnopipe.cli:run"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    block, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(node) for node in block.body] == ["sys.exit(run())"]
+
+
+def _gc_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@pytest.mark.parametrize("text, code", [(None, 0), (HD_HEADER, 3)])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, rng, text, code):
+    src = tmp_path / "hd.csv"
+    src.write_text(random_hypnodensity(rng, 20).to_csv() if text is None else text)
+    before = _gc_state()
+    assert cli.main(["plot", str(src), str(tmp_path / "hd.svg")]) == code
+    assert _gc_state() == before
+
+
+def test_run_turns_the_collector_off_and_freezes_the_heap(tmp_path, rng):
+    src = tmp_path / "hd.csv"
+    write_hd_csv(src, random_hypnodensity(rng, 20))
+    out = _fresh_python(
+        "import gc, hypnopipe.cli as c; "
+        f"code = c.run(['plot', {str(src)!r}, {str(tmp_path / 'hd.svg')!r}]); "
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert out == "0 False True"
+
+
+@pytest.mark.parametrize("case, code", [("written", 0), ("missing", 2), ("malformed", 3)])
+def test_the_module_keeps_the_exit_contract(tmp_path, rng, case, code):
+    src, out = tmp_path / "hd.csv", tmp_path / "hd.svg"
+    if case == "written":
+        write_hd_csv(src, random_hypnodensity(rng, 40))
+    elif case == "malformed":
+        src.write_text(HD_HEADER + "0,1,0,0,0,0\n30,1,0,0,0\n")
+    proc = _run_module("plot", str(src), str(out))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert "level=error stage=plot" in proc.stderr and not out.exists()
+    else:
+        ref = tmp_path / "ref.svg"
+        assert cli.main(["plot", str(src), str(ref)]) == 0
+        assert out.read_bytes() == ref.read_bytes()
 
 
 def test_importing_the_cli_loads_every_layer_and_none_of_the_heavy_scipy():
