@@ -5,7 +5,7 @@ plot, run-all.  Each returns its files, ``{path: text or array}``, and any
 stdout text; ``main`` writes the files in one call, then prints the text, so
 a command that fails writes and prints nothing.  Logs go to stderr as logfmt
 ``level=.. stage=.. msg=..`` lines.  Exit codes: 0 success, 2 I/O error,
-3 validation error, 4 numeric failure.
+3 validation error (a bad command line among them), 4 numeric failure.
 
 ``run`` is the entry of a process of its own (``python -m hypnopipe.cli`` and
 the ``hypnopipe`` command): it turns the cyclic garbage collector off, calls
@@ -364,10 +364,17 @@ def cmd_run_all(args):
             for suffix, text in outputs.items()}, None
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an ``InvalidSpec``, not argparse's exit 2 with usage
+    text; its subcommands' parsers are of this class too."""
+
+    def error(self, message):
+        raise InvalidSpec(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="hypnopipe",
-                                description="PSG to hypnodensity and "
-                                            "narcolepsy score pipeline")
+    p = _Parser(prog="hypnopipe",
+                description="PSG to hypnodensity and narcolepsy score pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("preprocess", help="band-limit, resample, select channels")
@@ -431,8 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    stage = "hypnopipe"
     try:
+        args = build_parser().parse_args(argv)
+        stage = args.command
         files, stdout = args.func(args)
         write_files(files)
         if stdout is not None:
@@ -443,13 +452,13 @@ def main(argv=None) -> int:
         return 0
     except (CholeskyFailure, NaNGradient, np.linalg.LinAlgError,
             FloatingPointError) as e:
-        log(args.command, str(e), level="error")
+        log(stage, str(e), level="error")
         return EXIT_NUMERIC
     except HypnopipeError as e:
-        log(args.command, str(e), level="error")
+        log(stage, str(e), level="error")
         return EXIT_VALIDATION
     except OSError as e:
-        log(args.command, str(e), level="error")
+        log(stage, str(e), level="error")
         return EXIT_IO
 
 

@@ -78,14 +78,16 @@ class ReferenceDistribution:
 
 def butter_zero_phase(x: np.ndarray, cutoff_hz: float, btype: str,
                       fs: float) -> np.ndarray:
-    """A FILTER_ORDER Butterworth run forward and backward.  ``SignalTooShort``
-    below 6 * FILTER_ORDER samples, which also covers the edge padding."""
-    from scipy import signal as sps       # ~0.5 s to import: only where it runs
+    """A FILTER_ORDER Butterworth of float64 ``x``, run forward and backward:
+    bitwise scipy's ``sosfiltfilt(butter(..., output="sos"), x)``, without
+    importing ``scipy.signal`` at a tabled rate (see ``filters``).
+    ``SignalTooShort`` below 6 * FILTER_ORDER samples, which also covers the
+    edge padding."""
+    from . import filters   # loads scipy's kernels once, under the import lock
 
     if len(x) < 6 * FILTER_ORDER:
         raise SignalTooShort(f"{len(x)} samples < {6 * FILTER_ORDER}")
-    sos = sps.butter(FILTER_ORDER, cutoff_hz, btype=btype, fs=fs, output="sos")
-    return sps.sosfiltfilt(sos, x)
+    return filters.sosfiltfilt(*filters.butter(FILTER_ORDER, fs, cutoff_hz, btype), x)
 
 
 def bandlimit(x: np.ndarray, fs: float) -> np.ndarray:
@@ -98,23 +100,30 @@ def bandlimit(x: np.ndarray, fs: float) -> np.ndarray:
 
 
 def resample(x: np.ndarray, fs_in: float) -> np.ndarray:
-    """Polyphase down-sampling to TARGET_FS with a Kaiser anti-alias prefilter."""
-    from scipy import signal as sps
+    """Polyphase down-sampling to TARGET_FS with a Kaiser anti-alias prefilter:
+    scipy's ``resample_poly(..., window=("kaiser", 5.0))``, cut or zero-padded
+    to ``round(len(x) * TARGET_FS / fs_in)`` samples."""
+    from . import filters
 
     x = np.asarray(x, dtype=float)
     if TARGET_FS > fs_in:
         raise UnsupportedRate(f"upsampling {fs_in} -> {TARGET_FS} not supported")
     if fs_in == TARGET_FS:
         return x.copy()
-    frac = Fraction(TARGET_FS / fs_in).limit_denominator(10000)
-    y = sps.resample_poly(x, frac.numerator, frac.denominator,
-                          window=("kaiser", 5.0))
+    up, down = _resample_ratio(fs_in)
+    y = filters.resample_poly(x, up, down, filters.kaiser_taps(up, down))
     n_target = round(len(x) * TARGET_FS / fs_in)
     if len(y) > n_target:
         y = y[:n_target]
     elif len(y) < n_target:
         y = np.pad(y, (0, n_target - len(y)))
     return y
+
+
+def _resample_ratio(fs_in: float) -> tuple[int, int]:
+    """TARGET_FS / fs_in as ``(up, down)`` in lowest terms."""
+    frac = Fraction(TARGET_FS / fs_in).limit_denominator(10000)
+    return frac.numerator, frac.denominator
 
 
 def hjorth(segment: np.ndarray) -> np.ndarray:

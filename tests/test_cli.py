@@ -88,10 +88,25 @@ def test_help_exits_zero(capsys):
     assert "run-all" in capsys.readouterr().out
 
 
-def test_missing_subcommand_usage_error():
-    with pytest.raises(SystemExit) as e:
-        cli.main([])
-    assert e.value.code == 2
+def usage_error(argv, capsys):
+    """The message of the one logfmt line a bad command line ``argv`` logs,
+    after checking that it exits 3 and prints nothing to stdout."""
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    entry = parse_log_line(line)
+    assert (entry["level"], entry["stage"]) == ("error", "hypnopipe")
+    return entry["msg"]
+
+
+def test_missing_subcommand_usage_error(capsys):
+    assert "required: command" in usage_error([], capsys)
+
+
+def test_bad_choice_usage_error(capsys):
+    msg = usage_error(["encode", "a", "b", "--mode", "bogus"], capsys)
+    assert msg.startswith("hypnopipe encode: argument --mode: invalid choice: 'bogus'")
 
 
 _LOGFMT_VALUE = r'("(?:[^"\\]|\\.)*"|[^\s="]+)'
@@ -486,12 +501,11 @@ def test_a_vector_carrying_an_hla_status_is_refused(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_features_has_no_hla_option(tmp_path, rng):
+def test_features_has_no_hla_option(tmp_path, rng, capsys):
     src = tmp_path / "hd.csv"
     write_hd_csv(src, random_hypnodensity(rng, 40))
-    with pytest.raises(SystemExit) as e:
-        cli.main(["features", str(src), "--out", str(tmp_path / "v.json"), "--hla", "1"])
-    assert e.value.code == 2
+    argv = ["features", str(src), "--out", str(tmp_path / "v.json"), "--hla", "1"]
+    assert "unrecognized arguments: --hla 1" in usage_error(argv, capsys)
 
 
 @pytest.mark.parametrize("resolution", [20, 60])
@@ -1379,6 +1393,27 @@ def test_importing_the_cli_loads_every_layer_and_none_of_the_heavy_scipy():
     layers = ("signal_io", "preprocess", "encoding", "neuralnet", "hypnodensity",
               "features", "diagnosis", "plot", "cli")
     assert {f"hypnopipe.{layer}" for layer in layers} <= loaded
+
+
+def test_commands_at_tabled_rates_leave_scipy_signal_unloaded(workspace, tmp_path):
+    """preprocess with a ``ref``, octave encoding and a CC ``run-all`` of the
+    128 and 200 Hz workspace take their filters from the coefficient table
+    and scipy's kernels (``hypnopipe.filters``): each exits 0 in a fresh
+    process that never imports ``scipy.signal`` or ``scipy.stats``."""
+    ref, mont = tmp_path / "ref.json", tmp_path / "m"
+    ref.write_text(json.dumps(REF))
+    for argv in (["preprocess", workspace["meta"], str(mont), "--ref", str(ref)],
+                 ["encode", str(mont / "rec1.psgmeta.json"), str(tmp_path / "e"),
+                  "--mode", "octave"],
+                 ["run-all", "--config", _config_with(workspace, tmp_path, ref=str(ref)),
+                  "--out-dir", str(tmp_path / "o")]):
+        code, loaded = json.loads(_fresh_python(
+            "import json, sys\nfrom hypnopipe import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(sys.modules)]))"))
+        assert code == 0, argv
+        assert not set(loaded) & {"scipy.signal", "scipy.stats"}, argv
+        assert "hypnopipe.filters" in loaded
 
 
 def _fresh_python(code, **env):
