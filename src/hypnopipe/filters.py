@@ -1,18 +1,16 @@
-"""scipy's compiled filter kernels, run without ``import scipy.signal``.
+"""scipy's filter designs and compiled kernels, without ``import scipy.signal``.
 
 ``import scipy.signal`` takes ~0.5 s, more than the filtering of a 1 h night.
-The two kernels preprocessing runs, ``_sosfilt`` and ``_upfirdn_apply``, load
-from their files in ~6 ms.  ``sosfiltfilt`` and ``resample_poly`` are the few
-lines of scipy 1.17.1's glue around them, and give its results bit for bit.
-Their coefficients are data: ``filter_table`` holds scipy's designs for the
-rates the pipeline meets, as ``table_source`` writes them.  A key not in the
-table is designed by ``scipy.signal`` and runs through the same glue.
+The kernels preprocessing runs, ``_sosfilt`` and ``_upfirdn_apply``, and the
+``i0`` ufunc of the Kaiser window load from their files in a few ms.
+``butter``, ``kaiser_taps``, ``sosfiltfilt`` and ``resample_poly`` are scipy
+1.17.1's Python code around them, cut to the branches the pipeline takes and
+kept op for op: they give its results bit for bit at any sample rate.
 
 The kernels load when this module is first imported, not at a first call.
 Preprocessing makes its first calls from several pool threads at once, and
 the import lock of this module lets one of them load an extension while the
-others wait.  Regenerate the table with
-``python -m hypnopipe.filters > src/hypnopipe/filter_table.py``.
+others wait.
 """
 
 from __future__ import annotations
@@ -21,66 +19,109 @@ import importlib
 import importlib.machinery
 import importlib.util
 import os
-import sys
-import textwrap
 
 import numpy as np
 
-from . import filter_table
-
 KAISER_BETA = 5.0
-# the raw rates of the shipped fixtures and the benchmark's nights
-TABLED_RATES = (100.0, 128.0, 200.0, 256.0, 500.0, 512.0)
 
 
-def _extension(name: str):
-    """``scipy.signal``'s compiled module ``name``: loaded from its file, or by
-    the regular import, which runs ``scipy.signal``'s own, if none is found."""
+def _extension(package: str, name: str):
+    """scipy's compiled module ``package.name``: loaded from its file, or by
+    the regular import, which runs ``scipy.package``'s own, if none is found."""
     scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, "signal", name + suffix)
+        path = os.path.join(scipy_dir, package, name + suffix)
         if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(f"scipy.signal.{name}", path)
+            spec = importlib.util.spec_from_file_location(f"scipy.{package}.{name}", path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    return importlib.import_module(f"scipy.signal.{name}")
+    return importlib.import_module(f"scipy.{package}.{name}")
 
 
-_sosfilt = _extension("_sosfilt")._sosfilt
-_upfirdn = _extension("_upfirdn_apply")
+_sosfilt = _extension("signal", "_sosfilt")._sosfilt
+_upfirdn = _extension("signal", "_upfirdn_apply")
+_i0 = _extension("special", "_special_ufuncs").i0
 
 
 def butter(order: int, fs: float, cutoff_hz: float,
            btype: str) -> tuple[np.ndarray, np.ndarray]:
     """``(sos, zi)``: scipy's ``butter(order, cutoff_hz, btype, fs=fs,
-    output="sos")`` and its ``sosfilt_zi``, from the table if they are in it."""
-    key = (order, fs, cutoff_hz, btype)
-    if key in filter_table.BUTTER:
-        return tuple(map(np.array, filter_table.BUTTER[key]))
-    return _design_butter(*key)
+    output="sos")`` and its ``sosfilt_zi``, for ``btype`` "lowpass" or
+    "highpass"."""
+    # iirfilter: the cutoff prewarped at fs = 2, buttap's analog prototype
+    wn = np.asarray(cutoff_hz, dtype=np.float64) / (float(fs) / 2)
+    wo = float(2 * 2.0 * np.tan(np.pi * wn / 2.0))
+    p = -np.exp(1j * np.pi * np.arange(-order + 1, order, 2, dtype=np.float64) / (2 * order))
+    if btype == "lowpass":      # lp2lp_zpk
+        z, p, k = np.zeros(0), wo * p, wo ** order
+    else:                       # lp2hp_zpk: as many zeros at 0 as poles
+        z, p, k = np.zeros(order), wo / p, np.real(1.0 / np.prod(-p))
+    # bilinear_zpk at fs = 2: the zeros at infinity go to -1
+    k = k * np.real(np.prod(4.0 - z) / np.prod(4.0 - p))
+    z = np.concatenate(((4.0 + z) / (4.0 - z), -np.ones(order - len(z))))
+    p = (4.0 + p) / (4.0 - p)
+    # zpk2sos, 'nearest' pairing: every zero is real, so the complex-zero
+    # branches never run, and real poles come in pairs
+    if order % 2:
+        p, z = np.concatenate((p, [0.0])), np.concatenate((z, [0.0]))
+    # _cplxreal: each conjugate pair as the mean of its upper value and the
+    # conjugate of its lower, then the real poles.  A Butterworth's pairs have
+    # distinct real parts, so its sort of runs of equal real parts is left out
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    real = abs(p.imag) <= 100 * np.finfo(float).eps * abs(p)
+    p = np.concatenate(((p[~real & (p.imag > 0)] + p[~real & (p.imag < 0)].conj()) / 2,
+                        p[real].real))
+    z = np.sort(z)
+    sos = np.zeros(((order + 1) // 2, 6))
+    for si in range(len(sos) - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(p))
+            i = real[np.argmin(np.abs(1 - np.abs(p[real])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        zeros = []
+        for _ in range(2):
+            i = np.argsort(np.abs(z - p1))[0]
+            zeros.append(z[i])
+            z = np.delete(z, i)
+        sos[si, :3] = _poly(np.asarray(zeros))
+        sos[si, 3:] = np.real(_poly(np.asarray([p1, p2])))
+    sos[0][:3] *= k
+    # sosfilt_zi: lfilter_zi's solve per section, scaled by the earlier gains
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for section, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        zi[section] = scale * np.linalg.solve(np.eye(2) - [[-a[1], 1], [-a[2], 0]],
+                                              b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return sos, zi
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """scipy's ``_polyutils.poly``: the monic polynomial with ``roots``."""
+    a = np.ones((1,), dtype=roots.dtype)
+    for root in roots:
+        a = np.convolve(a, [1, -root])
+    return a
 
 
 def kaiser_taps(up: int, down: int) -> np.ndarray:
-    """The Kaiser(KAISER_BETA) ``firwin`` taps of scipy's ``resample_poly`` for
-    ``up``/``down`` in lowest terms, from the table if they are in it."""
-    if (up, down) in filter_table.KAISER:
-        return np.array(filter_table.KAISER[up, down])
-    return _design_taps(up, down)
-
-
-def _design_butter(order, fs, cutoff_hz, btype):
-    from scipy import signal as sps
-
-    sos = sps.butter(order, cutoff_hz, btype=btype, fs=fs, output="sos")
-    return sos, sps.sosfilt_zi(sos)
-
-
-def _design_taps(up, down):
-    from scipy import signal as sps
-
+    """The taps of scipy's ``resample_poly(..., window=("kaiser",
+    KAISER_BETA))`` for ``up``/``down`` in lowest terms: ``firwin(20 * max + 1,
+    1 / max, window=...)``, ``max`` being the larger of the two."""
     max_rate = max(up, down)
-    return sps.firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", KAISER_BETA))
+    numtaps = 20 * max_rate + 1
+    cutoff = 1.0 / max_rate
+    m = np.arange(numtaps, dtype=np.float64) - 0.5 * (numtaps - 1)
+    h = cutoff * np.sinc(cutoff * m)
+    # times the symmetric kaiser(numtaps, KAISER_BETA)
+    h *= _i0(KAISER_BETA * np.sqrt(1 - (m / m[-1]) ** 2.0)) / _i0(KAISER_BETA)
+    h /= np.sum(h)
+    return h
 
 
 def sosfiltfilt(sos: np.ndarray, zi: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -131,40 +172,3 @@ def resample_poly(x: np.ndarray, up: int, down: int, taps: np.ndarray) -> np.nda
     out = np.zeros(_upfirdn._output_len(len(h), len(x), up, down))
     _upfirdn._apply(x, h_flip, out, up, down, 0, _upfirdn.mode_enum("constant"), 0)
     return out[n_pre_remove:n_pre_remove + n_out]
-
-
-def table_source() -> str:
-    """The text of ``filter_table``: scipy.signal's designs of the band-limit
-    filters and the resampling at each of TABLED_RATES, and of the octave
-    cascade at TARGET_FS."""
-    from .encoding import OCTAVE_CUTOFFS_HZ
-    from .preprocess import (FILTER_ORDER, HIGHPASS_HZ, LOWPASS_HZ, TARGET_FS,
-                             _resample_ratio)
-
-    bands = [(HIGHPASS_HZ, "highpass"), (LOWPASS_HZ, "lowpass")]
-    butter_keys = sorted({(FILTER_ORDER, fs, hz, btype) for fs in TABLED_RATES
-                          for hz, btype in bands}
-                         | {(FILTER_ORDER, TARGET_FS, hz, "lowpass")
-                            for hz in OCTAVE_CUTOFFS_HZ})
-    ratios = sorted({_resample_ratio(fs) for fs in TABLED_RATES if fs != TARGET_FS})
-    lines = ['"""scipy.signal\'s filter designs: written by',
-             '``hypnopipe.filters.table_source()``; do not edit."""', "", "BUTTER = {"]
-    for key in butter_keys:
-        lines.append(f"    {key!r}: (")
-        for arr in _design_butter(*key):
-            lines.append("        (" + ",\n         ".join(
-                f"({', '.join(map(repr, map(float, row)))})" for row in arr) + "),")
-        lines.append("    ),")
-    lines += ["}", "", "KAISER = {"]
-    for up, down in ratios:
-        lines.append(f"    ({up}, {down}): (")
-        lines.append(textwrap.fill(", ".join(map(repr, map(float, _design_taps(up, down)))),
-                                   79, initial_indent=" " * 8, subsequent_indent=" " * 8,
-                                   break_long_words=False, break_on_hyphens=False) + ",")
-        lines.append("    ),")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-if __name__ == "__main__":
-    sys.stdout.write(table_source())

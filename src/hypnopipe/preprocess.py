@@ -80,7 +80,7 @@ def butter_zero_phase(x: np.ndarray, cutoff_hz: float, btype: str,
                       fs: float) -> np.ndarray:
     """A FILTER_ORDER Butterworth of float64 ``x``, run forward and backward:
     bitwise scipy's ``sosfiltfilt(butter(..., output="sos"), x)``, without
-    importing ``scipy.signal`` at a tabled rate (see ``filters``).
+    importing ``scipy.signal`` (see ``filters``).
     ``SignalTooShort`` below 6 * FILTER_ORDER samples, which also covers the
     edge padding."""
     from . import filters   # loads scipy's kernels once, under the import lock

@@ -1395,24 +1395,35 @@ def test_importing_the_cli_loads_every_layer_and_none_of_the_heavy_scipy():
     assert {f"hypnopipe.{layer}" for layer in layers} <= loaded
 
 
-def test_commands_at_tabled_rates_leave_scipy_signal_unloaded(workspace, tmp_path):
+def test_commands_at_any_rate_leave_scipy_signal_unloaded(workspace, tmp_path):
     """preprocess with a ``ref``, octave encoding and a CC ``run-all`` of the
-    128 and 200 Hz workspace take their filters from the coefficient table
-    and scipy's kernels (``hypnopipe.filters``): each exits 0 in a fresh
-    process that never imports ``scipy.signal`` or ``scipy.stats``."""
-    ref, mont = tmp_path / "ref.json", tmp_path / "m"
+    128 and 200 Hz workspace, and preprocess and octave encoding of a
+    314.159 Hz recording, design their filters in ``hypnopipe.filters`` and
+    run scipy's kernels: each exits 0 in a fresh process that never imports
+    ``scipy.signal`` or ``scipy.stats``, nor, but for ``run-all``,
+    ``scipy.special``."""
+    ref, mont, odd = tmp_path / "ref.json", tmp_path / "m", tmp_path / "odd"
     ref.write_text(json.dumps(REF))
+    odd_meta = signal_io.save_recording(synth_recording(
+        {role: {**spec, "fs": 314.159} for role, spec in RAW_SPEC.items()},
+        seed=5, duration_s=600.0, recording_id="odd"), str(tmp_path / "raw"))
     for argv in (["preprocess", workspace["meta"], str(mont), "--ref", str(ref)],
                  ["encode", str(mont / "rec1.psgmeta.json"), str(tmp_path / "e"),
                   "--mode", "octave"],
                  ["run-all", "--config", _config_with(workspace, tmp_path, ref=str(ref)),
-                  "--out-dir", str(tmp_path / "o")]):
+                  "--out-dir", str(tmp_path / "o")],
+                 ["preprocess", odd_meta, str(odd), "--ref", str(ref)],
+                 ["encode", str(odd / "odd.psgmeta.json"), str(tmp_path / "oe"),
+                  "--mode", "octave"]):
         code, loaded = json.loads(_fresh_python(
             "import json, sys\nfrom hypnopipe import cli\n"
             f"code = cli.main({argv!r})\n"
             "print(json.dumps([code, sorted(sys.modules)]))"))
         assert code == 0, argv
-        assert not set(loaded) & {"scipy.signal", "scipy.stats"}, argv
+        heavy = {"scipy.signal", "scipy.stats"}
+        if argv[0] != "run-all":        # whose diagnosis imports scipy.special
+            heavy.add("scipy.special")
+        assert not set(loaded) & heavy, argv
         assert "hypnopipe.filters" in loaded
 
 
