@@ -13,10 +13,18 @@ columns.  The column removed is the highest-indexed one whose |weight| is
 within ``RFE_TIE_RTOL * max|weight|`` of the smallest, so exact ties
 (duplicate columns) and rounding-level ones are broken the same way by any
 solver.
+
+The factorisations, solves and ``ndtr`` are scipy's own compiled kernels,
+called as scipy 1.17.1 calls them and loaded from their files at a first
+fit or prediction (``linalg``), so scoring gives scipy's results bit for bit
+without ``import scipy.linalg`` or ``scipy.special``.  ``rfe``, ``gp_fit`` and
+``gp_predict`` run with every loaded OpenBLAS at one thread
+(``pool.one_blas_thread``), whatever the host program set.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -31,6 +39,7 @@ from .errors import (
     SingleClass,
     TooFewSamples,
 )
+from .pool import one_blas_thread
 from .store import bundle, check_shapes, is_number, read_bundle, write_files
 
 RFE_CUTOFF = 0.40
@@ -74,6 +83,19 @@ class SelectionResult:
     target_count: int
 
 
+def _one_blas_thread(fn):
+    """``fn`` run with scipy's kernels loaded (``linalg``), and with them
+    scipy's OpenBLAS, then every loaded OpenBLAS held at one thread
+    (``pool.one_blas_thread``)."""
+    @functools.wraps(fn)
+    def held(*args, **kwargs):
+        from . import linalg  # noqa: F401  loaded before BLAS is held
+
+        with one_blas_thread():
+            return fn(*args, **kwargs)
+    return held
+
+
 def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
     """Mask of the ``target`` columns of Z left after eliminating the
     smallest-|weight| column of the ridge fit one at a time.
@@ -83,28 +105,26 @@ def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
     remaining columns: O(d^2) per removal instead of a fresh solve.  P is
     symmetric and only its lower triangle is kept up to date.
     """
-    # scipy.linalg and .special take ~0.2 s to import: only where they run
-    from scipy.linalg import cholesky
-    from scipy.linalg.blas import dsymv, dsyr
-    from scipy.linalg.lapack import dpotri
+    from . import linalg
 
     d = Z.shape[1]
     alive = np.ones(d, dtype=bool)
     if d <= target:
         return alive
-    P, _ = dpotri(cholesky(Z.T @ Z + RIDGE_LAMBDA * np.eye(d), lower=True), lower=1)
-    w = dsymv(1.0, P, Z.T @ y, lower=1)
+    P, _ = linalg.dpotri(linalg.cholesky(Z.T @ Z + RIDGE_LAMBDA * np.eye(d)), lower=1)
+    w = linalg.dsymv(1.0, P, Z.T @ y, lower=1)
     for _ in range(d - target):
         live = np.flatnonzero(alive)
         mag = np.abs(w[live])
         j = live[np.flatnonzero(mag <= mag.min() + RFE_TIE_RTOL * mag.max())[-1]]
         col = np.concatenate((P[j, :j], P[j:, j]))
         w -= col * (w[j] / col[j])
-        P = dsyr(-1.0 / col[j], col, lower=1, a=P, overwrite_a=True)
+        P = linalg.dsyr(-1.0 / col[j], col, lower=1, a=P, overwrite_a=True)
         alive[j] = False
     return alive
 
 
+@_one_blas_thread
 def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
         target_count: int = RFE_TARGET_COUNT) -> SelectionResult:
     """Recursive feature elimination under cross-validation.
@@ -217,11 +237,11 @@ def _kernel(Xa, Xb, ell, sf):
 def _probit(y, f):
     """log p(y|f) summed over the points, its gradient and W = -d2 log p/df2
     (floored at 1e-12), from one evaluation of the normal CDF."""
-    from scipy.special import ndtr
+    from . import linalg
 
     z = y * f
     phi = np.exp(-0.5 * z ** 2) / np.sqrt(2 * np.pi)
-    Phi = np.clip(ndtr(z), 1e-300, None)
+    Phi = np.clip(linalg.ndtr(z), 1e-300, None)
     r = phi / Phi
     return np.log(Phi).sum(), y * r, np.maximum(r ** 2 + z * r, 1e-12)
 
@@ -230,7 +250,7 @@ def _laplace_mode(K, y, mean):
     """Newton iteration for the latent posterior mode (RW alg. 3.1 with a
     nonzero constant mean); returns mode, grad, W_sqrt, chol, log marginal.
     Each pass factors B at the current mode, then stops or takes one step."""
-    from scipy.linalg import cho_solve, cholesky
+    from . import linalg
 
     n = len(y)
     f = np.full(n, mean, dtype=float)
@@ -238,10 +258,7 @@ def _laplace_mode(K, y, mean):
     for step in range(MAX_LAPLACE_ITERS + 1):
         ll, grad, W = _probit(y, f)
         sw = np.sqrt(W)
-        try:
-            Lc = cholesky(np.eye(n) + sw[:, None] * K * sw[None, :], lower=True)
-        except np.linalg.LinAlgError as e:
-            raise CholeskyFailure(str(e)) from e
+        Lc = linalg.cholesky(np.eye(n) + sw[:, None] * K * sw[None, :])
         if step:
             # f = mean + K a, so a'(f - mean) is (f - mean)' K^-1 (f - mean)
             # (RW alg. 3.1 line 10)
@@ -249,7 +266,7 @@ def _laplace_mode(K, y, mean):
             if abs(obj - prev) < 1e-9 or step == MAX_LAPLACE_ITERS:
                 break
         b = W * (f - mean) + grad
-        a = b - sw * cho_solve((Lc, True), sw * (K @ b))
+        a = b - sw * linalg.cho_solve(Lc, sw * (K @ b))
         f = mean + K @ a
     return f, grad, sw, Lc, obj - float(np.log(np.diag(Lc)).sum())
 
@@ -263,10 +280,16 @@ def _median_heuristic(X):
     return med if med > 0 else 1.0
 
 
+@_one_blas_thread
 def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     """Fit the binary GP by Laplace approximation with a log-grid search
     over (length scale, signal std, jitter) maximizing the approximate
-    marginal likelihood.  Labels must be in {-1, +1}."""
+    marginal likelihood.  Labels must be in {-1, +1}.
+
+    Its one ``ndtri`` is the only scipy function ``diagnosis`` imports the
+    regular way, with ``scipy.special`` (~0.1 s): the ufunc lives in
+    ``special/_ufuncs``, whose initialisation imports ``scipy.special``, so it
+    cannot load from its file alone."""
     from scipy.special import ndtri
 
     X = np.asarray(X, dtype=float)
@@ -307,11 +330,11 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
                    grad_ll=grad, W_sqrt=sw, L=Lc, log_marginal=lml)
 
 
+@_one_blas_thread
 def gp_predict(model: GPModel, x: np.ndarray):
     """(scores in [-1, 1], latent predictive variances), one of each per row
     of ``x``."""
-    from scipy.linalg import solve_triangular
-    from scipy.special import ndtr
+    from . import linalg
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != len(model.standardizer.mean):
@@ -320,10 +343,10 @@ def gp_predict(model: GPModel, x: np.ndarray):
     Zs = model.standardizer.apply(x)
     Ks = _kernel(Zs, model.X, model.length_scale, model.signal_std)
     mu = model.mean_const + Ks @ model.grad_ll
-    v = solve_triangular(model.L, (model.W_sqrt[:, None] * Ks.T), lower=True)
+    v = linalg.solve_lower(model.L, model.W_sqrt[:, None] * Ks.T)
     kss = model.signal_std ** 2 + model.noise
     var = np.maximum(kss - np.sum(v ** 2, axis=0), 1e-12)
-    return 2.0 * ndtr(mu / np.sqrt(1.0 + var)) - 1.0, var
+    return 2.0 * linalg.ndtr(mu / np.sqrt(1.0 + var)) - 1.0, var
 
 
 @dataclass

@@ -208,7 +208,9 @@ def _entropy(q: np.ndarray, terms: np.ndarray, nz: np.ndarray) -> np.ndarray:
     terms *= q
     ent = -terms.sum(axis=1)
     counts = nz.sum(axis=1)
-    for c in np.unique(counts[counts < q.shape[1]]):
+    # the distinct short counts in ascending order, as np.unique gives them
+    # without importing numpy.ma
+    for c in np.flatnonzero(np.bincount(counts[counts < q.shape[1]])):
         rows = counts == c
         ent[rows] = -terms[rows][nz[rows]].reshape(-1, c).sum(axis=1) if c else 0.0
     return ent

@@ -2,7 +2,8 @@
 
 ``import scipy.signal`` takes ~0.5 s, more than the filtering of a 1 h night.
 The kernels preprocessing runs, ``_sosfilt`` and ``_upfirdn_apply``, and the
-``i0`` ufunc of the Kaiser window load from their files in a few ms.
+``i0`` ufunc of the Kaiser window load from their files in a few ms
+(``extensions``).
 ``butter``, ``kaiser_taps``, ``sosfiltfilt`` and ``resample_poly`` are scipy
 1.17.1's Python code around them, cut to the branches the pipeline takes and
 kept op for op: they give its results bit for bit at any sample rate.
@@ -15,33 +16,15 @@ others wait.
 
 from __future__ import annotations
 
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-
 import numpy as np
+
+from .extensions import extension
 
 KAISER_BETA = 5.0
 
-
-def _extension(package: str, name: str):
-    """scipy's compiled module ``package.name``: loaded from its file, or by
-    the regular import, which runs ``scipy.package``'s own, if none is found."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(scipy_dir, package, name + suffix)
-        if os.path.isfile(path):
-            spec = importlib.util.spec_from_file_location(f"scipy.{package}.{name}", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    return importlib.import_module(f"scipy.{package}.{name}")
-
-
-_sosfilt = _extension("signal", "_sosfilt")._sosfilt
-_upfirdn = _extension("signal", "_upfirdn_apply")
-_i0 = _extension("special", "_special_ufuncs").i0
+_sosfilt = extension("signal", "_sosfilt")._sosfilt
+_upfirdn = extension("signal", "_upfirdn_apply")
+_i0 = extension("special", "_special_ufuncs").i0
 
 
 def butter(order: int, fs: float, cutoff_hz: float,

@@ -1389,7 +1389,8 @@ def test_importing_the_cli_loads_every_layer_and_none_of_the_heavy_scipy():
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": src})
     loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"scipy.signal", "scipy.stats", "scipy.linalg", "scipy.special"}
+    assert not loaded & {"scipy.signal", "scipy.stats", "scipy.linalg", "scipy.special",
+                         "hypnopipe.filters", "hypnopipe.linalg"}
     layers = ("signal_io", "preprocess", "encoding", "neuralnet", "hypnodensity",
               "features", "diagnosis", "plot", "cli")
     assert {f"hypnopipe.{layer}" for layer in layers} <= loaded
@@ -1400,31 +1401,49 @@ def test_commands_at_any_rate_leave_scipy_signal_unloaded(workspace, tmp_path):
     128 and 200 Hz workspace, and preprocess and octave encoding of a
     314.159 Hz recording, design their filters in ``hypnopipe.filters`` and
     run scipy's kernels: each exits 0 in a fresh process that never imports
-    ``scipy.signal`` or ``scipy.stats``, nor, but for ``run-all``,
-    ``scipy.special``."""
+    ``scipy.signal``, ``scipy.stats``, ``scipy.linalg`` or ``scipy.special``.
+    Nor do ``features``, ``plot`` and a predicting ``diagnose``, whose GP
+    runs scipy's LAPACK and ``ndtr`` from ``hypnopipe.linalg``; ``diagnose
+    --fit`` imports ``scipy.special`` for ``gp_fit``'s ``ndtri`` alone.  ``features`` and
+    ``run-all`` leave ``numpy.ma`` unloaded too."""
     ref, mont, odd = tmp_path / "ref.json", tmp_path / "m", tmp_path / "odd"
     ref.write_text(json.dumps(REF))
     odd_meta = signal_io.save_recording(synth_recording(
         {role: {**spec, "fs": 314.159} for role, spec in RAW_SPEC.items()},
         seed=5, duration_s=600.0, recording_id="odd"), str(tmp_path / "raw"))
-    for argv in (["preprocess", workspace["meta"], str(mont), "--ref", str(ref)],
+    vec, mat = tmp_path / "vec.json", tmp_path / "matrix.csv"
+    vec.write_text(features.FeatureVector(values=np.linspace(-1, 1, 481)).to_json())
+    rng = np.random.default_rng(7)
+    y = np.where(rng.random(40) > 0.5, 1.0, 0.0)
+    write_matrix(mat, rng.standard_normal((40, 481)) + y[:, None], y)
+    filtering = [["preprocess", workspace["meta"], str(mont), "--ref", str(ref)],
                  ["encode", str(mont / "rec1.psgmeta.json"), str(tmp_path / "e"),
                   "--mode", "octave"],
                  ["run-all", "--config", _config_with(workspace, tmp_path, ref=str(ref)),
                   "--out-dir", str(tmp_path / "o")],
                  ["preprocess", odd_meta, str(odd), "--ref", str(ref)],
                  ["encode", str(odd / "odd.psgmeta.json"), str(tmp_path / "oe"),
-                  "--mode", "octave"]):
+                  "--mode", "octave"]]
+    others = [["features", str(tmp_path / "o" / "rec1.hypnodensity.csv"),
+               "--out", str(tmp_path / "f.json")],
+              ["plot", str(tmp_path / "o" / "rec1.hypnodensity.csv"),
+               str(tmp_path / "p.svg")],
+              ["diagnose", "--model", workspace["gp"], "--input", str(vec)],
+              ["diagnose", "--fit", "--matrix", str(mat), "--out", str(tmp_path / "gp")]]
+    for argv in filtering + others:
         code, loaded = json.loads(_fresh_python(
             "import json, sys\nfrom hypnopipe import cli\n"
             f"code = cli.main({argv!r})\n"
-            "print(json.dumps([code, sorted(sys.modules)]))"))
+            "print(json.dumps([code, sorted(sys.modules)]))").splitlines()[-1])
         assert code == 0, argv
-        heavy = {"scipy.signal", "scipy.stats"}
-        if argv[0] != "run-all":        # whose diagnosis imports scipy.special
-            heavy.add("scipy.special")
+        heavy = {"scipy.signal", "scipy.stats", "scipy.linalg", "scipy.special"}
+        if "--fit" in argv:
+            heavy.remove("scipy.special")
+        if argv[0] in ("features", "run-all"):
+            heavy.add("numpy.ma")
         assert not set(loaded) & heavy, argv
-        assert "hypnopipe.filters" in loaded
+        assert ("hypnopipe.filters" in loaded) == (argv in filtering), argv
+        assert ("hypnopipe.linalg" in loaded) == (argv[0] in ("run-all", "diagnose")), argv
 
 
 def _fresh_python(code, **env):

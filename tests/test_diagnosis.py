@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hypnopipe import diagnosis as dg
+from hypnopipe import diagnosis as dg, linalg, pool
 from hypnopipe.errors import CholeskyFailure, DimensionMismatch, SingleClass, TooFewSamples
 
 
@@ -59,11 +59,11 @@ def test_rfe_factorises_once_per_fold_with_both_classes(rng, monkeypatch):
 
     for name in FACTORISATIONS:
         monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
-    # diagnosis imports scipy.linalg's functions where it calls them, so they
-    # are counted where that import looks them up
     for name, fn in list(vars(scipy.linalg).items()):
         if callable(fn) and getattr(fn, "__module__", "").startswith("scipy.linalg"):
             monkeypatch.setattr(scipy.linalg, name, counting(fn))
+    # diagnosis's own factorisation, scipy's dpotrf
+    monkeypatch.setattr(linalg, "cholesky", counting(linalg.cholesky))
     n, d, folds = 60, 30, 5
     held = np.array_split(np.random.default_rng(0).permutation(n), folds)
     y = np.zeros(n)
@@ -216,7 +216,9 @@ def test_gp_fit_is_bitwise_the_kernel_built_per_grid_point(n, d):
     rng = np.random.default_rng([n, d])
     y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
     X = rng.standard_normal((n, d)) + 0.8 * y[:, None] * (rng.random(d) < 0.3)
-    got, ref = dg.gp_fit(X, y), _gp_fit_kernel_per_point(X, y)
+    got = dg.gp_fit(X, y)
+    with pool.one_blas_thread():        # where gp_fit runs its BLAS calls
+        ref = _gp_fit_kernel_per_point(X, y)
     for name in ("X", "grad_ll", "W_sqrt", "L"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     for name in ("mean", "std", "keep"):
@@ -226,20 +228,21 @@ def test_gp_fit_is_bitwise_the_kernel_built_per_grid_point(n, d):
         assert getattr(got, name) == getattr(ref, name), name
 
 
-REAL_CHOLESKY = scipy.linalg.cholesky
+REAL_CHOLESKY = linalg.cholesky
 
 
 def _counting_cholesky(monkeypatch, fail_at=None):
-    """Count ``scipy.linalg.cholesky``'s calls (``diagnosis`` imports it where
-    it calls it); call number ``fail_at`` raises ``LinAlgError``."""
+    """Count the calls of ``linalg.cholesky``, diagnosis's one factorisation
+    helper; call number ``fail_at`` fails as a non-positive-definite matrix
+    does, with ``CholeskyFailure``."""
     calls = []
 
-    def cholesky(a, *args, **kwargs):
+    def cholesky(a):
         calls.append(len(calls) + 1)
         if calls[-1] == fail_at:
-            raise np.linalg.LinAlgError("forced failure")
-        return REAL_CHOLESKY(a, *args, **kwargs)
-    monkeypatch.setattr(scipy.linalg, "cholesky", cholesky)
+            raise CholeskyFailure("forced failure")
+        return REAL_CHOLESKY(a)
+    monkeypatch.setattr(linalg, "cholesky", cholesky)
     return calls
 
 

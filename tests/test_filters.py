@@ -53,9 +53,13 @@ def assert_designs_are_scipys(key):
 @pytest.fixture(params=["by_path", "by_import"])
 def kernels(request, monkeypatch):
     """``filters`` with its kernels and ``i0`` loaded from their files, or with
-    the file lookup made to miss, so that the regular import loads them."""
+    the file lookup made to miss and the modules out of ``sys.modules``, so
+    that the regular import loads them."""
     if request.param == "by_import":
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        for name in ("scipy.signal._sosfilt", "scipy.signal._upfirdn_apply",
+                     "scipy.special._special_ufuncs"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
 
         def no_file(*args, **kwargs):
             raise AssertionError("loaded by file path")

@@ -1,5 +1,9 @@
 """The one thread pool: pooled preprocess, encode and scoring equal a serial map."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -120,3 +124,148 @@ def test_the_pool_is_the_only_one_in_src():
                  and any(tok in p.read_text() for tok in
                          ("concurrent", "multiprocessing", "threading", "Executor"))]
     assert offenders == []
+
+
+# numpy's and scipy's bundled OpenBLAS, found here as a host program would
+# find them, so that the test does not rely on the code it tests
+HOST_BLAS = """
+import ctypes, glob, importlib.util, json, os
+import numpy, scipy.linalg
+
+def blas_counts():
+    return [get() for get, _ in BLAS]
+
+BLAS = []
+for package, suffix in (("numpy", "64_"), ("scipy", "")):
+    libs = os.path.dirname(importlib.util.find_spec(package).submodule_search_locations[0])
+    (path,) = glob.glob(os.path.join(glob.escape(libs), package + ".libs",
+                                     "libscipy_openblas*.so"))
+    lib = ctypes.CDLL(path, os.RTLD_NOLOAD)
+    BLAS.append((getattr(lib, "scipy_openblas_get_num_threads" + suffix),
+                 getattr(lib, "scipy_openblas_set_num_threads" + suffix)))
+for _, set_threads in BLAS:
+    set_threads(2)
+assert blas_counts() == [2, 2]
+"""
+
+
+def _host_python(code, *args):
+    """What ``code`` prints in a fresh interpreter that imports numpy and
+    scipy.linalg before hypnopipe and sets both OpenBLAS to 2 threads."""
+    src = str(Path(pool.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", HOST_BLAS + code, *args],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**env, "PYTHONPATH": src}).stdout
+
+
+def test_blas_runs_one_thread_inside_and_the_hosts_count_after():
+    """In ``rfe``, ``gp_fit``, ``gp_predict`` and a ``thread_map`` worker every
+    loaded OpenBLAS runs one thread, also when entries nest or overlap, and
+    the host's 2 comes back after each, also after one that raised."""
+    out = _host_python("""
+import numpy as np
+from hypnopipe import diagnosis, pool
+from hypnopipe.errors import DimensionMismatch
+
+inside, after = {}, {}
+def probe(name, fn):
+    def wrapped(*args, **kwargs):
+        inside.setdefault(name, blas_counts())
+        return fn(*args, **kwargs)
+    return wrapped
+diagnosis._rfe_survivors = probe("rfe", diagnosis._rfe_survivors)
+diagnosis._laplace_mode = probe("gp_fit", diagnosis._laplace_mode)
+diagnosis._kernel = probe("gp_predict", diagnosis._kernel)
+rng = np.random.default_rng(0)
+y = np.where(rng.random(60) > 0.5, 1.0, -1.0)
+X = rng.standard_normal((60, 30)) + y[:, None]
+diagnosis.rfe(X, y > 0, target_count=5)
+after["rfe"] = blas_counts()
+model = diagnosis.gp_fit(X[:, :4], y)
+after["gp_fit"] = blas_counts()
+diagnosis.gp_predict(model, X[:3, :4])
+after["gp_predict"] = blas_counts()
+pool.thread_map(lambda i: inside.setdefault(f"worker{i}", blas_counts()), range(3))
+after["thread_map"] = blas_counts()
+pool.thread_map(lambda i: diagnosis.gp_predict(model, X[i:i + 1, :4]), range(4))
+after["nested"] = blas_counts()
+try:
+    diagnosis.gp_predict(model, X[:3, :3])
+except DimensionMismatch:
+    after["raised"] = blas_counts()
+def fails(i):
+    inside.setdefault("failing", blas_counts())
+    raise ValueError(i)
+try:
+    pool.thread_map(fails, range(2))
+except ValueError:
+    after["worker_raised"] = blas_counts()
+print(json.dumps([inside, after]))
+""")
+    inside, after = json.loads(out)
+    assert inside == {name: [1, 1] for name in ("rfe", "gp_fit", "gp_predict", "worker0",
+                                                "worker1", "worker2", "failing")}
+    assert after == {name: [2, 2] for name in ("rfe", "gp_fit", "gp_predict", "thread_map",
+                                               "nested", "raised", "worker_raised")}
+
+
+def test_a_host_at_two_blas_threads_fits_the_bytes_the_cli_writes(tmp_path):
+    """``cli.main`` in a host at 2 BLAS threads and the ``python -m
+    hypnopipe.cli`` process write the same GP and selection.  At 220 rows the
+    GP's log marginal moves in its last digits at 2 threads (190 rows do)."""
+    rng = np.random.default_rng(28)
+    y = rng.random(220) > 0.5
+    X = rng.standard_normal((220, 481)) + 0.7 * y[:, None] * (rng.random(481) < 0.05)
+    mat = tmp_path / "matrix.csv"
+    with open(mat, "w") as f:
+        for row, label in zip(X, y):
+            f.write(",".join(f"{v:.8g}" for v in row) + f",{label:d}\n")
+    host, cli_out = tmp_path / "host", tmp_path / "cli"
+    argv = ["diagnose", "--fit", "--matrix", str(mat)]
+    _host_python("import sys\nfrom hypnopipe import cli\n"
+                 "assert cli.main(sys.argv[1:]) == 0\nassert blas_counts() == [2, 2]\n",
+                 *argv, "--out", str(host))
+    subprocess.run([sys.executable, "-m", "hypnopipe.cli", *argv, "--out", str(cli_out)],
+                   check=True, timeout=120, capture_output=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(pool.__file__).parent.parent)})
+    names = sorted(p.name for p in cli_out.iterdir())
+    assert "selection.json" in names and len(names) > 2
+    assert sorted(p.name for p in host.iterdir()) == names
+    for name in names:
+        assert (host / name).read_bytes() == (cli_out / name).read_bytes(), name
+
+
+def test_concurrent_holds_keep_one_thread_until_the_last_one_ends():
+    """Eight threads on the cores enter and leave holds, nested and
+    overlapping, with a short switch interval: each reads one BLAS thread
+    inside every hold, and the host's 2 is back once all have ended."""
+    out = _host_python("""
+import sys, threading
+from hypnopipe import pool
+
+seen, start = [], threading.Barrier(8, timeout=30)
+def worker():
+    start.wait()
+    for _ in range(300):
+        with pool.one_blas_thread():
+            seen.append(tuple(blas_counts()))
+            with pool.one_blas_thread():
+                seen.append(tuple(blas_counts()))
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)
+try:
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+print(json.dumps([any(t.is_alive() for t in threads), len(seen), sorted(set(seen)),
+                  blas_counts(), pool._blas_depth]))
+""")
+    alive, count, seen, after, depth = json.loads(out)
+    assert not alive and count == 8 * 300 * 2
+    assert seen == [[1, 1]]
+    assert after == [2, 2] and depth == 0
