@@ -35,7 +35,6 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      HypnopipeError, InvalidSpec, InvalidValues, MissingChannel,
                      NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
-from .pool import thread_map
 from .store import as_stored, bundle_files, read_text, write_files
 
 EXIT_IO = 2
@@ -187,17 +186,16 @@ def _load_models(models_dir, mode=None, resolution=None):
 
 def _score_ensemble(models, enc, resolution=None):
     """Member hypnodensities at ``resolution`` (default: the members'
-    ``segment_s``) and their ensemble.  The recording is windowed once, and
-    the members run on the thread pool; ``InvalidSpec`` before that unless
-    it is in the members' encoding."""
+    ``segment_s``) and their ensemble.  The recording is windowed once and
+    scored by ``neuralnet.score_ensemble``; ``InvalidSpec`` before that
+    unless it is in the members' encoding."""
     encoding, segment_s = models[0][1].encoding, models[0][1].segment_s
     if enc.mode != encoding:
         raise InvalidSpec(f"{enc.recording_id}: the encoding is {enc.mode!r}, "
                           f"the models' encoding is {encoding!r}")
     batch = neuralnet.windows_from_encoded(enc, segment_s)
-    members = thread_map(lambda model: hypnodensity.Hypnodensity(
-        probs=neuralnet.forward(model[0], batch, model[1])[0], resolution_s=segment_s),
-        models)
+    members = [hypnodensity.Hypnodensity(probs=probs, resolution_s=segment_s)
+               for probs in neuralnet.score_ensemble(models, batch)]
     if resolution not in (None, segment_s):
         members = [hypnodensity.aggregate_resolution(m, resolution) for m in members]
     return members, hypnodensity.ensemble_hypnodensity(members)

@@ -6,12 +6,20 @@ pooled features are concatenated and fed to either a fully connected layer
 mode), ending in a 5-way softmax.  A recording's windows are one batch
 ``{modality: (N, channels, length)}`` from ``windows_from_encoded``.
 
-``forward`` is the one implementation of every layer.  The conv stacks run
-over CHUNK windows at a time, so scoring a whole night holds one chunk's
-activations plus the concatenated features (about 40 floats per window).
-The backward cache is kept only when ``loss_and_grads`` asks for it, and
-dropout runs if and only if a random generator is passed.  Gradients are
-analytic and checked against central finite differences.
+One conv-stack implementation serves training and scoring: ``forward`` is
+its one-member case.  ``score_ensemble`` runs a whole ensemble in two
+phases.  First the conv features, on the one pool, in jobs of (chunk of
+windows, modality, group): a group is the members whose input
+standardization for that modality is equal, byte for byte, so its windows
+are standardised once and its layer 0 runs as one product against the
+members' stacked filters; then each member's deeper layers run on its
+slice.  Then each member's head, FF or LSTM, runs from its own features.
+Scoring a night holds a few chunks' activations plus the members'
+concatenated features (about 40 floats per window each), and each member's
+probabilities are bitwise those of its own ``forward``.  The backward cache
+is kept only when ``loss_and_grads`` asks for it, and dropout runs if and
+only if a random generator is passed.  Gradients are analytic and checked
+against central finite differences.
 
 Training constants: cross-entropy (as printed, with the (1-y)log(1-p) term)
 plus L2 at lambda=1e-5, SGD with momentum 0.9, learning rate 0.005 decaying
@@ -31,6 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DatasetTooSmall, InvalidSpec, NaNGradient, ShapeMismatch
 from .encoding import (CC_PARAMS, CC_TENSORS, CC_WINDOW_S, INPUTS, MODES,
                        OCTAVE_CUTOFFS_HZ, EncodedRecording)
+from .pool import one_blas_thread, thread_map
 from .preprocess import TARGET_FS
 from .signal_io import VALID_EPOCH_S
 from .store import bundle, check_shapes, read_bundle, write_files
@@ -53,6 +62,14 @@ ENSEMBLE_SCALE = (0.5, 1.5)
 MODALITIES = ("EEG", "EOG", "EMG")
 KERNEL = 3
 CHUNK = 128                # windows per conv-stack pass; bounds what scoring holds
+# Windows per stacked layer-0 product when scoring.  OpenBLAS rounds the
+# last (columns mod 8) columns of a product, and every column of a one-row
+# product, in kernels that depend on the number of rows (filters).  So the
+# stacked product runs only on whole runs of STACKED_WINDOWS windows (a
+# multiple of 32 columns) and over members of two or more filters; a shorter
+# last run, and a one-filter member, run each member's own product, as a
+# lone ``forward`` does.
+STACKED_WINDOWS = CHUNK // 4
 LOG_EPS = 1e-12
 
 
@@ -96,8 +113,9 @@ class NetworkConfig:
                 raise InvalidSpec(f"a modality shape must be two integers > 0 "
                                   f"(channels, length), got {shape!r}")
         for counts in self.conv_features.values():
-            if any(type(c) is not int or c < 1 for c in counts):
-                raise InvalidSpec(f"conv feature counts must be integers > 0, got {counts!r}")
+            if not counts or any(type(c) is not int or c < 1 for c in counts):
+                raise InvalidSpec(f"conv feature counts must be one or more integers > 0, "
+                                  f"got {counts!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
@@ -161,10 +179,18 @@ def trainable_names(params: dict[str, np.ndarray]) -> list[str]:
 
 # ---------------------------------------------------------------- layers
 
-def _conv1d(x, w, b):
-    # x (B,c,L), w (f,c,k) -> (B,f,L-k+1)
+def _conv_relu(x, w, b):
+    # x (B,c,L), w (f,c,k) -> ReLU(conv + bias) (B,f,L-k+1), bias and ReLU in place
     xs = sliding_window_view(x, KERNEL, axis=2)       # (B,c,L_out,k)
-    return np.einsum("bclk,fck->bfl", xs, w, optimize=True) + b[None, :, None]
+    a = np.einsum("bclk,fck->bfl", xs, w, optimize=True)
+    a += b[None, :, None]
+    return np.maximum(a, 0.0, out=a)
+
+
+def _meanpool2(a, out=None):
+    l_out = a.shape[2] // 2
+    out = np.add(a[:, :, 0:2 * l_out:2], a[:, :, 1:2 * l_out:2], out=out)
+    return np.divide(out, 2, out=out)
 
 
 def _conv1d_back(x, w, dy):
@@ -197,33 +223,111 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _conv_stack(params, x, modality, config, keep_cache):
-    """One modality's conv stack on a chunk of windows: pooled features
-    (B, F), and each layer's (input, pre-activation) if ``keep_cache``."""
-    mu = params[f"{NORM_PREFIX}{modality}/mean"]
-    sd = params[f"{NORM_PREFIX}{modality}/std"]
-    h = (x - mu[None]) / sd[None]
-    layers = []
-    n_layers = len(config.conv_features[modality])
-    for i in range(n_layers):
-        pre = _conv1d(h, params[f"conv{i}/{modality}/w"], params[f"conv{i}/{modality}/b"])
-        if keep_cache:
-            layers.append((h, pre))
-        h = np.maximum(pre, 0.0)
-        if i < n_layers - 1:
-            l_out = h.shape[2] // 2
-            h = (h[:, :, 0:2 * l_out:2] + h[:, :, 1:2 * l_out:2]) / 2
-    return h.mean(axis=2), layers
+def _checked_batch(models, batch) -> dict:
+    xs = {m: np.asarray(batch[m]) for m in MODALITIES}
+    for _, config in models:
+        for m, x in xs.items():
+            c, L = config.modality_shapes[m]
+            if x.shape[1:] != (c, L) or len(x) != len(xs["EEG"]):
+                raise ShapeMismatch(f"{m}: expected (B,{c},{L}) with the EEG's B, "
+                                    f"got {x.shape}")
+    return xs
+
+
+def _first_layer_groups(models, modality) -> list:
+    """``[(members, mean, std, w, b)]``: the indices of the members that share
+    ``modality``'s input standardization (its dtype and bytes) and whether
+    layer 0 is their last, with their layer-0 filters and biases stacked.  A
+    member of one filter is a group of its own (see ``STACKED_WINDOWS``)."""
+    mean, std = f"{NORM_PREFIX}{modality}/mean", f"{NORM_PREFIX}{modality}/std"
+    groups: dict = {}
+    for i, (params, config) in enumerate(models):
+        mu, sd, counts = params[mean], params[std], config.conv_features[modality]
+        key = (mu.dtype.str, mu.tobytes(), sd.dtype.str, sd.tobytes(), len(counts) == 1,
+               i if counts[0] == 1 else -1)
+        groups.setdefault(key, []).append(i)
+    out = []
+    for members in groups.values():
+        w, b = (np.concatenate([models[i][0][f"conv0/{modality}/{p}"] for i in members])
+                for p in ("w", "b"))
+        params = models[members[0]][0]
+        out.append((members, params[mean], params[std], w, b))
+    return out
+
+
+def _conv_job(models, x, modality, group, zs, s, layers):
+    """One group's conv stacks of ``modality`` on the chunk ``x`` of windows
+    from ``s``: each member's pooled features into its ``zs[i][s:]`` columns,
+    and, when ``layers`` is a list, the one member's (input, activation) of
+    each layer appended to it.  Layer 0 runs STACKED_WINDOWS windows at a
+    time, each standardised once, into one pooled buffer; with ``layers`` it
+    runs on the whole chunk, whose input and activations the backward pass
+    reads.  The deeper layers run member by member on the member's slice."""
+    members, mu, sd, w, b = group
+    configs = [models[i][1] for i in members]
+    bounds = np.cumsum([0] + [c.conv_features[modality][0] for c in configs])
+    last = len(configs[0].conv_features[modality]) == 1
+    n = len(x)
+    # filter-major, as the products come out of ``_conv_relu``: the pooling
+    # writes in their order, and a member's slice is one block
+    out = np.empty((len(w), n) if last else (len(w), n, (x.shape[2] - KERNEL + 1) // 2))
+    out = out.swapaxes(0, 1)
+    step = n if layers is not None else STACKED_WINDOWS
+    for t in range(0, n, step):
+        h = (np.asarray(x[t:t + step], dtype=float) - mu[None]) / sd[None]
+        for lo, hi in ([(0, len(w))] if len(h) == step else zip(bounds[:-1], bounds[1:])):
+            a = _conv_relu(h, w[lo:hi], b[lo:hi])
+            if layers is not None:
+                layers.append((h, a))
+            if last:
+                out[t:t + len(h), lo:hi] = a.mean(axis=2)
+            else:
+                _meanpool2(a, out=out[t:t + len(h), lo:hi])
+    first = MODALITIES.index(modality)
+    for i, config, lo, hi in zip(members, configs, bounds[:-1], bounds[1:]):
+        params, counts = models[i][0], config.conv_features[modality]
+        h = out[:, lo:hi]
+        for j in range(1, len(counts)):
+            a = _conv_relu(h, params[f"conv{j}/{modality}/w"], params[f"conv{j}/{modality}/b"])
+            if layers is not None:
+                layers.append((h, a))
+            h = _meanpool2(a) if j < len(counts) - 1 else a.mean(axis=2)
+        col = sum(config.conv_features[m][-1] for m in MODALITIES[:first])
+        zs[i][s:s + n, col:col + counts[-1]] = h
+
+
+def _conv_features(models, batch, map_fn, keep_cache=False):
+    """Each member's pooled conv features (B, F) of ``batch``, from jobs of
+    (chunk of windows, modality, ``_first_layer_groups`` group) that
+    ``map_fn`` runs; and the list of each job's layers if ``keep_cache`` (one
+    member).  A kept cache holds whole CHUNKs, over which the backward pass
+    sums; otherwise a chunk is half of one, so that jobs running at once hold
+    less."""
+    xs = _checked_batch(models, batch)
+    B = len(xs["EEG"])
+    zs = [np.empty((B, sum(c.conv_features[m][-1] for m in MODALITIES))) for _, c in models]
+    groups = {m: _first_layer_groups(models, m) for m in MODALITIES}
+    size = CHUNK if keep_cache else CHUNK // 2
+    jobs = [(s, m, group) for s in range(0, B, size) for m in MODALITIES
+            for group in groups[m]]
+
+    def run(job):
+        s, m, group = job
+        layers = [] if keep_cache else None
+        _conv_job(models, xs[m][s:s + size], m, group, zs, s, layers)
+        return layers
+
+    return zs, list(map_fn(run, jobs))
 
 
 def _conv_stack_back(params, layers, dfeat, modality, grads):
     gap_len = layers[-1][1].shape[2]
     dh = np.repeat(dfeat[:, :, None], gap_len, axis=2) / gap_len
     for i in reversed(range(len(layers))):
-        x, pre = layers[i]
+        x, act = layers[i]
         if i < len(layers) - 1:
-            dh = _meanpool2_back(pre.shape, dh)
-        dx, dw, db = _conv1d_back(x, params[f"conv{i}/{modality}/w"], dh * (pre > 0))
+            dh = _meanpool2_back(act.shape, dh)
+        dx, dw, db = _conv1d_back(x, params[f"conv{i}/{modality}/w"], dh * (act > 0))
         grads[f"conv{i}/{modality}/w"] += dw
         grads[f"conv{i}/{modality}/b"] += db
         dh = dx
@@ -231,42 +335,40 @@ def _conv_stack_back(params, layers, dfeat, modality, grads):
 
 
 def forward(params, batch, config: NetworkConfig,
-            rng: np.random.Generator | None = None, keep_cache: bool = False):
+            rng: np.random.Generator | None = None, keep_cache: bool = False, z=None):
     """Probabilities for a batch of windows.
 
     ``batch`` maps modality name to an array (B, channels, length).  FF mode
     treats the B windows independently; LSTM mode consumes them as one
-    temporal sequence from a zero state.  The conv stacks run CHUNK windows
-    at a time; the head runs over their concatenated features (B, F).
+    temporal sequence from a zero state.  The conv stacks run a chunk of
+    windows at a time (``_conv_features``); the head runs over their
+    concatenated features ``z`` (B, F).  ``score_ensemble`` passes each
+    member's ``z``, computed with the rest of its ensemble's, and then only
+    the head runs.
     Dropout masks the LSTM outputs if and only if ``rng`` is given.
     Returns (probs (B, 5), cache): the cache that ``loss_and_grads`` reads
     if ``keep_cache``, else None, so scoring holds no per-layer activations.
     """
-    xs = {m: np.asarray(batch[m], dtype=float) for m in MODALITIES}
-    for m, x in xs.items():
-        c, L = config.modality_shapes[m]
-        if x.shape[1:] != (c, L) or len(x) != len(xs["EEG"]):
-            raise ShapeMismatch(f"{m}: expected (B,{c},{L}) with the EEG's B, "
-                                f"got {x.shape}")
-    B = len(xs["EEG"])
-    z = np.empty((B, sum(config.conv_features[m][-1] for m in MODALITIES)))
-    stacks = []
-    for s in range(0, B, CHUNK):
-        parts = [_conv_stack(params, xs[m][s:s + CHUNK], m, config, keep_cache)
-                 for m in MODALITIES]
-        np.concatenate([f for f, _ in parts], axis=1, out=z[s:s + CHUNK])
-        stacks.append([layers for _, layers in parts])
-    cache = {"stacks": stacks, "z": z}
-    H = config.hidden
+    if z is None:
+        (z,), layers = _conv_features([(params, config)], batch, map, keep_cache)
+    elif keep_cache:
+        raise InvalidSpec("a kept cache holds the conv stacks, so forward must run them")
+    cache = None
+    if keep_cache:
+        k = len(MODALITIES)
+        cache = {"z": z, "stacks": [layers[s:s + k] for s in range(0, len(layers), k)]}
+    B, H = len(z), config.hidden
     if config.mode == "FF":
         pre = z @ params["fc1/w"].T + params["fc1/b"]
         h = np.maximum(pre, 0.0)
-        cache["fc1_pre"] = pre
+        if keep_cache:
+            cache["fc1_pre"] = pre
     else:
         wx, wh, b = params["lstm/wx"], params["lstm/wh"], params["lstm/b"]
         h_t, c_t = np.zeros(H), np.zeros(H)
-        hs = np.empty((B, H))
+        h = np.empty((B, H))
         if keep_cache:
+            cache["hs"] = h
             cs = cache["cs"] = np.empty((B, H))
             gates = cache["gates"] = np.empty((B, 4 * H))
         for t in range(B):
@@ -277,18 +379,40 @@ def forward(params, batch, config: NetworkConfig,
             o_g = _sigmoid(g[3 * H:])
             c_t = f_g * c_t + i_g * g_g
             h_t = o_g * np.tanh(c_t)
-            hs[t] = h_t
+            h[t] = h_t
             if keep_cache:
                 cs[t] = c_t
                 gates[t] = np.concatenate([i_g, f_g, g_g, o_g])
-        cache["hs"] = h = hs
         if rng is not None:
             mask = (rng.random(h.shape) < DROPOUT_KEEP) / DROPOUT_KEEP
-            cache["dropout_mask"] = mask
             h = h * mask
-    cache["h"] = h
+            if keep_cache:
+                cache["dropout_mask"] = mask
+    if keep_cache:
+        cache["h"] = h
     probs = _softmax(h @ params["out/w"].T + params["out/b"])
-    return probs, (cache if keep_cache else None)
+    return probs, cache
+
+
+def score_ensemble(models, batch) -> list[np.ndarray]:
+    """Each member's probabilities (B, 5) of ``batch``, bitwise those of its
+    own ``forward``; ``models`` is a list of (params, config), FF and LSTM
+    heads mixed as they come.  Two phases:
+
+    1. Conv features, on the one pool, in jobs of (half a CHUNK of windows,
+       modality, group of members that share the modality's input
+       standardization): each STACKED_WINDOWS windows are standardised once
+       and the group's layer 0 runs as one product against its stacked
+       filters, then each member's deeper layers run on its slice.
+    2. Heads: each member's ``forward`` from its own features, one after
+       another at one BLAS thread, as on the pool.  The LSTM step loop holds
+       the GIL: 16 heads of a 0.5 h night took 0.065 s serially and 0.080 s
+       on two threads.
+    """
+    zs, _ = _conv_features(models, batch, thread_map)
+    with one_blas_thread():
+        return [forward(params, batch, config, z=z)[0]
+                for (params, config), z in zip(models, zs)]
 
 
 def loss(pred_probs, one_hot, params=None) -> float:
@@ -428,7 +552,7 @@ def _one_hot(labels):
 def fit_standardization(params, dataset):
     """Per-channel mean/std over the training windows, stored in params."""
     for m in MODALITIES:
-        xs = np.concatenate([batch[m] for batch, _ in dataset], axis=0)
+        xs = np.concatenate([batch[m] for batch, _ in dataset], axis=0, dtype=float)
         mu = xs.mean(axis=(0, 2), keepdims=False)[:, None]
         sd = xs.std(axis=(0, 2), keepdims=False)[:, None]
         sd[sd < 1e-8] = 1.0
@@ -537,7 +661,8 @@ def windows_from_encoded(enc: EncodedRecording, segment_s: int) -> dict:
         def cut(*names):
             parts = [t[k][:, :n * width].reshape(len(t[k]), n, width).transpose(1, 0, 2)
                      for k in names]
-            out = np.empty((n, sum(p.shape[1] for p in parts), width))
+            out = np.empty((n, sum(p.shape[1] for p in parts), width),
+                           dtype=np.result_type(*parts))
             return np.concatenate(parts, axis=1, out=out)
 
         batch = {m: cut(*roles) for m, roles in INPUTS["octave"].items()}

@@ -1,5 +1,6 @@
 """The one thread pool: channels in preprocess, tensors and roles in encode,
-and the ensemble's members in scoring; and the one BLAS setting.
+and in scoring the conv-feature jobs (a chunk of windows, a modality and
+the members that standardise it alike); and the one BLAS setting.
 
 Their kernels (scipy's filters and resampler, numpy's einsum, matrix
 products and reductions) release the GIL, so threads run them on every core

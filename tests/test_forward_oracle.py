@@ -1,6 +1,8 @@
 """``neuralnet.forward`` (conv stacks in chunks of CHUNK windows, no cache
-unless asked) against the whole-batch forward it replaced, kept here
-verbatim as the reference together with the layer helpers it called.
+unless asked) and ``neuralnet.score_ensemble`` (one shared, stacked first
+layer for the members that standardise alike) against the whole-batch
+forward they replaced, kept here verbatim as the reference together with the
+layer helpers it called.
 
 The arithmetic of every window is unchanged, so probabilities must be
 bitwise equal for FF and LSTM heads on CC and octave window shapes, at batch
@@ -9,12 +11,14 @@ sizes around the chunk boundaries.  Scoring must also hold no cache: its
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from hypnopipe import neuralnet as nn
+from hypnopipe import pool
 from hypnopipe.errors import ShapeMismatch
 from hypnopipe.neuralnet import KERNEL, MODALITIES, NORM_PREFIX
 
@@ -247,3 +251,135 @@ def test_scoring_memory_does_not_grow_with_the_night():
     base = _peak_bytes(params, cfg, one)
     # what does grow: about 40 features, the hidden units and 5 outputs per window
     assert _peak_bytes(params, cfg, four) < base + 1_000_000
+
+
+# ------------------------------------------------------- the ensemble scorer
+
+def random_norm(cfg, rng):
+    """A random input standardization for ``cfg``'s windows."""
+    out = {}
+    for m in MODALITIES:
+        c, _ = cfg.modality_shapes[m]
+        out[f"{NORM_PREFIX}{m}/mean"] = rng.standard_normal((c, 1))
+        out[f"{NORM_PREFIX}{m}/std"] = rng.uniform(0.5, 2.0, (c, 1))
+    return out
+
+
+def ensemble(configs, alike=3, seed=5):
+    """Members at fan-in scale: the first ``alike`` keep the initial
+    standardization (mean 0, std 1), as members that ``train`` makes share
+    theirs; the next three share a random one, and each later member has its
+    own."""
+    rng = np.random.default_rng(seed)
+    shared = random_norm(configs[0], rng)
+    models = []
+    for j, cfg in enumerate(configs):
+        params = fan_in_scaled(nn.init_params(cfg), cfg.seed)
+        if j >= alike:
+            params.update(shared if j < alike + 3 else random_norm(cfg, rng))
+        models.append((params, cfg))
+    return models
+
+
+def ensemble_of(encoding, mode, n=8, alike=3, seed=5):
+    template = nn.NetworkConfig(mode=mode, encoding=encoding, segment_s=5, seed=seed)
+    return ensemble(nn.make_ensemble(template, n=n, seed=seed), alike, seed)
+
+
+def assert_the_scorer_is_the_reference(models, batch):
+    """Each member's probabilities are bitwise its own ``forward``'s, and its
+    conv features bitwise the whole-batch forward's when the batch is one
+    chunk.  Over more windows, and in the head, the reference makes its BLAS
+    calls on other shapes and orders (one product over every window; an
+    F-ordered ``z``, concatenated from K-ordered means), which may round
+    otherwise for these widths, as it did against the chunked ``forward``
+    before the scorer: within 1e-12 there."""
+    got = nn.score_ensemble(models, batch)
+    assert len(got) == len(models)
+    # the scorer runs inside the pool's hold, at one BLAS thread
+    with pool.one_blas_thread():
+        for j, (params, cfg) in enumerate(models):
+            want, whole = forward_whole(params, batch, cfg)
+            alone, cache = nn.forward(params, batch, cfg, keep_cache=True)
+            assert np.array_equal(got[j], alone), j
+            if len(batch["EEG"]) <= nn.CHUNK:
+                assert np.array_equal(cache["z"], whole["z"]), j
+            assert np.abs(cache["z"] - whole["z"]).max() <= 1e-12, j
+            assert np.abs(got[j] - want).max() <= 1e-12, j
+    assert np.median([np.ptp(p) for p in got]) > 0.05    # far from uniform: a real check
+
+
+@pytest.mark.parametrize("encoding,mode", NETS)
+@pytest.mark.parametrize("n", SIZES)
+def test_the_scorer_is_bitwise_the_reference_for_varied_widths(encoding, mode, n):
+    models = ensemble_of(encoding, mode)
+    groups = nn._first_layer_groups(models, "EEG")
+    assert sorted(len(g[0]) for g in groups) == [1, 1, 3, 3]
+    assert len({c.conv_features["EEG"][0] for _, c in models}) > 2
+    assert_the_scorer_is_the_reference(models, windows(models[0][1], n))
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sixteen_members_that_standardise_alike(n):
+    # one group of 16: the stacked product is as wide as the benchmark's, where
+    # a short last run stacked would round otherwise at 127 and 259 windows
+    models = ensemble_of("octave", "FF", n=16, alike=16)
+    assert [len(g[0]) for g in nn._first_layer_groups(models, "EEG")] == [16]
+    assert_the_scorer_is_the_reference(models, windows(models[0][1], n))
+
+
+@pytest.mark.parametrize("n", [nn.CHUNK - 1, 2 * nn.CHUNK + 3])
+def test_a_mixed_ff_and_lstm_ensemble_on_float32_windows(n):
+    configs = [cfg for pair in zip(
+        *(nn.make_ensemble(nn.NetworkConfig(mode=mode, encoding="octave", segment_s=5),
+                           n=4, seed=9) for mode in ("FF", "LSTM"))) for cfg in pair]
+    models = ensemble(configs)
+    assert [c.mode for _, c in models] == ["FF", "LSTM"] * 4
+    # octave windows come as float32 from a stored recording; both sides cast
+    batch = {m: x.astype(np.float32) for m, x in windows(configs[0], n).items()}
+    assert_the_scorer_is_the_reference(models, batch)
+
+
+@pytest.mark.parametrize("n", [1, nn.CHUNK + 1])
+def test_members_of_one_filter_and_of_one_layer(n):
+    template = nn.NetworkConfig(mode="FF", encoding="cc", segment_s=5)
+    layouts = [[1, 4], [3], [2, 3], [1, 4], [4], [3, 5], [1], [6, 2]]
+    configs = [replace(template, conv_features={m: counts for m in MODALITIES}, seed=j)
+               for j, counts in enumerate(layouts)]
+    models = ensemble(configs)
+    assert_the_scorer_is_the_reference(models, windows(configs[0], n))
+
+
+def test_the_scorer_refuses_a_member_of_another_shape():
+    models = ensemble_of("cc", "FF", n=3)
+    params, cfg = member("octave", "FF")
+    with pytest.raises(ShapeMismatch):
+        nn.score_ensemble(models + [(params, cfg)], windows(models[0][1], 4))
+
+
+def _ensemble_peak_bytes(models, batch):
+    tracemalloc.start()
+    try:
+        nn.score_ensemble(models, batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_scoring_memory_does_not_grow_with_the_night(monkeypatch):
+    # serially, so that the peak does not depend on which jobs overlap
+    monkeypatch.setattr(nn, "thread_map", lambda fn, items: [fn(i) for i in items])
+    models = ensemble_of("octave", "LSTM", n=16, alike=16)
+    cfg = models[0][1]
+    base = _ensemble_peak_bytes(models, windows(cfg, nn.CHUNK))
+    # what does grow: each member's features, hidden units and 5 outputs per window
+    per_window = 8 * sum(sum(c.conv_features[m][-1] for m in MODALITIES) + c.hidden + 5
+                         for _, c in models)
+    assert _ensemble_peak_bytes(models, windows(cfg, 4 * nn.CHUNK)) < (
+        base + 3 * nn.CHUNK * per_window + 500_000)
+    # and layer 0 is not stacked over a whole chunk at once: with its input
+    # columns and pooled output that held about two such products
+    _, length = cfg.modality_shapes["EEG"]
+    stacked = 8 * nn.CHUNK * (length - KERNEL + 1) * sum(
+        c.conv_features["EEG"][0] for _, c in models)
+    assert base < 1.25 * stacked

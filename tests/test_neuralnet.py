@@ -373,6 +373,8 @@ MALFORMED_CONFIGS = {
     "seed_bool": lambda d: d.update(seed=False),
     "conv_count_float": lambda d: d["conv_features"]["EEG"].__setitem__(0, 4.0),
     "conv_count_bool": lambda d: d["conv_features"]["EEG"].__setitem__(0, True),
+    # every modality has a first conv layer, which scoring stacks across members
+    "conv_no_layer": lambda d: d["conv_features"].update(EEG=[]),
     "unknown_key": lambda d: d.update(extra=1),
     "missing_key": lambda d: d.pop("segment_s"),
     "shapes_not_a_map": lambda d: d.update(modality_shapes=3),

@@ -81,14 +81,38 @@ def test_pooled_preprocess_equals_a_serial_map(monkeypatch, three_cores):
 def test_pooled_members_equal_a_serial_map(monkeypatch, three_cores, mode, encoded):
     enc = encode_recording(make_montage(duration_s=300.0), encoded)
     base = neuralnet.NetworkConfig(mode=mode, segment_s=5, encoding=encoded)
-    # weights 3 times their initial scale, so that each member gives its own
-    # hypnodensity rather than about 0.2 for every stage
-    models = [({k: v if k.startswith(neuralnet.NORM_PREFIX) else 3.0 * v
-                for k, v in neuralnet.init_params(cfg).items()}, cfg)
-              for cfg in neuralnet.make_ensemble(base, n=5, seed=3)]
+    rng = np.random.default_rng(4)
+    models = []
+    for j, cfg in enumerate(neuralnet.make_ensemble(base, n=5, seed=3)):
+        # weights 3 times their initial scale, so that each member gives its own
+        # hypnodensity rather than about 0.2 for every stage
+        params = {k: v if k.startswith(neuralnet.NORM_PREFIX) else 3.0 * v
+                  for k, v in neuralnet.init_params(cfg).items()}
+        if j >= 3:          # two members standardise their inputs each their own way
+            for m in neuralnet.MODALITIES:
+                shape = params[f"{neuralnet.NORM_PREFIX}{m}/mean"].shape
+                params[f"{neuralnet.NORM_PREFIX}{m}/mean"] = rng.normal(0.0, 0.1, shape)
+                params[f"{neuralnet.NORM_PREFIX}{m}/std"] = rng.uniform(0.5, 2.0, shape)
+        models.append((params, cfg))
+    assert all(len(neuralnet._first_layer_groups(models, m)) == 3
+               for m in neuralnet.MODALITIES)
     pooled, pooled_ens = cli._score_ensemble(models, enc)
-    monkeypatch.setattr(cli, "thread_map", serial)
+    maps, threads = [], set()
+
+    def serial_here(fn, items):
+        """A serial loop at one BLAS thread, as ``thread_map`` runs for one core."""
+        maps.append(fn)
+
+        def run(item):
+            threads.add(threading.get_ident())
+            return fn(item)
+        with pool.one_blas_thread():
+            return [run(item) for item in items]
+
+    monkeypatch.setattr(neuralnet, "thread_map", serial_here)
     alone, alone_ens = cli._score_ensemble(models, enc)
+    assert len(maps) == 1                          # the features' jobs
+    assert threads == {threading.get_ident()}
     assert len(pooled) == len(alone) == 5
     assert not np.array_equal(pooled[0].probs, pooled[1].probs)
     for got, want in zip(pooled, alone):
