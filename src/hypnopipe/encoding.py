@@ -162,8 +162,9 @@ def robust_p95(x: np.ndarray) -> float:
 
 
 def log_modulus_scale(x: np.ndarray, p95: float) -> np.ndarray:
-    """sign(x) * log(|x|/p95 + 1) elementwise."""
-    if p95 <= 0:
+    """sign(x) * log(|x|/p95 + 1) elementwise; ``NonpositiveP95`` unless
+    ``p95`` is a finite positive number."""
+    if not 0 < p95 < math.inf:
         raise NonpositiveP95(f"p95={p95}")
     x = np.asarray(x, dtype=float)
     return np.sign(x) * np.log(np.abs(x) / p95 + 1.0)
@@ -185,18 +186,18 @@ def octave_encode(channel: np.ndarray) -> np.ndarray:
     """Five nested low-passed copies of the channel, each p95/log-modulus scaled.
 
     Returns an array of shape (5, len(channel)); row i is the cascade output
-    at cutoff OCTAVE_CUTOFFS_HZ[i].
+    at cutoff OCTAVE_CUTOFFS_HZ[i], scaled in place.  A band whose peak is at
+    most 1e-8 (``np.allclose(band, 0.0)``) becomes zeros; a band whose robust
+    p95 is 0 is scaled by its peak.
     """
-    cascade = octave_cascade(channel)
-    out = np.zeros_like(cascade)
-    for i, band in enumerate(cascade):
-        if np.allclose(band, 0.0):
-            out[i] = 0.0
+    out = octave_cascade(channel)
+    for band in out:
+        peak = np.max(np.abs(band))
+        if peak <= 1e-8:
+            band[:] = 0.0
         else:
             p95 = robust_p95(band)
-            if p95 <= 0:
-                p95 = float(np.max(np.abs(band))) or 1.0
-            out[i] = log_modulus_scale(band, p95)
+            band[:] = log_modulus_scale(band, p95 if p95 > 0 else float(peak))
     return out
 
 

@@ -19,7 +19,10 @@ concatenated features (about 40 floats per window each), and each member's
 probabilities are bitwise those of its own ``forward``.  The backward cache
 is kept only when ``loss_and_grads`` asks for it, and dropout runs if and
 only if a random generator is passed.  Gradients are analytic and checked
-against central finite differences.
+against central finite differences; the conv backward stops above the
+input, whose standardization has no trainable parameters.  ``forward``,
+``loss_and_grads``, ``train`` and ``score_ensemble`` run BLAS at one thread
+(``pool.one_blas_thread``), whatever count the host program set.
 
 Training constants: cross-entropy (as printed, with the (1-y)log(1-p) term)
 plus L2 at lambda=1e-5, SGD with momentum 0.9, learning rate 0.005 decaying
@@ -193,26 +196,6 @@ def _meanpool2(a, out=None):
     return np.divide(out, 2, out=out)
 
 
-def _conv1d_back(x, w, dy):
-    xs = sliding_window_view(x, KERNEL, axis=2)
-    dw = np.einsum("bclk,bfl->fck", xs, dy, optimize=True)
-    db = dy.sum(axis=(0, 2))
-    dx = np.zeros_like(x)
-    l_out = dy.shape[2]
-    for dk in range(KERNEL):
-        dx[:, :, dk:dk + l_out] += np.einsum("fc,bfl->bcl", w[:, :, dk], dy,
-                                             optimize=True)
-    return dx, dw, db
-
-
-def _meanpool2_back(x_shape, dy):
-    dx = np.zeros(x_shape)
-    l_out = dy.shape[2]
-    dx[:, :, :2 * l_out:2] = dy / 2.0
-    dx[:, :, 1:2 * l_out:2] = dy / 2.0
-    return dx
-
-
 def _sigmoid(x):
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
@@ -321,19 +304,28 @@ def _conv_features(models, batch, map_fn, keep_cache=False):
 
 
 def _conv_stack_back(params, layers, dfeat, modality, grads):
-    gap_len = layers[-1][1].shape[2]
-    dh = np.repeat(dfeat[:, :, None], gap_len, axis=2) / gap_len
+    """Adds each of ``modality``'s conv weight and bias gradients to ``grads``,
+    from the gradient ``dfeat`` of its pooled features; input gradients only
+    from layer 1 up, as the standardised windows hold no parameters."""
+    dh = dfeat[:, :, None] / layers[-1][1].shape[2]      # the global average, broadcast
     for i in reversed(range(len(layers))):
         x, act = layers[i]
-        if i < len(layers) - 1:
-            dh = _meanpool2_back(act.shape, dh)
-        dx, dw, db = _conv1d_back(x, params[f"conv{i}/{modality}/w"], dh * (act > 0))
-        grads[f"conv{i}/{modality}/w"] += dw
-        grads[f"conv{i}/{modality}/b"] += db
-        dh = dx
-    # input standardization is an affine map with frozen stats; no grads kept
+        if i < len(layers) - 1:                          # the mean pool of two
+            dh = np.repeat(dh / 2.0, 2, axis=2)
+            if act.shape[2] % 2:
+                dh = np.pad(dh, ((0, 0), (0, 0), (0, 1)))
+        dy = dh * (act > 0)
+        grads[f"conv{i}/{modality}/w"] += np.einsum(
+            "bclk,bfl->fck", sliding_window_view(x, KERNEL, axis=2), dy, optimize=True)
+        grads[f"conv{i}/{modality}/b"] += dy.sum(axis=(0, 2))
+        if i:
+            w, dh = params[f"conv{i}/{modality}/w"], np.zeros(x.shape)
+            for k in range(KERNEL):
+                dh[:, :, k:k + dy.shape[2]] += np.einsum("fc,bfl->bcl", w[:, :, k], dy,
+                                                         optimize=True)
 
 
+@one_blas_thread()
 def forward(params, batch, config: NetworkConfig,
             rng: np.random.Generator | None = None, keep_cache: bool = False, z=None):
     """Probabilities for a batch of windows.
@@ -394,6 +386,7 @@ def forward(params, batch, config: NetworkConfig,
     return probs, cache
 
 
+@one_blas_thread()
 def score_ensemble(models, batch) -> list[np.ndarray]:
     """Each member's probabilities (B, 5) of ``batch``, bitwise those of its
     own ``forward``; ``models`` is a list of (params, config), FF and LSTM
@@ -410,9 +403,7 @@ def score_ensemble(models, batch) -> list[np.ndarray]:
        on two threads.
     """
     zs, _ = _conv_features(models, batch, thread_map)
-    with one_blas_thread():
-        return [forward(params, batch, config, z=z)[0]
-                for (params, config), z in zip(models, zs)]
+    return [forward(params, batch, config, z=z)[0] for (params, config), z in zip(models, zs)]
 
 
 def loss(pred_probs, one_hot, params=None) -> float:
@@ -439,6 +430,7 @@ def _dlogits(probs, one_hot):
     return probs * (dp - dot)
 
 
+@one_blas_thread()
 def loss_and_grads(params, batch, one_hot, config: NetworkConfig, rng=None):
     """``loss`` with ``params`` and its analytic gradients, from the one
     ``forward`` that keeps its cache; dropout as in ``forward`` (if and only
@@ -566,6 +558,7 @@ def _accuracy(params, blocks, config):
     return float(np.concatenate(hits).mean())
 
 
+@one_blas_thread()
 def train(dataset, config: NetworkConfig, max_batches: int = 4000):
     """Train on a list of recordings, each (batch, labels): a batch as
     ``forward`` takes it and one stage index per window.

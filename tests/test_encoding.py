@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_log_modulus_rejects_nonpositive_p95():
         encoding.log_modulus_scale(np.ones(3), 0.0)
 
 
+@pytest.mark.parametrize("p95", [np.nan, np.inf, -np.inf])
+def test_log_modulus_rejects_a_p95_that_is_not_finite(p95):
+    # a NaN p95 gave an all-NaN band and an infinite one all zeros
+    with pytest.raises(NonpositiveP95):
+        encoding.log_modulus_scale(np.ones(3), p95)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=50),
        st.floats(1e-3, 1e3))
@@ -115,6 +123,56 @@ def test_octave_zero_in_zero_out():
     out = encoding.octave_encode(np.zeros(6000))
     assert out.shape == (5, 6000)
     assert np.all(out == 0.0)
+
+
+def octave_encode_into_a_second_array(channel):
+    """``octave_encode`` as it was before it scaled the cascade in place."""
+    cascade = encoding.octave_cascade(channel)
+    out = np.zeros_like(cascade)
+    for i, band in enumerate(cascade):
+        if np.allclose(band, 0.0):
+            out[i] = 0.0
+        else:
+            p95 = encoding.robust_p95(band)
+            if p95 <= 0:
+                p95 = float(np.max(np.abs(band))) or 1.0
+            out[i] = encoding.log_modulus_scale(band, p95)
+    return out
+
+
+def test_octave_encode_is_bitwise_the_two_array_encode(monkeypatch):
+    n = 6000
+    rng = np.random.default_rng(7)
+    sparse = np.zeros(n)
+    sparse[rng.choice(n, n // 50, replace=False)] = rng.standard_normal(n // 50)
+    bands = np.stack([
+        np.zeros(n),                                        # all zero
+        1e-8 * np.sign(rng.standard_normal(n)),             # peak at the tolerance
+        sparse,                                             # p95 0, peak not
+        2e-8 * rng.standard_normal(n),                      # just above the tolerance
+        rng.standard_normal(n)])                            # an ordinary band
+    assert encoding.robust_p95(sparse) == 0.0 < np.max(np.abs(sparse))
+    monkeypatch.setattr(encoding, "octave_cascade", lambda channel: bands.copy())
+    got, want = encoding.octave_encode(None), octave_encode_into_a_second_array(None)
+    assert np.array_equal(got, want)
+    assert np.all(got[:2] == 0.0) and np.all(np.any(got[2:] != 0.0, axis=1))
+    monkeypatch.undo()
+    channel = tone(3, 100, 600) + 0.1 * rng.standard_normal(60000)
+    assert np.array_equal(encoding.octave_encode(channel),
+                          octave_encode_into_a_second_array(channel))
+
+
+def test_octave_encode_scales_the_cascade_in_place():
+    # the cascade is five band lengths; a second output array made thirteen
+    n = 180000                                          # 30 min at 100 Hz
+    channel = np.random.default_rng(0).standard_normal(n)
+    tracemalloc.start()
+    try:
+        encoding.octave_encode(channel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * channel.nbytes
 
 
 # ------------------------------------------------------------------- cc

@@ -8,6 +8,10 @@ The arithmetic of every window is unchanged, so probabilities must be
 bitwise equal for FF and LSTM heads on CC and octave window shapes, at batch
 sizes around the chunk boundaries.  Scoring must also hold no cache: its
 ``tracemalloc`` peak may not grow with the number of windows.
+
+``loss_and_grads`` is checked the same way against the conv backward of
+three helpers it replaced, which also computed the input gradient of layer 0
+and dropped it: the gradients must be bitwise equal.
 """
 
 import tracemalloc
@@ -137,6 +141,41 @@ def forward_whole(params, batch, config: nn.NetworkConfig, train_mode: bool = Fa
     return probs, cache
 
 
+# ---------------------------------- the three-helper conv backward, verbatim
+
+def _conv1d_back(x, w, dy):
+    xs = sliding_window_view(x, KERNEL, axis=2)
+    dw = np.einsum("bclk,bfl->fck", xs, dy, optimize=True)
+    db = dy.sum(axis=(0, 2))
+    dx = np.zeros_like(x)
+    l_out = dy.shape[2]
+    for dk in range(KERNEL):
+        dx[:, :, dk:dk + l_out] += np.einsum("fc,bfl->bcl", w[:, :, dk], dy,
+                                             optimize=True)
+    return dx, dw, db
+
+
+def _meanpool2_back(x_shape, dy):
+    dx = np.zeros(x_shape)
+    l_out = dy.shape[2]
+    dx[:, :, :2 * l_out:2] = dy / 2.0
+    dx[:, :, 1:2 * l_out:2] = dy / 2.0
+    return dx
+
+
+def conv_stack_back_three_helpers(params, layers, dfeat, modality, grads):
+    gap_len = layers[-1][1].shape[2]
+    dh = np.repeat(dfeat[:, :, None], gap_len, axis=2) / gap_len
+    for i in reversed(range(len(layers))):
+        x, act = layers[i]
+        if i < len(layers) - 1:
+            dh = _meanpool2_back(act.shape, dh)
+        dx, dw, db = _conv1d_back(x, params[f"conv{i}/{modality}/w"], dh * (act > 0))
+        grads[f"conv{i}/{modality}/w"] += dw
+        grads[f"conv{i}/{modality}/b"] += db
+        dh = dx
+
+
 # --------------------------------------------------------------- fixtures
 
 def fan_in_scaled(params, seed):
@@ -233,6 +272,58 @@ def test_chunked_gradients_equal_one_chunk_gradients(mode, monkeypatch):
     for name, g in grads1.items():
         # only the order of the per-window sums in dw and db differs
         assert np.allclose(grads[name], g, rtol=1e-12, atol=1e-18), name
+
+
+# depths 1 to 3 in one member; pre-pool lengths odd (CC layers 0 and 1,
+# octave layer 1) and even (octave layer 0)
+LAYOUTS = [None, {"EEG": [3], "EOG": [1, 4], "EMG": [2, 3, 5]}]
+
+
+def layout_member(encoding, mode, layout):
+    params, cfg = member(encoding, mode)
+    if layout is not None:
+        cfg = replace(cfg, conv_features=layout)
+        params = {**fan_in_scaled(nn.init_params(cfg), cfg.seed),
+                  **{k: v for k, v in params.items() if k.startswith(NORM_PREFIX)}}
+    return params, cfg
+
+
+@pytest.mark.parametrize("encoding,mode", NETS)
+@pytest.mark.parametrize("n", [1, nn.CHUNK + 5])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_gradients_are_bitwise_the_three_helper_backward(encoding, mode, n, layout,
+                                                         monkeypatch):
+    params, cfg = layout_member(encoding, mode, layout)
+    batch = windows(cfg, n)
+    y = np.eye(5)[np.random.default_rng(1).integers(0, 5, n)]
+    value, grads = nn.loss_and_grads(params, batch, y, cfg, rng=np.random.default_rng(5))
+    monkeypatch.setattr(nn, "_conv_stack_back", conv_stack_back_three_helpers)
+    value0, grads0 = nn.loss_and_grads(params, batch, y, cfg, rng=np.random.default_rng(5))
+    assert value == value0
+    assert list(grads) == list(grads0)
+    for name, g in grads0.items():
+        assert np.array_equal(grads[name], g), name
+    assert all(np.any(grads[f"conv0/{m}/w"] != 0) for m in MODALITIES)
+
+
+def test_the_input_gradient_runs_only_above_layer_0(monkeypatch):
+    """Layer 0's input gradient is not computed: its input, the standardised
+    windows, holds no parameters.  One product per kernel tap, per layer
+    from 1 up, per modality and chunk."""
+    params, cfg = layout_member("octave", "FF", LAYOUTS[1])
+    batch = windows(cfg, nn.CHUNK + 5)
+    y = np.eye(5)[np.zeros(nn.CHUNK + 5, dtype=int)]
+    einsum, taps = np.einsum, []
+
+    def counting(subscripts, *operands, **kwargs):
+        if subscripts == "fc,bfl->bcl":
+            taps.append(operands[1].shape)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    nn.loss_and_grads(params, batch, y, cfg)
+    above = sum(len(counts) - 1 for counts in cfg.conv_features.values())
+    assert len(taps) == 2 * KERNEL * above == 2 * 3 * 3
 
 
 def _peak_bytes(params, cfg, batch):

@@ -234,6 +234,47 @@ print(json.dumps([inside, after]))
                                                "nested", "raised", "worker_raised")}
 
 
+def test_training_and_a_direct_forward_run_one_blas_thread():
+    """Inside ``loss_and_grads`` during ``train``, a direct ``loss_and_grads``,
+    a direct ``forward`` and ``score_ensemble``'s heads every loaded OpenBLAS
+    runs one thread, and the host's 2 comes back after each."""
+    out = _host_python("""
+import numpy as np
+from hypnopipe import neuralnet as nn
+
+inside, after, probe = {}, {}, ["train"]
+def probed(fn):
+    def wrapped(*args, **kwargs):
+        inside.setdefault(probe[0], blas_counts())
+        return fn(*args, **kwargs)
+    return wrapped
+nn._dlogits = probed(nn._dlogits)            # runs inside loss_and_grads
+nn._softmax = probed(nn._softmax)            # runs inside forward's head
+shapes = {"EEG": (1, 20), "EOG": (3, 20), "EMG": (1, 10)}
+cfg = nn.NetworkConfig(mode="FF", segment_s=5, encoding="cc", modality_shapes=shapes,
+                       conv_features={m: [3, 4] for m in nn.MODALITIES}, hidden=6)
+rng = np.random.default_rng(0)
+def night():
+    return ({m: rng.standard_normal((60,) + s) for m, s in shapes.items()},
+            rng.integers(0, 5, 60))
+params, _ = nn.train([night(), night()], cfg, max_batches=2)
+after["train"] = blas_counts()
+batch, labels = night()
+for name, call in (
+        ("loss_and_grads", lambda: nn.loss_and_grads(params, batch, np.eye(5)[labels], cfg)),
+        ("forward", lambda: nn.forward(params, batch, cfg)),
+        ("score_ensemble", lambda: nn.score_ensemble([(params, cfg)] * 2, batch))):
+    probe[0] = name
+    call()
+    after[name] = blas_counts()
+print(json.dumps([inside, after]))
+""")
+    inside, after = json.loads(out)
+    names = ("train", "loss_and_grads", "forward", "score_ensemble")
+    assert inside == {name: [1, 1] for name in names}
+    assert after == {name: [2, 2] for name in names}
+
+
 def test_a_host_at_two_blas_threads_fits_the_bytes_the_cli_writes(tmp_path):
     """``cli.main`` in a host at 2 BLAS threads and the ``python -m
     hypnopipe.cli`` process write the same GP and selection.  At 220 rows the
