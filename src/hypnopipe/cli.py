@@ -35,6 +35,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      HypnopipeError, InvalidSpec, InvalidValues, MissingChannel,
                      NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
+from .pool import thread_map
 from .store import as_stored, bundle_files, read_text, write_files
 
 EXIT_IO = 2
@@ -115,9 +116,10 @@ def cmd_encode(args):
 
 
 def cmd_train(args):
-    """Every member's files; ``InvalidSpec`` before any encoding is read if
-    ``--out`` holds a member they would not replace (``_load_models`` reads all),
-    and before any trains if an encoding is not ``<id>.<mode>.enc.json``."""
+    """Every member's files, the members trained on the pool; ``InvalidSpec``
+    before any encoding is read if ``--out`` holds a member they would not
+    replace (``_load_models`` reads all), and before any trains if an
+    encoding is not ``<id>.<mode>.enc.json``."""
     config = neuralnet.NetworkConfig.from_json(read_text(args.config))
     configs = neuralnet.make_ensemble(config, n=args.n_models, seed=config.seed)
     names = [f"model{i:02d}" for i in range(len(configs))]
@@ -143,9 +145,10 @@ def cmd_train(args):
         scored = labels >= 0                  # UNSCORED windows are not learned
         dataset.append(({m: x[:len(labels)][scored] for m, x in batch.items()},
                         labels[scored]))
+    # the dataset is shared read-only; files and logs follow member order
     files = {}
-    for name, cfg in zip(names, configs):
-        params, history = neuralnet.train(dataset, cfg)
+    trained = thread_map(lambda cfg: neuralnet.train(dataset, cfg), configs)
+    for name, cfg, (params, history) in zip(names, configs, trained):
         files.update(neuralnet.param_files(params, cfg, args.out, name))
         log("train", f"{name}: {len(history)} validations, "
                      f"best={max(history) if history else float('nan'):.3f}")
@@ -227,10 +230,18 @@ def _load_gp(model_dir):
 
 
 def _diagnose(model, cols, vectors, hla=None):
-    """GP score of each feature vector, combined and HLA-gated if known."""
+    """GP score of each feature vector, combined and HLA-gated if known; one
+    warning if any vector is far from every night the GP was fitted on."""
     # one call per vector: a batched call moves the scores in the last bits
-    return diagnosis.ensemble_diagnose(
-        [diagnosis.gp_predict(model, v.values[cols][None, :])[0][0] for v in vectors], hla)
+    scores, variances = zip(*(diagnosis.gp_predict(model, v.values[cols][None, :])
+                              for v in vectors))
+    far = sum(diagnosis.far_from_data(model, var[0]) for var in variances)
+    if far:
+        log("diagnose", f"{far} of {len(vectors)} feature vectors are far from every "
+                        f"night the GP was fitted on (latent variance >= "
+                        f"{diagnosis.FAR_VARIANCE:.0%} of the prior's), so their scores "
+                        f"are about the prior mean's", level="warning")
+    return diagnosis.ensemble_diagnose([score[0] for score in scores], hla)
 
 
 def cmd_score(args):

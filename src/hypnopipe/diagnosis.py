@@ -16,7 +16,8 @@ solver.
 
 The factorisations, solves and ``ndtr`` are scipy's own compiled kernels,
 called as scipy 1.17.1 calls them and loaded from their files at a first
-fit or prediction (``linalg``), so scoring gives scipy's results bit for bit
+fit or prediction, and the fit's one ``ndtri`` is a bitwise replay of
+scipy's (``linalg``), so fitting and scoring give scipy's results bit for bit
 without ``import scipy.linalg`` or ``scipy.special``.  ``rfe``, ``gp_fit`` and
 ``gp_predict`` run with every loaded OpenBLAS at one thread
 (``pool.one_blas_thread``), whatever the host program set.
@@ -53,6 +54,7 @@ NOISE_GRID = (1e-4, 1e-2, 1e-1)
 MAX_LAPLACE_ITERS = 100
 RIDGE_LAMBDA = 1e-2
 RFE_TIE_RTOL = 1e-7
+FAR_VARIANCE = 0.99         # of the prior's latent variance: no training night near
 GP_FILE = "gp.gp.json"      # the GP bundle's name in its model directory
 SELECTION_FILE = "selection.json"   # its selected feature columns, beside it
 
@@ -284,13 +286,8 @@ def _median_heuristic(X):
 def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     """Fit the binary GP by Laplace approximation with a log-grid search
     over (length scale, signal std, jitter) maximizing the approximate
-    marginal likelihood.  Labels must be in {-1, +1}.
-
-    Its one ``ndtri`` is the only scipy function ``diagnosis`` imports the
-    regular way, with ``scipy.special`` (~0.1 s): the ufunc lives in
-    ``special/_ufuncs``, whose initialisation imports ``scipy.special``, so it
-    cannot load from its file alone."""
-    from scipy.special import ndtri
+    marginal likelihood.  Labels must be in {-1, +1}."""
+    from . import linalg
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -304,7 +301,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     Z = std.apply(X)
     base_ell = _median_heuristic(Z)
     frac_pos = float(np.clip((y > 0).mean(), 1e-3, 1 - 1e-3))
-    mean_const = float(ndtri(frac_pos))
+    mean_const = linalg.ndtri(frac_pos)
     # _kernel(Z, Z, ell, sf) + noise * I, with the distances and each length
     # scale's exponential computed once for the grid
     D = _sqdist(Z, Z)
@@ -347,6 +344,13 @@ def gp_predict(model: GPModel, x: np.ndarray):
     kss = model.signal_std ** 2 + model.noise
     var = np.maximum(kss - np.sum(v ** 2, axis=0), 1e-12)
     return 2.0 * linalg.ndtr(mu / np.sqrt(1.0 + var)) - 1.0, var
+
+
+def far_from_data(model: GPModel, variance: float) -> bool:
+    """Whether a latent predictive variance from ``gp_predict`` is at least
+    ``FAR_VARIANCE`` of the prior's, ``signal_std**2 + noise``: no training
+    night is near its vector, and its score is about the prior mean's."""
+    return bool(variance >= FAR_VARIANCE * (model.signal_std ** 2 + model.noise))
 
 
 @dataclass

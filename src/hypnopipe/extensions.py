@@ -9,11 +9,10 @@ way, and ``linalg`` loads ``_flapack``, ``_fblas`` and ``_special_ufuncs``
 (for ``ndtr``).
 
 Each module is loaded once per process: it is registered in ``sys.modules``
-under its own name, so a later call, or a regular import of its subpackage
-(a host program's ``import scipy.linalg``, or ``gp_fit``'s
-``scipy.special``), finds it there.  Callers load at their own module's
-import, whose import lock makes a thread that needs the module wait while
-another loads it.
+under its own name, so a later call, or a host program's regular import of
+its subpackage (``import scipy.linalg``), finds it there.  Callers load at
+their own module's import, whose import lock makes a thread that needs the
+module wait while another loads it.
 """
 
 from __future__ import annotations

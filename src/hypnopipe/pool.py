@@ -1,6 +1,7 @@
 """The one thread pool: channels in preprocess, tensors and roles in encode,
-and in scoring the conv-feature jobs (a chunk of windows, a modality and
-the members that standardise it alike); and the one BLAS setting.
+in scoring the conv-feature jobs (a chunk of windows, a modality and the
+members that standardise it alike), and the members ``train`` trains; and
+the one BLAS setting.
 
 Their kernels (scipy's filters and resampler, numpy's einsum, matrix
 products and reductions) release the GIL, so threads run them on every core

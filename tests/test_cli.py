@@ -123,6 +123,9 @@ def parse_log_line(line):
 
 
 def test_logs_go_to_stderr(workspace, tmp_path, capsys):
+    """The workspace's GP was fitted on 40 random points, and the night's
+    third selected feature lies ~17 standard deviations from them, so
+    ``run-all`` also warns that both members' vectors are far from its data."""
     out = tmp_path / "mont"
     assert cli.main(["preprocess", workspace["meta"], str(out)]) == 0
     assert cli.main(["run-all", "--config", workspace["config"],
@@ -130,11 +133,12 @@ def test_logs_go_to_stderr(workspace, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     entries = [parse_log_line(line) for line in captured.err.strip().splitlines()]
-    assert {e["level"] for e in entries} == {"info"}
-    assert [e["stage"] for e in entries] == [
-        "preprocess", "preprocess", "encode", "score", "features", "diagnose",
-        "run-all"]
+    assert [(e["level"], e["stage"]) for e in entries] == [
+        ("info", "preprocess"), ("info", "preprocess"), ("info", "encode"),
+        ("info", "score"), ("info", "features"), ("warning", "diagnose"),
+        ("info", "diagnose"), ("info", "run-all")]
     assert entries[1]["msg"].startswith("rec1: channel selection {")
+    assert entries[5]["msg"].startswith("2 of 2 feature vectors are far from every night")
 
 
 def test_log_quotes_values_with_space_equals_or_quote(capsys):
@@ -280,10 +284,10 @@ def train_argv(tmp_path, n_models):
 
 
 def fake_train(calls):
-    """A ``neuralnet.train`` whose params differ from call to call."""
+    """A ``neuralnet.train`` whose params differ from member to member."""
     def train(dataset, cfg):
         calls.append(cfg)
-        return {k: v + len(calls) for k, v in neuralnet.init_params(cfg).items()}, []
+        return {k: v + cfg.seed for k, v in neuralnet.init_params(cfg).items()}, []
     return train
 
 
@@ -306,17 +310,19 @@ def test_train_refuses_to_leave_members_it_would_not_replace(tmp_path, monkeypat
 
 def test_train_that_fails_on_a_member_leaves_the_previous_ensemble(tmp_path, monkeypatch,
                                                                    capsys):
-    """The second member's ``NaNGradient`` (exit 4) comes after the first was
-    trained; no member is written, so no new member sits by an old one."""
+    """The second member's ``NaNGradient`` (exit 4) comes while the first is
+    trained on the pool; no member is written, so no new member sits by an
+    old one."""
     calls = []
     monkeypatch.setattr(cli.neuralnet, "train", fake_train(calls))
     argv = train_argv(tmp_path, 2)
     assert cli.main(argv) == 0
     before = _bytes_under(tmp_path)
     train = fake_train(calls)
+    second = max(cfg.seed for cfg in calls)
 
     def fails_second(dataset, cfg):
-        if len(calls) == 3:                 # this run's model00 is trained
+        if cfg.seed == second:              # model01; model00 trains on another thread
             raise NaNGradient("loss is nan")
         return train(dataset, cfg)
     monkeypatch.setattr(cli.neuralnet, "train", fails_second)
@@ -549,6 +555,34 @@ def test_diagnose_fit_then_predict(tmp_path, rng, capsys):
     report = json.loads(capsys.readouterr().out)
     assert -1.0 <= report["score"] <= 1.0
     assert isinstance(report["label"], bool)
+
+
+def test_diagnose_warns_of_a_vector_far_from_the_gps_nights(tmp_path, rng, capsys):
+    """A training point's latent variance is well under the prior's; a vector
+    far from every training point gets the prior's, and one warning.  The
+    report is the GP's score either way."""
+    y = np.where(rng.random(60) > 0.5, 1.0, 0.0)
+    X = rng.standard_normal((60, 481))
+    X[:, 2] += 3.0 * (2 * y - 1)
+    mat, gp_dir = tmp_path / "matrix.csv", tmp_path / "gp"
+    write_matrix(mat, X, y)
+    assert cli.main(["diagnose", "--fit", "--matrix", str(mat), "--out", str(gp_dir)]) == 0
+    model, cols = cli._load_gp(str(gp_dir))
+    for values, far in ((X[0], False), (X[0] + 50.0, True)):
+        vec_path, out = tmp_path / f"vec{far}.json", tmp_path / f"d{far}.json"
+        vec_path.write_text(features.FeatureVector(values=values).to_json())
+        _, var = diagnosis.gp_predict(model, values[cols][None, :])
+        assert diagnosis.far_from_data(model, var[0]) is far
+        capsys.readouterr()
+        assert cli.main(["diagnose", "--model", str(gp_dir), "--input", str(vec_path),
+                         "--out", str(out)]) == 0
+        warnings = [e["msg"] for e in map(parse_log_line, capsys.readouterr().err.splitlines())
+                    if e["level"] == "warning"]
+        assert warnings == (["1 of 1 feature vectors are far from every night the GP was "
+                             "fitted on (latent variance >= 99% of the prior's), so their "
+                             "scores are about the prior mean's"] if far else [])
+        score = diagnosis.gp_predict(model, values[cols][None, :])[0][0]
+        assert out.read_text() == diagnosis.ensemble_diagnose([score]).to_json()
 
 
 def test_diagnose_fit_needs_the_481_feature_columns(tmp_path, rng, capsys):
@@ -1402,9 +1436,10 @@ def test_commands_at_any_rate_leave_scipy_signal_unloaded(workspace, tmp_path):
     314.159 Hz recording, design their filters in ``hypnopipe.filters`` and
     run scipy's kernels: each exits 0 in a fresh process that never imports
     ``scipy.signal``, ``scipy.stats``, ``scipy.linalg`` or ``scipy.special``.
-    Nor do ``features``, ``plot`` and a predicting ``diagnose``, whose GP
-    runs scipy's LAPACK and ``ndtr`` from ``hypnopipe.linalg``; ``diagnose
-    --fit`` imports ``scipy.special`` for ``gp_fit``'s ``ndtri`` alone.  ``features`` and
+    Nor do ``features``, ``plot``, a two-member ``train``, a predicting
+    ``diagnose`` and ``diagnose --fit``, whose GP runs scipy's LAPACK and
+    ``ndtr`` from ``hypnopipe.linalg`` and its ``ndtri`` replay.  No command
+    runs the ``__init__`` of any public scipy subpackage.  ``features`` and
     ``run-all`` leave ``numpy.ma`` unloaded too."""
     ref, mont, odd = tmp_path / "ref.json", tmp_path / "m", tmp_path / "odd"
     ref.write_text(json.dumps(REF))
@@ -1429,19 +1464,22 @@ def test_commands_at_any_rate_leave_scipy_signal_unloaded(workspace, tmp_path):
               ["plot", str(tmp_path / "o" / "rec1.hypnodensity.csv"),
                str(tmp_path / "p.svg")],
               ["diagnose", "--model", workspace["gp"], "--input", str(vec)],
-              ["diagnose", "--fit", "--matrix", str(mat), "--out", str(tmp_path / "gp")]]
+              ["diagnose", "--fit", "--matrix", str(mat), "--out", str(tmp_path / "gp")],
+              train_argv(tmp_path / "train", 2)]
     for argv in filtering + others:
-        code, loaded = json.loads(_fresh_python(
+        (code, loaded), packages = map(json.loads, _fresh_python(
             "import json, sys\nfrom hypnopipe import cli\n"
             f"code = cli.main({argv!r})\n"
-            "print(json.dumps([code, sorted(sys.modules)]))").splitlines()[-1])
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+            "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
+            "                        if name.startswith('scipy.') and hasattr(module, '__path__'))))"
+        ).splitlines()[-2:])
         assert code == 0, argv
         heavy = {"scipy.signal", "scipy.stats", "scipy.linalg", "scipy.special"}
-        if "--fit" in argv:
-            heavy.remove("scipy.special")
         if argv[0] in ("features", "run-all"):
             heavy.add("numpy.ma")
         assert not set(loaded) & heavy, argv
+        assert not [name for name in packages if not name.startswith("scipy._")], argv
         assert ("hypnopipe.filters" in loaded) == (argv in filtering), argv
         assert ("hypnopipe.linalg" in loaded) == (argv[0] in ("run-all", "diagnose")), argv
 

@@ -1,6 +1,7 @@
-"""scipy's LAPACK, BLAS and ndtr loaded by file path give scipy.linalg's and
-scipy.special's results bit for bit, with their checks."""
+"""scipy's LAPACK, BLAS and ndtr loaded by file path, and the ndtri replay,
+give scipy.linalg's and scipy.special's results bit for bit, with their checks."""
 
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypnopipe import extensions, linalg
 from hypnopipe.errors import CholeskyFailure
@@ -133,3 +136,44 @@ def test_a_regular_import_after_finds_the_modules_loaded_by_path():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
+
+
+def same_bits(got, p):
+    """``got`` is a float with the bits of scipy's ``ndtri(p)`` (any NaN for NaN)."""
+    want = float(scipy.special.ndtri(p))
+    assert type(got) is float
+    assert (math.isnan(got) and math.isnan(want)) or \
+        np.float64(got).tobytes() == np.float64(want).tobytes(), (p, got, want)
+
+
+E2, E32 = math.exp(-2.0), math.exp(-32.0)
+
+
+# the ends, the smallest subnormal and the tails, the central branch's edges
+# (exp(-2) and 1 - exp(-2)), the x = 8 switch between P1/Q1 and P2/Q2
+# (exp(-32)), each with its neighbours, and what lies outside [0, 1]
+@pytest.mark.parametrize("p", [
+    0.0, 1.0, 5e-324, 1e-300, 1e-3, 0.5, 1 - 1e-3,
+    E2, math.nextafter(E2, 0.0), math.nextafter(E2, 1.0),
+    1 - E2, math.nextafter(1 - E2, 0.0), math.nextafter(1 - E2, 1.0),
+    E32, math.nextafter(E32, 0.0), math.nextafter(E32, 1.0),
+    1 - E32, math.nextafter(1.0, 0.0), -0.0, math.nan, -1e-300, 1.5, math.inf])
+def test_ndtri_is_scipys_at_its_branch_points(p):
+    same_bits(linalg.ndtri(p), p)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(p=st.one_of(st.floats(0.0, 1.0),
+                   st.floats(-323.0, 0.0).map(lambda e: 10.0 ** e),
+                   st.floats(-16.0, 0.0).map(lambda e: 1.0 - 10.0 ** e)))
+def test_ndtri_is_scipys(p):
+    """Uniform over [0, 1] and log-uniform into both tails."""
+    same_bits(linalg.ndtri(p), p)
+
+
+def test_ndtri_is_scipys_on_many_points():
+    rng = np.random.default_rng(2018)
+    p = np.concatenate([rng.random(20000), 10.0 ** rng.uniform(-323.5, 0.0, 20000),
+                        1.0 - 10.0 ** rng.uniform(-16.5, 0.0, 20000)])
+    got = np.array([linalg.ndtri(v) for v in p])
+    assert got.tobytes() == scipy.special.ndtri(p).tobytes()

@@ -13,9 +13,9 @@ import pytest
 
 from hypnopipe import cli, encoding, neuralnet, pool, preprocess, signal_io
 from hypnopipe.encoding import CC_TENSORS, MONTAGE, encode_recording
-from hypnopipe.errors import SignalTooShort
+from hypnopipe.errors import NaNGradient, SignalTooShort
 
-from conftest import make_montage, synth_recording
+from conftest import make_montage, save_hypnogram, synth_recording
 
 
 def serial(fn, items):
@@ -119,6 +119,80 @@ def test_pooled_members_equal_a_serial_map(monkeypatch, three_cores, mode, encod
         assert np.array_equal(got.probs, want.probs)
     assert np.array_equal(pooled_ens.probs, alone_ens.probs)
     assert np.array_equal(pooled_ens.variance, alone_ens.variance)
+
+
+def train_argv(tmp_path, n_models):
+    """``train`` of ``n_models`` small FF members on two CC recordings of
+    four 5 s windows of noise labelled W, N2, W, N2."""
+    rng = np.random.default_rng(0)
+    data = tmp_path / "data"
+    labels = np.arange(4) % 2 * 2
+    for rid in ("a", "b"):
+        tensors = {name: 0.1 * rng.standard_normal((len(labels), encoding.CC_PARAMS[m].n_lags))
+                   for m, names in CC_TENSORS.items() for name in names}
+        encoding.EncodedRecording(recording_id=rid, mode="cc", tensors=tensors).save(str(data))
+        save_hypnogram(signal_io.HypnogramLabels(
+            [("W", "N1", "N2")[s] for s in labels], epoch_s=5), str(data / f"{rid}.hyp.txt"))
+    config = tmp_path / "net.json"
+    config.write_text(neuralnet.NetworkConfig(
+        mode="FF", segment_s=5, hidden=4, seed=7,
+        conv_features={m: [2, 2] for m in neuralnet.MODALITIES}).to_json())
+    return ["train", "--config", str(config), "--data", str(data),
+            "--out", str(tmp_path / "m"), "--n-models", str(n_models)]
+
+
+def test_pooled_training_writes_the_files_and_logs_of_a_serial_map(
+        monkeypatch, three_cores, tmp_path, capsys):
+    """Three members on three threads that switch every 10 us: the shared
+    dataset is only read, so the files are the serial map's."""
+    argv = train_argv(tmp_path, 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    pooled = {p.name: p.read_bytes() for p in sorted((tmp_path / "m").iterdir())}
+    pooled_log = capsys.readouterr().err
+    maps = []
+
+    def serial_once(fn, items):
+        maps.append(fn)
+        return serial(fn, items)
+
+    monkeypatch.setattr(cli, "thread_map", serial_once)
+    argv[argv.index("--out") + 1] = str(tmp_path / "alone")
+    assert cli.main(argv) == 0
+    alone = {p.name: p.read_bytes() for p in sorted((tmp_path / "alone").iterdir())}
+    assert len(maps) == 1
+    assert {f"model{i:02d}.model.json" for i in range(3)} <= set(pooled)
+    assert pooled == alone
+    assert pooled_log.replace(str(tmp_path / "m"), str(tmp_path / "alone")) == \
+        capsys.readouterr().err
+    assert [line.split('msg="')[1][:8] for line in pooled_log.splitlines()[:-1]] == [
+        "model00:", "model00:", "model01:", "model01:", "model02:", "model02:"]
+    assert pooled_log.count("level=warning") == 3   # each never rose above its first check
+
+
+def test_a_member_that_fails_on_the_pool_fails_the_train(monkeypatch, three_cores, tmp_path,
+                                                         capsys):
+    """The middle member's ``NaNGradient`` is exit 4 once the first member
+    has trained on another thread; nothing is written."""
+    trained = []
+
+    def train(dataset, cfg):
+        if cfg.seed == 9:                   # the second member (seed 7 + 2)
+            raise NaNGradient("loss is nan")
+        trained.append(cfg.seed)
+        return neuralnet.init_params(cfg), [1.0]
+
+    monkeypatch.setattr(neuralnet, "train", train)
+    argv = train_argv(tmp_path, 3)
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert "loss is nan" in err and "Traceback" not in err
+    assert 8 in trained       # the pool raises the failure once the first result is in
+    assert not (tmp_path / "m").exists()
 
 
 def test_two_channels_too_short_raise_the_serial_first_error(monkeypatch, three_cores):
