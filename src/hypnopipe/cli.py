@@ -36,7 +36,7 @@ from .errors import (AllDegenerate, CholeskyFailure, CorruptHeader, EmptyFile,
                      NaNGradient, ShapeMismatch)
 from .plot import hypnodensity_svg
 from .pool import thread_map
-from .store import as_stored, bundle_files, read_text, write_files
+from .store import as_stored, bundle_files, check_finite, read_text, write_files
 
 EXIT_IO = 2
 EXIT_VALIDATION = 3
@@ -290,26 +290,33 @@ def cmd_diagnose(args):
     return ({args.out: report.to_json()}, None) if args.out else ({}, report.to_json())
 
 
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_numeric_csv(path):
     """A CSV of finite numbers, after an optional header row, as a
     (rows, columns >= 2) array whose last column, the label, is 0 or 1;
-    every defect is a typed error."""
+    every defect is a typed error.  A first row with no number is the header."""
     rows = list(csv.reader(io.StringIO(read_text(path))))
-    header = 0
-    try:
-        float(rows[0][0])
-    except (IndexError, ValueError):      # not a number: a header row
-        rows, header = rows[1:], 1
+    header = int(bool(rows) and not any(map(_is_float, rows[0])))
+    if header and len(rows) > 1 and len(rows[0]) != len(rows[1]):
+        raise CorruptHeader(f"{path}: row 1: a header of another width than row 2")
+    rows = rows[header:]
     if not rows:
         raise EmptyFile(f"{path}: no data rows")
     if len(rows[0]) < 2 or any(len(r) != len(rows[0]) for r in rows):
         raise ShapeMismatch(f"{path}: rows need the same number (>= 2) of columns")
     try:
-        data = np.array([[float(v) for v in r] for r in rows])
-    except ValueError as e:
-        raise CorruptHeader(f"{path}: {e}") from e
-    if not np.all(np.isfinite(data)):
-        raise InvalidValues(f"{path}: non-finite value")
+        data = check_finite(np.array([[float(v) for v in r] for r in rows]), path)
+    except ValueError:
+        row, cell = next((i, v) for i, r in enumerate(rows, header + 1) for v in r
+                         if not _is_float(v))
+        raise CorruptHeader(f"{path}: row {row}: {cell!r} is not a number") from None
     bad = np.flatnonzero((data[:, -1] != 0) & (data[:, -1] != 1))
     if bad.size:
         raise InvalidValues(f"{path}: row {header + bad[0] + 1}: the label must be "
@@ -349,11 +356,11 @@ def cmd_run_all(args):
 
     # each stage is handed what the subcommands' files would hold
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
-    for ch in montage.channels.values():
-        ch.samples = as_stored(ch.samples)
+    for role, ch in montage.channels.items():
+        ch.samples = as_stored(ch.samples, role)
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, mode)
-    enc.tensors = {name: as_stored(x) for name, x in enc.tensors.items()}
+    enc.tensors = {name: as_stored(x, name) for name, x in enc.tensors.items()}
     log("encode", f"{rid}: {enc.mode} encoding done")
 
     members, ens = _score_ensemble(models, enc, cfg.get("resolution"))

@@ -19,13 +19,12 @@ called as scipy 1.17.1 calls them and loaded from their files at a first
 fit or prediction, and the fit's one ``ndtri`` is a bitwise replay of
 scipy's (``linalg``), so fitting and scoring give scipy's results bit for bit
 without ``import scipy.linalg`` or ``scipy.special``.  ``rfe``, ``gp_fit`` and
-``gp_predict`` run with every loaded OpenBLAS at one thread
-(``pool.one_blas_thread``), whatever the host program set.
+``gp_predict`` run with every OpenBLAS at one thread (``pool.one_blas_thread``),
+scipy's too when these kernels load it, whatever the host program set.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -85,19 +84,6 @@ class SelectionResult:
     target_count: int
 
 
-def _one_blas_thread(fn):
-    """``fn`` run with scipy's kernels loaded (``linalg``), and with them
-    scipy's OpenBLAS, then every loaded OpenBLAS held at one thread
-    (``pool.one_blas_thread``)."""
-    @functools.wraps(fn)
-    def held(*args, **kwargs):
-        from . import linalg  # noqa: F401  loaded before BLAS is held
-
-        with one_blas_thread():
-            return fn(*args, **kwargs)
-    return held
-
-
 def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
     """Mask of the ``target`` columns of Z left after eliminating the
     smallest-|weight| column of the ridge fit one at a time.
@@ -126,7 +112,7 @@ def _rfe_survivors(Z: np.ndarray, y: np.ndarray, target: int) -> np.ndarray:
     return alive
 
 
-@_one_blas_thread
+@one_blas_thread()
 def rfe(X: np.ndarray, y: np.ndarray, folds: int = 5, seed: int = 0,
         target_count: int = RFE_TARGET_COUNT) -> SelectionResult:
     """Recursive feature elimination under cross-validation.
@@ -282,7 +268,7 @@ def _median_heuristic(X):
     return med if med > 0 else 1.0
 
 
-@_one_blas_thread
+@one_blas_thread()
 def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
     """Fit the binary GP by Laplace approximation with a log-grid search
     over (length scale, signal std, jitter) maximizing the approximate
@@ -327,7 +313,7 @@ def gp_fit(X: np.ndarray, y: np.ndarray) -> GPModel:
                    grad_ll=grad, W_sqrt=sw, L=Lc, log_marginal=lml)
 
 
-@_one_blas_thread
+@one_blas_thread()
 def gp_predict(model: GPModel, x: np.ndarray):
     """(scores in [-1, 1], latent predictive variances), one of each per row
     of ``x``."""

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CorruptHeader, InvalidValues, ShapeMismatch
 from .hypnodensity import Hypnodensity, stage_codes
 from .signal_io import STAGES, HypnogramLabels
-from .store import is_number
+from .store import check_finite, is_number
 
 # 31 nonempty stage subsets: sizes ascending, lexicographic in stage order
 STAGE_COMBOS: tuple[tuple[str, ...], ...] = tuple(
@@ -101,10 +101,8 @@ class FeatureVector:
         if d.get("hla_positive") is not None:
             raise CorruptHeader('feature vector: "hla_positive" is not read from a vector; '
                                 'give the HLA status to diagnose --hla')
-        values = np.array(list(feats.values()), dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise InvalidValues("feature vector: non-finite value")
-        return cls(values=values)
+        return cls(values=check_finite(np.array(list(feats.values()), dtype=float),
+                                       "feature vector"))
 
 
 def feature_names() -> list[str]:

@@ -1,16 +1,16 @@
 """The one thread pool: channels in preprocess, tensors and roles in encode,
 in scoring the conv-feature jobs (a chunk of windows, a modality and the
 members that standardise it alike), and the members ``train`` trains; and
-the one BLAS setting.
+the one BLAS rule.
 
 Their kernels (scipy's filters and resampler, numpy's einsum, matrix
 products and reductions) release the GIL, so threads run them on every core
-the process may use.  While the pool runs, and while ``diagnosis`` fits or
-scores (``one_blas_thread``), each OpenBLAS the process has loaded runs one
-thread of its own, so the members' matrix products do not oversubscribe the
-cores and RFE's and the GP's small ones do not pay for a second thread.  A
-host program's own count is restored after, whatever order it imported
-numpy and hypnopipe in.
+the process may use.  While the pool runs, and while ``neuralnet`` and
+``diagnosis`` train, score or fit (``one_blas_thread``), each OpenBLAS the
+process has loaded, or loads (``join_hold``), runs one thread, so the
+members' matrix products do not oversubscribe the cores and RFE's and the
+GP's small ones do not pay for a second thread.  A host program's own count
+is restored after.  Outside the holds the default below applies.
 """
 
 from __future__ import annotations
@@ -19,9 +19,14 @@ import ctypes
 import glob
 import importlib.util
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+
+# OpenBLAS reads it as numpy loads, and then starts no thread to spin between calls
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # numpy and scipy each bundle an OpenBLAS in "<package>.libs" beside the
 # package: numpy's 64-bit-integer build names its functions with a "64_" suffix
@@ -82,6 +87,13 @@ def one_blas_thread():
                     if count != 1:
                         set_(count)
                 _blas_held.clear()
+
+
+def join_hold() -> None:
+    """Hold what loaded since the hold in progress began (a later hold finds it at entry)."""
+    if _blas_depth:
+        with one_blas_thread():
+            pass
 
 
 def thread_map(fn, items) -> list:

@@ -216,7 +216,7 @@ def usable_candidates(psg: PolySignalSet, roles) -> dict[str, list[str]]:
 
 def _varies(x: np.ndarray) -> bool:
     """Whether the samples ``x`` are not all equal."""
-    return x.size > 0 and np.ptp(x) > 0
+    return x.size > 0 and x.max() > x.min()
 
 
 def fit_reference(training: list[PolySignalSet]) -> ReferenceDistribution:

@@ -18,12 +18,12 @@ from .errors import (
     CorruptHeader,
     EmptyFile,
     InvalidSpec,
-    InvalidValues,
     LengthMismatch,
     MissingBlob,
     MissingChannel,
 )
-from .store import bundle, is_file_name, is_number, read_bundle, read_text, write_files
+from .store import (bundle, check_finite, is_file_name, is_number, read_bundle, read_text,
+                    write_files)
 
 ROLES = (
     "EEG_C_LEFT",
@@ -87,12 +87,8 @@ class PolySignalSet:
                 raise LengthMismatch(
                     f"{role}: {len(ch.samples)} samples, expected {expect}±1"
                 )
-            if ch.samples is self._finite.get(role):
-                continue
-            finite = np.isfinite(ch.samples)
-            if not finite.all():
-                raise InvalidValues(f"{role}: non-finite sample at index "
-                                    f"{int(np.argmin(finite))}")
+            if ch.samples is not self._finite.get(role):
+                check_finite(ch.samples, role)
 
 
 @dataclass

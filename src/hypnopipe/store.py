@@ -68,10 +68,11 @@ def write_files(files: dict) -> str | None:
     return next(reversed(files), None)
 
 
-def as_stored(arr) -> np.ndarray:
-    """``arr`` as a blob holds it: little-endian float32 in C order.  A stage
-    hands the next one what its file would hold."""
-    return np.asarray(arr, dtype=_DTYPE, order="C")
+def as_stored(arr, name: str = "array") -> np.ndarray:
+    """``arr`` as a blob holds it, little-endian float32 in C order, and finite
+    (``check_finite``).  A stage hands the next one what its file would hold."""
+    with np.errstate(over="ignore"):
+        return check_finite(np.asarray(arr, dtype=_DTYPE, order="C"), f"{name} as float32")
 
 
 def _stage(path: str, data, staged: dict) -> None:
@@ -79,7 +80,7 @@ def _stage(path: str, data, staged: dict) -> None:
     to a temporary file next to ``path``, which ``staged[path]`` names once
     made; for a target the rule above writes in place, ``staged[path]`` is
     the encoded data, and a directory is ``IsADirectoryError``."""
-    data = data.encode("utf-8") if isinstance(data, str) else as_stored(data)
+    data = data.encode("utf-8") if isinstance(data, str) else as_stored(data, path)
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if os.path.islink(path) or os.path.exists(path) and not os.path.isfile(path):
@@ -194,12 +195,17 @@ def read_bundle(manifest_path: str) -> tuple[dict, dict]:
                 raise LengthMismatch(f"{key}: blob {blob} has {size} bytes, shape "
                                      f"{list(shape)} needs {count * _DTYPE.itemsize}")
             data = np.fromfile(f, dtype=_DTYPE, count=count)
-        finite = np.isfinite(data)
-        if not finite.all():
-            raise InvalidValues(f"{manifest_path}: array {key!r} has a non-finite value "
-                                f"at flat index {int(np.argmin(finite))}")
-        arrays[key] = data.reshape(shape)
+        arrays[key] = check_finite(data, f"{manifest_path}: array {key!r}").reshape(shape)
     return arrays, meta
+
+
+def check_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``; ``InvalidValues`` naming ``name`` and its first non-finite flat index."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise InvalidValues(f"{name} has a non-finite value at flat index "
+                            f"{int(np.argmin(finite))}")
+    return arr
 
 
 def check_shapes(path: str, arrays: dict, shapes: dict, others: bool = False) -> dict:

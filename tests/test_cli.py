@@ -55,15 +55,26 @@ def workspace(tmp_path_factory):
         neuralnet.save_params(neuralnet.init_params(cfg), cfg,
                               str(models_dir), f"model{i:02d}")
 
-    gp_dir = root / "gp"
+    # the GP is fitted on 40 nights around this night's members' selected
+    # features: the positives spread about them, the negatives two spreads off
+    gp_dir, cols = root / "gp", [0, 5, 10]
+    montage, _ = preprocess.preprocess_recording(
+        signal_io.load_recording(meta), None, MONTAGE["cc"])
+    for ch in montage.channels.values():
+        ch.samples = store.as_stored(ch.samples)
+    enc = encode_recording(montage, "cc")
+    enc.tensors = {name: store.as_stored(x) for name, x in enc.tensors.items()}
+    members, _ = cli._score_ensemble(cli._load_models(str(models_dir)), enc)
+    night = np.mean([cli._feature_vector(m).values[cols] for m in members], axis=0)
+    spread = 0.05 * np.abs(night) + 1e-3
     rng = np.random.default_rng(0)
     y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
-    X = rng.standard_normal((40, 3)) + y[:, None]
+    X = night + spread * (rng.standard_normal((40, 3)) + 2.0 * (y[:, None] < 0))
     model = diagnosis.gp_fit(X, y)
     os.makedirs(gp_dir, exist_ok=True)
     model.save(str(gp_dir))
     with open(gp_dir / "selection.json", "w") as f:
-        json.dump({"selected": [0, 5, 10]}, f)
+        json.dump({"selected": cols}, f)
 
     cfg_path = root / "config.json"
     with open(cfg_path, "w") as f:
@@ -123,9 +134,6 @@ def parse_log_line(line):
 
 
 def test_logs_go_to_stderr(workspace, tmp_path, capsys):
-    """The workspace's GP was fitted on 40 random points, and the night's
-    third selected feature lies ~17 standard deviations from them, so
-    ``run-all`` also warns that both members' vectors are far from its data."""
     out = tmp_path / "mont"
     assert cli.main(["preprocess", workspace["meta"], str(out)]) == 0
     assert cli.main(["run-all", "--config", workspace["config"],
@@ -135,10 +143,52 @@ def test_logs_go_to_stderr(workspace, tmp_path, capsys):
     entries = [parse_log_line(line) for line in captured.err.strip().splitlines()]
     assert [(e["level"], e["stage"]) for e in entries] == [
         ("info", "preprocess"), ("info", "preprocess"), ("info", "encode"),
-        ("info", "score"), ("info", "features"), ("warning", "diagnose"),
-        ("info", "diagnose"), ("info", "run-all")]
+        ("info", "score"), ("info", "features"), ("info", "diagnose"),
+        ("info", "run-all")]
     assert entries[1]["msg"].startswith("rec1: channel selection {")
-    assert entries[5]["msg"].startswith("2 of 2 feature vectors are far from every night")
+
+
+def test_the_workspace_gp_scores_the_workspace_night_by_its_data(workspace, tmp_path,
+                                                                 capsys):
+    """The workspace's GP was fitted around the night's own features, so
+    ``run-all`` gives no far-from-data warning, and the score is not the one
+    the GP gives a vector far from every night, the prior mean's."""
+    assert cli.main(["run-all", "--config", workspace["config"],
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    levels = [parse_log_line(line)["level"] for line in capsys.readouterr().err.splitlines()]
+    assert levels and set(levels) == {"info"}
+    score = json.loads((tmp_path / "o" / "rec1.diagnosis.json").read_text())["score"]
+    model, cols = cli._load_gp(workspace["gp"])
+    far_score, far_var = diagnosis.gp_predict(model, np.full((1, len(cols)), 1e3))
+    assert diagnosis.far_from_data(model, far_var[0])
+    assert abs(score - far_score[0]) > 0.1
+
+
+def test_a_value_past_float32s_range_is_refused_before_any_file(workspace, tmp_path,
+                                                                capsys):
+    """An EOG_L of float32's largest values, a 5 Hz square wave, is finite,
+    and band-limited it overshoots float32's range: ``preprocess`` and
+    ``run-all`` refuse the channel as stored (exit 3), write nothing, and
+    print only logfmt lines, no numpy warning."""
+    psg = signal_io.load_recording(workspace["meta"])
+    eog = psg.channels["EOG_L"]
+    big = np.finfo(np.float32).max
+    square = np.sin(2 * np.pi * 5.0 * np.arange(len(eog.samples)) / eog.fs) >= 0
+    eog.samples = np.where(square, big, -big).astype(np.float32)
+    meta = signal_io.save_recording(psg, str(tmp_path / "raw"))
+    capsys.readouterr()
+    for argv, out in ((["preprocess", meta, str(tmp_path / "mont")], tmp_path / "mont"),
+                      (["run-all", "--config", workspace["config"], "--recording", meta,
+                        "--out-dir", str(tmp_path / "o")], tmp_path / "o")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 3, argv
+        captured = capsys.readouterr()
+        entries = [parse_log_line(line) for line in captured.err.splitlines()]
+        assert [e["level"] for e in entries] == ["info"] * (len(entries) - 1) + ["error"]
+        assert re.search(r"EOG_L.* as float32 has a non-finite value at flat index \d+$",
+                         entries[-1]["msg"]), entries[-1]["msg"]
+        assert captured.out == "" and not out.exists(), argv
 
 
 def test_log_quotes_values_with_space_equals_or_quote(capsys):
@@ -1196,6 +1246,10 @@ NUMERIC_DEFECTS = {
     "label_minus_one": ("0.9,1\n0.8,1\n-0.7,0\n-0.6,-1\n0.1,0\n", InvalidValues),
     "label_fraction": ("0.9,1\n0.8,0.6\n-0.7,0\n", InvalidValues),
     "label_two": ("score,label\n0.9,2\n-0.7,0\n", InvalidValues),
+    # a first row with a number in it is data; a header is as wide as the data
+    "first_row_cell_not_a_number": ("0.9x,1\n0.8,1\n-0.7,0\n0.6,1\n-0.5,0\n", CorruptHeader),
+    "header_wider_than_the_data": ("score,label,extra\n0.9,1\n-0.7,0\n", CorruptHeader),
+    "header_narrower_than_the_data": ("label\n0.9,1\n-0.7,0\n", CorruptHeader),
 }
 
 
@@ -1221,6 +1275,19 @@ def test_a_label_that_is_not_0_or_1_is_named_by_file_and_row(tmp_path, header):
     src.write_text(header + "0.9,1\n0.8,1\n-0.7,0\n-0.6,-1\n0.1,0\n")
     row = 5 if header else 4
     with pytest.raises(InvalidValues, match=rf"{re.escape(str(src))}: row {row}: .*'-1'"):
+        cli._read_numeric_csv(str(src))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("0.9x,1\n0.8,1\n-0.7,0\n0.6,1\n-0.5,0\n", "row 1: '0.9x' is not a number"),
+    ("score,label,extra\n0.9,1\n-0.7,0\n", "row 1: a header of another width than row 2"),
+    ("score,label\n0.9,1\nhigh,0\n", "row 3: 'high' is not a number"),
+])
+def test_a_cell_that_is_not_a_number_or_a_bad_header_is_named_by_row(tmp_path, text,
+                                                                      message):
+    src = tmp_path / "in.csv"
+    src.write_text(text)
+    with pytest.raises(CorruptHeader, match=f"^{re.escape(str(src))}: {re.escape(message)}$"):
         cli._read_numeric_csv(str(src))
 
 

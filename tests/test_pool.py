@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypnopipe import cli, encoding, neuralnet, pool, preprocess, signal_io
+from hypnopipe import cli, diagnosis, encoding, neuralnet, pool, preprocess, signal_io
 from hypnopipe.encoding import CC_TENSORS, MONTAGE, encode_recording
 from hypnopipe.errors import NaNGradient, SignalTooShort
 
@@ -306,6 +306,79 @@ print(json.dumps([inside, after]))
                                                 "worker1", "worker2", "failing")}
     assert after == {name: [2, 2] for name in ("rfe", "gp_fit", "gp_predict", "thread_map",
                                                "nested", "raised", "worker_raised")}
+
+
+# a host that loaded numpy alone and set its OpenBLAS to 2 threads; scipy's
+# OpenBLAS loads later, with hypnopipe's first fit or prediction
+NUMPY_ONLY_HOST = """
+import ctypes, glob, importlib.util, json, os, sys
+import numpy as np
+
+def library(package):
+    libs = os.path.dirname(importlib.util.find_spec(package).submodule_search_locations[0])
+    (path,) = glob.glob(os.path.join(glob.escape(libs), package + ".libs",
+                                     "libscipy_openblas*.so"))
+    return path
+
+BLAS = ((library("numpy"), "64_"), (library("scipy"), ""))
+
+def blas_counts():
+    counts = []
+    for path, suffix in BLAS:
+        try:
+            lib = ctypes.CDLL(path, os.RTLD_NOLOAD)
+        except OSError:
+            counts.append(None)           # not loaded
+        else:
+            counts.append(getattr(lib, "scipy_openblas_get_num_threads" + suffix)())
+    return counts
+
+ctypes.CDLL(BLAS[0][0], os.RTLD_NOLOAD).scipy_openblas_set_num_threads64_(2)
+assert blas_counts() == [2, None] and "scipy" not in sys.modules
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="an OpenBLAS loaded on one core runs one thread anyway")
+@pytest.mark.parametrize("first", ["rfe", "gp_fit", "gp_predict"])
+def test_scipys_blas_loaded_inside_a_hold_joins_it(tmp_path, first):
+    """In a host whose scipy OpenBLAS is not loaded yet, the first ``rfe``,
+    ``gp_fit`` or ``gp_predict`` loads it inside its hold: there it runs one
+    thread like numpy's, and after it both have the count they had loaded
+    with, numpy's 2 and scipy's default, 2 on two cores or more."""
+    rng = np.random.default_rng(0)
+    y = np.where(rng.random(60) > 0.5, 1.0, -1.0)
+    X = rng.standard_normal((60, 30)) + y[:, None]
+    np.save(tmp_path / "X.npy", X)
+    np.save(tmp_path / "y.npy", y)
+    diagnosis.gp_fit(X[:, :4], y).save(str(tmp_path))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_HOST + """
+from hypnopipe import diagnosis
+
+first, data = sys.argv[1], sys.argv[2]
+X, y = np.load(os.path.join(data, "X.npy")), np.load(os.path.join(data, "y.npy"))
+model = diagnosis.GPModel.load(os.path.join(data, diagnosis.GP_FILE))
+inside = []
+def probe(fn):
+    def wrapped(*args, **kwargs):
+        result = fn(*args, **kwargs)      # after the kernels, and scipy's BLAS, load
+        inside.append(blas_counts())
+        return result
+    return wrapped
+for name in ("_rfe_survivors", "_laplace_mode", "_kernel"):
+    setattr(diagnosis, name, probe(getattr(diagnosis, name)))
+before = blas_counts()
+{"rfe": lambda: diagnosis.rfe(X, y > 0, target_count=5),
+ "gp_fit": lambda: diagnosis.gp_fit(X[:, :4], y),
+ "gp_predict": lambda: diagnosis.gp_predict(model, X[:3, :4])}[first]()
+print(json.dumps([before, inside[0], blas_counts()]))
+""", first, str(tmp_path)], capture_output=True, text=True, timeout=120, check=True,
+        env={**env, "PYTHONPATH": str(Path(pool.__file__).parent.parent)}).stdout
+    before, inside, after = json.loads(out)
+    assert before == [2, None]
+    assert inside == [1, 1]
+    assert after == [2, 2]
 
 
 def test_training_and_a_direct_forward_run_one_blas_thread():
