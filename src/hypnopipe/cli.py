@@ -191,17 +191,23 @@ def _score_ensemble(models, enc, resolution=None):
     """Member hypnodensities at ``resolution`` (default: the members'
     ``segment_s``) and their ensemble.  The recording is windowed once and
     scored by ``neuralnet.score_ensemble``; ``InvalidSpec`` before that
-    unless it is in the members' encoding."""
+    unless it is in the members' encoding.  The windows copy the encoding's
+    values, so it is let go before scoring: a caller that hands over its
+    only reference holds the night once."""
     encoding, segment_s = models[0][1].encoding, models[0][1].segment_s
+    rid = enc.recording_id
     if enc.mode != encoding:
-        raise InvalidSpec(f"{enc.recording_id}: the encoding is {enc.mode!r}, "
+        raise InvalidSpec(f"{rid}: the encoding is {enc.mode!r}, "
                           f"the models' encoding is {encoding!r}")
     batch = neuralnet.windows_from_encoded(enc, segment_s)
+    del enc
     members = [hypnodensity.Hypnodensity(probs=probs, resolution_s=segment_s)
                for probs in neuralnet.score_ensemble(models, batch)]
     if resolution not in (None, segment_s):
         members = [hypnodensity.aggregate_resolution(m, resolution) for m in members]
-    return members, hypnodensity.ensemble_hypnodensity(members)
+    ens = hypnodensity.ensemble_hypnodensity(members)
+    log("score", f"{rid}: {len(models)} models, {len(ens.probs)} segments")
+    return members, ens
 
 
 def _feature_vector(hd):
@@ -245,11 +251,8 @@ def _diagnose(model, cols, vectors, hla=None):
 
 
 def cmd_score(args):
-    models = _load_models(args.models)
-    enc = EncodedRecording.load(args.input)
-    _, ens = _score_ensemble(models, enc)
-    log("score", f"{enc.recording_id}: {len(models)} models, "
-                 f"{len(ens.probs)} segments")
+    # the encoding is handed over, not held here (``_score_ensemble``)
+    _, ens = _score_ensemble(_load_models(args.models), EncodedRecording.load(args.input))
     return {args.out: ens.to_csv()}, None
 
 
@@ -354,19 +357,23 @@ def cmd_run_all(args):
     psg = signal_io.load_recording(cfg["recording"])
     rid = psg.recording_id
 
-    # each stage is handed what the subcommands' files would hold
+    # each stage is handed what the subcommands' files would hold, and its
+    # input goes once its output exists, so one stage's data is held at a time
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
+    del psg
     for role, ch in montage.channels.items():
         ch.samples = as_stored(ch.samples, role)
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, mode)
+    del montage, ch         # the loop's last channel holds its samples too
     enc.tensors = {name: as_stored(x, name) for name, x in enc.tensors.items()}
     log("encode", f"{rid}: {enc.mode} encoding done")
+    handed = [enc]          # so that ``_score_ensemble`` holds the only reference
+    del enc
 
-    members, ens = _score_ensemble(models, enc, cfg.get("resolution"))
+    members, ens = _score_ensemble(models, handed.pop(), cfg.get("resolution"))
     csv_text = ens.to_csv()
     ens = hypnodensity.Hypnodensity.from_csv(csv_text)
-    log("score", f"{rid}: hypnodensity over {len(ens.probs)} segments")
     vec = _feature_vector(ens)
     log("features", f"{rid}: feature vector done")
     rep = _diagnose(gp, cols, [_feature_vector(m) for m in members], cfg.get("hla"))

@@ -12,17 +12,19 @@ phases.  First the conv features, on the one pool, in jobs of (chunk of
 windows, modality, group): a group is the members whose input
 standardization for that modality is equal, byte for byte, so its windows
 are standardised once and its layer 0 runs as one product against the
-members' stacked filters; then each member's deeper layers run on its
-slice.  Then each member's head, FF or LSTM, runs from its own features.
-Scoring a night holds a few chunks' activations plus the members'
-concatenated features (about 40 floats per window each), and each member's
-probabilities are bitwise those of its own ``forward``.  The backward cache
-is kept only when ``loss_and_grads`` asks for it, and dropout runs if and
-only if a random generator is passed.  Gradients are analytic and checked
-against central finite differences; the conv backward stops above the
-input, whose standardization has no trainable parameters.  ``forward``,
-``loss_and_grads``, ``train`` and ``score_ensemble`` run BLAS at one thread
-(``pool.one_blas_thread``), whatever count the host program set.
+members' stacked filters, STACKED_WINDOWS windows at a time; then each
+member's deeper layers run on its slice.  Then each member's head, FF or
+LSTM, runs from its own features.  Beside the batch, scoring a night holds
+the members' concatenated features (about 40 floats per window each) and,
+for each job running, its pooled layer-0 output and one run's scratch;
+each member's probabilities are bitwise those of its own ``forward``.  The
+backward cache is kept only when ``loss_and_grads`` asks for it, and
+dropout runs if and only if a random generator is passed.  Gradients are
+analytic and checked against central finite differences; the conv backward
+stops above the input, whose standardization has no trainable parameters.
+``forward``, ``loss_and_grads``, ``train`` and ``score_ensemble`` run BLAS
+at one thread (``pool.one_blas_thread``), whatever count the host program
+set.
 
 Training constants: cross-entropy (as printed, with the (1-y)log(1-p) term)
 plus L2 at lambda=1e-5, SGD with momentum 0.9, learning rate 0.005 decaying
@@ -65,14 +67,18 @@ ENSEMBLE_SCALE = (0.5, 1.5)
 MODALITIES = ("EEG", "EOG", "EMG")
 KERNEL = 3
 CHUNK = 128                # windows per conv-stack pass; bounds what scoring holds
-# Windows per stacked layer-0 product when scoring.  OpenBLAS rounds the
-# last (columns mod 8) columns of a product, and every column of a one-row
-# product, in kernels that depend on the number of rows (filters).  So the
-# stacked product runs only on whole runs of STACKED_WINDOWS windows (a
-# multiple of 32 columns) and over members of two or more filters; a shorter
-# last run, and a one-filter member, run each member's own product, as a
-# lone ``forward`` does.
-STACKED_WINDOWS = CHUNK // 4
+# Windows per stacked layer-0 product when scoring.  A product has a column
+# per window and output sample, and OpenBLAS rounds the last (columns mod 8)
+# columns, and every column of a one-row product, in kernels that depend on
+# the number of rows (filters).  A run of a multiple of 8 windows leaves no
+# such columns, whatever the window length.  So the stacked product runs
+# only on whole runs of STACKED_WINDOWS windows and over members of two or
+# more filters; a shorter last run, and a one-filter member, run each
+# member's own product, as a lone ``forward`` does.  16 windows hold half
+# the scratch of 32 (the float64 input, tensordot's column copy and the
+# product); each extra run costs ~0.1 ms of calls, ~4% of an 8 h CC night's
+# scoring.
+STACKED_WINDOWS = CHUNK // 8
 LOG_EPS = 1e-12
 
 
@@ -243,7 +249,8 @@ def _conv_job(models, x, modality, group, zs, s, layers):
     from ``s``: each member's pooled features into its ``zs[i][s:]`` columns,
     and, when ``layers`` is a list, the one member's (input, activation) of
     each layer appended to it.  Layer 0 runs STACKED_WINDOWS windows at a
-    time, each standardised once, into one pooled buffer; with ``layers`` it
+    time, each standardised once, into one pooled buffer, so a job holds that
+    buffer and one run's input, column copy and product; with ``layers`` it
     runs on the whole chunk, whose input and activations the backward pass
     reads.  The deeper layers run member by member on the member's slice."""
     members, mu, sd, w, b = group
@@ -394,9 +401,11 @@ def score_ensemble(models, batch) -> list[np.ndarray]:
 
     1. Conv features, on the one pool, in jobs of (half a CHUNK of windows,
        modality, group of members that share the modality's input
-       standardization): each STACKED_WINDOWS windows are standardised once
-       and the group's layer 0 runs as one product against its stacked
-       filters, then each member's deeper layers run on its slice.
+       standardization): each run of STACKED_WINDOWS windows is
+       standardised once and the group's layer 0 runs on it as one product
+       against its stacked filters, then each member's deeper layers run on
+       its slice.  A job holds its pooled layer-0 output and one run's
+       scratch, not a product over the whole job.
     2. Heads: each member's ``forward`` from its own features, one after
        another at one BLAS thread, as on the pool.  The LSTM step loop holds
        the GIL: 16 heads of a 0.5 h night took 0.065 s serially and 0.080 s

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -1012,6 +1013,62 @@ def test_run_all_hands_each_stage_what_the_subcommands_files_hold(workspace, tmp
     for got, read in pairs:
         assert got.dtype == read.dtype == np.float32 and got.tobytes() == read.tobytes()
     assert all(ch.fs == montage.channels[role].fs for role, ch in channels.items())
+
+
+@pytest.mark.parametrize("command", ["score", "run-all"])
+def test_scoring_starts_with_only_the_windows_held(workspace, tmp_path, monkeypatch,
+                                                   command):
+    """When ``neuralnet.score_ensemble`` starts, the encoded tensors are gone
+    (the windows hold their values), and in ``run-all`` the raw recording and
+    the montage too: each stage's input goes once its output exists."""
+    staged = tmp_path / "staged"
+    assert cli.main(["preprocess", workspace["meta"], str(staged)]) == 0
+    assert cli.main(["encode", str(staged / "rec1.psgmeta.json"), str(staged),
+                     "--mode", "cc"]) == 0
+    refs = []
+
+    def track(what, objects):
+        refs.extend((what, weakref.ref(o)) for o in objects)
+
+    def traced(owner, name, track_args, track_result):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            track_args(*args)
+            result = fn(*args)
+            track_result(result)
+            return result
+        monkeypatch.setattr(owner, name, staticmethod(wrapper) if owner is EncodedRecording
+                            else wrapper)
+
+    def recording(what):
+        return lambda psg, *_: track(what, [psg, *(ch.samples for ch in psg.channels.values())])
+
+    ignore = lambda *a: None
+    traced(EncodedRecording, "load", ignore, lambda enc: track(
+        "the loaded encoding", enc.tensors.values()))
+    traced(signal_io, "load_recording", ignore, recording("the recording"))
+    traced(preprocess, "preprocess_recording", ignore,
+           lambda out: recording("the montage")(out[0]))
+    traced(cli, "encode_recording", recording("the montage"), lambda enc: track(
+        "the encoding", enc.tensors.values()))
+    traced(neuralnet, "windows_from_encoded", lambda enc, segment_s: track(
+        "the windowed encoding", enc.tensors.values()), ignore)
+    alive, score_ensemble = set(), neuralnet.score_ensemble
+
+    def score(models, batch):
+        gc.collect()
+        alive.update(what for what, ref in refs if ref() is not None)
+        return score_ensemble(models, batch)
+    monkeypatch.setattr(neuralnet, "score_ensemble", score)
+    argv = (["score", str(staged / "rec1.cc.enc.json"), "--models", workspace["models"],
+             "--out", str(tmp_path / "hd.csv")] if command == "score" else
+            ["run-all", "--config", workspace["config"], "--out-dir", str(tmp_path / "o")])
+    assert cli.main(argv) == 0
+    assert {what for what, _ in refs} == (
+        {"the loaded encoding", "the windowed encoding"} if command == "score" else
+        {"the recording", "the montage", "the encoding", "the windowed encoding"})
+    assert alive == set()
 
 
 @pytest.mark.parametrize("change", [{"seed": 1.5}, {"seed": -1}, {"hidden": True},

@@ -209,6 +209,8 @@ def windows(cfg, n, seed=0):
 
 
 SIZES = [1, nn.CHUNK - 1, nn.CHUNK, nn.CHUNK + 1, 2 * nn.CHUNK + 3]
+# around the ends of the scorer's stacked layer-0 runs of 16 windows
+RUN_SIZES = [15, 16, 17, 31, 33, 47]
 NETS = [(e, m) for e in ("cc", "octave") for m in ("FF", "LSTM")]
 
 
@@ -400,8 +402,8 @@ def assert_the_scorer_is_the_reference(models, batch):
     assert np.median([np.ptp(p) for p in got]) > 0.05    # far from uniform: a real check
 
 
-@pytest.mark.parametrize("encoding,mode", NETS)
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n,encoding,mode", [(n, *net) for net in NETS for n in SIZES]
+                         + [(n, "octave", "FF") for n in RUN_SIZES])
 def test_the_scorer_is_bitwise_the_reference_for_varied_widths(encoding, mode, n):
     models = ensemble_of(encoding, mode)
     groups = nn._first_layer_groups(models, "EEG")
@@ -410,12 +412,21 @@ def test_the_scorer_is_bitwise_the_reference_for_varied_widths(encoding, mode, n
     assert_the_scorer_is_the_reference(models, windows(models[0][1], n))
 
 
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + RUN_SIZES)
 def test_sixteen_members_that_standardise_alike(n):
     # one group of 16: the stacked product is as wide as the benchmark's, where
-    # a short last run stacked would round otherwise at 127 and 259 windows
+    # a short last run stacked would round otherwise at 31 windows (a whole run
+    # and 15 more), whether a run is 16 windows or 32
     models = ensemble_of("octave", "FF", n=16, alike=16)
     assert [len(g[0]) for g in nn._first_layer_groups(models, "EEG")] == [16]
+    assert_the_scorer_is_the_reference(models, windows(models[0][1], n))
+
+
+@pytest.mark.parametrize("n", RUN_SIZES)
+def test_sixteen_cc_members_that_standardise_alike(n):
+    # CC's short windows round otherwise on a run that is not a multiple of 8
+    # windows: runs of 13 differ at 33 windows
+    models = ensemble_of("cc", "FF", n=16, alike=16)
     assert_the_scorer_is_the_reference(models, windows(models[0][1], n))
 
 
@@ -474,3 +485,17 @@ def test_ensemble_scoring_memory_does_not_grow_with_the_night(monkeypatch):
     stacked = 8 * nn.CHUNK * (length - KERNEL + 1) * sum(
         c.conv_features["EEG"][0] for _, c in models)
     assert base < 1.25 * stacked
+
+
+def test_ensemble_scoring_holds_a_fraction_of_a_stacked_chunk(monkeypatch):
+    # serially, as above.  A job of half a CHUNK holds its pooled layer-0
+    # output (a quarter of a chunk-long stacked product) and one run's float64
+    # input, tensordot's column copy and product (the product an eighth of it
+    # at 16 windows, a quarter at 32)
+    monkeypatch.setattr(nn, "thread_map", lambda fn, items: [fn(i) for i in items])
+    models = ensemble_of("octave", "LSTM", n=16, alike=16)
+    cfg = models[0][1]
+    _, length = cfg.modality_shapes["EEG"]
+    stacked = 8 * nn.CHUNK * (length - KERNEL + 1) * sum(
+        c.conv_features["EEG"][0] for _, c in models)
+    assert _ensemble_peak_bytes(models, windows(cfg, nn.CHUNK)) < 0.7 * stacked
