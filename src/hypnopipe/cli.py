@@ -187,20 +187,11 @@ def _load_models(models_dir, mode=None, resolution=None):
     return models
 
 
-def _score_ensemble(models, enc, resolution=None):
+def _score_ensemble(models, batch, rid, resolution=None):
     """Member hypnodensities at ``resolution`` (default: the members'
-    ``segment_s``) and their ensemble.  The recording is windowed once and
-    scored by ``neuralnet.score_ensemble``; ``InvalidSpec`` before that
-    unless it is in the members' encoding.  The windows copy the encoding's
-    values, so it is let go before scoring: a caller that hands over its
-    only reference holds the night once."""
-    encoding, segment_s = models[0][1].encoding, models[0][1].segment_s
-    rid = enc.recording_id
-    if enc.mode != encoding:
-        raise InvalidSpec(f"{rid}: the encoding is {enc.mode!r}, "
-                          f"the models' encoding is {encoding!r}")
-    batch = neuralnet.windows_from_encoded(enc, segment_s)
-    del enc
+    ``segment_s``) and their ensemble, ``neuralnet.score_ensemble`` of
+    ``batch``: the windows of recording ``rid`` at that ``segment_s``."""
+    segment_s = models[0][1].segment_s
     members = [hypnodensity.Hypnodensity(probs=probs, resolution_s=segment_s)
                for probs in neuralnet.score_ensemble(models, batch)]
     if resolution not in (None, segment_s):
@@ -251,8 +242,15 @@ def _diagnose(model, cols, vectors, hla=None):
 
 
 def cmd_score(args):
-    # the encoding is handed over, not held here (``_score_ensemble``)
-    _, ens = _score_ensemble(_load_models(args.models), EncodedRecording.load(args.input))
+    """The ensemble hypnodensity; ``InvalidSpec`` unless the encoding is the members'."""
+    models, enc = _load_models(args.models), EncodedRecording.load(args.input)
+    cfg = models[0][1]
+    if enc.mode != cfg.encoding:
+        raise InvalidSpec(f"{enc.recording_id}: the encoding is {enc.mode!r}, "
+                          f"the models' encoding is {cfg.encoding!r}")
+    batch, rid = neuralnet.windows_from_encoded(enc, cfg.segment_s), enc.recording_id
+    del enc                 # the windows copy its values: the night is held once
+    _, ens = _score_ensemble(models, batch, rid)
     return {args.out: ens.to_csv()}, None
 
 
@@ -361,17 +359,17 @@ def cmd_run_all(args):
     # input goes once its output exists, so one stage's data is held at a time
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
     del psg
-    for role, ch in montage.channels.items():
-        ch.samples = as_stored(ch.samples, role)
+    for role in montage.channels:
+        montage.channels[role].samples = as_stored(montage.channels[role].samples, role)
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, mode)
-    del montage, ch         # the loop's last channel holds its samples too
+    del montage
     enc.tensors = {name: as_stored(x, name) for name, x in enc.tensors.items()}
     log("encode", f"{rid}: {enc.mode} encoding done")
-    handed = [enc]          # so that ``_score_ensemble`` holds the only reference
+    batch = neuralnet.windows_from_encoded(enc, models[0][1].segment_s)
     del enc
 
-    members, ens = _score_ensemble(models, handed.pop(), cfg.get("resolution"))
+    members, ens = _score_ensemble(models, batch, rid, cfg.get("resolution"))
     csv_text = ens.to_csv()
     ens = hypnodensity.Hypnodensity.from_csv(csv_text)
     vec = _feature_vector(ens)

@@ -32,7 +32,7 @@ from .errors import (CorruptHeader, EmptySignal, InvalidSpec, MissingChannel,
 from .pool import thread_map
 from .preprocess import TARGET_FS, butter_zero_phase
 from .signal_io import PolySignalSet
-from .store import bundle, check_shapes, is_file_name, read_bundle, write_files
+from .store import bundle, check_finite, check_shapes, is_file_name, read_bundle, write_files
 
 OCTAVE_CUTOFFS_HZ = (49.0, 25.0, 12.5, 6.25, 3.125)
 P95_WINDOW_S = 90 * 60      # 90 minute windows
@@ -294,8 +294,8 @@ def _cc_tensor(signal, opposite, params: CCParams, slots: np.ndarray) -> np.ndar
 def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
     """Encode a preprocessed 5-channel montage recording.
 
-    The channels the mode reads must be at TARGET_FS (``UnsupportedRate``);
-    they are cut to the shortest one's count before any encoder runs.
+    The channels the mode reads must be at TARGET_FS (``UnsupportedRate``) and finite
+    (``InvalidValues``); they are cut to the shortest one's count before any encoder runs.
 
     mode="octave": one (5, T) tensor per montage channel (25 channels total).
     mode="cc": for each tensor of CC_TENSORS, one row per whole 5 s window,
@@ -313,6 +313,8 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
             raise MissingChannel(role)
         if ch.fs != TARGET_FS:
             raise UnsupportedRate(f"{role}: {ch.fs} Hz, encoding needs {TARGET_FS} Hz")
+        if ch.samples is not montage._finite.get(role):
+            check_finite(ch.samples, role)
         x[role] = ch.samples
     n = min(map(len, x.values()))
     x = {role: v[:n] for role, v in x.items()}

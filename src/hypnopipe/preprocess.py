@@ -151,11 +151,10 @@ def to_target_rate(ch: Channel) -> np.ndarray:
 
 def _avg_log_hjorth(x: np.ndarray) -> np.ndarray | None:
     """Average elementwise log of Hjorth triples over full 5-minute segments
-    of a TARGET_FS signal.
-
-    Returns None if every segment is constant.  Partial tail segments are
-    dropped.  Signals shorter than one segment use a single whole-signal
-    segment so short fixtures remain usable.
+    of a TARGET_FS signal, skipping a constant segment or one with a Hjorth
+    value of 0 (a ramp's mobility); None if every one is skipped.
+    Partial tail segments are dropped.  Signals shorter than one segment use
+    a single whole-signal segment so short fixtures remain usable.
     """
     seg_len = int(SELECTION_SEGMENT_S * TARGET_FS)
     if len(x) < seg_len:
@@ -197,9 +196,10 @@ def select_eeg_channel(candidates: list[tuple[str, np.ndarray]],
 def usable_candidates(psg: PolySignalSet, roles) -> dict[str, list[str]]:
     """Each role's candidates (its ``SITES`` electrodes, or else the channel of
     its own name) in ``psg`` whose raw samples are not all equal: a constant
-    one has no Hjorth activity to rank.  ``MissingChannel`` for a role with
-    none present, checked for every role first; then ``AllDegenerate``, naming
-    the role and its candidates, for one whose every candidate is constant."""
+    one has no Hjorth activity to rank.  ``psg.validate()``'s errors come first;
+    then ``MissingChannel`` for a role with none present, checked for every role;
+    then ``AllDegenerate``, naming the role and its candidates, if each is constant."""
+    psg.validate()
     present = {role: [r for r in SITES.get(role, (role,)) if r in psg.channels]
                for role in roles}
     for role, cands in present.items():
@@ -255,7 +255,6 @@ def preprocess_recording(psg: PolySignalSet, ref: ReferenceDistribution | None,
     channel's own error, the first in role order, comes before any site is
     compared; ``AllDegenerate`` names a site whose every candidate compared
     is degenerate once filtered."""
-    psg.validate()
     used = {role: cands if ref is not None else cands[:1]
             for role, cands in usable_candidates(psg, roles).items()}
     raw = [r for cands in used.values() for r in cands]

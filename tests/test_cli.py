@@ -65,7 +65,8 @@ def workspace(tmp_path_factory):
         ch.samples = store.as_stored(ch.samples)
     enc = encode_recording(montage, "cc")
     enc.tensors = {name: store.as_stored(x) for name, x in enc.tensors.items()}
-    members, _ = cli._score_ensemble(cli._load_models(str(models_dir)), enc)
+    members, _ = cli._score_ensemble(cli._load_models(str(models_dir)),
+                                     neuralnet.windows_from_encoded(enc, 30), "rec1")
     night = np.mean([cli._feature_vector(m).values[cols] for m in members], axis=0)
     spread = 0.05 * np.abs(night) + 1e-3
     rng = np.random.default_rng(0)
@@ -983,7 +984,7 @@ def test_run_all_writes_what_the_staged_chain_writes(workspace, tmp_path, member
 
 def test_run_all_hands_each_stage_what_the_subcommands_files_hold(workspace, tmp_path,
                                                                   monkeypatch):
-    """The montage that ``run-all`` encodes and the encoding it scores are,
+    """The montage that ``run-all`` encodes and the encoding it windows are,
     dtype and bytes, what ``load_recording`` and ``EncodedRecording.load``
     read from the files of ``preprocess`` and ``encode``."""
     staged = tmp_path / "staged"
@@ -992,17 +993,17 @@ def test_run_all_hands_each_stage_what_the_subcommands_files_hold(workspace, tmp
                      "--mode", "cc"]) == 0
     montage = signal_io.load_recording(str(staged / "rec1.psgmeta.json"))
     enc = EncodedRecording.load(str(staged / "rec1.cc.enc.json"))
-    handed, score_ensemble = {}, cli._score_ensemble
+    handed, windows_from_encoded = {}, neuralnet.windows_from_encoded
 
     def encode(montage, mode):
         handed["montage"] = montage
         return encode_recording(montage, mode)
 
-    def score(models, enc, resolution=None):
+    def window(enc, segment_s):
         handed["enc"] = enc
-        return score_ensemble(models, enc, resolution)
+        return windows_from_encoded(enc, segment_s)
     monkeypatch.setattr(cli, "encode_recording", encode)
-    monkeypatch.setattr(cli, "_score_ensemble", score)
+    monkeypatch.setattr(neuralnet, "windows_from_encoded", window)
     assert cli.main(["run-all", "--config", workspace["config"],
                      "--out-dir", str(tmp_path / "o")]) == 0
     channels = handed["montage"].channels
@@ -1015,12 +1016,16 @@ def test_run_all_hands_each_stage_what_the_subcommands_files_hold(workspace, tmp
     assert all(ch.fs == montage.channels[role].fs for role, ch in channels.items())
 
 
-@pytest.mark.parametrize("command", ["score", "run-all"])
+@pytest.mark.parametrize("command,wrapped", [
+    ("score", False), ("run-all", False), ("score", True), ("run-all", True)],
+    ids=["score", "run-all", "score-wrapped", "run-all-wrapped"])
 def test_scoring_starts_with_only_the_windows_held(workspace, tmp_path, monkeypatch,
-                                                   command):
+                                                   command, wrapped):
     """When ``neuralnet.score_ensemble`` starts, the encoded tensors are gone
     (the windows hold their values), and in ``run-all`` the raw recording and
-    the montage too: each stage's input goes once its output exists."""
+    the montage too: each stage's input goes once its output exists.  That
+    holds with ``cli._score_ensemble`` behind a wrapper that keeps its
+    arguments, as a decorator or a profiler does."""
     staged = tmp_path / "staged"
     assert cli.main(["preprocess", workspace["meta"], str(staged)]) == 0
     assert cli.main(["encode", str(staged / "rec1.psgmeta.json"), str(staged),
@@ -1061,6 +1066,8 @@ def test_scoring_starts_with_only_the_windows_held(workspace, tmp_path, monkeypa
         alive.update(what for what, ref in refs if ref() is not None)
         return score_ensemble(models, batch)
     monkeypatch.setattr(neuralnet, "score_ensemble", score)
+    if wrapped:
+        traced(cli, "_score_ensemble", ignore, ignore)
     argv = (["score", str(staged / "rec1.cc.enc.json"), "--models", workspace["models"],
              "--out", str(tmp_path / "hd.csv")] if command == "score" else
             ["run-all", "--config", workspace["config"], "--out-dir", str(tmp_path / "o")])

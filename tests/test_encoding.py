@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypnopipe import encoding
-from hypnopipe.errors import (InvalidSpec, MissingChannel, NonpositiveP95, ShapeMismatch,
-                              UnsupportedRate)
+from hypnopipe import encoding, signal_io
+from hypnopipe.errors import (InvalidSpec, InvalidValues, MissingChannel, NonpositiveP95,
+                              ShapeMismatch, UnsupportedRate)
 from hypnopipe.neuralnet import windows_from_encoded
 from hypnopipe.signal_io import Channel
 from conftest import cc_lag0_index, eog_one_sample_short, make_montage
@@ -298,6 +298,39 @@ def test_cc_encoding_reads_no_occipital_channel():
     del montage.channels["EEG_O"]
     with pytest.raises(MissingChannel):
         encoding.encode_recording(montage, "octave")
+
+
+@pytest.mark.parametrize("mode", encoding.MODES)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_encode_refuses_a_non_finite_sample_in_a_role_it_reads(mode, value):
+    """Refused in ``validate``'s words, not encoded into NaN rows (CC) or
+    reported as a p95 of nan (octave); a role the mode does not read may
+    hold anything."""
+    montage = make_montage(120.0)
+    montage.channels["EOG_L"].samples[4321] = value
+    with pytest.raises(InvalidValues, match="^EOG_L has a non-finite value at flat index 4321$"):
+        encoding.encode_recording(montage, mode)
+    montage = make_montage(120.0)
+    want = encoding.encode_recording(montage, "cc").tensors
+    montage.channels["EEG_O"].samples[0] = value
+    got = encoding.encode_recording(montage, "cc").tensors
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+def test_encode_scans_only_the_samples_load_recording_did_not(tmp_path, monkeypatch):
+    montage = signal_io.load_recording(
+        signal_io.save_recording(make_montage(120.0), str(tmp_path)))
+    scanned, check_finite = [], encoding.check_finite
+
+    def check(x, name):
+        scanned.append(name)
+        return check_finite(x, name)
+    monkeypatch.setattr(encoding, "check_finite", check)
+    encoding.encode_recording(montage, "cc")
+    assert scanned == []
+    montage.channels["EOG_R"].samples = montage.channels["EOG_R"].samples.copy()
+    encoding.encode_recording(montage, "cc")
+    assert scanned == ["EOG_R"]
 
 
 def test_octave_tensor_shapes_10min():

@@ -96,7 +96,8 @@ def test_pooled_members_equal_a_serial_map(monkeypatch, three_cores, mode, encod
         models.append((params, cfg))
     assert all(len(neuralnet._first_layer_groups(models, m)) == 3
                for m in neuralnet.MODALITIES)
-    pooled, pooled_ens = cli._score_ensemble(models, enc)
+    batch = neuralnet.windows_from_encoded(enc, base.segment_s)
+    pooled, pooled_ens = cli._score_ensemble(models, batch, enc.recording_id)
     maps, threads = [], set()
 
     def serial_here(fn, items):
@@ -110,7 +111,7 @@ def test_pooled_members_equal_a_serial_map(monkeypatch, three_cores, mode, encod
             return [run(item) for item in items]
 
     monkeypatch.setattr(neuralnet, "thread_map", serial_here)
-    alone, alone_ens = cli._score_ensemble(models, enc)
+    alone, alone_ens = cli._score_ensemble(models, batch, enc.recording_id)
     assert len(maps) == 1                          # the features' jobs
     assert threads == {threading.get_ident()}
     assert len(pooled) == len(alone) == 5

@@ -6,6 +6,8 @@ from hypnopipe.encoding import MONTAGE
 from hypnopipe.errors import (
     AllDegenerate,
     DegenerateSegment,
+    InvalidValues,
+    LengthMismatch,
     MissingChannel,
     SingularCovariance,
     UnsupportedRate,
@@ -167,6 +169,40 @@ def test_a_calibration_night_without_a_usable_central_channel_is_refused():
     recs[1].channels = {"EOG_L": recs[0].channels["EEG_C_LEFT"]}
     with pytest.raises(MissingChannel):
         preprocess.fit_reference(recs)
+
+
+@pytest.mark.parametrize("bad,error,message", [
+    ("nan", InvalidValues, "EEG_C_LEFT has a non-finite value at flat index 100"),
+    ("inf", InvalidValues, "EEG_C_LEFT has a non-finite value at flat index 100"),
+    ("-inf", InvalidValues, "EEG_C_LEFT has a non-finite value at flat index 100"),
+    ("short", LengthMismatch, "EEG_C_LEFT: 59998 samples, expected 60000±1"),
+], ids=["nan", "inf", "-inf", "short"])
+def test_a_calibration_night_is_validated_as_a_night_to_preprocess(bad, error, message):
+    """``fit_reference`` refuses what ``preprocess_recording`` refuses, with
+    ``validate``'s error: a NaN was dropped as if constant, an infinity fitted."""
+    recs = [signal_io.PolySignalSet(
+        channels={role: signal_io.Channel(_clean([seed, k]), 100.0)
+                  for k, role in enumerate(signal_io.CENTRAL_EEG)},
+        duration_s=600, recording_id=f"r{seed}") for seed in range(5)]
+    left = recs[2].channels["EEG_C_LEFT"]
+    if bad == "short":
+        left.samples = left.samples[:-2]
+    else:
+        left.samples[100] = float(bad)
+    for fn in (recs[2].validate, lambda: preprocess.fit_reference(recs)):
+        with pytest.raises(error, match=f"^{message}$"):
+            fn()
+
+
+def test_a_segment_of_mobility_zero_is_left_out_of_the_hjorth_average():
+    """An integer ramp's first difference is constant, so its mobility is 0
+    and has no log: the segment is skipped, not averaged in as -inf."""
+    seg = int(preprocess.SELECTION_SEGMENT_S * preprocess.TARGET_FS)
+    ramp, clean = np.arange(seg, dtype=float), _clean(7, duration_s=300)
+    assert preprocess.hjorth(ramp)[1] == 0.0
+    assert preprocess._avg_log_hjorth(ramp) is None
+    assert np.array_equal(preprocess._avg_log_hjorth(np.concatenate([ramp, clean])),
+                          preprocess._avg_log_hjorth(clean))
 
 
 def test_fit_reference_needs_four_recordings():
