@@ -360,7 +360,7 @@ def cmd_run_all(args):
     montage, report = preprocess.preprocess_recording(psg, ref, MONTAGE[mode])
     del psg
     for role in montage.channels:
-        montage.channels[role].samples = as_stored(montage.channels[role].samples, role)
+        montage.keep_finite(role, as_stored(montage.channels[role].samples, role))
     log("preprocess", f"{rid}: channel selection {report}")
     enc = encode_recording(montage, mode)
     del montage

@@ -13,15 +13,16 @@ windows, modality, group): a group is the members whose input
 standardization for that modality is equal, byte for byte, so its windows
 are standardised once and its layer 0 runs as one product against the
 members' stacked filters, STACKED_WINDOWS windows at a time; then each
-member's deeper layers run on its slice.  Then each member's head, FF or
-LSTM, runs from its own features.  Beside the batch, scoring a night holds
-the members' concatenated features (about 40 floats per window each) and,
-for each job running, its pooled layer-0 output and one run's scratch;
-each member's probabilities are bitwise those of its own ``forward``.  The
-backward cache is kept only when ``loss_and_grads`` asks for it, and
-dropout runs if and only if a random generator is passed.  Gradients are
-analytic and checked against central finite differences; the conv backward
-stops above the input, whose standardization has no trainable parameters.
+member's deeper layers run on its slice.  Then the heads run from each
+member's features: FF ones through ``forward``, the LSTM ones in lockstep.
+Beside the batch, scoring a night holds the members' concatenated features
+(about 40 floats per window each) and, for each job running, its pooled
+layer-0 output and one run's scratch; each member's probabilities are
+bitwise those of its own ``forward``.  The backward cache is kept only
+when ``loss_and_grads`` asks for it, and dropout runs if and only if a
+random generator is passed.  Gradients are analytic and checked against
+central finite differences; the conv backward stops above the input, whose
+standardization has no trainable parameters.
 ``forward``, ``loss_and_grads``, ``train`` and ``score_ensemble`` run BLAS
 at one thread (``pool.one_blas_thread``), whatever count the host program
 set.
@@ -212,6 +213,10 @@ def _softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _output(params, h):
+    return _softmax(h @ params["out/w"].T + params["out/b"])
+
+
 def _checked_batch(models, batch) -> dict:
     xs = {m: np.asarray(batch[m]) for m in MODALITIES}
     for _, config in models:
@@ -389,8 +394,37 @@ def forward(params, batch, config: NetworkConfig,
                 cache["dropout_mask"] = mask
     if keep_cache:
         cache["h"] = h
-    probs = _softmax(h @ params["out/w"].T + params["out/b"])
-    return probs, cache
+    return _output(params, h), cache
+
+
+def _lstm_lockstep(heads):
+    """The hidden outputs (B, H) of each LSTM head ``(params, z)``, every head
+    stepped through the windows in one loop, bitwise its own ``forward``'s:
+    each head makes its own ``wx @ z[t] + wh @ h`` into its slice of one gate
+    vector, and one update of the gates, cell and output runs over all heads'
+    units in ``forward``'s order, with the gates laid out i, f, o, g.  Each
+    head's outputs come back in an array of their own, as ``forward``'s."""
+    if not heads:
+        return []
+    sizes = [params["lstm/wh"].shape[1] for params, _ in heads]
+    units = np.cumsum([0] + sizes)
+    H, B = units[-1], len(heads[0][1])
+    order = np.concatenate([4 * units[j] + q * n + np.arange(n)
+                            for q in (0, 1, 3, 2) for j, n in enumerate(sizes)])
+    b = np.concatenate([params["lstm/b"] for params, _ in heads])[order]
+    steps = [(params["lstm/wx"], params["lstm/wh"], z, 4 * lo, 4 * hi, lo, hi)
+             for (params, z), lo, hi in zip(heads, units[:-1], units[1:])]
+    g, h_t, c_t, h = np.empty(4 * H), np.zeros(H), np.zeros(H), np.empty((B, H))
+    for t in range(B):
+        for wx, wh, z, glo, ghi, lo, hi in steps:
+            g[glo:ghi] = wx @ z[t] + wh @ h_t[lo:hi]
+        gates = g[order] + b
+        s = _sigmoid(gates[:3 * H])
+        i_g, f_g, o_g = s[:H], s[H:2 * H], s[2 * H:]
+        c_t = f_g * c_t + i_g * np.tanh(gates[3 * H:])
+        h_t = o_g * np.tanh(c_t)
+        h[t] = h_t
+    return [h[:, lo:hi].copy() for lo, hi in zip(units[:-1], units[1:])]
 
 
 @one_blas_thread()
@@ -406,13 +440,17 @@ def score_ensemble(models, batch) -> list[np.ndarray]:
        against its stacked filters, then each member's deeper layers run on
        its slice.  A job holds its pooled layer-0 output and one run's
        scratch, not a product over the whole job.
-    2. Heads: each member's ``forward`` from its own features, one after
-       another at one BLAS thread, as on the pool.  The LSTM step loop holds
-       the GIL: 16 heads of a 0.5 h night took 0.065 s serially and 0.080 s
-       on two threads.
+    2. Heads, at one BLAS thread, as on the pool: each FF member's
+       ``forward`` from its own features, and every LSTM member stepped in
+       lockstep (``_lstm_lockstep``).  16 LSTM heads of a 0.5 h octave night
+       took 0.097-0.110 s one member at a time and 0.040-0.048 s in lockstep
+       (2-core VM); the step loop holds the GIL, so they stay off the pool.
     """
     zs, _ = _conv_features(models, batch, thread_map)
-    return [forward(params, batch, config, z=z)[0] for (params, config), z in zip(models, zs)]
+    hs = iter(_lstm_lockstep([(params, z) for (params, config), z in zip(models, zs)
+                              if config.mode == "LSTM"]))
+    return [_output(params, next(hs)) if config.mode == "LSTM"
+            else forward(params, batch, config, z=z)[0] for (params, config), z in zip(models, zs)]
 
 
 def loss(pred_probs, one_hot, params=None) -> float:

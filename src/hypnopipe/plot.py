@@ -39,7 +39,7 @@ def hypnodensity_svg(hd: Hypnodensity) -> str:
     hours = n * hd.resolution_s / 3600.0
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
-    xs = MARGIN_L + np.arange(n) / max(n - 1, 1) * plot_w
+    xs = [_fmt(x) for x in MARGIN_L + np.arange(n) / max(n - 1, 1) * plot_w]
     cum = np.cumsum(probs, axis=1)
 
     parts = [
@@ -49,19 +49,18 @@ def hypnodensity_svg(hd: Hypnodensity) -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">\n',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#f8f8f8"/>\n',
     ]
+    # each stage fills from its lower boundary to the top edge, W first, and the
+    # next covers it above its own lower boundary: each boundary is drawn once
+    corners = f" L {xs[-1]},{_fmt(MARGIN_T)} L {xs[0]},{_fmt(MARGIN_T)} Z"
     lower = np.zeros(n)
     for k, stage in enumerate(STAGES):
-        upper = cum[:, k]
-        pts = []
-        for x, u in zip(xs, upper):
-            pts.append(f"{_fmt(x)},{_fmt(MARGIN_T + plot_h * (1 - u))}")
-        for x, lo in zip(xs[::-1], lower[::-1]):
-            pts.append(f"{_fmt(x)},{_fmt(MARGIN_T + plot_h * (1 - lo))}")
+        ys = (MARGIN_T + plot_h * (1 - lower)).tolist()
+        pts = " L ".join(f"{x},{_fmt(y)}" for x, y in zip(xs, ys))
         parts.append(
             f'<path class="stage-area" fill="{STAGE_COLORS[stage]}" '
-            f'stroke="none" d="M {" L ".join(pts)} Z"><title>{stage}</title></path>\n'
+            f'stroke="none" d="M {pts}{corners}"><title>{stage}</title></path>\n'
         )
-        lower = upper
+        lower = cum[:, k]
     for t in range(int(hours) + 1):       # hour ticks
         x = MARGIN_L + (t / hours) * plot_w
         parts.append(

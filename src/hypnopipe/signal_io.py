@@ -59,7 +59,7 @@ class PolySignalSet:
     channels: dict[str, Channel]
     duration_s: float
     recording_id: str
-    # role -> the read-only samples ``load_recording`` read, known finite
+    # role -> the read-only samples known finite (``keep_finite``)
     _finite: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
@@ -89,6 +89,12 @@ class PolySignalSet:
                 )
             if ch.samples is not self._finite.get(role):
                 check_finite(ch.samples, role)
+
+    def keep_finite(self, role: str, samples: np.ndarray) -> None:
+        """Hold ``samples``, already checked finite, as ``role``'s, read-only,
+        so that ``validate`` and ``encode_recording`` do not scan them again."""
+        samples.flags.writeable = False
+        self.channels[role].samples = self._finite[role] = samples
 
 
 @dataclass
@@ -134,8 +140,7 @@ def load_recording(path: str) -> PolySignalSet:
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CorruptHeader(f"{path}: {e!r}") from e
     for role, ch in channels.items():
-        ch.samples.flags.writeable = False
-        psg._finite[role] = ch.samples
+        psg.keep_finite(role, ch.samples)
     psg.validate()
     return psg
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hypnopipe import cli, diagnosis, features, neuralnet, preprocess, signal_io, store
+from hypnopipe import cli, diagnosis, encoding, features, neuralnet, preprocess, signal_io, store
 from hypnopipe.encoding import MONTAGE, EncodedRecording, encode_recording
 from hypnopipe.errors import (CholeskyFailure, CorruptHeader, EmptyFile,
                               IncompatibleResolution, InvalidSpec, InvalidValues,
@@ -1014,6 +1014,24 @@ def test_run_all_hands_each_stage_what_the_subcommands_files_hold(workspace, tmp
     for got, read in pairs:
         assert got.dtype == read.dtype == np.float32 and got.tobytes() == read.tobytes()
     assert all(ch.fs == montage.channels[role].fs for role, ch in channels.items())
+
+
+def test_run_all_scans_each_montage_channel_for_non_finite_samples_once(
+        workspace, tmp_path, monkeypatch):
+    """``run-all`` checks a montage channel finite where it casts it to
+    float32, and ``encode_recording`` does not scan the cast samples again."""
+    scanned, check_finite = [], store.check_finite
+
+    def check(x, name):
+        scanned.append((name.removesuffix(" as float32"), x.ndim))
+        return check_finite(x, name)
+    for module in (store, signal_io, encoding):
+        monkeypatch.setattr(module, "check_finite", check)
+    assert cli.main(["run-all", "--config", workspace["config"],
+                     "--out-dir", str(tmp_path / "o")]) == 0
+    # the 2-D scans named EOG_L and EOG_R are the encoded tensors
+    assert sorted(name for name, ndim in scanned if ndim == 1 and name in MONTAGE["cc"]) \
+        == sorted(MONTAGE["cc"])
 
 
 @pytest.mark.parametrize("command,wrapped", [

@@ -442,6 +442,30 @@ def test_a_mixed_ff_and_lstm_ensemble_on_float32_windows(n):
     assert_the_scorer_is_the_reference(models, batch)
 
 
+@pytest.mark.parametrize("encoding", ["cc", "octave"])
+@pytest.mark.parametrize("n", [2, 17, nn.CHUNK + 1])
+def test_lstm_heads_of_one_two_and_24_units_in_lockstep(encoding, n):
+    # the lockstep updates every head's units as one vector: a head of one
+    # unit is a length-1 slice of it, where its own forward runs on length 1
+    template = nn.NetworkConfig(mode="LSTM", encoding=encoding, segment_s=5)
+    configs = [replace(template, hidden=h, seed=j) for j, h in enumerate([1, 2, 24, 1, 24, 2])]
+    assert_the_scorer_is_the_reference(ensemble(configs), windows(configs[0], n))
+
+
+def test_only_the_ff_heads_run_their_own_forward(monkeypatch):
+    configs = [cfg for pair in zip(
+        *(nn.make_ensemble(nn.NetworkConfig(mode=mode, encoding="cc", segment_s=5),
+                           n=3, seed=4) for mode in ("FF", "LSTM"))) for cfg in pair]
+    models, calls, forward = ensemble(configs), [], nn.forward
+
+    def counting(params, batch, config, **kwargs):
+        calls.append(config.mode)
+        return forward(params, batch, config, **kwargs)
+    monkeypatch.setattr(nn, "forward", counting)
+    assert len(nn.score_ensemble(models, windows(configs[0], 5))) == 6
+    assert calls == ["FF"] * 3
+
+
 @pytest.mark.parametrize("n", [1, nn.CHUNK + 1])
 def test_members_of_one_filter_and_of_one_layer(n):
     template = nn.NetworkConfig(mode="FF", encoding="cc", segment_s=5)
