@@ -313,7 +313,7 @@ def encode_recording(montage: PolySignalSet, mode: str) -> EncodedRecording:
             raise MissingChannel(role)
         if ch.fs != TARGET_FS:
             raise UnsupportedRate(f"{role}: {ch.fs} Hz, encoding needs {TARGET_FS} Hz")
-        if ch.samples is not montage._finite.get(role):
+        if not montage.known_finite(role):
             check_finite(ch.samples, role)
         x[role] = ch.samples
     n = min(map(len, x.values()))

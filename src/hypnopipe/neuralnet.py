@@ -6,15 +6,16 @@ pooled features are concatenated and fed to either a fully connected layer
 mode), ending in a 5-way softmax.  A recording's windows are one batch
 ``{modality: (N, channels, length)}`` from ``windows_from_encoded``.
 
-One conv-stack implementation serves training and scoring: ``forward`` is
-its one-member case.  ``score_ensemble`` runs a whole ensemble in two
-phases.  First the conv features, on the one pool, in jobs of (chunk of
-windows, modality, group): a group is the members whose input
-standardization for that modality is equal, byte for byte, so its windows
-are standardised once and its layer 0 runs as one product against the
-members' stacked filters, STACKED_WINDOWS windows at a time; then each
+One conv-stack implementation and one head function serve training and
+scoring: ``forward`` is their one-member case.  ``score_ensemble`` runs a
+whole ensemble in two phases.  First the conv features, on the one pool, in
+jobs of (chunk of windows, modality, group): a group is the members whose
+input standardization for that modality is equal, byte for byte, so its
+windows are standardised once and its layer 0 runs as one product against
+the members' stacked filters, STACKED_WINDOWS windows at a time; then each
 member's deeper layers run on its slice.  Then the heads run from each
-member's features: FF ones through ``forward``, the LSTM ones in lockstep.
+member's features through ``_hidden``, which steps the LSTM ones in
+lockstep.
 Beside the batch, scoring a night holds the members' concatenated features
 (about 40 floats per window each) and, for each job running, its pooled
 layer-0 output and one run's scratch; each member's probabilities are
@@ -337,75 +338,27 @@ def _conv_stack_back(params, layers, dfeat, modality, grads):
                                                          optimize=True)
 
 
-@one_blas_thread()
-def forward(params, batch, config: NetworkConfig,
-            rng: np.random.Generator | None = None, keep_cache: bool = False, z=None):
-    """Probabilities for a batch of windows.
-
-    ``batch`` maps modality name to an array (B, channels, length).  FF mode
-    treats the B windows independently; LSTM mode consumes them as one
-    temporal sequence from a zero state.  The conv stacks run a chunk of
-    windows at a time (``_conv_features``); the head runs over their
-    concatenated features ``z`` (B, F).  ``score_ensemble`` passes each
-    member's ``z``, computed with the rest of its ensemble's, and then only
-    the head runs.
-    Dropout masks the LSTM outputs if and only if ``rng`` is given.
-    Returns (probs (B, 5), cache): the cache that ``loss_and_grads`` reads
-    if ``keep_cache``, else None, so scoring holds no per-layer activations.
-    """
-    if z is None:
-        (z,), layers = _conv_features([(params, config)], batch, map, keep_cache)
-    elif keep_cache:
-        raise InvalidSpec("a kept cache holds the conv stacks, so forward must run them")
-    cache = None
-    if keep_cache:
-        k = len(MODALITIES)
-        cache = {"z": z, "stacks": [layers[s:s + k] for s in range(0, len(layers), k)]}
-    B, H = len(z), config.hidden
-    if config.mode == "FF":
-        pre = z @ params["fc1/w"].T + params["fc1/b"]
-        h = np.maximum(pre, 0.0)
-        if keep_cache:
-            cache["fc1_pre"] = pre
-    else:
-        wx, wh, b = params["lstm/wx"], params["lstm/wh"], params["lstm/b"]
-        h_t, c_t = np.zeros(H), np.zeros(H)
-        h = np.empty((B, H))
-        if keep_cache:
-            cache["hs"] = h
-            cs = cache["cs"] = np.empty((B, H))
-            gates = cache["gates"] = np.empty((B, 4 * H))
-        for t in range(B):
-            g = wx @ z[t] + wh @ h_t + b
-            i_g = _sigmoid(g[:H])
-            f_g = _sigmoid(g[H:2 * H])
-            g_g = np.tanh(g[2 * H:3 * H])
-            o_g = _sigmoid(g[3 * H:])
-            c_t = f_g * c_t + i_g * g_g
-            h_t = o_g * np.tanh(c_t)
-            h[t] = h_t
-            if keep_cache:
-                cs[t] = c_t
-                gates[t] = np.concatenate([i_g, f_g, g_g, o_g])
-        if rng is not None:
-            mask = (rng.random(h.shape) < DROPOUT_KEEP) / DROPOUT_KEEP
-            h = h * mask
-            if keep_cache:
-                cache["dropout_mask"] = mask
-    if keep_cache:
-        cache["h"] = h
-    return _output(params, h), cache
-
-
-def _lstm_lockstep(heads):
-    """The hidden outputs (B, H) of each LSTM head ``(params, z)``, every head
-    stepped through the windows in one loop, bitwise its own ``forward``'s:
-    each head makes its own ``wx @ z[t] + wh @ h`` into its slice of one gate
-    vector, and one update of the gates, cell and output runs over all heads'
-    units in ``forward``'s order, with the gates laid out i, f, o, g.  Each
-    head's outputs come back in an array of their own, as ``forward``'s."""
+def _hidden(models, zs, cache=None):
+    """Each member's hidden outputs (B, H) from its features ``zs[i]`` (B, F):
+    an FF member's ReLU of ``fc1``; every LSTM member stepped through the
+    windows from a zero state in one loop.  There each member makes its own
+    ``wx @ z[t] + wh @ h`` into its slice of one gate vector, and one update
+    of the gates, cell and output runs over all members' units, with the
+    gates laid out i, f, o, g.  With ``cache`` (one member) the FF
+    pre-activations ``fc1_pre``, or the LSTM's ``hs``, ``cs`` and activated
+    ``gates`` (i, f, o, g) per window, go into it."""
+    out, heads = [], []
+    for (params, config), z in zip(models, zs):
+        if config.mode == "FF":
+            pre = z @ params["fc1/w"].T + params["fc1/b"]
+            out.append(np.maximum(pre, 0.0))
+            if cache is not None:
+                cache["fc1_pre"] = pre
+        else:
+            out.append(None)
+            heads.append((params, z))
     if not heads:
-        return []
+        return out
     sizes = [params["lstm/wh"].shape[1] for params, _ in heads]
     units = np.cumsum([0] + sizes)
     H, B = units[-1], len(heads[0][1])
@@ -415,16 +368,54 @@ def _lstm_lockstep(heads):
     steps = [(params["lstm/wx"], params["lstm/wh"], z, 4 * lo, 4 * hi, lo, hi)
              for (params, z), lo, hi in zip(heads, units[:-1], units[1:])]
     g, h_t, c_t, h = np.empty(4 * H), np.zeros(H), np.zeros(H), np.empty((B, H))
+    if cache is not None:
+        cache.update(hs=h, cs=np.empty((B, H)), gates=np.empty((B, 4 * H)))
     for t in range(B):
         for wx, wh, z, glo, ghi, lo, hi in steps:
             g[glo:ghi] = wx @ z[t] + wh @ h_t[lo:hi]
         gates = g[order] + b
         s = _sigmoid(gates[:3 * H])
         i_g, f_g, o_g = s[:H], s[H:2 * H], s[2 * H:]
-        c_t = f_g * c_t + i_g * np.tanh(gates[3 * H:])
+        g_g = np.tanh(gates[3 * H:])
+        c_t = f_g * c_t + i_g * g_g
         h_t = o_g * np.tanh(c_t)
         h[t] = h_t
-    return [h[:, lo:hi].copy() for lo, hi in zip(units[:-1], units[1:])]
+        if cache is not None:
+            cache["cs"][t], cache["gates"][t] = c_t, np.concatenate([s, g_g])
+    # each member's outputs in an array of their own, as the output layer reads them
+    hs = iter([np.ascontiguousarray(h[:, lo:hi]) for lo, hi in zip(units[:-1], units[1:])])
+    return [next(hs) if x is None else x for x in out]
+
+
+@one_blas_thread()
+def forward(params, batch, config: NetworkConfig,
+            rng: np.random.Generator | None = None, keep_cache: bool = False):
+    """Probabilities for a batch of windows.
+
+    ``batch`` maps modality name to an array (B, channels, length).  FF mode
+    treats the B windows independently; LSTM mode consumes them as one
+    temporal sequence from a zero state.  The conv stacks run a chunk of
+    windows at a time (``_conv_features``), then the head over their
+    concatenated features (``_hidden``), as in ``score_ensemble``.
+    Dropout masks the LSTM outputs if and only if ``rng`` is given.
+    Returns (probs (B, 5), cache): the cache that ``loss_and_grads`` reads
+    if ``keep_cache``, else None, so scoring holds no per-layer activations.
+    """
+    models = [(params, config)]
+    (z,), layers = _conv_features(models, batch, map, keep_cache)
+    cache = None
+    if keep_cache:
+        k = len(MODALITIES)
+        cache = {"z": z, "stacks": [layers[s:s + k] for s in range(0, len(layers), k)]}
+    (h,) = _hidden(models, [z], cache)
+    if config.mode == "LSTM" and rng is not None:
+        mask = (rng.random(h.shape) < DROPOUT_KEEP) / DROPOUT_KEEP
+        h = h * mask
+        if keep_cache:
+            cache["dropout_mask"] = mask
+    if keep_cache:
+        cache["h"] = h
+    return _output(params, h), cache
 
 
 @one_blas_thread()
@@ -440,17 +431,14 @@ def score_ensemble(models, batch) -> list[np.ndarray]:
        against its stacked filters, then each member's deeper layers run on
        its slice.  A job holds its pooled layer-0 output and one run's
        scratch, not a product over the whole job.
-    2. Heads, at one BLAS thread, as on the pool: each FF member's
-       ``forward`` from its own features, and every LSTM member stepped in
-       lockstep (``_lstm_lockstep``).  16 LSTM heads of a 0.5 h octave night
-       took 0.097-0.110 s one member at a time and 0.040-0.048 s in lockstep
+    2. Heads, at one BLAS thread, as on the pool: ``_hidden`` over every
+       member, as ``forward`` runs it over one, so the LSTM members step in
+       lockstep.  16 LSTM heads of a 0.5 h octave night took
+       0.097-0.110 s one member at a time and 0.040-0.048 s in lockstep
        (2-core VM); the step loop holds the GIL, so they stay off the pool.
     """
     zs, _ = _conv_features(models, batch, thread_map)
-    hs = iter(_lstm_lockstep([(params, z) for (params, config), z in zip(models, zs)
-                              if config.mode == "LSTM"]))
-    return [_output(params, next(hs)) if config.mode == "LSTM"
-            else forward(params, batch, config, z=z)[0] for (params, config), z in zip(models, zs)]
+    return [_output(params, h) for (params, _), h in zip(models, _hidden(models, zs))]
 
 
 def loss(pred_probs, one_hot, params=None) -> float:
@@ -508,7 +496,7 @@ def loss_and_grads(params, batch, one_hot, config: NetworkConfig, rng=None):
         dc_next = np.zeros(H)
         for t in reversed(range(z.shape[0])):
             dht = dh[t] + dh_next
-            i_g, f_g, g_g, o_g = gates[t].reshape(4, H)
+            i_g, f_g, o_g, g_g = gates[t].reshape(4, H)
             tc = np.tanh(cs[t])
             do = dht * tc
             dc = dht * o_g * (1 - tc ** 2) + dc_next

@@ -87,7 +87,7 @@ class PolySignalSet:
                 raise LengthMismatch(
                     f"{role}: {len(ch.samples)} samples, expected {expect}±1"
                 )
-            if ch.samples is not self._finite.get(role):
+            if not self.known_finite(role):
                 check_finite(ch.samples, role)
 
     def keep_finite(self, role: str, samples: np.ndarray) -> None:
@@ -95,6 +95,11 @@ class PolySignalSet:
         so that ``validate`` and ``encode_recording`` do not scan them again."""
         samples.flags.writeable = False
         self.channels[role].samples = self._finite[role] = samples
+
+    def known_finite(self, role: str) -> bool:
+        """Whether ``role``'s samples are the ones ``keep_finite`` holds, so need
+        no scan for non-finite values; any others (replaced since) do."""
+        return self.channels[role].samples is self._finite.get(role)
 
 
 @dataclass
