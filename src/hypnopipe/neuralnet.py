@@ -14,8 +14,8 @@ input standardization for that modality is equal, byte for byte, so its
 windows are standardised once and its layer 0 runs as one product against
 the members' stacked filters, STACKED_WINDOWS windows at a time; then each
 member's deeper layers run on its slice.  Then the heads run from each
-member's features through ``_hidden``, which steps the LSTM ones in
-lockstep.
+member's features through ``_hidden``: FF ones by way of ``forward``, the
+LSTM ones all in one call, which steps them in lockstep.
 Beside the batch, scoring a night holds the members' concatenated features
 (about 40 floats per window each) and, for each job running, its pooled
 layer-0 output and one run's scratch; each member's probabilities are
@@ -389,20 +389,25 @@ def _hidden(models, zs, cache=None):
 
 @one_blas_thread()
 def forward(params, batch, config: NetworkConfig,
-            rng: np.random.Generator | None = None, keep_cache: bool = False):
+            rng: np.random.Generator | None = None, keep_cache: bool = False, z=None):
     """Probabilities for a batch of windows.
 
     ``batch`` maps modality name to an array (B, channels, length).  FF mode
     treats the B windows independently; LSTM mode consumes them as one
     temporal sequence from a zero state.  The conv stacks run a chunk of
     windows at a time (``_conv_features``), then the head over their
-    concatenated features (``_hidden``), as in ``score_ensemble``.
+    concatenated features ``z`` (B, F) (``_hidden``), as in
+    ``score_ensemble``, which passes each FF member's ``z``, computed with
+    the rest of its ensemble's, so that only the head runs here.
     Dropout masks the LSTM outputs if and only if ``rng`` is given.
     Returns (probs (B, 5), cache): the cache that ``loss_and_grads`` reads
     if ``keep_cache``, else None, so scoring holds no per-layer activations.
     """
     models = [(params, config)]
-    (z,), layers = _conv_features(models, batch, map, keep_cache)
+    if z is None:
+        (z,), layers = _conv_features(models, batch, map, keep_cache)
+    elif keep_cache:
+        raise InvalidSpec("a kept cache holds the conv stacks, so forward must run them")
     cache = None
     if keep_cache:
         k = len(MODALITIES)
@@ -431,14 +436,18 @@ def score_ensemble(models, batch) -> list[np.ndarray]:
        against its stacked filters, then each member's deeper layers run on
        its slice.  A job holds its pooled layer-0 output and one run's
        scratch, not a product over the whole job.
-    2. Heads, at one BLAS thread, as on the pool: ``_hidden`` over every
-       member, as ``forward`` runs it over one, so the LSTM members step in
-       lockstep.  16 LSTM heads of a 0.5 h octave night took
+    2. Heads, at one BLAS thread, as on the pool: each FF member's
+       ``forward`` from its own features, and ``_hidden`` over every LSTM
+       member, as ``forward`` runs it over one, so they step in lockstep.
+       16 LSTM heads of a 0.5 h octave night took
        0.097-0.110 s one member at a time and 0.040-0.048 s in lockstep
        (2-core VM); the step loop holds the GIL, so they stay off the pool.
     """
     zs, _ = _conv_features(models, batch, thread_map)
-    return [_output(params, h) for (params, _), h in zip(models, _hidden(models, zs))]
+    lstm = [(m, z) for m, z in zip(models, zs) if m[1].mode == "LSTM"]
+    hs = iter(_hidden([m for m, _ in lstm], [z for _, z in lstm]))
+    return [_output(params, next(hs)) if config.mode == "LSTM"
+            else forward(params, batch, config, z=z)[0] for (params, config), z in zip(models, zs)]
 
 
 def loss(pred_probs, one_hot, params=None) -> float:

@@ -108,6 +108,17 @@ def test_forward_rejects_bad_shape(rng):
         nn.forward(params, uneven, cfg)
 
 
+def test_forward_refuses_a_given_z_with_a_kept_cache(rng):
+    """A kept cache holds the conv stacks' activations, which a given ``z``
+    skips; the check comes before the cache is built from layers never run."""
+    cfg = toy_config()
+    params, batch = nn.init_params(cfg), toy_batch(rng)
+    probs, cache = nn.forward(params, batch, cfg, keep_cache=True)
+    assert np.array_equal(nn.forward(params, batch, cfg, z=cache["z"])[0], probs)
+    with pytest.raises(InvalidSpec, match="must run them"):
+        nn.forward(params, batch, cfg, keep_cache=True, z=cache["z"])
+
+
 def test_inference_deterministic(rng):
     cfg = toy_config("LSTM")
     params = nn.init_params(cfg)
